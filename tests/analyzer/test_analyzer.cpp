@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 namespace ecohmem::analyzer {
 namespace {
 
@@ -141,6 +144,62 @@ TEST(Analyzer, FunctionProfilesAggregateLoadSamples) {
   ASSERT_EQ(result->functions.size(), 1u);
   EXPECT_EQ(result->functions[0].name, "kernel");
   EXPECT_DOUBLE_EQ(result->functions[0].load_samples, 22.0);  // includes unattributed
+}
+
+TEST(Analyzer, MalformedTraceFailsWithItsReason) {
+  // A double free fails the replay with an error naming the object.
+  Trace t;
+  const StackId s = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
+  t.events.emplace_back(AllocEvent{1, 7, 0x1000, 64, s, AllocKind::kMalloc});
+  t.events.emplace_back(FreeEvent{2, 7});
+  t.events.emplace_back(FreeEvent{3, 7});
+  const auto result = analyze(t);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error(), "free event for unknown object id 7");
+}
+
+/// Bit pattern of a double: -0.0 != +0.0, exactly the "bit-identical"
+/// contract.
+std::uint64_t bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+TEST(Analyzer, OutOfTableFunctionIdsSurvive) {
+  // Samples naming function ids past the function table land in the
+  // overflow map next to the table-indexed entries; a store-only sample
+  // still materializes its function's entry with zero load samples.
+  Trace t;
+  const StackId s = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
+  const std::uint32_t fn = t.functions.intern("known");
+  t.events.emplace_back(AllocEvent{1, 1, 0x1000, 4096, s, AllocKind::kMalloc});
+  t.events.emplace_back(SampleEvent{2, 0x1004, 2.0, 120.0, false, fn});
+  t.events.emplace_back(SampleEvent{3, 0x1008, 1.5, 90.0, false, /*fn=*/7777});
+  t.events.emplace_back(SampleEvent{4, 0x100c, 1.0, 0.0, true, /*fn=*/8888});
+  t.events.emplace_back(FreeEvent{5, 1});
+
+  const auto result = analyze(t);
+  ASSERT_TRUE(result.has_value()) << result.error();
+  ASSERT_EQ(result->sites.size(), 1u);
+  const SiteRecord& site = result->sites[0];
+  EXPECT_EQ(bits(site.load_misses), bits(3.5));
+  EXPECT_EQ(bits(site.store_misses), bits(1.0));
+  EXPECT_EQ(bits(site.avg_load_latency_ns), bits((2.0 * 120.0 + 1.5 * 90.0) / 3.5));
+  EXPECT_TRUE(site.has_writes);
+  EXPECT_EQ(bits(result->unattributed_samples), bits(0.0));
+
+  // Sorted by name; the two unnamed ids ("?") keep id order.
+  ASSERT_EQ(result->functions.size(), 3u);
+  EXPECT_EQ(result->functions[0].name, "?");
+  EXPECT_EQ(bits(result->functions[0].load_samples), bits(1.5));
+  EXPECT_EQ(bits(result->functions[0].avg_load_latency_ns), bits(90.0));
+  EXPECT_EQ(result->functions[1].name, "?");
+  EXPECT_EQ(bits(result->functions[1].load_samples), bits(0.0));
+  EXPECT_EQ(bits(result->functions[1].avg_load_latency_ns), bits(0.0));
+  EXPECT_EQ(result->functions[2].name, "known");
+  EXPECT_EQ(bits(result->functions[2].load_samples), bits(2.0));
+  EXPECT_EQ(bits(result->functions[2].avg_load_latency_ns), bits(120.0));
 }
 
 TEST(ClassifyRegion, PaperThresholds) {
