@@ -11,9 +11,7 @@
 //   - seeding the policy from the advisor report (--from-report) must
 //     never make it slower than starting cold;
 //   - phase-shift must exercise page-granular partial moves (the huge
-//     arrays migrate in chunks, not as monolithic copies);
-//   - parallel replay (--threads 4) must reproduce the serial online
-//     run bit-identically (counters, stall times, migration events).
+//     arrays migrate in chunks, not as monolithic copies).
 // The measured numbers land in BENCH_online_placement.json; a violated
 // acceptance bound makes the binary exit nonzero.
 //
@@ -45,35 +43,10 @@ struct Row {
   std::uint64_t cancelled = 0;
   double migrated_mb = 0.0;
   double migration_ms = 0.0;
-  bool parallel_identical = false;  // --threads 4 reproduces serial exactly
   bool pass = false;
 };
 
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
-
-/// Bit-exact equality of everything an online run reports — the
-/// determinism contract docs/threading.md makes for parallel replay.
-bool metrics_identical(const runtime::RunMetrics& a, const runtime::RunMetrics& b) {
-  if (a.total_ns != b.total_ns || a.load_stall_ns != b.load_stall_ns ||
-      a.store_stall_ns != b.store_stall_ns) {
-    return false;
-  }
-  if (a.migrations_scheduled != b.migrations_scheduled || a.migrations != b.migrations ||
-      a.migrations_partial != b.migrations_partial ||
-      a.migrations_cancelled != b.migrations_cancelled ||
-      a.migrated_bytes != b.migrated_bytes || a.migration_ns != b.migration_ns ||
-      a.migration_events != b.migration_events) {
-    return false;
-  }
-  if (a.tier_traffic.size() != b.tier_traffic.size()) return false;
-  for (std::size_t i = 0; i < a.tier_traffic.size(); ++i) {
-    if (a.tier_traffic[i].read_bytes != b.tier_traffic[i].read_bytes ||
-        a.tier_traffic[i].write_bytes != b.tier_traffic[i].write_bytes) {
-      return false;
-    }
-  }
-  return true;
-}
 
 Expected<Row> run_app(const std::string& name, const runtime::Workload& w,
                       const memsim::MemorySystem& sys,
@@ -101,14 +74,6 @@ Expected<Row> run_app(const std::string& name, const runtime::Workload& w,
                                                advisor::ReportFormat::kBom, seeded_options);
   if (!seeded) return unexpected(seeded.error());
 
-  // Parallel replay of the identical online run; the sharded sampler
-  // keeps it bit-identical at any thread count.
-  runtime::EngineOptions parallel_options = engine_options;
-  parallel_options.replay_threads = 4;
-  const auto parallel = core::run_with_placement(w, sys, workflow->placement, opt.dram_limit,
-                                                 advisor::ReportFormat::kBom, parallel_options);
-  if (!parallel) return unexpected(parallel.error());
-
   baselines::KernelTieringMode tiering(&sys, 0, sys.fallback_index());
   runtime::ExecutionEngine engine(&sys, {});
   const auto tiering_run = engine.run(w, tiering);
@@ -126,7 +91,6 @@ Expected<Row> run_app(const std::string& name, const runtime::Workload& w,
   row.cancelled = online->migrations_cancelled;
   row.migrated_mb = static_cast<double>(online->migrated_bytes) / (1 << 20);
   row.migration_ms = online->migration_ns * 1e-6;
-  row.parallel_identical = metrics_identical(*online, *parallel);
   const bool online_ok = steady ? row.online_s <= row.static_s * (1.0 + policy.hysteresis)
                                 : row.online_s < row.static_s;
   // Seeding must never make the policy slower than starting cold
@@ -135,7 +99,7 @@ Expected<Row> run_app(const std::string& name, const runtime::Workload& w,
   // Phase-shift's hot arrays are over the huge-object threshold, so the
   // win must come through page-granular partial moves.
   const bool partial_ok = steady || row.partial > 0;
-  row.pass = online_ok && seeded_ok && partial_ok && row.parallel_identical;
+  row.pass = online_ok && seeded_ok && partial_ok;
   return row;
 }
 
@@ -162,12 +126,10 @@ int main(int argc, char** argv) {
       {"lulesh", true},       {"hpcg", true},         {"cloverleaf3d", true},
   };
 
-  std::printf("%-14s %10s %10s %10s %10s %6s %8s %9s %4s  %s\n", "app", "static(s)",
-              "online(s)", "seeded(s)", "tiering(s)", "moves", "partial", "moved(MB)",
-              "par", "bound");
+  std::printf("%-14s %10s %10s %10s %10s %6s %8s %9s  %s\n", "app", "static(s)",
+              "online(s)", "seeded(s)", "tiering(s)", "moves", "partial", "moved(MB)", "bound");
   std::vector<Row> rows;
   bool all_pass = true;
-  bool parallel_identical = true;
   for (const auto& spec : specs) {
     const runtime::Workload w = apps::make_app(spec.name);
     const auto row = run_app(spec.name, w, sys, policy, spec.steady);
@@ -177,15 +139,13 @@ int main(int argc, char** argv) {
       continue;
     }
     rows.push_back(*row);
-    std::printf("%-14s %10.3f %10.3f %10.3f %10.3f %6llu %8llu %9.1f %4s  %s\n",
+    std::printf("%-14s %10.3f %10.3f %10.3f %10.3f %6llu %8llu %9.1f  %s\n",
                 row->app.c_str(), row->static_s, row->online_s, row->seeded_s,
                 row->tiering_s, static_cast<unsigned long long>(row->migrations),
                 static_cast<unsigned long long>(row->partial), row->migrated_mb,
-                row->parallel_identical ? "ok" : "DIFF",
                 row->pass ? (row->steady ? "within hysteresis" : "beats static")
                           : "VIOLATED");
     all_pass = all_pass && row->pass;
-    parallel_identical = parallel_identical && row->parallel_identical;
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -197,7 +157,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"bench\": \"online_placement\",\n");
   std::fprintf(out, "  \"hysteresis\": %.6g,\n", policy.hysteresis);
   std::fprintf(out, "  \"all_pass\": %s,\n", all_pass ? "true" : "false");
-  std::fprintf(out, "  \"parallel_identical\": %s,\n", parallel_identical ? "true" : "false");
   std::fprintf(out, "  \"apps\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -206,14 +165,12 @@ int main(int argc, char** argv) {
                  "\"online_s\": %.6f, \"seeded_s\": %.6f, \"kernel_tiering_s\": %.6f, "
                  "\"migrations\": %llu, \"migrations_partial\": %llu, "
                  "\"migrations_cancelled\": %llu, "
-                 "\"migrated_mb\": %.1f, \"migration_ms\": %.3f, "
-                 "\"parallel_identical\": %s, \"pass\": %s}%s\n",
+                 "\"migrated_mb\": %.1f, \"migration_ms\": %.3f, \"pass\": %s}%s\n",
                  r.app.c_str(), r.steady ? "true" : "false", r.static_s, r.online_s,
                  r.seeded_s, r.tiering_s, static_cast<unsigned long long>(r.migrations),
                  static_cast<unsigned long long>(r.partial),
                  static_cast<unsigned long long>(r.cancelled), r.migrated_mb,
-                 r.migration_ms, r.parallel_identical ? "true" : "false",
-                 r.pass ? "true" : "false", i + 1 < rows.size() ? "," : "");
+                 r.migration_ms, r.pass ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -1,30 +1,19 @@
 // Trace pipeline benchmark: write / read / aggregate throughput of the
 // v2 compact stream format, the v3 indexed block format, and v3 with
-// compressed (bit-packed columnar) blocks, serial vs parallel, on a
-// >= 10M-event synthetic trace plus every Fig. 6 mini-app profile.
-// Records BENCH_trace_pipeline.json.
+// compressed (bit-packed columnar) blocks, on a >= 10M-event synthetic
+// trace. Records BENCH_trace_pipeline.json.
 //
-// Determinism contract: for each app the parallel aggregation must be
-// bit-identical to serial ("identical": true), and the compressed
-// trace must decode to events bit-identical to the uncompressed one;
-// any violation exits nonzero. Wall-clock parallel speedup is
-// hardware-dependent: on a single-core host the 4-thread path cannot
-// beat serial wall time and the JSON records that honestly
-// (hardware_concurrency is part of the record, as in
-// BENCH_parallel_replay.json); the >= 2x bound is then asserted on
-// per-block decode throughput — the v3 mmap block decode against the
-// v2 bounded-buffer istream decode — instead of on aggregate wall
-// time. Serial and parallel aggregation repeats are interleaved (after
-// an untimed warm-up pair) so allocator or cache drift cannot bias
-// either side; the zero-regression bound requires parallel >= 0.98x
-// serial even when thread clamping makes both run the same path.
+// Contract: the v2, v3 and N-thread v3 reads must decode the same events
+// ("identical": true), and the compressed trace must decode to events
+// bit-identical to the uncompressed one; any violation exits nonzero.
+// The compressed read must also cost at most 1.15x the uncompressed
+// read's wall time (recorded but not gated in smoke mode).
 //
 // Usage: bench_trace_pipeline [--events N] [--threads N] [--repeats R]
 //                             [--out FILE] [--smoke]
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +21,6 @@
 #include "bench_common.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/common/faultinject.hpp"
-#include "ecohmem/profiler/profiler.hpp"
 #include "ecohmem/trace/codec.hpp"
 #include "ecohmem/trace/trace_file.hpp"
 #include "ecohmem/trace/trace_reader.hpp"
@@ -84,7 +72,7 @@ void synth_events(std::size_t n, std::uint64_t seed, trace::StackId s0, trace::S
           sink(trace::Event{trace::MarkerEvent{time, fn, true}});
         } else {
           // Swap-and-pop keeps the generator O(1) per event (the live set
-          // still grows to ~12% of n, which exercises the span index).
+          // still grows to ~12% of n, which exercises the live map).
           const std::size_t k = rnd() % live.size();
           sink(trace::Event{trace::FreeEvent{time, live[k].first}});
           live[k] = live.back();
@@ -104,62 +92,6 @@ void synth_events(std::size_t n, std::uint64_t seed, trace::StackId s0, trace::S
                                static_cast<double>(rnd() % 400), rnd() % 4 == 0, fn}});
     }
   }
-}
-
-bool bits_equal(double a, double b) {
-  std::uint64_t ua = 0;
-  std::uint64_t ub = 0;
-  std::memcpy(&ua, &a, 8);
-  std::memcpy(&ub, &b, 8);
-  return ua == ub;
-}
-
-/// Bitwise equality of two analyses — the determinism contract the
-/// parallel aggregator must honor (docs/threading.md).
-bool results_identical(const analyzer::AnalysisResult& a, const analyzer::AnalysisResult& b) {
-  if (a.sites.size() != b.sites.size() || a.functions.size() != b.functions.size() ||
-      a.system_bw.size() != b.system_bw.size() || a.trace_end != b.trace_end ||
-      !bits_equal(a.observed_peak_bw_gbs, b.observed_peak_bw_gbs) ||
-      !bits_equal(a.unattributed_samples, b.unattributed_samples)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.sites.size(); ++i) {
-    const analyzer::SiteRecord& x = a.sites[i];
-    const analyzer::SiteRecord& y = b.sites[i];
-    if (x.stack != y.stack || x.callstack != y.callstack || x.max_size != y.max_size ||
-        x.peak_live_bytes != y.peak_live_bytes || x.alloc_count != y.alloc_count ||
-        x.first_alloc != y.first_alloc || x.last_free != y.last_free ||
-        x.has_writes != y.has_writes || x.windows.size() != y.windows.size() ||
-        !bits_equal(x.load_misses, y.load_misses) ||
-        !bits_equal(x.store_misses, y.store_misses) ||
-        !bits_equal(x.avg_load_latency_ns, y.avg_load_latency_ns) ||
-        !bits_equal(x.total_lifetime_ns, y.total_lifetime_ns) ||
-        !bits_equal(x.mean_lifetime_ns, y.mean_lifetime_ns) ||
-        !bits_equal(x.exec_bw_gbs, y.exec_bw_gbs) ||
-        !bits_equal(x.alloc_time_system_bw_gbs, y.alloc_time_system_bw_gbs) ||
-        !bits_equal(x.exec_time_system_bw_gbs, y.exec_time_system_bw_gbs)) {
-      return false;
-    }
-    for (std::size_t w = 0; w < x.windows.size(); ++w) {
-      if (x.windows[w].start != y.windows[w].start || x.windows[w].end != y.windows[w].end) {
-        return false;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < a.functions.size(); ++i) {
-    if (a.functions[i].name != b.functions[i].name ||
-        !bits_equal(a.functions[i].load_samples, b.functions[i].load_samples) ||
-        !bits_equal(a.functions[i].avg_load_latency_ns, b.functions[i].avg_load_latency_ns)) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.system_bw.size(); ++i) {
-    if (a.system_bw[i].time != b.system_bw[i].time ||
-        !bits_equal(a.system_bw[i].gbs, b.system_bw[i].gbs)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 template <typename Fn>
@@ -185,17 +117,9 @@ struct SyntheticStats {
   double salvage_read_ms = 0;
   std::uint64_t salvage_recovered = 0, salvage_declared = 0;
   double v2_stream_decode_ms = 0, v3_block_decode_ms = 0, v3c_block_decode_ms = 0;
-  double aggregate_serial_ms = 0, aggregate_parallel_ms = 0;
-  bool aggregate_identical = false;
+  double aggregate_ms = 0;
   bool read_identical = false;
   bool compressed_identical = false;
-};
-
-struct AppRow {
-  std::string app;
-  std::uint64_t events = 0;
-  double serial_ms = 0, parallel_ms = 0;
-  bool identical = false;
 };
 
 }  // namespace
@@ -227,8 +151,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::print_header("Trace pipeline: v2 stream vs v3 indexed blocks, serial vs parallel",
-                      "indexed trace format + sharded aggregation (docs/trace_format.md)");
+  bench::print_header("Trace pipeline: v2 stream vs v3 indexed blocks",
+                      "indexed trace format (docs/trace_format.md)");
   std::printf("host cores: %u, threads: %d, repeats: %d (best-of), synthetic events: %zu%s\n\n",
               std::thread::hardware_concurrency(), threads, repeats, n_events,
               smoke ? " [smoke]" : "");
@@ -477,39 +401,11 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Aggregate: serial vs parallel analysis of the same decoded trace.
-  // The timed repeats are interleaved, after one untimed warm-up pair:
-  // running all serial repeats before all parallel ones lets allocator
-  // and cache drift bias whichever side runs second (observed as a
-  // phantom ~10% "slowdown" on a clamped 1-core host where both sides
-  // execute the identical code path).
-  analyzer::AnalysisResult serial_result;
-  analyzer::AnalysisResult parallel_result;
-  {
-    analyzer::AnalyzerOptions serial_opt;
-    analyzer::AnalyzerOptions parallel_opt;
-    parallel_opt.threads = threads;
-    const auto run = [&](const analyzer::AnalyzerOptions& opt, analyzer::AnalysisResult& dst) {
-      auto result = analyzer::analyze(v3_bundle.trace, opt);
-      if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
-      dst = std::move(*result);
-    };
-    run(serial_opt, serial_result);
-    run(parallel_opt, parallel_result);
-    for (int r = 0; r < repeats; ++r) {
-      auto start = Clock::now();
-      run(serial_opt, serial_result);
-      const double serial_ms = ms_since(start);
-      if (r == 0 || serial_ms < syn.aggregate_serial_ms) syn.aggregate_serial_ms = serial_ms;
-      start = Clock::now();
-      run(parallel_opt, parallel_result);
-      const double parallel_ms = ms_since(start);
-      if (r == 0 || parallel_ms < syn.aggregate_parallel_ms) {
-        syn.aggregate_parallel_ms = parallel_ms;
-      }
-    }
-  }
-  syn.aggregate_identical = results_identical(serial_result, parallel_result);
+  // Aggregate: analysis of the decoded trace.
+  syn.aggregate_ms = best_of(repeats, [&] {
+    const auto result = analyzer::analyze(v3_bundle.trace, {});
+    if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
+  });
 
   std::printf("synthetic (%zu events): v2 %.1f MB, v3 %.1f MB, v3 compressed %.1f MB (%.2fx)\n",
               n_events, static_cast<double>(syn.v2_bytes) / 1e6,
@@ -545,85 +441,16 @@ int main(int argc, char** argv) {
               "v3c per-block mmap decode", syn.v3c_block_decode_ms,
               mbs(syn.v3c_bytes, syn.v3c_block_decode_ms),
               mbs(syn.v3_bytes, syn.v3c_block_decode_ms));
-  std::printf("  %-28s %10.1f ms  (identical: %s)\n", "aggregate (1 thread)",
-              syn.aggregate_serial_ms, syn.aggregate_identical ? "yes" : "NO");
-  std::printf("  %-28s %10.1f ms  speedup %.2fx\n\n", "aggregate (N threads)",
-              syn.aggregate_parallel_ms,
-              syn.aggregate_parallel_ms > 0 ? syn.aggregate_serial_ms / syn.aggregate_parallel_ms
-                                            : 0.0);
+  std::printf("  %-28s %10.1f ms\n\n", "aggregate", syn.aggregate_ms);
 
-  // --------------------------------------------------------------- apps
-  std::vector<AppRow> rows;
-  bool all_identical =
-      syn.aggregate_identical && syn.read_identical && syn.compressed_identical;
-  std::printf("%-14s %10s %10s %10s %8s  %s\n", "app", "events", "t1 (ms)", "tN (ms)", "speedup",
-              "identical");
-  for (const char* app : {"minife", "minimd", "lulesh", "hpcg", "cloverleaf3d"}) {
-    apps::AppOptions app_opt;
-    if (smoke) app_opt.iterations = 2;
-    const runtime::Workload w = apps::make_app(app, app_opt);
-    const auto sys = *memsim::paper_system(6);
-    profiler::Profiler prof;
-    runtime::EngineOptions eopt;
-    eopt.observer = &prof;
-    runtime::ExecutionEngine engine(&sys, eopt);
-    runtime::FixedTierMode mode(&sys, 1);
-    if (!engine.run(w, mode)) {
-      std::printf("%-14s profiling failed\n", app);
-      all_identical = false;
-      continue;
-    }
-    const trace::Trace t = prof.take_trace();
-
-    AppRow row;
-    row.app = app;
-    row.events = t.events.size();
-    analyzer::AnalysisResult app_serial;
-    row.serial_ms = best_of(repeats, [&] {
-      analyzer::AnalyzerOptions opt;
-      auto result = analyzer::analyze(t, opt);
-      if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
-      app_serial = std::move(*result);
-    });
-    analyzer::AnalysisResult app_parallel;
-    row.parallel_ms = best_of(repeats, [&] {
-      analyzer::AnalyzerOptions opt;
-      opt.threads = threads;
-      auto result = analyzer::analyze(t, opt);
-      if (!result) std::exit((std::fprintf(stderr, "error: %s\n", result.error().c_str()), 1));
-      app_parallel = std::move(*result);
-    });
-    row.identical = results_identical(app_serial, app_parallel);
-    all_identical = all_identical && row.identical;
-    rows.push_back(row);
-    std::printf("%-14s %10llu %10.2f %10.2f %7.2fx  %s\n", app,
-                static_cast<unsigned long long>(row.events), row.serial_ms, row.parallel_ms,
-                row.parallel_ms > 0 ? row.serial_ms / row.parallel_ms : 0.0,
-                row.identical ? "yes" : "NO  <-- determinism violation");
-  }
+  const bool all_identical = syn.read_identical && syn.compressed_identical;
 
   // ----------------------------------------------------------- verdicts
   const unsigned hw = std::thread::hardware_concurrency();
-  const double aggregate_speedup =
-      syn.aggregate_parallel_ms > 0 ? syn.aggregate_serial_ms / syn.aggregate_parallel_ms : 0.0;
   const double per_block_decode_speedup =
       syn.v2_stream_decode_ms > 0 && syn.v3_block_decode_ms > 0
           ? mbs(syn.v3_bytes, syn.v3_block_decode_ms) / mbs(syn.v2_bytes, syn.v2_stream_decode_ms)
           : 0.0;
-  // On a multi-core host the 4-thread aggregation must win outright; on a
-  // 1-core host that is physically impossible, so the bound moves to the
-  // per-block decode path the parallelism is built on. Smoke mode records
-  // the ratios but does not gate on them — a sub-second synthetic trace is
-  // dominated by per-call overheads, not steady-state throughput (the
-  // committed full-size run is what the bound certifies). Bit-identity is
-  // enforced in both modes.
-  const bool speedup_raw = hw >= 4 ? aggregate_speedup >= 2.0 : per_block_decode_speedup >= 2.0;
-  const bool speedup_ok = smoke || speedup_raw;
-  // Zero-regression bound: requesting parallel aggregation must never
-  // cost wall time — >= 0.98x serial even when thread clamping reduces
-  // it to the serial path (the 2% allows measurement noise only).
-  const bool zero_regression_raw = aggregate_speedup >= 0.98;
-  const bool zero_regression_ok = smoke || zero_regression_raw;
   // Compression bound: reading the compressed trace must cost at most
   // 15% more wall time than the uncompressed one.  It reads ~1.6x fewer
   // bytes, so anywhere below that the format is a strict win once real
@@ -633,16 +460,8 @@ int main(int argc, char** argv) {
   const bool compressed_raw =
       syn.v3c_read_ms > 0 && syn.v3c_read_ms <= syn.v3_read_serial_ms * 1.15;
   const bool compressed_ok = smoke || compressed_raw;
-  std::printf("\naggregate speedup %.2fx, per-block decode speedup %.2fx -> bound %s (%u cores)\n",
-              aggregate_speedup, per_block_decode_speedup,
-              speedup_raw  ? "met"
-              : speedup_ok ? "not met (informational in smoke mode)"
-                           : "VIOLATED",
-              hw);
-  std::printf("zero-regression bound (parallel >= 0.98x serial): %s\n",
-              zero_regression_raw ? "met"
-              : zero_regression_ok ? "not met (informational in smoke mode)"
-                                   : "VIOLATED");
+  std::printf("per-block decode speedup over the v2 istream decode: %.2fx\n",
+              per_block_decode_speedup);
   std::printf("compressed read bound (<= 1.15x uncompressed wall time): %s\n",
               compressed_raw  ? "met"
               : compressed_ok ? "not met (informational in smoke mode)"
@@ -703,30 +522,14 @@ int main(int argc, char** argv) {
                syn.v3c_block_decode_ms, mbs(syn.v3c_bytes, syn.v3c_block_decode_ms));
   std::fprintf(out, "    \"v3_compressed_block_decode_plain_equiv_mbs\": %.1f,\n",
                mbs(syn.v3_bytes, syn.v3c_block_decode_ms));
-  std::fprintf(out, "    \"aggregate_serial_ms\": %.3f,\n", syn.aggregate_serial_ms);
-  std::fprintf(out, "    \"aggregate_parallel_ms\": %.3f,\n", syn.aggregate_parallel_ms);
-  std::fprintf(out, "    \"aggregate_speedup\": %.3f,\n", aggregate_speedup);
+  std::fprintf(out, "    \"aggregate_ms\": %.3f,\n", syn.aggregate_ms);
   std::fprintf(out, "    \"per_block_decode_speedup\": %.3f,\n", per_block_decode_speedup);
   std::fprintf(out, "    \"compressed_identical\": %s,\n",
                syn.compressed_identical ? "true" : "false");
-  std::fprintf(out, "    \"identical\": %s\n", syn.aggregate_identical ? "true" : "false");
+  std::fprintf(out, "    \"identical\": %s\n", syn.read_identical ? "true" : "false");
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"speedup_bound_enforced\": %s,\n", smoke ? "false" : "true");
-  std::fprintf(out, "  \"speedup_bound_met\": %s,\n", speedup_ok ? "true" : "false");
-  std::fprintf(out, "  \"zero_regression_bound_met\": %s,\n",
-               zero_regression_ok ? "true" : "false");
-  std::fprintf(out, "  \"compressed_read_bound_met\": %s,\n", compressed_ok ? "true" : "false");
-  std::fprintf(out, "  \"apps\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const AppRow& r = rows[i];
-    std::fprintf(out,
-                 "    {\"app\": \"%s\", \"events\": %llu, \"serial_ms\": %.3f, "
-                 "\"parallel_ms\": %.3f, \"aggregate_speedup\": %.3f, \"identical\": %s}%s\n",
-                 r.app.c_str(), static_cast<unsigned long long>(r.events), r.serial_ms,
-                 r.parallel_ms, r.parallel_ms > 0 ? r.serial_ms / r.parallel_ms : 0.0,
-                 r.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(out, "  \"compressed_read_bound_met\": %s\n", compressed_ok ? "true" : "false");
+  std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -734,5 +537,5 @@ int main(int argc, char** argv) {
   std::remove(v3_path.c_str());
   std::remove(v3c_path.c_str());
   std::remove(salvage_path.c_str());
-  return all_identical && speedup_ok && zero_regression_ok && compressed_ok ? 0 : 1;
+  return all_identical && compressed_ok ? 0 : 1;
 }

@@ -30,11 +30,11 @@ ctest --preset default -j"$(nproc)"
 
 # Concurrency-suite filter, shared by the lockdep re-run below and the
 # TSan pass: every suite that exercises locks or worker threads —
-# FlexMalloc heap/matcher stress, parallel replay, parallel aggregation,
-# salvage-mode parallel reads, online migration, the worker pool, and
-# the lockdep validator's own tests. New concurrent suites must match
-# this regex (name them *Concurrency* or extend the list).
-concurrency_suites='Concurrency|ParallelReplay|ParallelAggregation|Salvage|OnlineEngine|Lockdep'
+# FlexMalloc heap/matcher stress, the serve daemon, salvage-mode
+# parallel reads, online migration, the worker pool, and the lockdep
+# validator's own tests. New concurrent suites must match this regex
+# (name them *Concurrency* or extend the list).
+concurrency_suites='Concurrency|Salvage|OnlineEngine|Lockdep'
 
 # Runtime lock-order validation (docs/threading.md): re-run the
 # concurrency suites with the lockdep validator armed. Any rank/leaf
@@ -107,16 +107,15 @@ for b in build/bench/*; do
 done
 
 # Trace pipeline bench (smoke mode: small synthetic trace, one repeat).
-# The binary itself exits nonzero when any app's parallel aggregation is
-# not bit-identical to serial; the decode-throughput bound is recorded
-# but not gated in smoke mode (a sub-second trace measures call overhead,
-# not throughput) — the committed full-size record BENCH_trace_pipeline.json
-# is what certifies the bound.
+# The binary itself exits nonzero when the v2, v3 and N-thread v3 reads
+# disagree or the compressed trace does not decode bit-identically; the
+# compressed-read bound is recorded but not gated in smoke mode (a
+# sub-second trace measures call overhead, not throughput) — the
+# committed full-size record BENCH_trace_pipeline.json certifies it.
 build/bench/bench_trace_pipeline --smoke --out /tmp/BENCH_trace_pipeline_smoke.json
 for key in '"bench": "trace_pipeline"' '"hardware_concurrency"' '"v3_block_decode_mbs"' \
            '"v3_batch_decode_mbs"' '"compressed_read_mbs"' '"compression_ratio"' \
-           '"aggregate_speedup"' '"per_block_decode_speedup"' '"speedup_bound_enforced"' \
-           '"speedup_bound_met": true' '"zero_regression_bound_met": true' \
+           '"aggregate_ms"' '"per_block_decode_speedup"' \
            '"compressed_read_bound_met": true' '"compressed_identical": true' \
            '"identical": true' '"salvage_read_mbs"'; do
   if ! grep -F "$key" /tmp/BENCH_trace_pipeline_smoke.json >/dev/null; then
@@ -144,17 +143,20 @@ build/tools/ecohmem-lint \
   --config configs/advisor_dram_pmem.ini
 
 build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt
-# Parallel replay must accept a thread count and reject a bad one.
-build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --threads 4
-if build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --threads 0; then
-  echo "ecohmem-run accepted --threads 0" >&2; exit 1
+# Replay is single-threaded; a leftover --threads (or any other
+# undeclared flag) must be a usage error, not silently ignored.
+set +e
+build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --threads 4 \
+  2>/tmp/ecohmem_ci_unknown_flag.txt
+unknown_rc=$?
+set -e
+if [ "$unknown_rc" -ne 2 ]; then
+  echo "ecohmem-run --threads 4 exited $unknown_rc, want 2" >&2; exit 1
 fi
+grep -q "unknown flag --threads" /tmp/ecohmem_ci_unknown_flag.txt
 
 # Online placement smoke: the shipped policy config must lint clean and
-# must actually migrate on the phase-shifting workload. Parallel replay
-# composes with --online (the sharded sampler keeps it deterministic,
-# docs/threading.md): the serial and --threads 4 runs must be
-# bit-identical, down to the migration log.
+# must actually migrate on the phase-shifting workload.
 build/tools/ecohmem-lint --online-policy configs/online_policy.ini
 build/tools/ecohmem-profile --app phase-shift --out /tmp/ecohmem_ci3.trc --compact
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci3.trc --out /tmp/ecohmem_ci_report3.txt
@@ -167,21 +169,14 @@ fi
 if ! echo "$online_out" | grep -E '\([1-9][0-9]* partial' >/dev/null; then
   echo "online run performed no partial (page-granular) moves on phase-shift" >&2; exit 1
 fi
-online_par=$(build/tools/ecohmem-run --app phase-shift --report /tmp/ecohmem_ci_report3.txt \
-  --online configs/online_policy.ini --threads 4 --migration-log /tmp/ecohmem_ci_mig4.csv)
-# The replay line reports host wall-clock (not simulated time) and only
-# appears for N > 1; everything else must match byte-for-byte.
-if [ "$(echo "$online_out" | grep -v 'replay')" != "$(echo "$online_par" | grep -v 'replay')" ]; then
-  echo "--online --threads 4 output differs from the serial run" >&2; exit 1
-fi
-cmp /tmp/ecohmem_ci_mig1.csv /tmp/ecohmem_ci_mig4.csv
 # The migration log must satisfy the conservation identities against the
 # policy it was produced under.
 build/tools/ecohmem-lint --migration-log /tmp/ecohmem_ci_mig1.csv \
   --online-policy configs/online_policy.ini
 
 # Guidance seeding: --from-report warm-starts the policy from the advisor
-# report; two seeded invocations must agree byte-for-byte.
+# report; two seeded invocations must agree byte-for-byte (the replay
+# line reports host wall-clock time, not simulated time).
 seeded_a=$(build/tools/ecohmem-run --app phase-shift --report /tmp/ecohmem_ci_report3.txt \
   --online configs/online_policy.ini --from-report /tmp/ecohmem_ci_report3.txt)
 seeded_b=$(build/tools/ecohmem-run --app phase-shift --report /tmp/ecohmem_ci_report3.txt \
@@ -206,7 +201,7 @@ set -e
 # The online bench (run in the bench loop above) must have recorded its
 # acceptance verdict; the binary itself exits nonzero on a violated bound.
 for key in '"bench": "online_placement"' '"hysteresis"' '"all_pass": true' \
-           '"parallel_identical": true' '"static_s"' '"online_s"' '"seeded_s"' \
+           '"static_s"' '"online_s"' '"seeded_s"' \
            '"kernel_tiering_s"' '"migrations"' '"migrations_partial"'; do
   if ! grep -F "$key" BENCH_online_placement.json >/dev/null; then
     echo "BENCH_online_placement.json missing $key" >&2; exit 1
@@ -214,16 +209,12 @@ for key in '"bench": "online_placement"' '"hysteresis"' '"all_pass": true' \
 done
 
 # v3 indexed trace path: profile in v3, lint the footer index
-# (trace-v3-index), aggregate in parallel — the report must be
-# byte-identical to the serial one — and stream a timeline from the file.
+# (trace-v3-index), advise from it, and stream a timeline from the file.
 build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3.trc \
   --format v3 --block-events 4096
 build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_v3.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
-  --out /tmp/ecohmem_ci_v3_parallel.txt --threads 4
-build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3_serial.txt
-cmp /tmp/ecohmem_ci_v3_parallel.txt /tmp/ecohmem_ci_v3_serial.txt
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3.csv --bin-ms 50
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 #include <unordered_map>
 
 #include "ecohmem/analyzer/accum.hpp"
-#include "ecohmem/runtime/worker_pool.hpp"
 
 namespace ecohmem::analyzer {
 
@@ -15,26 +13,16 @@ using detail::SiteAccum;
 
 namespace {
 
-/// One allocation's lifetime in *event-index* space, recorded during the
-/// serial replay so that sample attribution can be answered for any
-/// event index afterwards (and therefore in parallel): the span is in
-/// the live map exactly for event indices `alloc_idx < i < end_idx`.
-/// `end_idx` is the index of the free event, the index of an alloc that
-/// reused the address while the object was still live (the historical
-/// overwrite behavior), or `n_events` for objects that survive the
-/// trace.
-struct Span {
-  std::uint64_t start = 0;
+/// One allocation in the phase-2 live map.
+struct LiveObject {
   Bytes size = 0;
   trace::StackId stack = trace::kInvalidStack;
   Ns alloc_time = 0;
-  std::uint64_t alloc_idx = 0;
-  std::uint64_t end_idx = 0;
 };
 
 /// Per-site sample fold, arena-backed: the cell for stack id `s` lives
-/// at shard.sites[s]. Only the sample-side fields — the alloc-side
-/// metrics already live in the serial `sites` map the merge folds into.
+/// at cells[s]. Only the sample-side fields — the alloc-side metrics
+/// live in the `sites` map the cells fold into at the end.
 struct SiteCell {
   double load_misses = 0.0;
   double store_misses = 0.0;
@@ -51,82 +39,6 @@ struct FunctionCell {
   double samples = 0.0;
   double latency_sum = 0.0;
   bool touched = false;
-};
-
-/// Per-worker sample-side accumulators (phase: accumulate). Each worker
-/// owns a disjoint set of keys (`stack % W`, `function_id % W`), folds
-/// them in stream order starting from zero, and the merge just moves
-/// each key's single fold into the global map — so the result is
-/// bit-identical for every worker count, including 1 (FP addition is
-/// non-associative, but every per-key addition sequence here is the
-/// serial one).
-///
-/// The fold targets are contiguous arenas indexed by stack/function id —
-/// one allocation per worker instead of per-key map-node churn, and the
-/// merge walks them in index order. Every resolved stack is a validated
-/// alloc stack (< stacks.size()), so the site arena always covers it;
-/// function ids are not validated at decode time (trace-stack-ids only
-/// warns), so ids past the table spill into an ordered overflow map.
-struct SampleShard {
-  std::vector<SiteCell> sites;          ///< indexed by stack id
-  std::vector<FunctionCell> functions;  ///< indexed by function id
-  std::map<std::uint32_t, FunctionAccum> function_overflow;
-  double unattributed = 0.0;  ///< folded by worker 0 only
-};
-
-/// Answers "which object was live at address `addr` when event `i`
-/// executed" exactly as the serial live-map did: find the greatest live
-/// start <= addr, containment-check that single candidate. Spans are
-/// grouped by start address; within a group the residency intervals
-/// [alloc_idx, end_idx) are disjoint and ordered, so a binary search
-/// finds the unique candidate.
-class SpanIndex {
- public:
-  explicit SpanIndex(std::vector<Span> spans) : spans_(std::move(spans)) {
-    std::stable_sort(spans_.begin(), spans_.end(),
-                     [](const Span& a, const Span& b) { return a.start < b.start; });
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      if (starts_.empty() || starts_.back() != spans_[i].start) {
-        starts_.push_back(spans_[i].start);
-        run_begin_.push_back(i);
-      }
-    }
-    run_begin_.push_back(spans_.size());
-  }
-
-  /// Resolves the sample at event index `i` touching `addr` to a site,
-  /// or kInvalidStack when no live object matches (the serial
-  /// "unattributed" outcome). Const and thread-safe.
-  [[nodiscard]] trace::StackId resolve(std::uint64_t addr, std::uint64_t i) const {
-    auto it = std::upper_bound(starts_.begin(), starts_.end(), addr);
-    while (it != starts_.begin()) {
-      --it;
-      const auto run = static_cast<std::size_t>(it - starts_.begin());
-      const std::size_t lo = run_begin_[run];
-      const std::size_t hi = run_begin_[run + 1];
-      // Last span in the run allocated before event i.
-      auto sp_it = std::partition_point(spans_.begin() + static_cast<std::ptrdiff_t>(lo),
-                                        spans_.begin() + static_cast<std::ptrdiff_t>(hi),
-                                        [i](const Span& s) { return s.alloc_idx < i; });
-      if (sp_it != spans_.begin() + static_cast<std::ptrdiff_t>(lo)) {
-        const Span& sp = *(sp_it - 1);
-        if (sp.end_idx > i) {
-          // This start held a live object at event i: it is the serial
-          // nearest-below live entry. Containment decides; lower starts
-          // are never consulted (matching the serial single-candidate
-          // check).
-          return addr >= sp.start && addr < sp.start + sp.size ? sp.stack
-                                                               : trace::kInvalidStack;
-        }
-      }
-    }
-    return trace::kInvalidStack;
-  }
-
- private:
-  std::vector<Span> spans_;
-  std::vector<std::uint64_t> starts_;     ///< distinct start addresses, ascending
-  std::vector<std::size_t> run_begin_;    ///< starts_.size()+1 offsets into spans_
 };
 
 }  // namespace
@@ -159,11 +71,10 @@ Expected<AnalysisResult> analyze(const trace::Trace& trace, const AnalyzerOption
     result.coverage.events_declared = n_events;
   }
 
-  // --- Phase 1 (serial): bandwidth prescan. Uncore readings (which see
+  // --- Phase 1: bandwidth prescan. Uncore readings (which see
   // prefetch fills) are authoritative; traces without them fall back to
-  // reconstructing traffic from the PEBS samples. Serial because
-  // BandwidthMeter::add smears bytes across bin boundaries — the only
-  // FP fold here that is not per-key shardable.
+  // reconstructing traffic from the PEBS samples. A separate pass because
+  // the allocation-time bandwidth signal of phase 2 may look ahead.
   memsim::BandwidthMeter bw_meter(1, options.bw_bin_ns);
   Ns last_time = 0;
   bool has_uncore = false;
@@ -187,30 +98,34 @@ Expected<AnalysisResult> analyze(const trace::Trace& trace, const AnalyzerOption
   }
   result.trace_end = last_time;
 
-  // --- Phase 2 (serial): replay allocations/frees in program order,
-  // accumulating every alloc-side metric and recording each object's
-  // lifetime in event-index space (Span) for the attribution phase.
-  // The live map is ordered so that survivors close their windows in
-  // ascending address order, as they always have.
-  std::vector<Span> spans;
-  std::map<std::uint64_t, std::size_t> live;  // start address -> span index
+  // --- Phase 2: replay allocations/frees in program order, accumulating
+  // every alloc-side metric, and attribute each sample to the object
+  // live at its address at that point of the stream. The live map is
+  // ordered so that survivors close their windows in ascending address
+  // order, as they always have.
+  std::map<std::uint64_t, LiveObject> live;  // start address -> object
   std::unordered_map<std::uint64_t, std::uint64_t> object_address;  // id -> addr
   std::unordered_map<trace::StackId, SiteAccum> sites;
 
-  for (std::uint64_t i = 0; i < n_events; ++i) {
-    const trace::Event& event = trace.events[i];
+  // Sample folds go to contiguous arenas indexed by stack/function id
+  // (no hashing in the hot loop). Every attributed stack is a validated
+  // alloc stack (< stacks.size()), so the site arena always covers it;
+  // function ids are not validated at decode time (trace-stack-ids only
+  // warns), so ids past the table spill into the ordered `functions`
+  // map directly.
+  std::vector<SiteCell> site_cells(trace.stacks.size());
+  std::vector<FunctionCell> function_cells(trace.functions.size());
+  std::map<std::uint32_t, FunctionAccum> functions;
+  double unattributed = 0.0;
+
+  for (const trace::Event& event : trace.events) {
     if (const auto* a = std::get_if<trace::AllocEvent>(&event)) {
       if (a->stack == trace::kInvalidStack || a->stack >= trace.stacks.size()) {
         return unexpected("alloc event with invalid stack id");
       }
-      auto [it, inserted] = live.try_emplace(a->address, spans.size());
-      if (!inserted) {
-        // Address reuse while live: the previous object drops out of
-        // the live map here, so its span ends at this event.
-        spans[it->second].end_idx = i;
-        it->second = spans.size();
-      }
-      spans.push_back(Span{a->address, a->size, a->stack, a->time, i, n_events});
+      // Address reuse while live: the previous object drops out of the
+      // live map here.
+      live[a->address] = LiveObject{a->size, a->stack, a->time};
       object_address[a->object_id] = a->address;
 
       auto& acc = sites[a->stack];
@@ -235,96 +150,41 @@ Expected<AnalysisResult> analyze(const trace::Trace& trace, const AnalyzerOption
       if (live_it == live.end()) {
         return unexpected("double free of object id " + std::to_string(f->object_id));
       }
-      Span& sp = spans[live_it->second];
-      auto& acc = sites[sp.stack];
-      acc.live_bytes = acc.live_bytes >= sp.size ? acc.live_bytes - sp.size : 0;
-      acc.record.windows.push_back(LiveWindow{sp.alloc_time, f->time});
+      const LiveObject& obj = live_it->second;
+      auto& acc = sites[obj.stack];
+      acc.live_bytes = acc.live_bytes >= obj.size ? acc.live_bytes - obj.size : 0;
+      acc.record.windows.push_back(LiveWindow{obj.alloc_time, f->time});
       acc.record.last_free = std::max(acc.record.last_free, f->time);
       acc.record.total_lifetime_ns +=
-          static_cast<double>(f->time > sp.alloc_time ? f->time - sp.alloc_time : 0);
-      sp.end_idx = i;
+          static_cast<double>(f->time > obj.alloc_time ? f->time - obj.alloc_time : 0);
       live.erase(live_it);
       object_address.erase(addr_it);
-    }
-    // Samples are attributed in phase 3; markers only delimit functions
-    // and sample events carry their own function attribution.
-  }
-
-  // Objects still live at trace end: close their windows at last_time.
-  for (const auto& [addr, span_idx] : live) {
-    (void)addr;
-    const Span& sp = spans[span_idx];
-    auto& acc = sites[sp.stack];
-    acc.record.windows.push_back(LiveWindow{sp.alloc_time, last_time});
-    acc.record.last_free = std::max(acc.record.last_free, last_time);
-    acc.record.total_lifetime_ns +=
-        static_cast<double>(last_time > sp.alloc_time ? last_time - sp.alloc_time : 0);
-  }
-
-  const std::size_t want_threads =
-      options.threads < 1 ? 1 : static_cast<std::size_t>(options.threads);
-  std::size_t workers = std::max<std::size_t>(1, want_threads);
-  if (options.clamp_threads) {
-    // The output is worker-count invariant (every per-key fold is the
-    // serial sequence), so shedding oversubscription is free: extra
-    // workers past the core count only repeat the phase-4 stream scan
-    // without adding parallelism.
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw != 0) workers = std::min<std::size_t>(workers, hw);
-  }
-
-  // --- Phase 3 (parallel over event ranges): resolve every sample to a
-  // site via the span index — a pure function of the replayed spans, so
-  // any partitioning gives the same answers. kInvalidStack marks the
-  // serial "no live object" outcome.
-  const SpanIndex span_index(std::move(spans));
-  std::vector<trace::StackId> resolved(static_cast<std::size_t>(n_events),
-                                       trace::kInvalidStack);
-  const auto resolve_range = [&](std::uint64_t begin, std::uint64_t end) {
-    for (std::uint64_t i = begin; i < end; ++i) {
-      if (const auto* s = std::get_if<trace::SampleEvent>(&trace.events[i])) {
-        resolved[static_cast<std::size_t>(i)] = span_index.resolve(s->address, i);
-      }
-    }
-  };
-
-  // --- Phase 4 (parallel, key-sharded): fold sample weights. Worker w
-  // owns sites with stack % W == w and functions with id % W == w, and
-  // scans the whole stream folding only its keys, so each per-key FP
-  // addition sequence is exactly the serial one (see docs/threading.md).
-  const std::size_t stack_slots = trace.stacks.size();
-  const std::size_t fn_slots = trace.functions.size();
-  std::vector<SampleShard> shards(workers);
-  const auto accumulate_shard = [&](std::size_t w) {
-    SampleShard& shard = shards[w];
-    shard.sites.assign(stack_slots, SiteCell{});
-    shard.functions.assign(fn_slots, FunctionCell{});
-    for (std::uint64_t i = 0; i < n_events; ++i) {
-      const auto* s = std::get_if<trace::SampleEvent>(&trace.events[i]);
-      if (s == nullptr) continue;
-      if (s->function_id % workers == w) {
-        if (s->function_id < fn_slots) {
-          FunctionCell& fn = shard.functions[s->function_id];
-          fn.touched = true;
-          if (!s->is_store) {
-            fn.samples += s->weight;
-            fn.latency_sum += s->weight * s->latency_ns;
-          }
-        } else {
-          auto& fn = shard.function_overflow[s->function_id];
-          if (!s->is_store) {
-            fn.samples += s->weight;
-            fn.latency_sum += s->weight * s->latency_ns;
-          }
+    } else if (const auto* s = std::get_if<trace::SampleEvent>(&event)) {
+      if (s->function_id < function_cells.size()) {
+        FunctionCell& fn = function_cells[s->function_id];
+        fn.touched = true;
+        if (!s->is_store) {
+          fn.samples += s->weight;
+          fn.latency_sum += s->weight * s->latency_ns;
+        }
+      } else {
+        auto& fn = functions[s->function_id];
+        if (!s->is_store) {
+          fn.samples += s->weight;
+          fn.latency_sum += s->weight * s->latency_ns;
         }
       }
-      const trace::StackId stack = resolved[static_cast<std::size_t>(i)];
-      if (stack == trace::kInvalidStack) {
-        if (w == 0) shard.unattributed += s->weight;
+
+      // Nearest live start at or below the address; containment decides
+      // on that single candidate (lower starts are never consulted).
+      auto it = live.upper_bound(s->address);
+      if (it != live.begin()) --it;
+      if (it == live.end() || s->address < it->first ||
+          s->address >= it->first + it->second.size) {
+        unattributed += s->weight;
         continue;
       }
-      if (stack % workers != w) continue;
-      SiteCell& cell = shard.sites[stack];
+      SiteCell& cell = site_cells[it->second.stack];
       cell.touched = true;
       if (s->is_store) {
         cell.store_misses += s->weight;
@@ -335,50 +195,42 @@ Expected<AnalysisResult> analyze(const trace::Trace& trace, const AnalyzerOption
         cell.latency_sum += s->weight * s->latency_ns;
       }
     }
-  };
-
-  if (workers == 1) {
-    resolve_range(0, n_events);
-    accumulate_shard(0);
-  } else {
-    runtime::WorkerPool pool(workers);
-    pool.run([&](std::size_t w) {
-      const std::uint64_t begin = n_events * w / workers;
-      const std::uint64_t end = n_events * (w + 1) / workers;
-      resolve_range(begin, end);
-    });
-    pool.run(accumulate_shard);
+    // Markers only delimit functions; sample events carry their own
+    // function attribution.
   }
 
-  // Merge: shards own disjoint keys, so each target field receives
-  // exactly one worker's fold — no cross-shard FP addition. The arenas
-  // are walked in index order, a single deterministic pass per worker.
-  std::map<std::uint32_t, FunctionAccum> functions;
-  for (SampleShard& shard : shards) {
-    for (std::size_t k = 0; k < shard.sites.size(); ++k) {
-      const SiteCell& cell = shard.sites[k];
-      if (!cell.touched) continue;
-      // Exists: every resolved stack came from an alloc replayed in phase 2.
-      auto& acc = sites[static_cast<trace::StackId>(k)];
-      acc.record.load_misses += cell.load_misses;
-      acc.record.store_misses += cell.store_misses;
-      acc.record.has_writes = acc.record.has_writes || cell.has_writes;
-      acc.latency_weight += cell.latency_weight;
-      acc.latency_sum += cell.latency_sum;
-    }
-    for (std::size_t k = 0; k < shard.functions.size(); ++k) {
-      const FunctionCell& cell = shard.functions[k];
-      if (!cell.touched) continue;
-      functions.emplace(static_cast<std::uint32_t>(k),
-                        FunctionAccum{cell.samples, cell.latency_sum});
-    }
-    for (auto& [fn_id, fn_acc] : shard.function_overflow) {
-      functions.emplace(fn_id, fn_acc);
-    }
-    result.unattributed_samples += shard.unattributed;
+  // Objects still live at trace end: close their windows at last_time.
+  for (const auto& [addr, obj] : live) {
+    (void)addr;
+    auto& acc = sites[obj.stack];
+    acc.record.windows.push_back(LiveWindow{obj.alloc_time, last_time});
+    acc.record.last_free = std::max(acc.record.last_free, last_time);
+    acc.record.total_lifetime_ns +=
+        static_cast<double>(last_time > obj.alloc_time ? last_time - obj.alloc_time : 0);
   }
 
-  // --- Phase 5 (serial): finalize per-site derived metrics — shared
+  // --- Phase 3: fold the arenas into the result containers, walking
+  // them in id order.
+  for (std::size_t k = 0; k < site_cells.size(); ++k) {
+    const SiteCell& cell = site_cells[k];
+    if (!cell.touched) continue;
+    // Exists: every attributed stack came from a replayed alloc.
+    auto& acc = sites[static_cast<trace::StackId>(k)];
+    acc.record.load_misses += cell.load_misses;
+    acc.record.store_misses += cell.store_misses;
+    acc.record.has_writes = acc.record.has_writes || cell.has_writes;
+    acc.latency_weight += cell.latency_weight;
+    acc.latency_sum += cell.latency_sum;
+  }
+  for (std::size_t k = 0; k < function_cells.size(); ++k) {
+    const FunctionCell& cell = function_cells[k];
+    if (!cell.touched) continue;
+    functions.emplace(static_cast<std::uint32_t>(k),
+                      FunctionAccum{cell.samples, cell.latency_sum});
+  }
+  result.unattributed_samples = unattributed;
+
+  // --- Phase 4: finalize per-site derived metrics — shared
   // with the incremental driver (accum.hpp) so both stay bit-identical.
   detail::finalize_result(sites, functions, bw_meter, trace.functions, result);
 

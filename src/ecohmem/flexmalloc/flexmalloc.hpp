@@ -175,18 +175,6 @@ class FlexMalloc {
     return oom_redirects_.load(std::memory_order_relaxed);
   }
 
-  /// Conservative capacity guard for concurrent replay: true when EVERY
-  /// tier heap has headroom for `allocations` more blocks totalling
-  /// `total_requested` bytes. In that case no subset of those requests
-  /// can exhaust any tier — wherever matching places them and in
-  /// whatever order they interleave with frees — so no OOM redirect (and
-  /// hence no order-dependent placement) is possible. A `false` return
-  /// means a redirect *may* happen, not that it will; callers that need
-  /// order-independence (the parallel replay engine) must then fall back
-  /// to a serialized order. Thread-safe, but the answer is a snapshot —
-  /// call it only while no other thread is allocating/freeing.
-  [[nodiscard]] bool can_absorb(Bytes total_requested, std::uint64_t allocations) const;
-
  private:
   FlexMalloc() = default;
 

@@ -32,8 +32,8 @@ namespace ecohmem::flexmalloc {
 /// Interface of a tier-backed heap.
 ///
 /// Contract: implementations must be safe for concurrent calls from
-/// multiple threads (the parallel replay engine drives one shared heap
-/// per tier from all worker threads).
+/// multiple threads (FlexMalloc shares one heap per tier among every
+/// application thread that allocates through it).
 class HeapManager {
  public:
   virtual ~HeapManager() = default;

@@ -7,9 +7,7 @@
 /// One row per analyzed allocation site, in site order. Every column is
 /// a pure function of the `analyzer::AnalysisResult` — no randomness, no
 /// clocks, no iteration over unordered containers — so the matrix is
-/// bitwise identical across runs and analyzer thread counts (the
-/// analyzer itself guarantees bit-identical SiteRecords for every
-/// thread count; see docs/threading.md).
+/// bitwise identical across runs.
 ///
 /// The column set is versioned: `feature_schema_hash()` digests the
 /// schema version and every column name, and model files pin that hash

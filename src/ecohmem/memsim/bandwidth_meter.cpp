@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 namespace ecohmem::memsim {
 
@@ -27,25 +26,6 @@ void BandwidthMeter::add(std::size_t tier, Ns t0, Ns t1, double bytes) {
     const double frac = static_cast<double>(overlap_end - overlap_start) / span;
     lane[b] += bytes * frac;
   }
-}
-
-Status BandwidthMeter::merge_from(const BandwidthMeter& other) {
-  if (other.bin_ns_ != bin_ns_) {
-    return unexpected("BandwidthMeter::merge_from: bin width mismatch (" +
-                      std::to_string(bin_ns_) + " vs " + std::to_string(other.bin_ns_) + ")");
-  }
-  if (other.bins_.size() != bins_.size()) {
-    return unexpected("BandwidthMeter::merge_from: tier count mismatch (" +
-                      std::to_string(bins_.size()) + " vs " +
-                      std::to_string(other.bins_.size()) + ")");
-  }
-  for (std::size_t tier = 0; tier < bins_.size(); ++tier) {
-    const auto& src = other.bins_[tier];
-    auto& dst = bins_[tier];
-    if (src.size() > dst.size()) dst.resize(src.size(), 0.0);
-    for (std::size_t b = 0; b < src.size(); ++b) dst[b] += src[b];
-  }
-  return {};
 }
 
 std::vector<BandwidthPoint> BandwidthMeter::series(std::size_t tier) const {

@@ -8,18 +8,10 @@
 /// timelines of the paper's Fig. 3 and Fig. 7 and the bandwidth-region
 /// classification (B_low / B_mid / B_high, Table II) used by the
 /// bandwidth-aware placement algorithm.
-///
-/// Thread safety (docs/threading.md): a meter instance is NOT internally
-/// synchronized. The concurrency model is per-thread accumulation: each
-/// replay worker records into its own private meter and the engine folds
-/// the shards into one timeline with `merge_from` when it samples — no
-/// locks on the hot path, and bin sums are independent of the worker
-/// interleaving.
 
 #include <cstddef>
 #include <vector>
 
-#include "ecohmem/common/expected.hpp"
 #include "ecohmem/common/units.hpp"
 
 namespace ecohmem::memsim {
@@ -36,12 +28,6 @@ class BandwidthMeter {
 
   /// Adds `bytes` of traffic on `tier` spread uniformly over [t0, t1).
   void add(std::size_t tier, Ns t0, Ns t1, double bytes);
-
-  /// Folds another meter's bins into this one (bin-wise byte addition).
-  /// Both meters must have been constructed with the same tier count and
-  /// bin width; mismatches fail without modifying this meter. Used to
-  /// merge the per-thread shard meters of the parallel replay engine.
-  [[nodiscard]] Status merge_from(const BandwidthMeter& other);
 
   /// Bandwidth timeline of one tier (bins up to the last touched bin).
   [[nodiscard]] std::vector<BandwidthPoint> series(std::size_t tier) const;

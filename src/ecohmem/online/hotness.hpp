@@ -23,8 +23,8 @@
 /// whose entire recent window is cold — a genuine phase shift — lose
 /// their shield and become displacement victims.
 ///
-/// All updates happen on the engine thread in kernel-replay order; the
-/// tracker is deterministic plain data.
+/// All updates happen in kernel-replay order; the tracker is
+/// deterministic plain data.
 
 #include <cstdint>
 #include <deque>

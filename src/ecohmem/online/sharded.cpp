@@ -6,7 +6,7 @@ namespace {
 
 /// Splitmix64-style mix of the policy seed with the shard index. A pure
 /// function of (seed, shard): the per-shard sample streams are fixed at
-/// construction and identical for every thread count.
+/// construction.
 std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard) {
   std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(shard) + 1);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -17,61 +17,46 @@ std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard) {
 }  // namespace
 
 ShardedOnlineState::ShardedOnlineState(const OnlinePolicyConfig& config) {
-  for (std::size_t s = 0; s < kOnlineShards; ++s) {
-    shards_[s] = std::make_unique<Shard>(config.sample_rate, shard_seed(config.seed, s),
-                                         config.ewma_alpha, config.window);
+  shards_.reserve(kSamplerShards);
+  for (std::size_t s = 0; s < kSamplerShards; ++s) {
+    shards_.emplace_back(config.sample_rate, shard_seed(config.seed, s), config.ewma_alpha,
+                         config.window);
   }
 }
 
-void ShardedOnlineState::process_kernel_shard(std::size_t shard,
-                                              const std::vector<ObjectAccess>& feedback) {
-  Shard& sh = *shards_[shard];
-  common::ScopedLock lock(sh.mu);
+void ShardedOnlineState::process_kernel(const std::vector<ObjectAccess>& feedback) {
   for (const ObjectAccess& access : feedback) {
-    if (shard_of(access.object) != shard) continue;
+    Shard& sh = shards_[shard_of(access.object)];
     const SampledAccess sampled = sh.sampler.sample(access);
     const auto events = static_cast<double>(sampled.loads + sampled.stores);
     if (events > 0.0) sh.tracker.record(access.object, events, access.bytes);
   }
-  sh.tracker.end_kernel();
+  for (Shard& sh : shards_) sh.tracker.end_kernel();
 }
 
 void ShardedOnlineState::forget(std::size_t object) {
-  Shard& sh = *shards_[shard_of(object)];
-  common::ScopedLock lock(sh.mu);
-  sh.tracker.forget(object);
+  shards_[shard_of(object)].tracker.forget(object);
 }
 
 void ShardedOnlineState::seed(std::size_t object, double prior) {
-  Shard& sh = *shards_[shard_of(object)];
-  common::ScopedLock lock(sh.mu);
-  sh.tracker.seed(object, prior);
+  shards_[shard_of(object)].tracker.seed(object, prior);
 }
 
 double ShardedOnlineState::hotness(std::size_t object) const {
-  const Shard& sh = *shards_[shard_of(object)];
-  common::ScopedLock lock(sh.mu);
-  return sh.tracker.hotness(object);
+  return shards_[shard_of(object)].tracker.hotness(object);
 }
 
 double ShardedOnlineState::shield(std::size_t object) const {
-  const Shard& sh = *shards_[shard_of(object)];
-  common::ScopedLock lock(sh.mu);
-  return sh.tracker.shield(object);
+  return shards_[shard_of(object)].tracker.shield(object);
 }
 
 std::uint64_t ShardedOnlineState::age(std::size_t object) const {
-  const Shard& sh = *shards_[shard_of(object)];
-  common::ScopedLock lock(sh.mu);
-  return sh.tracker.age(object);
+  return shards_[shard_of(object)].tracker.age(object);
 }
 
 std::size_t ShardedOnlineState::tracked() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    common::ScopedLock lock(shard->mu);
-    total += shard->tracker.tracked();
-  }
+  for (const Shard& sh : shards_) total += sh.tracker.tracked();
   return total;
 }
 

@@ -1,79 +1,51 @@
 #pragma once
 
 /// \file sharded.hpp
-/// Sharded sampler + hotness state for online placement under parallel
-/// replay.
+/// Sampler + hotness state of the online placement policy.
 ///
-/// PR 3's online subsystem kept one `AccessSampler` and one
-/// `HotnessTracker`, which hard-wired `--online` to serial replay: the
-/// sampler consumes one RNG draw per feedback entry, so any reordering
-/// of entries across worker threads would shift the sample stream and
-/// change every downstream migration decision. This type removes that
-/// restriction the same way the analyzer's parallel aggregation did —
-/// by sharding the state on a *fixed* key and keeping each shard's
-/// processing order equal to serial stream order:
-///
-///  - State is split into `kOnlineShards` shards keyed by
-///    `object % kOnlineShards` (independent of the thread count).
-///  - Each shard owns its own sampler, seeded as a pure function of
-///    (policy seed, shard index), and its own tracker. A kernel's
-///    feedback is filtered per shard and processed in stream order, so
-///    the per-shard RNG stream position depends only on the workload —
-///    never on which worker ran the shard or how many workers exist.
-///  - Under parallel replay each shard is processed by exactly one
-///    worker per kernel (worker `w` takes shards `w, w + threads, ...`);
-///    the serial path walks shards 0..N-1 inline. Both orders commute
-///    because shards share no state, so `--threads {1,2,4,8}` produce
-///    bit-identical migration sequences (asserted in tests/online/).
-///
-/// Each shard carries a `RankedMutex` (rank `kOnlineShard`, a leaf) so
-/// the cross-thread handoff is explicit to TSan, the Clang thread-safety
-/// analysis and lockdep. Mutations outside kernel processing (forget on
-/// free, guidance seeding) and all queries happen on the engine thread
-/// between kernels, but still take the shard lock — the contract is
-/// "hold the shard lock", not "know which thread you are".
+/// The sampler consumes one RNG draw per feedback entry, so the sample
+/// stream — and with it every downstream migration decision — is fixed
+/// by how entries map to RNG streams. The state is split into
+/// `kSamplerShards` shards keyed by `object % kSamplerShards`; each shard
+/// owns its own sampler, seeded as a pure function of (policy seed,
+/// shard index), and its own tracker, and consumes its objects' entries
+/// in feedback order. The shard decomposition is part of the policy's
+/// definition: changing it changes every seeded run's migrations.
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "ecohmem/common/lockdep.hpp"
 #include "ecohmem/online/hotness.hpp"
 #include "ecohmem/online/policy_config.hpp"
 #include "ecohmem/online/sampler.hpp"
 
 namespace ecohmem::online {
 
-/// Fixed shard count; a constant (not the thread count) so the shard of
-/// an object — and with it the per-shard sample streams — never depends
-/// on `--threads`.
-inline constexpr std::size_t kOnlineShards = 8;
+/// Fixed shard count (part of the sample-stream definition, see above).
+inline constexpr std::size_t kSamplerShards = 8;
 
 class ShardedOnlineState {
  public:
   explicit ShardedOnlineState(const OnlinePolicyConfig& config);
 
   [[nodiscard]] static constexpr std::size_t shard_of(std::size_t object) {
-    return object % kOnlineShards;
+    return object % kSamplerShards;
   }
 
-  /// Processes one shard's slice of a kernel's feedback: samples every
-  /// entry whose object belongs to `shard` (in `feedback` order),
-  /// records the sampled events against the tracker, then ends the
-  /// shard's kernel. Entries carry their object's live size in
-  /// `ObjectAccess::bytes`. Safe to call concurrently for *different*
-  /// shards; each call locks its shard.
-  void process_kernel_shard(std::size_t shard, const std::vector<ObjectAccess>& feedback);
+  /// Processes one kernel's feedback: samples every entry through its
+  /// object's shard (in `feedback` order), records the sampled events
+  /// against that shard's tracker, then ends the kernel on every shard.
+  /// Entries carry their object's live size in `ObjectAccess::bytes`.
+  void process_kernel(const std::vector<ObjectAccess>& feedback);
 
-  /// Drops an object's history (engine thread, on free).
+  /// Drops an object's history (on free).
   void forget(std::size_t object);
 
-  /// Seeds guidance history for an object (engine thread, on alloc at a
-  /// report-guided site); see HotnessTracker::seed.
+  /// Seeds guidance history for an object (on alloc at a report-guided
+  /// site); see HotnessTracker::seed.
   void seed(std::size_t object, double prior);
 
-  /// Tracker queries, used by the engine thread at planning time.
+  /// Tracker queries, used at planning time.
   [[nodiscard]] double hotness(std::size_t object) const;
   [[nodiscard]] double shield(std::size_t object) const;
   [[nodiscard]] std::uint64_t age(std::size_t object) const;
@@ -86,12 +58,11 @@ class ShardedOnlineState {
     Shard(double rate, std::uint64_t seed, double alpha, std::uint64_t window)
         : sampler(rate, seed), tracker(alpha, window) {}
 
-    mutable common::RankedMutex mu{common::lockdep::LockRank::kOnlineShard, "online_shard"};
-    AccessSampler sampler ECOHMEM_GUARDED_BY(mu);
-    HotnessTracker tracker ECOHMEM_GUARDED_BY(mu);
+    AccessSampler sampler;
+    HotnessTracker tracker;
   };
 
-  std::array<std::unique_ptr<Shard>, kOnlineShards> shards_;
+  std::vector<Shard> shards_;
 };
 
 }  // namespace ecohmem::online

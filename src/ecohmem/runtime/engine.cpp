@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -13,7 +12,6 @@
 #include "ecohmem/online/sampler.hpp"
 #include "ecohmem/online/sharded.hpp"
 #include "ecohmem/runtime/guidance.hpp"
-#include "ecohmem/runtime/worker_pool.hpp"
 
 namespace ecohmem::runtime {
 
@@ -116,21 +114,13 @@ struct LiveState {
   Bytes bytes = 0;  ///< current requested size (tracks realloc)
 };
 
-/// Workload-object id an allocation-stream step operates on (kernels are
-/// never batched, so KernelOp is unreachable here).
-std::size_t step_object(const Step& step) {
-  if (const auto* a = std::get_if<AllocOp>(&step)) return a->object;
-  if (const auto* f = std::get_if<FreeOp>(&step)) return f->object;
-  return std::get<ReallocOp>(step).object;
-}
-
 /// Converts a stream of fractional overhead charges into whole-ns clock
 /// advances without dropping the remainders: after every `credit` call
 /// the total advance handed out equals the truncation of the *cumulative*
-/// overhead. Both replay paths use it, which makes `total_ns` independent
-/// of drain granularity — the serial path drains per op, the parallel
-/// path once per flushed batch, and a sum of per-op truncations would
-/// differ from the truncation of the sum.
+/// overhead. That is how `total_ns` is defined — the clock carries the
+/// interposition overhead summed over the run, truncated once — and a
+/// sum of per-op truncations would lose up to a nanosecond per
+/// allocation and shift every run's total.
 struct OverheadClock {
   double accumulated_ns = 0.0;
   Ns credited = 0;
@@ -157,19 +147,15 @@ struct FunctionTable {
   }
 };
 
-/// Replays one kernel step and returns its end time. Shared by the
-/// serial and parallel paths — kernels always run on the engine thread,
-/// which is what keeps placement and tier byte totals bit-identical
-/// across thread counts. `record_bw` bins the resolved traffic into
-/// bandwidth meters: the serial path adds to one meter directly, the
-/// parallel path fans the entries out over per-worker shard meters.
-/// `online_feedback`, when non-null, receives this kernel's per-object
-/// miss counts (with live sizes) for the sharded online sampler.
+/// Replays one kernel step and returns its end time, binning the
+/// resolved traffic into `bw_meter`. `online_feedback`, when non-null,
+/// receives this kernel's per-object miss counts (with live sizes) for
+/// the online sampler.
 Expected<Ns> replay_kernel(
     const memsim::MemorySystem& system, const EngineOptions& options, const Workload& workload,
     const KernelOp& kop, ExecutionMode& mode, const std::vector<LiveState>& live, Ns now,
     RunMetrics& metrics, FunctionTable& functions, memsim::AnalyticCacheModel& cache,
-    const std::function<void(Ns, Ns, const std::vector<ObjectTraffic>&)>& record_bw,
+    memsim::BandwidthMeter& bw_meter,
     std::vector<online::ObjectAccess>* online_feedback = nullptr) {
   const std::size_t tiers = system.tier_count();
   const KernelSpec& kernel = workload.kernels[kop.kernel];
@@ -244,9 +230,9 @@ Expected<Ns> replay_kernel(
     for (std::size_t k = 0; k < tiers; ++k) {
       metrics.tier_traffic[k].read_bytes += traffic[i].read_bytes[k];
       metrics.tier_traffic[k].write_bytes += traffic[i].write_bytes[k];
+      bw_meter.add(k, start, end, traffic[i].read_bytes[k] + traffic[i].write_bytes[k]);
     }
   }
-  record_bw(start, end, traffic);
 
   if (options.observer != nullptr) {
     KernelObservation obs;
@@ -299,13 +285,12 @@ std::vector<unsigned char> guided_fast_sites(const GuidanceSeed* guidance,
   return flags;
 }
 
-/// State of the online placement subsystem, shared by both replay paths:
-/// the sharded sampler/hotness state (online/sharded.hpp), the planner,
-/// the moves scheduled at the last policy evaluation — applied at the
-/// *next* kernel boundary, the window in which a free or realloc can
-/// invalidate a scheduled move (detected via the allocation uid and
-/// counted as cancelled) — and the guidance seeding state. Everything
-/// except `process_kernel_shard` fan-out runs on the engine thread.
+/// State of the online placement subsystem: the sharded sampler/hotness
+/// state (online/sharded.hpp), the planner, the moves scheduled at the
+/// last policy evaluation — applied at the *next* kernel boundary, the
+/// window in which a free or realloc can invalidate a scheduled move
+/// (detected via the allocation uid and counted as cancelled) — and the
+/// guidance seeding state.
 struct OnlineDriver {
   OnlineDriver(const online::OnlinePolicyConfig& cfg, std::vector<unsigned char> guided)
       : config(&cfg),
@@ -334,11 +319,8 @@ struct OnlineDriver {
   std::uint64_t headroom_kernel = 0;
 
   /// Seeds mature hotness history for an object born at a fast-guided
-  /// site, so the maturity gate does not keep report-designated objects
-  /// out of the first planning rounds. Engine thread only — the serial
-  /// path calls it at the AllocOp, the parallel path at batch flush in
-  /// program order, which is the same state by kernel time (seeding is
-  /// first-write-wins and forgets erase whole histories).
+  /// site (called at its AllocOp), so the maturity gate does not keep
+  /// report-designated objects out of the first planning rounds.
   void maybe_seed(std::size_t object, std::size_t site) {
     if (!have_guidance || site >= site_fast.size() || site_fast[site] == 0) return;
     state.seed(object, config->min_density);
@@ -365,8 +347,8 @@ struct OnlineDriver {
   }
 };
 
-/// Policy evaluation at a kernel boundary (engine thread, both replay
-/// paths). Folds the headroom window, and — when no plan is pending —
+/// Policy evaluation at a kernel boundary. Folds the headroom window,
+/// and — when no plan is pending —
 /// drains the guidance seed queue or asks the planner for promote/demote
 /// moves. The seed queue is built once, at the first evaluation, from
 /// live fast-guided objects stranded in slow tiers (objects allocated
@@ -462,9 +444,8 @@ void evaluate_online_policy(OnlineDriver& d, const Workload& workload, Execution
   metrics.migrations_scheduled += d.pending.size();
 }
 
-/// Applies the moves scheduled at the previous policy evaluation (engine
-/// thread, both replay paths). Runs just before a kernel replays, so the
-/// object set is quiesced; moves whose object was freed or realloc'd
+/// Applies the moves scheduled at the previous policy evaluation. Runs
+/// just before a kernel replays; moves whose object was freed or realloc'd
 /// since scheduling (the uid changed) and moves refused by a now-full
 /// target are cancelled, never errors — and a cancelled move charges
 /// nothing: no cost-model time, no tier traffic, no bandwidth, which is
@@ -524,15 +505,10 @@ Status apply_pending_migrations(OnlineDriver& d, ExecutionMode& mode,
 }  // namespace
 
 Expected<RunMetrics> ExecutionEngine::run(const Workload& workload, ExecutionMode& mode) {
-  if (options_.replay_threads < 1) {
-    return unexpected("EngineOptions.replay_threads must be >= 1, got " +
-                      std::to_string(options_.replay_threads));
-  }
-  // Online placement rules hold uniformly at any thread count: the
-  // policy must validate, the mode must support migration, and no
-  // observer may be attached (profiling runs and migrating runs are
-  // mutually exclusive — the observer would see addresses the policy is
-  // about to invalidate).
+  // Online placement rules: the policy must validate, the mode must
+  // support migration, and no observer may be attached (profiling runs
+  // and migrating runs are mutually exclusive — the observer would see
+  // addresses the policy is about to invalidate).
   if (options_.online_policy != nullptr) {
     if (Status s = options_.online_policy->validate(); !s) return unexpected(s.error());
     if (options_.observer != nullptr) {
@@ -545,11 +521,7 @@ Expected<RunMetrics> ExecutionEngine::run(const Workload& workload, ExecutionMod
                         "mode '" + mode.name() + "' has none (use app-direct)");
     }
   }
-  if (options_.replay_threads == 1) return run_serial(workload, mode);
-  return run_parallel(workload, mode, static_cast<std::size_t>(options_.replay_threads));
-}
 
-Expected<RunMetrics> ExecutionEngine::run_serial(const Workload& workload, ExecutionMode& mode) {
   const std::size_t tiers = system_->tier_count();
 
   RunMetrics metrics;
@@ -563,8 +535,6 @@ Expected<RunMetrics> ExecutionEngine::run_serial(const Workload& workload, Execu
   memsim::AnalyticCacheModel cache(options_.llc_bytes);
   memsim::BandwidthMeter bw_meter(tiers, options_.bw_bin_ns);
 
-  mode.on_replay_begin(workload);
-
   std::vector<LiveState> live(workload.objects.size());
   std::uint64_t next_uid = 1;
   FunctionTable functions;
@@ -574,14 +544,6 @@ Expected<RunMetrics> ExecutionEngine::run_serial(const Workload& workload, Execu
     online_driver.emplace(*options_.online_policy,
                           guided_fast_sites(options_.guidance, workload, *system_));
   }
-
-  const auto record_bw = [&](Ns start, Ns end, const std::vector<ObjectTraffic>& traffic) {
-    for (std::size_t i = 0; i < traffic.size(); ++i) {
-      for (std::size_t k = 0; k < tiers; ++k) {
-        bw_meter.add(k, start, end, traffic[i].read_bytes[k] + traffic[i].write_bytes[k]);
-      }
-    }
-  };
 
   Ns now = 0;
   OverheadClock overhead_clock;
@@ -654,21 +616,17 @@ Expected<RunMetrics> ExecutionEngine::run_serial(const Workload& workload, Execu
         }
       }
       auto end = replay_kernel(*system_, options_, workload, *kop, mode, live, now, metrics,
-                               functions, cache, record_bw,
+                               functions, cache, bw_meter,
                                online_driver ? &online_driver->feedback : nullptr);
       if (!end) return unexpected(end.error());
       now = *end;
 
       if (online_driver) {
         OnlineDriver& d = *online_driver;
-        // Sample this kernel's misses into the sharded hotness state —
-        // shards 0..N-1 inline, which is by construction the same
-        // per-shard stream order the parallel path's fan-out produces.
-        for (std::size_t shard = 0; shard < online::kOnlineShards; ++shard) {
-          d.state.process_kernel_shard(shard, d.feedback);
-        }
-        // Evaluate the policy; the plan applies at the next kernel
+        // Sample this kernel's misses into the hotness state, then
+        // evaluate the policy; the plan applies at the next kernel
         // boundary (see apply_pending_migrations).
+        d.state.process_kernel(d.feedback);
         evaluate_online_policy(d, workload, mode, live, metrics);
       }
     }
@@ -682,249 +640,6 @@ Expected<RunMetrics> ExecutionEngine::run_serial(const Workload& workload, Execu
   metrics.total_ns = now;
   metrics.dram_cache_hit_ratio = mode.dram_cache_hit_ratio();
   metrics.oom_redirects = mode.oom_redirects();
-  metrics.tier_bw.resize(tiers);
-  for (std::size_t k = 0; k < tiers; ++k) metrics.tier_bw[k] = bw_meter.series(k);
-  return metrics;
-}
-
-Expected<RunMetrics> ExecutionEngine::run_parallel(const Workload& workload, ExecutionMode& mode,
-                                                   std::size_t threads) {
-  if (options_.observer != nullptr) {
-    return unexpected(
-        "parallel replay does not support observers (profiling runs are serial); "
-        "use replay_threads=1");
-  }
-  if (!mode.concurrent_alloc_safe()) {
-    return unexpected("execution mode '" + mode.name() +
-                      "' does not support concurrent allocation replay; use replay_threads=1");
-  }
-
-  const std::size_t tiers = system_->tier_count();
-
-  RunMetrics metrics;
-  metrics.workload = workload.name;
-  metrics.mode = mode.name();
-  metrics.tier_traffic.resize(tiers);
-  for (std::size_t k = 0; k < tiers; ++k) {
-    metrics.tier_traffic[k].tier = system_->tier(k).name();
-  }
-
-  memsim::AnalyticCacheModel cache(options_.llc_bytes);
-  memsim::BandwidthMeter bw_meter(tiers, options_.bw_bin_ns);
-  std::vector<memsim::BandwidthMeter> bw_shards;
-  bw_shards.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) bw_shards.emplace_back(tiers, options_.bw_bin_ns);
-
-  mode.on_replay_begin(workload);
-
-  std::vector<LiveState> live(workload.objects.size());
-  ConcurrentReplayCounters counters;
-  FunctionTable functions;
-  WorkerPool pool(threads);
-  std::vector<std::string> worker_errors(threads);
-
-  std::optional<OnlineDriver> online_driver;
-  if (options_.online_policy != nullptr) {
-    online_driver.emplace(*options_.online_policy,
-                          guided_fast_sites(options_.guidance, workload, *system_));
-  }
-
-  Ns now = 0;
-  OverheadClock overhead_clock;
-  std::vector<const Step*> batch;
-  Bytes batch_alloc_bytes = 0;       // requested bytes the batch may allocate
-  std::uint64_t batch_alloc_ops = 0;  // alloc + realloc ops in the batch
-  std::vector<std::vector<const Step*>> partition(threads);
-
-  // Replays one alloc/free/realloc op; on failure records into `err` and
-  // returns false. Shared by the parallel workers and the in-order
-  // fallback for capacity-pressured batches.
-  const auto replay_one = [&](const Step* step, std::string& err) -> bool {
-    if (const auto* a = std::get_if<AllocOp>(step)) {
-      const ObjectSpec& spec = workload.objects[a->object];
-      const SiteSpec& site = workload.sites[spec.site];
-      auto address = mode.on_alloc(a->object, spec, site, spec.size);
-      if (!address) {
-        err = "allocation failed in " + mode.name() + " for site '" + site.label +
-              "': " + address.error();
-        return false;
-      }
-      auto& state = live[a->object];
-      state.live = true;
-      state.address = *address;
-      state.uid = counters.next_uid.fetch_add(1, std::memory_order_relaxed);
-      state.bytes = spec.size;
-      counters.allocations.fetch_add(1, std::memory_order_relaxed);
-    } else if (const auto* f = std::get_if<FreeOp>(step)) {
-      auto& state = live[f->object];
-      if (!state.live) {
-        err = "free of non-live object in step replay";
-        return false;
-      }
-      if (Status s = mode.on_free(f->object, state.address); !s) {
-        err = "free failed: " + s.error();
-        return false;
-      }
-      state.live = false;
-      counters.frees.fetch_add(1, std::memory_order_relaxed);
-    } else if (const auto* r = std::get_if<ReallocOp>(step)) {
-      auto& state = live[r->object];
-      if (!state.live) {
-        err = "realloc of non-live object in step replay";
-        return false;
-      }
-      const ObjectSpec& spec = workload.objects[r->object];
-      const SiteSpec& site = workload.sites[spec.site];
-      if (Status s = mode.on_free(r->object, state.address); !s) {
-        err = "realloc (free half) failed: " + s.error();
-        return false;
-      }
-      auto address = mode.on_alloc(r->object, spec, site, r->new_size);
-      if (!address) {
-        err = "realloc failed: " + address.error();
-        return false;
-      }
-      state.address = *address;
-      state.uid = counters.next_uid.fetch_add(1, std::memory_order_relaxed);
-      state.bytes = r->new_size;
-      counters.allocations.fetch_add(1, std::memory_order_relaxed);
-    }
-    return true;
-  };
-
-  // Each worker walks only its own pre-partitioned op list.
-  const auto replay_ops = [&](std::size_t wi) {
-    std::string& err = worker_errors[wi];
-    for (const Step* step : partition[wi]) {
-      if (!replay_one(step, err)) return;
-    }
-  };
-
-  const auto flush_batch = [&]() -> Status {
-    if (batch.empty()) return {};
-    if (mode.batch_placement_order_free(batch_alloc_bytes, batch_alloc_ops)) {
-      // Pre-partition on the engine thread: worker `object % threads`
-      // owns each object, which preserves the per-object op order (and
-      // makes each live[] element single-writer) while distinct objects
-      // proceed concurrently through the shared thread-safe mode.
-      for (auto& ops : partition) ops.clear();
-      for (const Step* step : batch) {
-        partition[step_object(*step) % threads].push_back(step);
-      }
-      pool.run(replay_ops);
-    } else {
-      // Capacity pressure: some tier could fill up mid-batch, which would
-      // make OOM redirection — and hence placement — depend on worker
-      // interleaving. Replay this batch in program order on the engine
-      // thread instead; that is the serial path's order by construction,
-      // so determinism survives (docs/threading.md).
-      std::string& err = worker_errors[0];
-      for (const Step* step : batch) {
-        if (!replay_one(step, err)) break;
-      }
-    }
-    // Online bookkeeping that must not depend on worker interleaving
-    // runs here, on the engine thread, in program order: tracker forgets
-    // for freed objects and guidance seeding for objects born at
-    // fast-guided sites. Deferring them from the ops to the batch flush
-    // is invisible to the policy — it only reads the state at kernel
-    // boundaries, which flushes precede.
-    if (online_driver) {
-      for (const Step* step : batch) {
-        if (const auto* f = std::get_if<FreeOp>(step)) {
-          online_driver->state.forget(f->object);
-        } else if (const auto* a = std::get_if<AllocOp>(step)) {
-          online_driver->maybe_seed(a->object, workload.objects[a->object].site);
-        }
-      }
-    }
-    batch.clear();
-    batch_alloc_bytes = 0;
-    batch_alloc_ops = 0;
-    for (const auto& err : worker_errors) {
-      if (!err.empty()) return unexpected(err);
-    }
-    // The matcher meters interposition cost internally; draining it once
-    // per batch telescopes to the same total as per-op draining.
-    const double overhead = mode.take_alloc_overhead_ns();
-    metrics.alloc_overhead_ns += overhead;
-    now += overhead_clock.credit(overhead);
-    return {};
-  };
-
-  // Kernel bandwidth binning fans out into per-worker shard meters; entry
-  // i goes to shard i % threads, so each shard is single-writer.
-  const auto record_bw = [&](Ns start, Ns end, const std::vector<ObjectTraffic>& traffic) {
-    pool.run([&](std::size_t wi) {
-      auto& shard = bw_shards[wi];
-      for (std::size_t i = wi; i < traffic.size(); i += threads) {
-        for (std::size_t k = 0; k < tiers; ++k) {
-          shard.add(k, start, end, traffic[i].read_bytes[k] + traffic[i].write_bytes[k]);
-        }
-      }
-    });
-  };
-
-  for (const auto& step : workload.steps) {
-    if (const auto* kop = std::get_if<KernelOp>(&step)) {
-      // Kernels are barriers: every batched allocation op must land
-      // before the kernel reads the live set.
-      if (Status s = flush_batch(); !s) return unexpected(s.error());
-      if (online_driver) {
-        if (Status s = apply_pending_migrations(*online_driver, mode, live, *system_, metrics,
-                                                now, bw_meter);
-            !s) {
-          return unexpected(s.error());
-        }
-      }
-      auto end = replay_kernel(*system_, options_, workload, *kop, mode, live, now, metrics,
-                               functions, cache, record_bw,
-                               online_driver ? &online_driver->feedback : nullptr);
-      if (!end) return unexpected(end.error());
-      now = *end;
-
-      if (online_driver) {
-        OnlineDriver& d = *online_driver;
-        // Fan the kernel's feedback over the fixed online shards: worker
-        // `w` processes shards `w, w + threads, ...`, and within a shard
-        // entries are consumed in stream order — the same per-shard
-        // sample streams the serial path produces inline.
-        pool.run([&](std::size_t wi) {
-          for (std::size_t shard = wi; shard < online::kOnlineShards; shard += threads) {
-            d.state.process_kernel_shard(shard, d.feedback);
-          }
-        });
-        evaluate_online_policy(d, workload, mode, live, metrics);
-      }
-    } else {
-      if (const auto* a = std::get_if<AllocOp>(&step)) {
-        batch_alloc_bytes += workload.objects[a->object].size;
-        ++batch_alloc_ops;
-      } else if (const auto* r = std::get_if<ReallocOp>(&step)) {
-        batch_alloc_bytes += r->new_size;
-        ++batch_alloc_ops;
-      }
-      batch.push_back(&step);
-    }
-  }
-  if (Status s = flush_batch(); !s) return unexpected(s.error());
-
-  // Moves still pending when the run ends were never applied.
-  if (online_driver) {
-    metrics.migrations_cancelled += online_driver->pending.size();
-  }
-
-  metrics.allocations = counters.allocations.load(std::memory_order_relaxed);
-  metrics.frees = counters.frees.load(std::memory_order_relaxed);
-  metrics.total_ns = now;
-  metrics.dram_cache_hit_ratio = mode.dram_cache_hit_ratio();
-  metrics.oom_redirects = mode.oom_redirects();
-
-  // Merge shards in worker order so the timeline is deterministic for a
-  // given thread count.
-  for (const auto& shard : bw_shards) {
-    if (Status s = bw_meter.merge_from(shard); !s) return unexpected(s.error());
-  }
   metrics.tier_bw.resize(tiers);
   for (std::size_t k = 0; k < tiers; ++k) metrics.tier_bw[k] = bw_meter.series(k);
   return metrics;

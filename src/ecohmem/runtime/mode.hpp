@@ -10,20 +10,12 @@
 ///   - MemoryModeExec: the memory-mode baseline (DRAM as cache of PMem),
 ///   - FixedTierMode: everything in one tier (ProfDP differential runs).
 /// The kernel-tiering baseline lives in baselines/ as another subclass.
-///
-/// Thread safety (docs/threading.md): the parallel replay engine calls
-/// `on_alloc`/`on_free` from multiple worker threads at once, but only
-/// for modes that report `concurrent_alloc_safe() == true`. Everything
-/// else — `resolve`, `after_kernel`, `take_alloc_overhead_ns`, the
-/// accessors — is engine-thread-only and needs no synchronization.
 
-#include <atomic>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "ecohmem/common/expected.hpp"
-#include "ecohmem/common/lockdep.hpp"
 #include "ecohmem/flexmalloc/flexmalloc.hpp"
 #include "ecohmem/memsim/analytic_cache.hpp"
 #include "ecohmem/memsim/dram_cache.hpp"
@@ -70,43 +62,12 @@ class ExecutionMode {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Whether `on_alloc`/`on_free` may be called from multiple replay
-  /// workers concurrently (always for distinct objects — the engine
-  /// shards the op stream by object id). Modes that keep unsynchronized
-  /// cross-object allocation state must leave this false; the parallel
-  /// engine refuses to run them.
-  [[nodiscard]] virtual bool concurrent_alloc_safe() const { return false; }
-
-  /// Called once from the engine thread before the first step of a
-  /// replay. Concurrent-safe modes pre-size per-object state here so the
-  /// allocation hot path never grows a shared container.
-  virtual void on_replay_begin(const Workload& workload) { (void)workload; }
-
-  /// Capacity guard for parallel replay: true when concurrently
-  /// replaying a batch that allocates at most `alloc_ops` blocks
-  /// totalling `total_bytes` requested bytes cannot place any object
-  /// differently than serial replay would. Modes whose placement never
-  /// depends on remaining tier capacity keep the default `true`;
-  /// AppDirectMode answers via FlexMalloc's tier headroom, because its
-  /// OOM-redirect path makes placement order-dependent once a tier can
-  /// fill up mid-batch. When this returns false the engine replays the
-  /// batch in program order on the engine thread instead of fanning it
-  /// out (docs/threading.md). Engine-thread-only, called between
-  /// fork/join phases (no worker is allocating while it runs).
-  [[nodiscard]] virtual bool batch_placement_order_free(Bytes total_bytes,
-                                                        std::uint64_t alloc_ops) const {
-    (void)total_bytes;
-    (void)alloc_ops;
-    return true;
-  }
-
-  /// Places a new object; returns its address. May run on any replay
-  /// worker (see `concurrent_alloc_safe`).
+  /// Places a new object; returns its address.
   [[nodiscard]] virtual Expected<std::uint64_t> on_alloc(std::size_t object,
                                                          const ObjectSpec& spec,
                                                          const SiteSpec& site, Bytes size) = 0;
 
-  /// Releases an object's storage. Same threading contract as `on_alloc`.
+  /// Releases an object's storage.
   [[nodiscard]] virtual Status on_free(std::size_t object, std::uint64_t address) = 0;
 
   /// Converts per-object misses into per-tier traffic + latency recipe.
@@ -114,22 +75,18 @@ class ExecutionMode {
   /// vectors sized to the tier count and zeroed. Modes may append extra
   /// entries beyond `objects.size()` for background traffic (e.g. page
   /// migration); such entries contribute bandwidth but no load stalls.
-  /// Engine-thread-only (kernels are replayed serially).
   virtual void resolve(const std::vector<LiveObjectRef>& objects,
                        const std::vector<memsim::KernelObjectMisses>& misses,
                        std::vector<ObjectTraffic>& out) = 0;
 
   /// Incremental interposition overhead since the last call (ns).
-  /// Engine-thread-only; the parallel engine calls it once per flushed
-  /// allocation batch instead of once per allocation — the telescoping
-  /// sum is the same total.
   [[nodiscard]] virtual double take_alloc_overhead_ns() { return 0.0; }
 
   /// Aggregate DRAM-cache hit ratio so far (memory mode only).
   [[nodiscard]] virtual double dram_cache_hit_ratio() const { return 0.0; }
 
   /// Called after each kernel with its resolved duration; migration-based
-  /// modes react here. Engine-thread-only.
+  /// modes react here.
   virtual void after_kernel(Ns start, Ns end,
                             const std::vector<LiveObjectRef>& objects,
                             const std::vector<memsim::KernelObjectMisses>& misses) {
@@ -145,9 +102,8 @@ class ExecutionMode {
   /// --- Object migration (the online placement subsystem, docs/online.md).
   /// Modes that can move a live object between tiers opt in by
   /// overriding all four members; the engine refuses to run an online
-  /// policy against a mode that keeps the default `false`. All four are
-  /// engine-thread-only (migrations happen at kernel boundaries, which
-  /// are barriers).
+  /// policy against a mode that keeps the default `false`. Migrations
+  /// happen at kernel boundaries.
 
   /// Whether `migrate_object` is implemented.
   [[nodiscard]] virtual bool supports_object_migration() const { return false; }
@@ -167,7 +123,7 @@ class ExecutionMode {
   /// object's end completes the migration and flips `object_tier` to
   /// `target_tier`. Modes that keep `supports_object_migration` false,
   /// or that cannot split blocks, return an error (the engine only
-  /// calls this for modes that support it). Engine-thread-only.
+  /// calls this for modes that support it).
   [[nodiscard]] virtual Expected<ObjectMigration> migrate_object_range(std::size_t object,
                                                                        std::uint64_t address,
                                                                        std::size_t target_tier,
@@ -202,19 +158,11 @@ class ExecutionMode {
 
 /// App-direct placement through a FlexMalloc instance (which owns the
 /// matching against an Advisor report).
-///
-/// Concurrent-alloc-safe: FlexMalloc is internally synchronized, and the
-/// per-object tier table is pre-sized in `on_replay_begin` so workers
-/// only ever write distinct elements.
 class AppDirectMode final : public ExecutionMode {
  public:
   AppDirectMode(const memsim::MemorySystem* system, flexmalloc::FlexMalloc* fm);
 
   [[nodiscard]] std::string name() const override { return "app-direct"; }
-  [[nodiscard]] bool concurrent_alloc_safe() const override { return true; }
-  void on_replay_begin(const Workload& workload) override;
-  [[nodiscard]] bool batch_placement_order_free(Bytes total_bytes,
-                                                std::uint64_t alloc_ops) const override;
   [[nodiscard]] Expected<std::uint64_t> on_alloc(std::size_t object, const ObjectSpec& spec,
                                                  const SiteSpec& site, Bytes size) override;
   [[nodiscard]] Status on_free(std::size_t object, std::uint64_t address) override;
@@ -257,8 +205,6 @@ class AppDirectMode final : public ExecutionMode {
   [[nodiscard]] Expected<std::size_t> fm_tier_for(std::size_t tier) const;
 
   /// Fragment list of `object`, or nullptr when it was never split.
-  /// Engine-thread-only (migrations and resolve happen at kernel
-  /// boundaries); `fragments_mu_` covers the concurrent `on_free` path.
   [[nodiscard]] const std::vector<Fragment>* fragments_of(std::size_t object) const;
 
   flexmalloc::FlexMalloc* fm_;
@@ -266,19 +212,8 @@ class AppDirectMode final : public ExecutionMode {
   std::vector<std::size_t> fm_to_engine_;  // FlexMalloc tier idx -> engine tier idx
   double overhead_taken_ns_ = 0.0;
 
-  /// Objects split by sub-range migration -> their fragments. Mutated by
-  /// the engine thread at kernel boundaries (migrations) and by replay
-  /// workers on free; the leaf mutex makes the worker-side lookup/erase
-  /// safe. Entries are extracted under the lock and the heap calls run
-  /// outside it, preserving the leaf contract (docs/threading.md).
-  mutable common::RankedMutex fragments_mu_{common::lockdep::LockRank::kModeFragments,
-                                            "mode_fragments"};
-  std::unordered_map<std::size_t, std::vector<Fragment>> fragments_
-      ECOHMEM_GUARDED_BY(fragments_mu_);
-  /// Relaxed mirror of `!fragments_.empty()`: lets the per-object
-  /// resolve lookup skip the lock entirely when no object was ever
-  /// split (every run without page-granular migration).
-  mutable std::atomic<bool> any_fragments_{false};
+  /// Objects split by sub-range migration -> their fragments.
+  std::unordered_map<std::size_t, std::vector<Fragment>> fragments_;
 };
 
 /// Memory mode: DRAM caches the PMem address space (§II).
@@ -290,7 +225,6 @@ class MemoryModeExec final : public ExecutionMode {
                  std::size_t pmem_tier, memsim::DramCacheModel model);
 
   [[nodiscard]] std::string name() const override { return "memory-mode"; }
-  [[nodiscard]] bool concurrent_alloc_safe() const override { return true; }
   [[nodiscard]] Expected<std::uint64_t> on_alloc(std::size_t object, const ObjectSpec& spec,
                                                  const SiteSpec& site, Bytes size) override;
   [[nodiscard]] Status on_free(std::size_t object, std::uint64_t address) override;
@@ -303,12 +237,9 @@ class MemoryModeExec final : public ExecutionMode {
   std::size_t dram_tier_;
   std::size_t pmem_tier_;
   memsim::DramCacheModel model_;
-  /// Bump address source; atomic so concurrent on_alloc never hands out
-  /// overlapping ranges (resolve never looks at addresses, so the
-  /// interleaving-dependent values are harmless).
-  std::atomic<std::uint64_t> next_address_{1ull << 40};
-  double hits_weighted_ = 0.0;     // engine-thread-only (resolve)
-  double requests_weighted_ = 0.0;  // engine-thread-only (resolve)
+  std::uint64_t next_address_ = 1ull << 40;  ///< bump address source
+  double hits_weighted_ = 0.0;
+  double requests_weighted_ = 0.0;
 };
 
 /// Everything in one tier (ProfDP differential profiling runs).
@@ -317,7 +248,6 @@ class FixedTierMode final : public ExecutionMode {
   FixedTierMode(const memsim::MemorySystem* system, std::size_t tier);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] bool concurrent_alloc_safe() const override { return true; }
   [[nodiscard]] Expected<std::uint64_t> on_alloc(std::size_t object, const ObjectSpec& spec,
                                                  const SiteSpec& site, Bytes size) override;
   [[nodiscard]] Status on_free(std::size_t object, std::uint64_t address) override;
@@ -327,7 +257,7 @@ class FixedTierMode final : public ExecutionMode {
 
  private:
   std::size_t tier_;
-  std::atomic<std::uint64_t> next_address_{1ull << 40};  // see MemoryModeExec
+  std::uint64_t next_address_ = 1ull << 40;  ///< bump address source
 };
 
 }  // namespace ecohmem::runtime

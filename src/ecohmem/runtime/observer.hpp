@@ -41,11 +41,9 @@ struct KernelObservation {
 
 /// Receives the replay event stream.
 ///
-/// \note Observers are a serial-replay feature: the engine invokes all
-/// hooks from the engine thread, in program order, and rejects
-/// `EngineOptions.replay_threads > 1` when an observer is attached —
-/// the trace is an ordered artifact (docs/threading.md). Implementations
-/// therefore need no internal locking.
+/// \note The engine invokes all hooks from the replaying thread, in
+/// program order — the trace is an ordered artifact. Implementations
+/// need no internal locking.
 class ExecutionObserver {
  public:
   virtual ~ExecutionObserver() = default;

@@ -62,7 +62,7 @@ TEST(CoreErrors, TinyDramBudgetStillRuns) {
 TEST(CliArgs, FlagsValuesAndPositionals) {
   const char* argv[] = {"tool", "--app", "lulesh", "pos1", "--bandwidth-aware",
                         "--dram-limit", "12GB", "pos2"};
-  cli::Args args(8, const_cast<char**>(argv), {"bandwidth-aware"});
+  cli::Args args(8, const_cast<char**>(argv), {"app", "dram-limit"}, {"bandwidth-aware"});
   EXPECT_EQ(args.get("app"), "lulesh");
   EXPECT_TRUE(args.has("bandwidth-aware"));
   EXPECT_EQ(args.get_bytes("dram-limit", 0), 12ull << 30);
@@ -73,7 +73,7 @@ TEST(CliArgs, FlagsValuesAndPositionals) {
 
 TEST(CliArgs, DefaultsAndMalformedValues) {
   const char* argv[] = {"tool", "--rate", "abc"};
-  cli::Args args(3, const_cast<char**>(argv));
+  cli::Args args(3, const_cast<char**>(argv), {"rate", "missing"}, {});
   EXPECT_DOUBLE_EQ(args.get_double("rate", 100.0), 100.0);  // parse failure -> default
   EXPECT_DOUBLE_EQ(args.get_double("missing", 7.0), 7.0);
   EXPECT_EQ(args.get("missing", "x"), "x");
@@ -82,9 +82,34 @@ TEST(CliArgs, DefaultsAndMalformedValues) {
 
 TEST(CliArgs, TrailingFlagWithoutValueIsBoolean) {
   const char* argv[] = {"tool", "--verbose"};
-  cli::Args args(2, const_cast<char**>(argv));
+  cli::Args args(2, const_cast<char**>(argv), {"verbose"}, {});
   EXPECT_TRUE(args.has("verbose"));
   EXPECT_EQ(args.get("verbose"), "true");
+}
+
+TEST(CliArgs, ValueFlagNeverSwallowsTheNextFlag) {
+  const char* argv[] = {"tool", "--out", "--stats"};
+  cli::Args args(3, const_cast<char**>(argv), {"out"}, {"stats"});
+  EXPECT_TRUE(args.unknown().empty());
+  EXPECT_EQ(args.get("out"), "true");
+  EXPECT_TRUE(args.has("stats"));
+}
+
+TEST(CliArgs, UndeclaredFlagIsReported) {
+  // A misspelled or removed flag must not be silently ignored: the
+  // first undeclared one is kept, and the tools exit 2 on it.
+  const char* argv[] = {"tool", "--app", "hpcg", "--threads", "4", "--dram-capacty", "1GB"};
+  cli::Args args(7, const_cast<char**>(argv), {"app", "dram-capacity"}, {"help"});
+  EXPECT_EQ(args.unknown(), "--threads");
+  EXPECT_FALSE(args.has("threads"));
+  EXPECT_EQ(args.get("app"), "hpcg");
+  EXPECT_EQ(cli::fail_unknown_flag(args), 2);
+}
+
+TEST(CliArgs, EmptyFlagIsUnknown) {
+  const char* argv[] = {"tool", "--"};
+  cli::Args args(2, const_cast<char**>(argv), {"app"}, {"help"});
+  EXPECT_EQ(args.unknown(), "--");
 }
 
 }  // namespace

@@ -102,21 +102,5 @@ TEST(FeatureExtraction, BitwiseDeterministicAcrossRuns) {
   expect_identical(extract_features(*analysis), extract_features(*analysis2));
 }
 
-TEST(FeatureExtraction, BitwiseDeterministicAcrossAnalyzerThreadCounts) {
-  const trace::Trace t = capture("lulesh");
-  const auto serial = analyzer::analyze(t, {});
-  ASSERT_TRUE(serial.has_value()) << serial.error();
-  const FeatureMatrix base = extract_features(*serial);
-
-  for (const int threads : {2, 3, 4, 8}) {
-    analyzer::AnalyzerOptions opt;
-    opt.threads = threads;
-    const auto parallel = analyzer::analyze(t, opt);
-    ASSERT_TRUE(parallel.has_value()) << "threads=" << threads << ": " << parallel.error();
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(base, extract_features(*parallel));
-  }
-}
-
 }  // namespace
 }  // namespace ecohmem::learn

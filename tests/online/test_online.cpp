@@ -438,11 +438,11 @@ TEST(Planner, PartialMovesRespectByteBudget) {
 
 // ------------------------------------------------------- sharded state
 
-/// The shard decomposition is a pure function of the object id — the
-/// property that makes `--online` thread-count independent.
+/// The shard decomposition is a pure function of the object id, so each
+/// object's sample stream depends only on the policy and the workload.
 TEST(Sharded, ShardOfDependsOnlyOnObjectId) {
   for (std::size_t o = 0; o < 64; ++o) {
-    EXPECT_EQ(ShardedOnlineState::shard_of(o), o % kOnlineShards);
+    EXPECT_EQ(ShardedOnlineState::shard_of(o), o % kSamplerShards);
   }
 }
 
@@ -455,25 +455,6 @@ std::vector<ObjectAccess> mixed_feedback() {
   return feedback;
 }
 
-TEST(Sharded, ShardProcessingOrderCommutes) {
-  OnlinePolicyConfig config;
-  config.sample_rate = 0.05;  // subsampled: RNG stream position matters
-  ShardedOnlineState forward(config);
-  ShardedOnlineState backward(config);
-  const auto feedback = mixed_feedback();
-
-  for (int kernel = 0; kernel < 3; ++kernel) {
-    for (std::size_t s = 0; s < kOnlineShards; ++s) forward.process_kernel_shard(s, feedback);
-    for (std::size_t s = kOnlineShards; s-- > 0;) backward.process_kernel_shard(s, feedback);
-  }
-  ASSERT_EQ(forward.tracked(), backward.tracked());
-  for (std::size_t o = 0; o < 24; ++o) {
-    EXPECT_EQ(forward.hotness(o), backward.hotness(o)) << "object " << o;
-    EXPECT_EQ(forward.shield(o), backward.shield(o)) << "object " << o;
-    EXPECT_EQ(forward.age(o), backward.age(o)) << "object " << o;
-  }
-}
-
 TEST(Sharded, MatchesSingleTrackerStreamPerShard) {
   // A shard's sample stream must equal what a dedicated sampler seeded
   // the same way would produce for that shard's objects in stream order
@@ -482,7 +463,7 @@ TEST(Sharded, MatchesSingleTrackerStreamPerShard) {
   config.sample_rate = 1.0;  // exact: hotness is then pure arithmetic
   ShardedOnlineState state(config);
   const auto feedback = mixed_feedback();
-  for (std::size_t s = 0; s < kOnlineShards; ++s) state.process_kernel_shard(s, feedback);
+  state.process_kernel(feedback);
 
   HotnessTracker reference(config.ewma_alpha, config.window);
   // Any seed works at rate 1.0: full-rate sampling is exact, so the
@@ -494,7 +475,7 @@ TEST(Sharded, MatchesSingleTrackerStreamPerShard) {
     reference.record(f.object, static_cast<double>(s.loads + s.stores), f.bytes);
   }
   reference.end_kernel();
-  for (std::size_t o = 0; o < 24; o += kOnlineShards) {
+  for (std::size_t o = 0; o < 24; o += kSamplerShards) {
     EXPECT_EQ(state.hotness(o), reference.hotness(o)) << "object " << o;
   }
 }

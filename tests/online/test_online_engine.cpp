@@ -107,68 +107,29 @@ TEST(OnlineEngine, MigrationSequenceIsDeterministic) {
   EXPECT_EQ(a.online_run.migration_ns, b.online_run.migration_ns);
 }
 
-/// Full metric equality between a serial and a parallel online run —
-/// the determinism contract of docs/threading.md extended to online
-/// placement: shard-per-object sampling plus engine-thread decisions
-/// make the migration sequence independent of the worker count.
-void expect_identical_online(const runtime::RunMetrics& serial,
-                             const runtime::RunMetrics& parallel, int threads) {
-  EXPECT_EQ(serial.total_ns, parallel.total_ns) << "threads=" << threads;
-  EXPECT_EQ(serial.migration_events, parallel.migration_events) << "threads=" << threads;
-  EXPECT_EQ(serial.migrations_scheduled, parallel.migrations_scheduled) << "threads=" << threads;
-  EXPECT_EQ(serial.migrations, parallel.migrations) << "threads=" << threads;
-  EXPECT_EQ(serial.migrations_partial, parallel.migrations_partial) << "threads=" << threads;
-  EXPECT_EQ(serial.migrations_cancelled, parallel.migrations_cancelled)
-      << "threads=" << threads;
-  EXPECT_EQ(serial.migrated_bytes, parallel.migrated_bytes) << "threads=" << threads;
-  EXPECT_EQ(serial.migration_ns, parallel.migration_ns) << "threads=" << threads;
-  EXPECT_EQ(serial.load_stall_ns, parallel.load_stall_ns) << "threads=" << threads;
-  EXPECT_EQ(serial.store_stall_ns, parallel.store_stall_ns) << "threads=" << threads;
-  ASSERT_EQ(serial.tier_traffic.size(), parallel.tier_traffic.size()) << "threads=" << threads;
-  for (std::size_t k = 0; k < serial.tier_traffic.size(); ++k) {
-    // Bit-identical, not just close: migration bytes charge into the
-    // same meters at the same simulated times under both paths.
-    EXPECT_EQ(serial.tier_traffic[k].read_bytes, parallel.tier_traffic[k].read_bytes)
-        << "threads=" << threads << " tier " << serial.tier_traffic[k].tier;
-    EXPECT_EQ(serial.tier_traffic[k].write_bytes, parallel.tier_traffic[k].write_bytes)
-        << "threads=" << threads << " tier " << serial.tier_traffic[k].tier;
+/// Full metric equality between two online runs of the same invocation.
+void expect_identical_online(const runtime::RunMetrics& a, const runtime::RunMetrics& b) {
+  EXPECT_EQ(a.total_ns, b.total_ns);
+  EXPECT_EQ(a.migration_events, b.migration_events);
+  EXPECT_EQ(a.migrations_scheduled, b.migrations_scheduled);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.migrations_partial, b.migrations_partial);
+  EXPECT_EQ(a.migrations_cancelled, b.migrations_cancelled);
+  EXPECT_EQ(a.migrated_bytes, b.migrated_bytes);
+  EXPECT_EQ(a.migration_ns, b.migration_ns);
+  EXPECT_EQ(a.load_stall_ns, b.load_stall_ns);
+  EXPECT_EQ(a.store_stall_ns, b.store_stall_ns);
+  ASSERT_EQ(a.tier_traffic.size(), b.tier_traffic.size());
+  for (std::size_t k = 0; k < a.tier_traffic.size(); ++k) {
+    EXPECT_EQ(a.tier_traffic[k].read_bytes, b.tier_traffic[k].read_bytes)
+        << "tier " << a.tier_traffic[k].tier;
+    EXPECT_EQ(a.tier_traffic[k].write_bytes, b.tier_traffic[k].write_bytes)
+        << "tier " << a.tier_traffic[k].tier;
   }
 }
 
-void expect_parallel_online_identical(const runtime::Workload& workload) {
-  const auto system = *memsim::paper_system(6);
-  const auto workflow = core::run_workflow(workload, system);
-  ASSERT_TRUE(workflow.has_value()) << workflow.error();
-
-  const online::OnlinePolicyConfig policy;
-  runtime::EngineOptions options;
-  options.online_policy = &policy;
-  const auto serial = core::run_with_placement(workload, system, workflow->placement,
-                                               kDramLimit, advisor::ReportFormat::kBom, options);
-  ASSERT_TRUE(serial.has_value()) << serial.error();
-  ASSERT_GT(serial->migrations, 0u);
-
-  for (const int threads : {2, 4, 8}) {
-    options.replay_threads = threads;
-    const auto parallel = core::run_with_placement(
-        workload, system, workflow->placement, kDramLimit, advisor::ReportFormat::kBom, options);
-    ASSERT_TRUE(parallel.has_value()) << parallel.error();
-    expect_identical_online(*serial, *parallel, threads);
-    expect_migration_conservation(*parallel);
-  }
-}
-
-TEST(OnlineEngineConcurrency, ParallelReplayIsBitIdenticalOnPhaseShift) {
-  expect_parallel_online_identical(apps::make_phase_shift());
-}
-
-TEST(OnlineEngineConcurrency, ParallelReplayIsBitIdenticalOnLargeHot) {
-  expect_parallel_online_identical(apps::make_large_hot({}));
-}
-
-/// Online placement and observers stay mutually exclusive, and the
-/// rejection is uniform: the same one-line reason at any thread count.
-TEST(OnlineEngine, ObserverIsRejectedUniformlyAtAnyThreadCount) {
+/// Online placement and observers stay mutually exclusive.
+TEST(OnlineEngine, ObserverIsRejected) {
   class NullObserver final : public runtime::ExecutionObserver {
    public:
     void on_alloc(Ns, std::uint64_t, std::uint64_t, Bytes, const bom::CallStack&) override {}
@@ -183,19 +144,13 @@ TEST(OnlineEngine, ObserverIsRejectedUniformlyAtAnyThreadCount) {
 
   const online::OnlinePolicyConfig policy;
   NullObserver observer;
-  std::string first_error;
-  for (const int threads : {1, 2, 4}) {
-    runtime::EngineOptions options;
-    options.online_policy = &policy;
-    options.observer = &observer;
-    options.replay_threads = threads;
-    const auto run = core::run_with_placement(workload, system, workflow->placement, kDramLimit,
-                                              advisor::ReportFormat::kBom, options);
-    ASSERT_FALSE(run.has_value()) << "threads=" << threads;
-    EXPECT_NE(run.error().find("observer"), std::string::npos) << run.error();
-    if (first_error.empty()) first_error = run.error();
-    EXPECT_EQ(run.error(), first_error) << "rejection must be uniform across thread counts";
-  }
+  runtime::EngineOptions options;
+  options.online_policy = &policy;
+  options.observer = &observer;
+  const auto run = core::run_with_placement(workload, system, workflow->placement, kDramLimit,
+                                            advisor::ReportFormat::kBom, options);
+  ASSERT_FALSE(run.has_value());
+  EXPECT_NE(run.error().find("observer"), std::string::npos) << run.error();
 }
 
 TEST(OnlineEngine, ModeWithoutMigrationIsRejected) {
@@ -379,7 +334,7 @@ TEST(OnlineEngine, GuidanceSeededNeverRegressesOnSteadyApps) {
   }
 }
 
-TEST(OnlineEngineConcurrency, GuidanceSeededRunsAreDeterministicAndThreadCountIndependent) {
+TEST(OnlineEngine, GuidanceSeededRunsAreDeterministic) {
   const auto workload = apps::make_phase_shift();
   const auto system = *memsim::paper_system(6);
   const auto workflow = core::run_workflow(workload, system);
@@ -390,24 +345,15 @@ TEST(OnlineEngineConcurrency, GuidanceSeededRunsAreDeterministicAndThreadCountIn
   runtime::EngineOptions options;
   options.online_policy = &policy;
   options.guidance = &seed;
-  const auto serial = core::run_with_placement(workload, system, workflow->placement, kDramLimit,
-                                               advisor::ReportFormat::kBom, options);
-  ASSERT_TRUE(serial.has_value()) << serial.error();
+  const auto first = core::run_with_placement(workload, system, workflow->placement, kDramLimit,
+                                              advisor::ReportFormat::kBom, options);
+  ASSERT_TRUE(first.has_value()) << first.error();
 
   // Same invocation twice: bit-identical (the round-trip CI cmp's).
   const auto again = core::run_with_placement(workload, system, workflow->placement, kDramLimit,
                                               advisor::ReportFormat::kBom, options);
   ASSERT_TRUE(again.has_value());
-  expect_identical_online(*serial, *again, 1);
-
-  // And seeding composes with parallel replay.
-  for (const int threads : {2, 4, 8}) {
-    options.replay_threads = threads;
-    const auto parallel = core::run_with_placement(
-        workload, system, workflow->placement, kDramLimit, advisor::ReportFormat::kBom, options);
-    ASSERT_TRUE(parallel.has_value()) << parallel.error();
-    expect_identical_online(*serial, *parallel, threads);
-  }
+  expect_identical_online(*first, *again);
 }
 
 TEST(OnlineEngine, StaticRunIsUnaffectedByPolicyBeingAbsent) {

@@ -2,8 +2,11 @@
 
 /// Minimal flag parsing shared by the ecohmem-* command-line tools.
 /// Flags are `--name value` or `--name` (boolean); positionals are kept
-/// in order.
+/// in order. Each tool declares the flags it accepts; an undeclared
+/// `--name` is reported by `unknown()` so the tool can exit 2 instead of
+/// silently ignoring a misspelled or removed flag.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -19,24 +22,29 @@ namespace ecohmem::cli {
 
 class Args {
  public:
-  Args(int argc, char** argv, std::vector<std::string> bool_flags = {}) {
-    const auto is_bool = [&bool_flags](const std::string& name) {
-      for (const auto& b : bool_flags) {
-        if (b == name) return true;
-      }
-      return false;
+  /// `value_flags` take a value, `bool_flags` do not (names without the
+  /// leading dashes).
+  Args(int argc, char** argv, const std::vector<std::string>& value_flags,
+       const std::vector<std::string>& bool_flags) {
+    const auto declared = [](const std::vector<std::string>& names, const std::string& name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
     };
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) == 0) {
         const std::string name = arg.substr(2);
+        const bool is_bool = declared(bool_flags, name);
+        if (!is_bool && !declared(value_flags, name)) {
+          if (unknown_.empty()) unknown_ = arg;
+          continue;
+        }
         // A value flag never swallows the next `--flag` token: in
         // `--out --stats` the user forgot the value, and silently
         // using "--stats" as it would both corrupt the value and drop
         // the flag. Single-dash values (negative numbers) still work.
         const bool next_is_flag =
             i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) == 0;
-        if (is_bool(name) || i + 1 >= argc || next_is_flag) {
+        if (is_bool || i + 1 >= argc || next_is_flag) {
           flags_[name] = "true";
         } else {
           flags_[name] = argv[++i];
@@ -46,6 +54,10 @@ class Args {
       }
     }
   }
+
+  /// The first undeclared flag on the command line (as typed, dashes
+  /// included), or empty when every flag was declared.
+  [[nodiscard]] const std::string& unknown() const { return unknown_; }
 
   [[nodiscard]] std::string get(const std::string& name, std::string def = {}) const {
     const auto it = flags_.find(name);
@@ -94,6 +106,7 @@ class Args {
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  std::string unknown_;
 };
 
 inline int fail(const std::string& message) {
@@ -107,6 +120,11 @@ inline int fail(const std::string& message) {
 inline int fail_usage(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 2;
+}
+
+/// The usage error for an undeclared flag (see `Args::unknown`).
+inline int fail_unknown_flag(const Args& args) {
+  return fail_usage("unknown flag " + args.unknown());
 }
 
 /// Validates a unix-domain socket path flag value: present, non-empty

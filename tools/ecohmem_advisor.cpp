@@ -32,7 +32,11 @@
 using namespace ecohmem;
 
 int main(int argc, char** argv) {
-  const cli::Args args(argc, argv, {"bandwidth-aware", "dump-sites", "salvage", "help"});
+  const cli::Args args(argc, argv,
+                       {"config", "csv", "dram-limit", "min-coverage", "model", "out",
+                        "peak-pmem-bw", "policy", "store-coef", "threads", "trace"},
+                       {"bandwidth-aware", "dump-sites", "salvage", "help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help") || !args.has("trace") || !args.has("out")) {
     std::printf(
         "usage: ecohmem-advisor --trace <trace.trc> --out <report.txt>\n"
@@ -41,8 +45,8 @@ int main(int argc, char** argv) {
         "                       [--peak-pmem-bw GBS] [--dump-sites] [--csv <file>]\n"
         "                       [--threads N] [--salvage] [--min-coverage F]\n"
         "                       [--policy greedy|learned] [--model <model.ehm>]\n"
-        "  --threads N decodes v3 trace blocks and aggregates samples on N\n"
-        "  workers; the analysis is bit-identical to --threads 1.\n"
+        "  --threads N decodes v3 trace blocks on N workers; the decoded\n"
+        "  trace is bit-identical to --threads 1.\n"
         "  --salvage recovers what it can from a corrupt/truncated trace and\n"
         "  fails only when coverage drops below --min-coverage (default 0.9).\n"
         "  --policy learned ranks sites with a trained model (ecohmem-train)\n"
@@ -100,7 +104,6 @@ int main(int argc, char** argv) {
   }
 
   analyzer::AnalyzerOptions aopt;
-  aopt.threads = static_cast<int>(*threads);
   aopt.coverage = bundle->coverage;
   const auto analysis = analyzer::analyze(bundle->trace, aopt);
   if (!analysis) return cli::fail(analysis.error());

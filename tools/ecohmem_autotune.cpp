@@ -13,7 +13,10 @@
 using namespace ecohmem;
 
 int main(int argc, char** argv) {
-  const cli::Args args(argc, argv, {"help"});
+  const cli::Args args(argc, argv,
+                       {"app", "iterations", "parallelism"},
+                       {"help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help") || !args.has("app")) {
     std::printf("usage: ecohmem-autotune --app <name> [--iterations N] [--parallelism P]\n");
     return args.has("help") ? 0 : 1;

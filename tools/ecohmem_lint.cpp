@@ -79,7 +79,11 @@ bool validate_usage(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (!validate_usage(argc, argv)) return 2;
-  const cli::Args args(argc, argv, {"json", "list-rules", "quiet", "help"});
+  const cli::Args args(argc, argv,
+                       {"config", "disable", "migration-log", "min-coverage", "model",
+                        "online-policy", "report", "sites", "trace"},
+                       {"json", "list-rules", "quiet", "help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help")) {
     std::printf(
         "usage: ecohmem-lint [--trace <trace.trc>] [--sites <sites.csv>]\n"

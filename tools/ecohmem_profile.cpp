@@ -24,7 +24,11 @@
 using namespace ecohmem;
 
 int main(int argc, char** argv) {
-  const cli::Args args(argc, argv, {"no-stores", "compact", "compress", "help"});
+  const cli::Args args(argc, argv,
+                       {"app", "block-events", "format", "iterations", "out", "pmem-dimms", "rate",
+                        "seed"},
+                       {"no-stores", "compact", "compress", "help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help") || !args.has("app") || !args.has("out")) {
     std::printf(
         "usage: ecohmem-profile --app <name> --out <trace.trc>\n"

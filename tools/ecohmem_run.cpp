@@ -5,26 +5,17 @@
 // Usage:
 //   ecohmem-run --app <name> --report <report.txt>
 //               [--iterations N] [--dram-capacity 12GB] [--pmem-dimms 6]
-//               [--threads N] [--online <policy.ini>]
+//               [--online <policy.ini>]
 //               [--from-report <report.txt>] [--migration-log <out.csv>]
 //
 // The report's BOM call stacks are matched against the application's
 // module table (the "same optimized binary" requirement of §IV); the
 // module layout is re-randomized ASLR-style to demonstrate that BOM
 // matching is base-independent.
-//
-// --threads N > 1 replays the allocation stream on N worker threads
-// (docs/threading.md); placement decisions, tier byte totals, OOM
-// redirects and the simulated clock are identical to --threads 1 — with
-// and without --online (the online state is sharded on object id, see
-// docs/online.md). Batches that could exhaust a tier mid-flight (where
-// OOM redirection would become order-dependent) are detected by a
-// capacity guard and replayed in program order instead of fanning out.
 
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <thread>
 
 #include "cli_common.hpp"
 #include "ecohmem/apps/apps.hpp"
@@ -62,20 +53,20 @@ bool write_migration_log(const std::string& path, const runtime::RunMetrics& met
 }  // namespace
 
 int main(int argc, char** argv) {
-  const cli::Args args(argc, argv, {"help"});
+  const cli::Args args(argc, argv,
+                       {"app", "dram-capacity", "from-report", "iterations", "migration-log",
+                        "online", "pmem-dimms", "report"},
+                       {"help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help") || !args.has("app") || !args.has("report")) {
     std::printf(
         "usage: ecohmem-run --app <name> --report <report.txt>\n"
         "                   [--iterations N] [--dram-capacity 12GB] [--pmem-dimms 6]\n"
-        "                   [--threads N] [--online <policy.ini>]\n"
+        "                   [--online <policy.ini>]\n"
         "                   [--from-report <report.txt>] [--migration-log <out.csv>]\n"
         "\n"
-        "  --threads N        replay the allocation stream on N worker threads\n"
-        "                     (1..256, default 1; results are thread-count independent —\n"
-        "                     batches that could exhaust a tier replay in program order,\n"
-        "                     and the online policy's state is sharded on object id)\n"
         "  --online F         enable the online placement policy from INI file F\n"
-        "                     (docs/online.md; works at any --threads count)\n"
+        "                     (docs/online.md)\n"
         "  --from-report R    seed the online policy from Advisor report R: objects at\n"
         "                     fast-guided sites start with mature hotness, stranded ones\n"
         "                     are promoted at the first evaluation (requires --online)\n"
@@ -88,9 +79,6 @@ int main(int argc, char** argv) {
   if (!iterations) return cli::fail(iterations.error());
   const auto pmem_dimms = args.get_int_in_range("pmem-dimms", 6, 1, 64);
   if (!pmem_dimms) return cli::fail(pmem_dimms.error());
-  const auto threads = args.get_int_in_range("threads", 1, 1, 256);
-  if (!threads) return cli::fail(threads.error());
-
   // Flag-combination rules (docs/cli.md): bad combinations are usage
   // errors (exit 2) with a one-line reason, uniformly.
   if (args.has("from-report") && !args.has("online")) {
@@ -122,9 +110,8 @@ int main(int argc, char** argv) {
   auto fm_heaps = std::vector<flexmalloc::HeapSpec>{
       {"dram", args.get_bytes("dram-capacity", 12ull << 30)},
       {"pmem", system->tier(system->fallback_index()).capacity()}};
-  // The match cache pays off when many threads hammer the same hot call
-  // stacks; it changes overhead accounting but never placement. Enabled
-  // at every thread count so the configuration is thread-independent.
+  // The match cache memoizes repeated lookups of hot call stacks; it
+  // changes overhead accounting but never placement.
   flexmalloc::MatcherOptions matcher_options;
   matcher_options.match_cache = true;
   auto fm = flexmalloc::FlexMalloc::create(std::move(fm_heaps), *report,
@@ -133,7 +120,6 @@ int main(int argc, char** argv) {
 
   runtime::AppDirectMode mode(&*system, &*fm);
   runtime::EngineOptions engine_options;
-  engine_options.replay_threads = static_cast<int>(*threads);
 
   std::optional<online::OnlinePolicyConfig> online_policy;
   if (args.has("online")) {
@@ -177,8 +163,7 @@ int main(int argc, char** argv) {
   std::printf("  production : %8.3f s\n", static_cast<double>(production->total_ns) * 1e-9);
   std::printf("  memory mode: %8.3f s\n", static_cast<double>(baseline->total_ns) * 1e-9);
   std::printf("  speedup    : %8.2fx\n", production->speedup_over(*baseline));
-  std::printf("  replay     : %lld thread(s), %.1f ms wall clock (host has %u cores)\n",
-              *threads, wall_ms, std::thread::hardware_concurrency());
+  std::printf("  replay     : %.1f ms wall clock\n", wall_ms);
   std::printf("  matching   : %llu lookups, %llu hits, %llu OOM redirects\n",
               static_cast<unsigned long long>(fm->matcher().lookups()),
               static_cast<unsigned long long>(fm->matcher().hits()),

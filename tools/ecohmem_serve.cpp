@@ -167,7 +167,12 @@ int run_client(const cli::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const cli::Args args(argc, argv, {"bandwidth-aware", "stats", "bye-close", "help"});
+  const cli::Args args(argc, argv,
+                       {"attach", "block-events", "config", "connect", "csv", "dram-limit",
+                        "ingest", "listen", "max-frame-bytes", "max-sessions", "peak-pmem-bw",
+                        "query", "queue-blocks", "store-coef"},
+                       {"bandwidth-aware", "stats", "bye-close", "help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help")) {
     std::printf(
         "usage: ecohmem-serve --listen <socket> [--max-sessions N] [--queue-blocks N]\n"

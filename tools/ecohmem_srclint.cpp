@@ -88,7 +88,10 @@ bool validate_disable_ids(const std::vector<std::string>& ids) {
 
 int main(int argc, char** argv) {
   if (!validate_usage(argc, argv)) return 2;
-  const cli::Args args(argc, argv, {"json", "list-rules", "quiet", "help"});
+  const cli::Args args(argc, argv,
+                       {"disable", "max-per-rule", "root"},
+                       {"json", "list-rules", "quiet", "help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help")) {
     std::printf(
         "usage: ecohmem-srclint [--root <dir>] [--json] [--quiet]\n"

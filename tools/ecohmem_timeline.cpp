@@ -93,7 +93,10 @@ int run_trace_mode(const cli::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const cli::Args args(argc, argv, {"salvage", "help"});
+  const cli::Args args(argc, argv,
+                       {"app", "bin-ms", "dram-limit", "iterations", "mode", "out", "trace"},
+                       {"salvage", "help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   const bool trace_mode = args.has("trace");
   if (args.has("help") || (!trace_mode && !args.has("app")) || !args.has("out")) {
     std::printf(

@@ -27,7 +27,12 @@
 using namespace ecohmem;
 
 int main(int argc, char** argv) {
-  const cli::Args args(argc, argv, {"help"});
+  const cli::Args args(argc, argv,
+                       {"apps", "config", "dram-limit", "epochs", "iterations", "l2",
+                        "learning-rate", "max-solo", "max-swaps", "out", "pmem-dimms", "scale",
+                        "seed", "store-coef"},
+                       {"help"});
+  if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help") || !args.has("apps") || !args.has("out")) {
     std::printf(
         "usage: ecohmem-train --apps <a,b,...> --out <model.ehm>\n"
