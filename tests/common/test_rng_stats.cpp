@@ -43,6 +43,42 @@ TEST(Rng, NextBelowCoversRange) {
   for (const bool s : seen) EXPECT_TRUE(s);
 }
 
+/// Lemire-style rejection as first written: the threshold computed on
+/// every call. `next_below` must return the same values and consume the
+/// same number of raw draws.
+std::uint64_t reference_next_below(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng.next_u64();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, NextBelowMatchesReferenceFormula) {
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  7,
+                                  64,
+                                  (1ull << 32) - 1,
+                                  (1ull << 32) + 1,
+                                  1ull << 63,
+                                  (1ull << 63) + 1,
+                                  ~0ull};
+  for (const std::uint64_t seed : {1ull, 0x5eedull, 0x9e3779b97f4a7c15ull}) {
+    for (const std::uint64_t bound : bounds) {
+      Rng fast(seed);
+      Rng reference(seed);
+      int mismatches = 0;
+      for (int i = 0; i < 100000; ++i) {
+        if (fast.next_below(bound) != reference_next_below(reference, bound)) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0) << "seed " << seed << " bound " << bound;
+      EXPECT_EQ(fast.next_u64(), reference.next_u64()) << "seed " << seed << " bound " << bound;
+    }
+  }
+}
+
 TEST(Rng, GaussianMoments) {
   Rng r(13);
   RunningStats stats;

@@ -1,19 +1,23 @@
 // Pinned outputs: fixed runs whose results are compared against values
-// recorded from the replay engine and the analyzer. Each run is reduced
+// recorded from the replay engine, the profiler and the analyzer. Each
+// trace is pinned by a digest of its v3 file bytes; each other run is reduced
 // to a few exact counters plus an FNV-1a digest over the bit patterns of
 // every floating-point result, so a change that shifts any reported
 // number — one ulp of tier traffic, one migration event, one site's
 // latency — fails here. Refactors of the engine, the execution modes,
-// FlexMalloc, the online subsystem or the analyzer must leave every
+// FlexMalloc, the online subsystem, the profiler or the analyzer must leave every
 // line unchanged; a deliberate model change re-pins the values (the
 // failure message prints the new initializer line).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iomanip>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,9 +27,11 @@
 #include "ecohmem/core/ecohmem.hpp"
 #include "ecohmem/flexmalloc/flexmalloc.hpp"
 #include "ecohmem/flexmalloc/report_parser.hpp"
+#include "ecohmem/memsim/dram_cache.hpp"
 #include "ecohmem/online/policy_config.hpp"
 #include "ecohmem/profiler/profiler.hpp"
 #include "ecohmem/runtime/guidance.hpp"
+#include "ecohmem/trace/trace_file.hpp"
 
 namespace ecohmem {
 namespace {
@@ -319,6 +325,105 @@ TEST(PinnedOutputs, OnlineLargeHot) {
   const auto m = online_run(apps::make_large_hot({}), false);
   EXPECT_GT(m.migrations, 0u);
   expect_pinned(m, {559653868915ll, 10, 10, 0, 3, 0x6e61dff21c6bfdccull}, "online large-hot");
+}
+
+// ---------------------------------------------------------------- traces
+
+/// Profiles `app` the way ecohmem-profile does (memory mode on the paper
+/// system) and digests the trace's v3 file bytes.
+std::uint64_t trace_digest(const std::string& app, const profiler::ProfilerOptions& popt) {
+  const runtime::Workload workload = apps::make_app(app);
+  const auto system = paper();
+  profiler::Profiler prof(popt);
+  runtime::EngineOptions eopt;
+  eopt.observer = &prof;
+  memsim::DramCacheModel cache(system.tier(0).capacity());
+  runtime::MemoryModeExec mode(&system, 0, system.fallback_index(), cache);
+  runtime::ExecutionEngine engine(&system, eopt);
+  const auto metrics = engine.run(workload, mode);
+  EXPECT_TRUE(metrics.has_value()) << app << ": " << metrics.error();
+
+  std::ostringstream os;
+  trace::TraceWriteOptions wopt;
+  wopt.indexed = true;
+  const auto written = trace::write_trace(os, prof.take_trace(), *workload.modules, wopt);
+  EXPECT_TRUE(written.ok()) << app << ": " << written.error();
+  Digest d;
+  d.add(std::move(os).str());
+  return d.value();
+}
+
+struct PinnedTrace {
+  const char* app;
+  std::uint64_t digest;
+};
+
+void expect_traces_pinned(const std::vector<PinnedTrace>& pinned,
+                          const profiler::ProfilerOptions& popt, const std::string& run) {
+  for (const PinnedTrace& p : pinned) {
+    const std::uint64_t got = trace_digest(p.app, popt);
+    EXPECT_EQ(got, p.digest) << p.app << " (" << run << "): got 0x" << std::hex << std::setw(16)
+                                << std::setfill('0') << got;
+  }
+}
+
+TEST(PinnedTraces, RegistryApps) {
+  const std::vector<PinnedTrace> pinned = {
+      {"cloverleaf3d", 0x491b121182486f5cull}, {"hpcg", 0x41cc4040e30ac618ull},
+      {"lammps", 0x3d2606a3e2ffab9eull},       {"large-hot", 0xb60722c5f48b13dcull},
+      {"lulesh", 0x927201c89f51fb01ull},       {"minife", 0x70916f1a8228e972ull},
+      {"minimd", 0x3239b9e4a58687aaull},       {"openfoam", 0x3a5c79c9938843e2ull},
+      {"phase-shift", 0x2c40e4d470a5ff29ull},
+  };
+  std::vector<std::string> names;
+  for (const PinnedTrace& p : pinned) names.emplace_back(p.app);
+  std::vector<std::string> registry = apps::app_names();
+  std::sort(registry.begin(), registry.end());
+  EXPECT_EQ(names, registry);
+  expect_traces_pinned(pinned, {}, "default rate");
+}
+
+TEST(PinnedTraces, Fig6At10Hz) {
+  profiler::ProfilerOptions popt;
+  popt.sample_rate_hz = 10.0;
+  expect_traces_pinned({{"minife", 0x8b27ddf8904cd92cull},
+                        {"minimd", 0x9f80e0a0f7d5e87dull},
+                        {"lulesh", 0xb04f7322f1f004e3ull},
+                        {"hpcg", 0x320eae0a25444a35ull},
+                        {"cloverleaf3d", 0x0e84ad0f1078eb44ull}},
+                       popt, "10 Hz");
+}
+
+TEST(PinnedTraces, Fig6At1000Hz) {
+  profiler::ProfilerOptions popt;
+  popt.sample_rate_hz = 1000.0;
+  expect_traces_pinned({{"minife", 0x19386e4a559bb360ull},
+                        {"minimd", 0xf83a401a00d16552ull},
+                        {"lulesh", 0x0cc048060eb4b013ull},
+                        {"hpcg", 0x008e238a7b2f1685ull},
+                        {"cloverleaf3d", 0xc2d2c09b9037bd52ull}},
+                       popt, "1000 Hz");
+}
+
+TEST(PinnedTraces, NoStoreSamples) {
+  profiler::ProfilerOptions popt;
+  popt.sample_stores = false;
+  expect_traces_pinned({{"minife", 0x72219643196adca7ull}, {"lulesh", 0x831926c4bd760443ull}}, popt,
+                       "no stores");
+}
+
+TEST(PinnedTraces, NoLoadSamples) {
+  profiler::ProfilerOptions popt;
+  popt.sample_loads = false;
+  expect_traces_pinned({{"minife", 0xc1d398cb6dbe6c43ull}, {"lulesh", 0x98ae900362cf5e26ull}}, popt,
+                       "no loads");
+}
+
+TEST(PinnedTraces, NoUncoreReadings) {
+  profiler::ProfilerOptions popt;
+  popt.sample_uncore = false;
+  expect_traces_pinned({{"minife", 0xdc2fa0621017d31aull}, {"lulesh", 0x7f054ab8d50fc509ull}}, popt,
+                       "no uncore");
 }
 
 // -------------------------------------------------------------- analysis
