@@ -218,6 +218,19 @@ build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3.csv --bin-ms 50
 
+# The profiler emits its trace in time order without a final sort
+# (docs/model.md §5). Every registry app, and lulesh at other sampling
+# rates and without store samples, must pass trace-monotonic-time.
+for app in cloverleaf3d hpcg lammps large-hot lulesh minife minimd openfoam phase-shift; do
+  build/tools/ecohmem-profile --app "$app" --out /tmp/ecohmem_ci_order.trc --format v3 >/dev/null
+  build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_order.trc
+done
+for variant in "--rate 10" "--rate 1000" "--no-stores"; do
+  build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_order.trc --format v3 \
+    $variant >/dev/null
+  build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_order.trc
+done
+
 # Compressed v3 blocks (docs/trace_format.md): the same workload profiled
 # with --compress must lint clean (trace-block-compression rule) and
 # produce an advisor report byte-identical to the uncompressed v3 one —

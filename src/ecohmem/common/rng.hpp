@@ -45,10 +45,11 @@ class Rng {
 
   /// Uniform integer in [0, bound) (bound > 0); unbiased via rejection.
   std::uint64_t next_below(std::uint64_t bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {
       const std::uint64_t r = next_u64();
-      if (r >= threshold) return r % bound;
+      // The rejection threshold 2^64 mod bound is below `bound`, so only
+      // draws under `bound` need it computed.
+      if (r >= bound || r >= (0 - bound) % bound) return r % bound;
     }
   }
 
