@@ -19,6 +19,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "ecohmem/analyzer/aggregator.hpp"
@@ -473,10 +474,11 @@ std::uint64_t digest(const analyzer::AnalysisResult& r) {
 
 /// Profiles `app` through the execution engine (the ecohmem-profile
 /// path) and digests its analysis.
-void expect_analysis_pinned(const std::string& app, std::size_t sites, std::uint64_t want) {
+void expect_analysis_pinned(const std::string& app, std::size_t sites, std::uint64_t want,
+                            const profiler::ProfilerOptions& popt = {}) {
   const runtime::Workload workload = apps::make_app(app);
   const auto system = paper();
-  profiler::Profiler prof;
+  profiler::Profiler prof(popt);
   runtime::EngineOptions eopt;
   eopt.observer = &prof;
   runtime::ExecutionEngine engine(&system, eopt);
@@ -490,6 +492,10 @@ void expect_analysis_pinned(const std::string& app, std::size_t sites, std::uint
   ASSERT_TRUE(analysis.has_value()) << analysis.error();
   EXPECT_EQ(analysis->sites.size(), sites) << app << ": got " << analysis->sites.size();
   EXPECT_EQ(digest(*analysis), want) << app << ": got 0x" << std::hex << digest(*analysis);
+  if (!popt.sample_loads) {
+    // Store-only samples still list the functions that issued them.
+    EXPECT_FALSE(analysis->functions.empty()) << app;
+  }
 }
 
 TEST(PinnedAnalysis, MiniFe) { expect_analysis_pinned("minife", 7, 0x581a16055717df92ull); }
@@ -498,6 +504,103 @@ TEST(PinnedAnalysis, Lulesh) { expect_analysis_pinned("lulesh", 31, 0x9f0f561364
 TEST(PinnedAnalysis, Hpcg) { expect_analysis_pinned("hpcg", 8, 0xa73d49f03a81e6eaull); }
 TEST(PinnedAnalysis, CloverLeaf3d) { expect_analysis_pinned("cloverleaf3d", 20, 0xaeca7009b7fad296ull); }
 TEST(PinnedAnalysis, PhaseShift) { expect_analysis_pinned("phase-shift", 5, 0x759d3865036a5eb7ull); }
+TEST(PinnedAnalysis, Lammps) { expect_analysis_pinned("lammps", 29, 0x2730e86eef9d24e7ull); }
+TEST(PinnedAnalysis, OpenFoam) { expect_analysis_pinned("openfoam", 25, 0x8edd4d0eb6430e1bull); }
+TEST(PinnedAnalysis, LargeHot) { expect_analysis_pinned("large-hot", 10, 0x974675e2015c3a07ull); }
+
+TEST(PinnedAnalysis, CoversRegistry) {
+  std::vector<std::string> pinned = {"minife", "minimd",      "lulesh", "hpcg",     "cloverleaf3d",
+                                     "lammps", "phase-shift", "openfoam", "large-hot"};
+  std::vector<std::string> registry = apps::app_names();
+  std::sort(pinned.begin(), pinned.end());
+  std::sort(registry.begin(), registry.end());
+  EXPECT_EQ(pinned, registry);
+}
+
+TEST(PinnedAnalysis, NoUncoreReadings) {
+  // Without uncore readings the bandwidth timeline is rebuilt from the
+  // samples themselves.
+  profiler::ProfilerOptions popt;
+  popt.sample_uncore = false;
+  expect_analysis_pinned("minife", 7, 0x588a9567c964ef7bull, popt);
+  expect_analysis_pinned("lulesh", 31, 0x6da051fc4008acecull, popt);
+}
+
+TEST(PinnedAnalysis, NoLoadSamples) {
+  profiler::ProfilerOptions popt;
+  popt.sample_loads = false;
+  expect_analysis_pinned("minife", 7, 0x516022306e0587e4ull, popt);
+  expect_analysis_pinned("lulesh", 31, 0xf294fc55d48f5bd3ull, popt);
+}
+
+/// A hand-built stream with the corner cases the profiler never emits:
+/// function ids past the table (two of them, both named "?"), a
+/// store-only function, an address reused while its first object is
+/// live, samples outside every object, a zero-size allocation and
+/// uncore readings that only start late in the stream.
+trace::Trace edge_case_trace() {
+  using trace::AllocEvent;
+  using trace::FreeEvent;
+  using trace::MarkerEvent;
+  using trace::SampleEvent;
+  using trace::UncoreBwEvent;
+  trace::Trace t;
+  t.sample_rate_hz = 100.0;
+  const trace::StackId s0 = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
+  const trace::StackId s1 = t.stacks.intern(bom::CallStack{{{0, 0x20}}});
+  const trace::StackId s2 = t.stacks.intern(bom::CallStack{{{1, 0x30}, {0, 0x40}}});
+  const std::uint32_t fa = t.functions.intern("kernel_a");
+  const std::uint32_t fb = t.functions.intern("kernel_b");
+  const std::uint32_t fc = t.functions.intern("kernel_c");  // store samples only
+  const std::uint32_t past_a = 7;  // past the function table
+  const std::uint32_t past_b = 9;
+
+  auto& e = t.events;
+  e.emplace_back(AllocEvent{100, 1, 0x1000, 4096, s0, trace::AllocKind::kMalloc});
+  e.emplace_back(SampleEvent{150, 0x1010, 2.0, 120.0, false, fa});
+  e.emplace_back(AllocEvent{200, 2, 0x8000, 0, s1, trace::AllocKind::kMalloc});  // zero size
+  e.emplace_back(SampleEvent{250, 0x8000, 1.0, 90.0, false, fb});  // hits nothing
+  e.emplace_back(SampleEvent{300, 0x1800, 3.0, 0.0, true, past_a});
+  e.emplace_back(MarkerEvent{320, fa, true});
+  // Address reuse while object 1 is still live.
+  e.emplace_back(AllocEvent{350, 3, 0x1000, 8192, s2, trace::AllocKind::kCalloc});
+  e.emplace_back(SampleEvent{400, 0x1f00, 1.5, 300.0, false, past_a});
+  e.emplace_back(SampleEvent{450, 0x50000, 4.0, 80.0, false, fb});  // outside every object
+  e.emplace_back(SampleEvent{470, 0x1100, 2.5, 0.0, true, fc});
+  e.emplace_back(FreeEvent{500, 3});
+  e.emplace_back(SampleEvent{520, 0x1000, 1.0, 0.0, true, fa});  // nothing live there now
+  e.emplace_back(AllocEvent{600, 4, 0x2000, 1024, s0, trace::AllocKind::kNew});
+  e.emplace_back(SampleEvent{650, 0x2100, 1.0, 0.0, true, past_b});
+  e.emplace_back(MarkerEvent{680, fa, false});
+  e.emplace_back(UncoreBwEvent{700, 200, 3.5, 1.25});
+  e.emplace_back(SampleEvent{800, 0x2200, 2.0, 150.0, false, fb});
+  e.emplace_back(FreeEvent{900, 2});
+  e.emplace_back(SampleEvent{950, 0x23ff, 1.0, 0.0, true, fc});
+  e.emplace_back(UncoreBwEvent{1000, 300, 2.0, 0.5});
+  return t;
+}
+
+TEST(PinnedAnalysis, HandBuiltEdgeCases) {
+  analyzer::AnalyzerOptions options;
+  options.bw_bin_ns = 250;
+  options.alloc_window_ns = 400;
+
+  const trace::Trace with_uncore = edge_case_trace();
+  const auto a = analyzer::analyze(with_uncore, options);
+  ASSERT_TRUE(a.has_value()) << a.error();
+  EXPECT_EQ(a->sites.size(), 3u);
+  EXPECT_EQ(a->functions.size(), 5u);
+  EXPECT_EQ(digest(*a), 0x00add85670e79534ull) << "with uncore: got 0x" << std::hex << digest(*a);
+
+  // The same stream without its uncore readings: sample fallback meter.
+  trace::Trace samples_only = edge_case_trace();
+  std::erase_if(samples_only.events, [](const trace::Event& ev) {
+    return std::holds_alternative<trace::UncoreBwEvent>(ev);
+  });
+  const auto b = analyzer::analyze(samples_only, options);
+  ASSERT_TRUE(b.has_value()) << b.error();
+  EXPECT_EQ(digest(*b), 0xec8119b3b52a878full) << "samples only: got 0x" << std::hex << digest(*b);
+}
 
 }  // namespace
 }  // namespace ecohmem
