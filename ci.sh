@@ -214,7 +214,7 @@ build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3.trc \
   --format v3 --block-events 4096
 build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_v3.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
-  --out /tmp/ecohmem_ci_v3_serial.txt
+  --out /tmp/ecohmem_ci_v3_serial.txt --csv /tmp/ecohmem_ci_v3_sites.csv
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3.csv --bin-ms 50
 
@@ -302,11 +302,14 @@ build/tools/ecohmem-serve --connect "$serve_sock" --ingest /tmp/ecohmem_ci2.trc 
 cmp /tmp/ecohmem_ci_served.txt /tmp/ecohmem_ci_report.txt
 cmp /tmp/ecohmem_ci_served.csv /tmp/ecohmem_ci_sites.csv
 # Compressed traces must flow through serve ingest unchanged: the served
-# report for the compressed lulesh trace must be byte-identical to the
-# offline advisor's report for the uncompressed copy.
+# report and sites CSV for the compressed lulesh trace must be
+# byte-identical to the offline advisor's for the uncompressed copy.
+# Lulesh (31 sites, freed temporaries) is the many-site check of the
+# analyzer's site store.
 build/tools/ecohmem-serve --connect "$serve_sock" --ingest /tmp/ecohmem_ci_v3c.trc \
-  --query /tmp/ecohmem_ci_served_v3c.txt
+  --query /tmp/ecohmem_ci_served_v3c.txt --csv /tmp/ecohmem_ci_served_v3c.csv
 cmp /tmp/ecohmem_ci_served_v3c.txt /tmp/ecohmem_ci_v3_serial.txt
+cmp /tmp/ecohmem_ci_served_v3c.csv /tmp/ecohmem_ci_v3_sites.csv
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "ecohmem-serve exited nonzero on SIGTERM" >&2; exit 1; }
 grep -q "drained, socket unlinked" /tmp/ecohmem_ci_serve.log

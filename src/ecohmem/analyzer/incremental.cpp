@@ -12,7 +12,9 @@ IncrementalAggregator::IncrementalAggregator(const trace::StackTable& stacks,
       functions_(&functions),
       options_(options),
       uncore_meter_(1, options.bw_bin_ns),
-      sample_meter_(1, options.bw_bin_ns) {}
+      sample_meter_(1, options.bw_bin_ns),
+      sites_(stacks.size()),
+      function_accum_(functions.size()) {}
 
 Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t count) {
   if (!error_.empty()) return unexpected(error_);
@@ -27,13 +29,14 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
       uncore_meter_.add(0, t0, u->time,
                         (u->read_gbs + u->write_gbs) * static_cast<double>(u->period_ns));
     } else if (const auto* a = std::get_if<trace::AllocEvent>(&event)) {
-      if (a->stack == trace::kInvalidStack || a->stack >= stacks_->size()) {
+      // sites_ has one slot per stack-table entry (kInvalidStack is past it).
+      if (a->stack >= sites_.size()) {
         error_ = "alloc event with invalid stack id";
         return unexpected(error_);
       }
       auto [it, inserted] = live_.try_emplace(a->address);
       // Address reuse while live: the previous object drops out of the
-      // live map, exactly as in the offline replay.
+      // live map here.
       it->second = LiveObject{a->size, a->stack, a->time};
       (void)inserted;
       object_address_[a->object_id] = a->address;
@@ -74,19 +77,23 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
       live_.erase(live_it);
       object_address_.erase(addr_it);
     } else if (const auto* s = std::get_if<trace::SampleEvent>(&event)) {
-      sample_meter_.add(0, s->time, s->time + 1, s->weight * static_cast<double>(kCacheLine));
+      if (!has_uncore_) {
+        sample_meter_.add(0, s->time, s->time + 1, s->weight * static_cast<double>(kCacheLine));
+      }
 
-      // Function attribution happens regardless of object resolution,
-      // matching the offline accumulation phase.
+      // Function attribution happens regardless of object resolution.
+      FunctionAccum& fn = s->function_id < function_accum_.size()
+                              ? function_accum_[s->function_id]
+                              : functions_past_table_[s->function_id];
+      fn.touched = true;
       if (!s->is_store) {
-        auto& fn = functions_accum_[s->function_id];
         fn.samples += s->weight;
         fn.latency_sum += s->weight * s->latency_ns;
       }
 
       // Resolve against the live map as of event i: nearest live start
       // at or below the address, containment-check that single
-      // candidate (the serial analyzer's attribution rule).
+      // candidate.
       trace::StackId stack = trace::kInvalidStack;
       auto live_it = live_.upper_bound(s->address);
       if (live_it != live_.begin()) {
@@ -110,7 +117,7 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
         }
       }
     }
-    // Markers only carry a timestamp here, like offline.
+    // Markers only carry a timestamp: samples carry their own function.
 
     last_time_ = std::max(last_time_, trace::event_time(event));
     n_events_ = i + 1;
@@ -130,23 +137,21 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   result.trace_end = last_time_;
   result.unattributed_samples = unattributed_;
 
-  // The offline analyzer prescans the whole trace for uncore readings
-  // before folding bandwidth; here both candidate folds already ran, so
-  // just pick the one analyze() would have used.
   const memsim::BandwidthMeter& bw_meter = has_uncore_ ? uncore_meter_ : sample_meter_;
+  result.system_bw = bw_meter.series(0);
+  result.observed_peak_bw_gbs = bw_meter.peak_gbs(0);
 
   // Snapshot semantics: all remaining folds mutate copies.
-  std::unordered_map<trace::StackId, detail::SiteAccum> sites = sites_;
+  std::vector<SiteAccum> sites = sites_;
 
-  // Deferred alloc-window folds, replayed in allocation order — each
-  // site's alloc_bw_sum receives exactly the serial addition sequence.
+  // Deferred alloc-window folds, replayed in allocation order.
   for (const auto& [stack, w0] : alloc_bw_pending_) {
     sites[stack].alloc_bw_sum +=
         bw_meter.average_gbs(0, w0, w0 + options_.alloc_window_ns);
   }
 
   // Objects still live: close their windows at the last event time, in
-  // ascending address order (the offline survivor pass).
+  // ascending address order.
   for (const auto& [addr, obj] : live_) {
     (void)addr;
     auto& acc = sites[obj.stack];
@@ -156,7 +161,55 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
         static_cast<double>(last_time_ > obj.alloc_time ? last_time_ - obj.alloc_time : 0);
   }
 
-  detail::finalize_result(sites, functions_accum_, bw_meter, *functions_, result);
+  for (SiteAccum& acc : sites) {
+    SiteRecord& r = acc.record;
+    if (r.alloc_count == 0) continue;
+    r.mean_lifetime_ns = r.total_lifetime_ns / static_cast<double>(r.alloc_count);
+    r.alloc_time_system_bw_gbs = acc.alloc_bw_sum / static_cast<double>(r.alloc_count);
+    if (acc.latency_weight > 0.0) {
+      r.avg_load_latency_ns = acc.latency_sum / acc.latency_weight;
+    }
+    if (r.total_lifetime_ns > 0.0) {
+      r.exec_bw_gbs = (r.load_misses + r.store_misses) * static_cast<double>(kCacheLine) /
+                      r.total_lifetime_ns;
+    }
+    // Execution-time system bandwidth: average over the live windows.
+    double weighted = 0.0;
+    double total_dur = 0.0;
+    for (const auto& w : r.windows) {
+      const double dur = static_cast<double>(w.duration());
+      weighted += bw_meter.average_gbs(0, w.start, std::max(w.end, w.start + 1)) * dur;
+      total_dur += dur;
+    }
+    r.exec_time_system_bw_gbs = total_dur > 0.0 ? weighted / total_dur : 0.0;
+
+    std::sort(r.windows.begin(), r.windows.end(),
+              [](const LiveWindow& a, const LiveWindow& b) { return a.start < b.start; });
+    result.sites.push_back(std::move(r));
+  }
+
+  // Deterministic output order: by first allocation, then stack id.
+  std::sort(result.sites.begin(), result.sites.end(), [](const SiteRecord& a, const SiteRecord& b) {
+    return a.first_alloc != b.first_alloc ? a.first_alloc < b.first_alloc : a.stack < b.stack;
+  });
+
+  // Functions in id order (the table, then the ids past it), so ties
+  // between equal names (the "?" placeholder) break deterministically.
+  const auto add_function = [&](std::uint32_t fn_id, const FunctionAccum& acc) {
+    FunctionProfile fp;
+    fp.name = fn_id < functions_->size() ? functions_->name(fn_id) : "?";
+    fp.load_samples = acc.samples;
+    fp.avg_load_latency_ns = acc.samples > 0.0 ? acc.latency_sum / acc.samples : 0.0;
+    result.functions.push_back(std::move(fp));
+  };
+  for (std::size_t k = 0; k < function_accum_.size(); ++k) {
+    if (function_accum_[k].touched) add_function(static_cast<std::uint32_t>(k), function_accum_[k]);
+  }
+  for (const auto& [fn_id, acc] : functions_past_table_) add_function(fn_id, acc);
+  std::stable_sort(result.functions.begin(), result.functions.end(),
+                   [](const FunctionProfile& a, const FunctionProfile& b) {
+                     return a.name < b.name;
+                   });
   return result;
 }
 

@@ -3,15 +3,16 @@
 /// \file session.hpp
 /// Per-client analysis sessions for the `ecohmem-serve` daemon.
 ///
-/// A `Session` is the serving-side refactor of the offline analyzer: a
-/// bounded ingest queue feeding an `IncrementalAggregator` (the site
-/// store) from a dedicated applier thread, so connection threads never
-/// block on analysis. Placement queries run against **epoch-based
-/// snapshots**: `snapshot()` waits until every block accepted before
-/// the call has been applied, then finalizes (or reuses the cached
-/// result for that epoch) — ingestion continues concurrently, and the
-/// snapshot for epoch E is bit-identical to `analyze()` over the first
-/// E blocks (docs/serving.md §snapshot-consistency).
+/// A `Session` is a bounded ingest queue feeding an
+/// `IncrementalAggregator` — the analyzer's one fold, which offline
+/// `analyze()` also drives — from a dedicated applier thread, so
+/// connection threads never block on analysis. Placement queries run
+/// against **epoch-based snapshots**: `snapshot()` waits until every
+/// block accepted before the call has been applied, then finalizes (or
+/// reuses the cached result for that epoch) — ingestion continues
+/// concurrently, and the snapshot for epoch E equals `analyze()` over
+/// the first E blocks by construction (docs/serving.md
+/// §snapshot-consistency).
 ///
 /// Locking (all leaves; ranks in docs/threading.md):
 ///  - `serve_session_queue` guards the ingest queue + block counters
@@ -48,8 +49,8 @@
 namespace ecohmem::serve {
 
 struct SessionOptions {
-  /// Analyzer knobs for the session store (threads is ignored — the
-  /// incremental path folds on the applier thread).
+  /// Analyzer knobs for the session store (folded on the applier
+  /// thread).
   analyzer::AnalyzerOptions analyzer;
 
   /// Ingest queue bound: blocks accepted but not yet applied. A full

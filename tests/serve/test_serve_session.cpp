@@ -1,6 +1,7 @@
 // Session-store contracts of the ecohmem-serve daemon:
 //  - the incremental aggregator is bit-identical to the offline
-//    analyze() for every bundled app and any block partitioning,
+//    analyze() for any block partitioning, store-only sample traces
+//    included,
 //  - Session snapshots are epoch-consistent and cached,
 //  - dropped blocks degrade coverage (salvage semantics) while
 //    semantic errors poison the session stickily,
@@ -94,13 +95,13 @@ void expect_identical(const analyzer::AnalysisResult& offline,
 
 /// Profiles `app` through the execution engine (the ecohmem-profile
 /// path) so the trace carries real alloc/free/sample/uncore streams.
-trace::Trace profile_app(const std::string& app) {
+trace::Trace profile_app(const std::string& app, const profiler::ProfilerOptions& popt = {}) {
   apps::AppOptions opt;
   opt.iterations = 2;
   const runtime::Workload workload = apps::make_app(app, opt);
   const auto sys = memsim::paper_system(6);
   EXPECT_TRUE(sys.has_value()) << sys.error();
-  profiler::Profiler prof;
+  profiler::Profiler prof(popt);
   runtime::EngineOptions eopt;
   eopt.observer = &prof;
   runtime::ExecutionEngine engine(&*sys, eopt);
@@ -130,8 +131,9 @@ std::vector<std::vector<trace::Event>> partition(const std::vector<trace::Event>
   return blocks;
 }
 
-void check_incremental_identity(const std::string& app) {
-  const trace::Trace t = profile_app(app);
+void check_incremental_identity(const std::string& app,
+                                const profiler::ProfilerOptions& popt = {}) {
+  const trace::Trace t = profile_app(app, popt);
   ASSERT_FALSE(t.events.empty());
   const auto offline = analyzer::analyze(t);
   ASSERT_TRUE(offline.has_value()) << offline.error();
@@ -154,6 +156,14 @@ TEST(ServeIncremental, PhaseShiftIdenticalToOffline) {
   check_incremental_identity("phase-shift");
 }
 TEST(ServeIncremental, MiniFeIdenticalToOffline) { check_incremental_identity("minife"); }
+TEST(ServeIncremental, StoreOnlyFunctionsIdenticalToOffline) {
+  // Without load samples every function is known from its stores alone;
+  // served and offline analysis must list the same functions.
+  profiler::ProfilerOptions popt;
+  popt.sample_loads = false;
+  check_incremental_identity("minife", popt);
+  check_incremental_identity("lulesh", popt);
+}
 
 TEST(ServeIncremental, FinalizeIsRepeatable) {
   // finalize() is const: a mid-stream snapshot then more ingest then a
