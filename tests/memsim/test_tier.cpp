@@ -4,6 +4,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 namespace ecohmem::memsim {
 namespace {
@@ -125,39 +126,40 @@ TEST(MemorySystem, SortsByPerformanceRank) {
   EXPECT_EQ(sys->tier(0).name(), "dram");
 }
 
-/// Property sweep: for every tier spec, latency at the reference
-/// utilization equals the configured loaded latency.
-class TierParamTest : public ::testing::TestWithParam<TierSpec> {};
-
-TEST_P(TierParamTest, LoadedLatencyAnchoredAtReferenceUtilization) {
-  MemoryTier tier(GetParam());
-  EXPECT_NEAR(tier.read_latency_ns(kReferenceUtilization), GetParam().loaded_read_ns, 1e-9);
-  EXPECT_NEAR(tier.write_latency_ns(kReferenceUtilization), GetParam().loaded_write_ns, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTiers, TierParamTest,
-                         ::testing::Values(ddr4_dram_spec(), optane_pmem_spec(6),
-                                           optane_pmem_spec(2), hbm2_spec()),
-                         [](const auto& param_info) {
-                           return param_info.param.name + "_" +
-                                  std::to_string(param_info.param.capacity >> 30);
-                         });
-
-/// Saturation sweep over the same specs. The wrapper prints as the tier's
-/// name and capacity: gtest's default printer dumps TierSpec's raw bytes,
-/// string pointer included, so test names discovered from it change with
-/// every build.
-struct SaturationCase {
+/// The tier specs the property sweeps below run over. The wrapper prints
+/// as the tier's name and capacity: gtest's default printer dumps
+/// TierSpec's raw bytes, string pointer included, so test names
+/// discovered from it change with every build.
+struct TierCase {
   TierSpec spec;
 };
 
-std::string case_name(const SaturationCase& c) {
+std::string case_name(const TierCase& c) {
   return c.spec.name + "_" + std::to_string(c.spec.capacity >> 30);
 }
 
-void PrintTo(const SaturationCase& c, std::ostream* os) { *os << case_name(c); }
+void PrintTo(const TierCase& c, std::ostream* os) { *os << case_name(c); }
 
-class TierSaturationTest : public ::testing::TestWithParam<SaturationCase> {};
+std::vector<TierCase> all_tiers() {
+  return {{ddr4_dram_spec()}, {optane_pmem_spec(6)}, {optane_pmem_spec(2)}, {hbm2_spec()}};
+}
+
+/// Property sweep: for every tier spec, latency at the reference
+/// utilization equals the configured loaded latency.
+class TierParamTest : public ::testing::TestWithParam<TierCase> {};
+
+TEST_P(TierParamTest, LoadedLatencyAnchoredAtReferenceUtilization) {
+  const TierSpec& spec = GetParam().spec;
+  MemoryTier tier(spec);
+  EXPECT_NEAR(tier.read_latency_ns(kReferenceUtilization), spec.loaded_read_ns, 1e-9);
+  EXPECT_NEAR(tier.write_latency_ns(kReferenceUtilization), spec.loaded_write_ns, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTiers, TierParamTest, ::testing::ValuesIn(all_tiers()),
+                         [](const auto& param_info) { return case_name(param_info.param); });
+
+/// Saturation sweep over the same specs.
+class TierSaturationTest : public ::testing::TestWithParam<TierCase> {};
 
 TEST_P(TierSaturationTest, LatencyBoundedAtSaturation) {
   const TierSpec& spec = GetParam().spec;
@@ -167,11 +169,7 @@ TEST_P(TierSaturationTest, LatencyBoundedAtSaturation) {
   EXPECT_LT(at_max, spec.loaded_read_ns * 10.0);  // finite blow-up
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTiers, TierSaturationTest,
-                         ::testing::Values(SaturationCase{ddr4_dram_spec()},
-                                           SaturationCase{optane_pmem_spec(6)},
-                                           SaturationCase{optane_pmem_spec(2)},
-                                           SaturationCase{hbm2_spec()}),
+INSTANTIATE_TEST_SUITE_P(AllTiers, TierSaturationTest, ::testing::ValuesIn(all_tiers()),
                          [](const auto& param_info) { return case_name(param_info.param); });
 
 }  // namespace
