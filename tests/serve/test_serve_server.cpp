@@ -19,6 +19,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ecohmem/advisor/advisor_config.hpp"
@@ -55,6 +56,63 @@ Profiled profile_app(const std::string& app) {
   const auto metrics = engine.run(workload, mode);
   EXPECT_TRUE(metrics.has_value()) << metrics.error();
   return {prof.take_trace(), *workload.modules};
+}
+
+/// Deterministic two-stack synthetic stream: allocations with
+/// interleaved frees and access samples, so the session's live map
+/// grows and shrinks across many ingest blocks.
+Profiled synth_stream(std::size_t n) {
+  Profiled p;
+  trace::Trace& t = p.trace;
+  t.sample_rate_hz = 1000.0;
+  const trace::StackId s0 = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
+  const trace::StackId s1 = t.stacks.intern(bom::CallStack{{{0, 0x20}, {1, 0x8}}});
+  const std::uint32_t fn = t.functions.intern("synth");
+  p.modules.add_module("synth.x", 1u << 20);
+  p.modules.add_module("libsynth.so", 1u << 20);
+
+  std::uint64_t x = 0x2545F4914F6CDD1Dull;
+  const auto rnd = [&x] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return x >> 33;
+  };
+  Ns time = 0;
+  std::uint64_t next_id = 1;
+  std::uint64_t next_addr = 0x100000;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> live;  // object id, address
+  t.events.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    time += 10 + rnd() % 40;
+    switch (rnd() % 8) {
+      case 0:
+      case 1: {
+        const Bytes size = 64 + rnd() % 4096;
+        t.events.emplace_back(trace::AllocEvent{time, next_id, next_addr, size,
+                                                (i % 2) != 0 ? s0 : s1,
+                                                trace::AllocKind::kMalloc});
+        live.emplace_back(next_id, next_addr);
+        next_addr += size + 64;
+        ++next_id;
+        break;
+      }
+      case 2:
+        if (live.empty()) {
+          t.events.emplace_back(trace::MarkerEvent{time, fn, true});
+        } else {
+          const std::size_t k = rnd() % live.size();
+          t.events.emplace_back(trace::FreeEvent{time, live[k].first});
+          live[k] = live.back();
+          live.pop_back();
+        }
+        break;
+      default:
+        t.events.emplace_back(trace::SampleEvent{
+            time, live.empty() ? 0x10 : live[rnd() % live.size()].second + rnd() % 64,
+            1.0 + static_cast<double>(rnd() % 8) * 0.5, static_cast<double>(rnd() % 400),
+            rnd() % 4 == 0, fn});
+    }
+  }
+  return p;
 }
 
 /// The offline pipeline the daemon must match byte-for-byte: analyze,
@@ -130,31 +188,48 @@ class TestDaemon {
 std::atomic<int> TestDaemon::counter_{0};
 
 TEST(ServeConcurrencyServer, ReportMatchesOfflineAdvisor) {
-  const Profiled p = profile_app("hpcg");
-  const trace::Trace& t = p.trace;
-  const auto config = advisor::AdvisorConfig::dram_pmem(12ull << 30, 0.125);
-  const std::string offline = offline_report(t, p.modules, config, /*bandwidth_aware=*/true);
+  // Two inputs: hpcg in 1024-event blocks through the bandwidth-aware
+  // pass, and a synthetic two-stack stream with frees in 4096-event
+  // blocks placed by density alone.
+  struct Input {
+    const char* name;
+    Profiled p;
+    advisor::AdvisorConfig config;
+    std::size_t block_events;
+    bool bandwidth_aware;
+  };
+  const Input inputs[] = {
+      {"hpcg", profile_app("hpcg"), advisor::AdvisorConfig::dram_pmem(12ull << 30, 0.125), 1024,
+       true},
+      {"synthetic", synth_stream(100'000), advisor::AdvisorConfig::dram_pmem(1ull << 30, 0.125),
+       4096, false},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const trace::Trace& t = in.p.trace;
+    const std::string offline = offline_report(t, in.p.modules, in.config, in.bandwidth_aware);
 
-  TestDaemon daemon(ServerOptions{});
-  auto client = Client::connect(daemon.path());
-  ASSERT_TRUE(client.has_value()) << client.error();
-  ASSERT_TRUE(
-      client->hello_create(t.stacks, t.functions, p.modules, t.sample_rate_hz).ok());
-  EXPECT_EQ(client->session_id(), 1u);
-  ASSERT_TRUE(client->ingest_events(t.events, 1024).ok());
+    TestDaemon daemon(ServerOptions{});
+    auto client = Client::connect(daemon.path());
+    ASSERT_TRUE(client.has_value()) << client.error();
+    ASSERT_TRUE(
+        client->hello_create(t.stacks, t.functions, in.p.modules, t.sample_rate_hz).ok());
+    EXPECT_EQ(client->session_id(), 1u);
+    ASSERT_TRUE(client->ingest_events(t.events, in.block_events).ok());
 
-  const auto report = client->query(config, /*bandwidth_aware=*/true);
-  ASSERT_TRUE(report.has_value()) << report.error();
-  EXPECT_EQ(report->events_analyzed, t.events.size());
-  EXPECT_EQ(report->text, offline) << "served report must be byte-equal to ecohmem-advisor";
+    const auto report = client->query(in.config, in.bandwidth_aware);
+    ASSERT_TRUE(report.has_value()) << report.error();
+    EXPECT_EQ(report->events_analyzed, t.events.size());
+    EXPECT_EQ(report->text, offline) << "served report must be byte-equal to ecohmem-advisor";
 
-  const auto stats = client->stats();
-  ASSERT_TRUE(stats.has_value()) << stats.error();
-  EXPECT_EQ(stats->events_seen, t.events.size());
-  EXPECT_EQ(stats->events_declared, t.events.size());
-  EXPECT_EQ(stats->blocks_dropped, 0u);
-  EXPECT_EQ(stats->poisoned, 0u);
-  ASSERT_TRUE(client->bye().ok());
+    const auto stats = client->stats();
+    ASSERT_TRUE(stats.has_value()) << stats.error();
+    EXPECT_EQ(stats->events_seen, t.events.size());
+    EXPECT_EQ(stats->events_declared, t.events.size());
+    EXPECT_EQ(stats->blocks_dropped, 0u);
+    EXPECT_EQ(stats->poisoned, 0u);
+    ASSERT_TRUE(client->bye().ok());
+  }
 }
 
 TEST(ServeConcurrencyServer, SecondClientQueriesMidIngest) {

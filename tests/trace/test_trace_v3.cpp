@@ -496,6 +496,42 @@ TEST(TraceV3Compressed, RejectsTruncationAtEveryPrefix) {
 }
 
 // ---------------------------------------------------------------------------
+// Default block size. The tests above use blocks of at most 4096 events;
+// at codec::kDefaultBlockEvents the batch decoder scans full 64K-event
+// blocks. 150k events give two full blocks plus a tail, and v2, v3 and
+// compressed v3 must all decode to the same v1 bytes at every thread count.
+
+TEST(TraceV3, FormatsAgreeAtDefaultBlockSize) {
+  const Trace original = synth_trace(150'000, 5);
+  const bom::ModuleTable modules = test_modules();
+  const std::string expected = v1_bytes(original, modules);
+
+  TraceWriteOptions v2;
+  v2.compact = true;
+  const std::string v2_path = tmp_path("default_block_v2.trc");
+  ASSERT_TRUE(save_trace(v2_path, original, modules, v2).ok());
+  const std::string v3_path = tmp_path("default_block_v3.trc");
+  v3_file_bytes(v3_path, original, modules, codec::kDefaultBlockEvents);
+  const std::string v3c_path = tmp_path("default_block_v3c.trc");
+  v3c_file_bytes(v3c_path, original, modules, codec::kDefaultBlockEvents);
+
+  for (const std::string& path : {v2_path, v3_path, v3c_path}) {
+    const auto reader = TraceReader::open(path);
+    ASSERT_TRUE(reader.has_value()) << path << ": " << reader.error();
+    if (reader->indexed()) {
+      ASSERT_EQ(reader->block_count(), 3u) << path;
+      EXPECT_EQ(reader->block(1).event_count, codec::kDefaultBlockEvents) << path;
+    }
+    for (const int threads : {1, 4}) {
+      const auto bundle = reader->read_all(threads);
+      ASSERT_TRUE(bundle.has_value()) << path << " threads=" << threads << ": " << bundle.error();
+      EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), expected)
+          << path << " threads=" << threads;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Streaming memory bound (satellite: flat peak RSS however large the
 // trace). VmHWM is a process-wide high-water mark, so the assertion is an
 // honest upper bound: streaming a trace whose decoded form would be tens
