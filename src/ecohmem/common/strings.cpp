@@ -73,6 +73,7 @@ Expected<Bytes> parse_bytes(std::string_view raw) {
 
   const auto value = parse_double(num);
   if (!value) return unexpected("invalid byte size: '" + std::string(raw) + "'");
+  if (!std::isfinite(*value)) return unexpected("non-finite byte size: '" + std::string(raw) + "'");
   if (*value < 0.0) return unexpected("negative byte size: '" + std::string(raw) + "'");
 
   double scale = 1.0;
@@ -89,7 +90,13 @@ Expected<Bytes> parse_bytes(std::string_view raw) {
   } else {
     return unexpected("unknown size unit: '" + std::string(unit) + "'");
   }
-  return static_cast<Bytes>(std::llround(*value * scale));
+  // 2^64 is the first double past Bytes' range; the product of a finite
+  // value and a scale may still overflow to infinity, which fails too.
+  const double bytes = std::round(*value * scale);
+  if (!(bytes < 0x1p64)) {
+    return unexpected("byte size does not fit in 64 bits: '" + std::string(raw) + "'");
+  }
+  return static_cast<Bytes>(bytes);
 }
 
 std::string format_bytes(Bytes n) {
