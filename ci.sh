@@ -379,6 +379,20 @@ for bad in "build/tools/ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc
   fi
 done
 
+# Malformed size and number flags must be usage errors (exit 2), never a
+# silent fall back to the default (a 12 GiB DRAM limit, a zero store
+# coefficient).
+for bad_value in "--dram-limit 4Gb" "--store-coef abc"; do
+  set +e
+  build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.txt \
+    $bad_value >/dev/null 2>&1
+  value_rc=$?
+  set -e
+  if [ "$value_rc" -ne 2 ]; then
+    echo "ecohmem-advisor $bad_value exited $value_rc, want 2" >&2; exit 1
+  fi
+done
+
 # Both linters must reject unknown rule ids in --disable (exit 2, not a
 # silent no-op that would re-enable a rule in CI) and list valid ids.
 build/tools/ecohmem-srclint --list-rules >/dev/null

@@ -65,17 +65,25 @@ TEST(CliArgs, FlagsValuesAndPositionals) {
   cli::Args args(8, const_cast<char**>(argv), {"app", "dram-limit"}, {"bandwidth-aware"});
   EXPECT_EQ(args.get("app"), "lulesh");
   EXPECT_TRUE(args.has("bandwidth-aware"));
-  EXPECT_EQ(args.get_bytes("dram-limit", 0), 12ull << 30);
+  EXPECT_EQ(args.get_bytes("dram-limit", 0).value(), 12ull << 30);
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "pos1");
   EXPECT_EQ(args.positional()[1], "pos2");
 }
 
 TEST(CliArgs, DefaultsAndMalformedValues) {
-  const char* argv[] = {"tool", "--rate", "abc"};
-  cli::Args args(3, const_cast<char**>(argv), {"rate", "missing"}, {});
-  EXPECT_DOUBLE_EQ(args.get_double("rate", 100.0), 100.0);  // parse failure -> default
-  EXPECT_DOUBLE_EQ(args.get_double("missing", 7.0), 7.0);
+  const char* argv[] = {"tool", "--rate", "abc", "--dram-limit", "4Gb"};
+  cli::Args args(5, const_cast<char**>(argv), {"rate", "dram-limit", "missing"}, {});
+  // A malformed value is an error naming the flag, never the default.
+  const auto rate = args.get_double("rate", 100.0);
+  ASSERT_FALSE(rate.has_value());
+  EXPECT_NE(rate.error().find("--rate"), std::string::npos) << rate.error();
+  const auto dram = args.get_bytes("dram-limit", 12ull << 30);
+  ASSERT_FALSE(dram.has_value());
+  EXPECT_NE(dram.error().find("--dram-limit"), std::string::npos) << dram.error();
+  // Absent flags still return their default.
+  EXPECT_DOUBLE_EQ(args.get_double("missing", 7.0).value(), 7.0);
+  EXPECT_EQ(args.get_bytes("missing", 64).value(), 64u);
   EXPECT_EQ(args.get("missing", "x"), "x");
   EXPECT_FALSE(args.has("missing"));
 }

@@ -66,16 +66,26 @@ class Args {
 
   [[nodiscard]] bool has(const std::string& name) const { return flags_.contains(name); }
 
-  [[nodiscard]] double get_double(const std::string& name, double def) const {
+  /// Strictly-parsed number flag: the whole value must parse, otherwise
+  /// an error naming the flag is returned (a mistyped `--store-coef abc`
+  /// must stop the tool, not run with the default). Absent flags return
+  /// `def`.
+  [[nodiscard]] Expected<double> get_double(const std::string& name, double def) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return def;
-    return strings::parse_double(it->second).value_or(def);
+    const auto value = strings::parse_double(it->second);
+    if (!value) return unexpected("--" + name + " expects a number, got '" + it->second + "'");
+    return *value;
   }
 
-  [[nodiscard]] Bytes get_bytes(const std::string& name, Bytes def) const {
+  /// Strictly-parsed byte-size flag (`12GB`, `512MiB`, `4096`), with the
+  /// same no-fallback rule as `get_double`.
+  [[nodiscard]] Expected<Bytes> get_bytes(const std::string& name, Bytes def) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return def;
-    return strings::parse_bytes(it->second).value_or(def);
+    const auto value = strings::parse_bytes(it->second);
+    if (!value) return unexpected("--" + name + " expects a byte size: " + value.error());
+    return *value;
   }
 
   /// Strictly-validated integer flag: the whole value must parse as a

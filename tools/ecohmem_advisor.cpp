@@ -77,10 +77,17 @@ int main(int argc, char** argv) {
 
   const auto threads = args.get_int_in_range("threads", 1, 1, 256);
   if (!threads) return cli::fail(threads.error());
-  const double min_coverage = args.get_double("min-coverage", 0.9);
-  if (min_coverage < 0.0 || min_coverage > 1.0) {
+  const auto min_coverage = args.get_double("min-coverage", 0.9);
+  if (!min_coverage) return cli::fail_usage(min_coverage.error());
+  if (*min_coverage < 0.0 || *min_coverage > 1.0) {
     return cli::fail("--min-coverage must be in [0, 1]");
   }
+  const auto dram_limit = args.get_bytes("dram-limit", 12ull << 30);
+  if (!dram_limit) return cli::fail_usage(dram_limit.error());
+  const auto store_coef = args.get_double("store-coef", 0.0);
+  if (!store_coef) return cli::fail_usage(store_coef.error());
+  const auto peak_pmem_bw = args.get_double("peak-pmem-bw", 0.0);
+  if (!peak_pmem_bw) return cli::fail_usage(peak_pmem_bw.error());
 
   // The trace is mmapped and decoded block-wise (in parallel for v3
   // traces when --threads > 1); v1/v2 traces take the same path through
@@ -95,11 +102,11 @@ int main(int argc, char** argv) {
 
   if (reader->manifest().salvaged) {
     std::printf("%s\n", reader->manifest().summary().c_str());
-    if (reader->manifest().coverage() < min_coverage) {
+    if (reader->manifest().coverage() < *min_coverage) {
       return cli::fail("salvage coverage " +
                        std::to_string(reader->manifest().coverage() * 100.0) +
                        "% of " + args.get("trace") + " is below --min-coverage " +
-                       std::to_string(min_coverage * 100.0) + "%");
+                       std::to_string(*min_coverage * 100.0) + "%");
     }
   }
 
@@ -126,8 +133,7 @@ int main(int argc, char** argv) {
     if (!parsed) return cli::fail(parsed.error());
     config = std::move(*parsed);
   } else {
-    config = advisor::AdvisorConfig::dram_pmem(args.get_bytes("dram-limit", 12ull << 30),
-                                               args.get_double("store-coef", 0.0));
+    config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
   }
 
   auto placement = policy == "learned"
@@ -141,7 +147,7 @@ int main(int argc, char** argv) {
   if (args.has("bandwidth-aware")) {
     advisor::BandwidthAwareOptions bw;
     bw.peak_pmem_bw_gbs =
-        args.get_double("peak-pmem-bw", analysis->observed_peak_bw_gbs);
+        args.has("peak-pmem-bw") ? *peak_pmem_bw : analysis->observed_peak_bw_gbs;
     bw.dram_tier = config.tiers.front().name;
     bw.pmem_tier = config.fallback_tier().name;
     auto refined = advisor::place_bandwidth_aware(analysis->sites, *placement, config, bw);

@@ -140,12 +140,10 @@ int main(int argc, char** argv) {
     }
   }
   if (args.has("min-coverage")) {
-    const double v = args.get_double("min-coverage", -1.0);
-    if (v < 0.0 || v > 1.0) {
-      std::fprintf(stderr, "error: --min-coverage must be a fraction in [0, 1]\n");
-      return 2;
-    }
-    options.min_salvage_coverage = v;
+    const auto v = args.get_double("min-coverage", -1.0);
+    if (!v) return cli::fail_usage(v.error());
+    if (*v < 0.0 || *v > 1.0) return cli::fail_usage("--min-coverage must be a fraction in [0, 1]");
+    options.min_salvage_coverage = *v;
   }
 
   const auto result = check::lint_files(inputs, options);

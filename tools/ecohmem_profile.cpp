@@ -52,6 +52,8 @@ int main(int argc, char** argv) {
   if (!pmem_dimms) return cli::fail(pmem_dimms.error());
   const auto seed = args.get_int_in_range("seed", 0x5eed, 0, std::numeric_limits<long long>::max());
   if (!seed) return cli::fail(seed.error());
+  const auto rate = args.get_double("rate", 100.0);
+  if (!rate) return cli::fail_usage(rate.error());
 
   apps::AppOptions app_opt;
   app_opt.iterations = static_cast<int>(*iterations);
@@ -66,7 +68,7 @@ int main(int argc, char** argv) {
   if (!system) return cli::fail(system.error());
 
   profiler::ProfilerOptions popt;
-  popt.sample_rate_hz = args.get_double("rate", 100.0);
+  popt.sample_rate_hz = *rate;
   popt.seed = static_cast<std::uint64_t>(*seed);
   popt.sample_stores = !args.has("no-stores");
   profiler::Profiler prof(popt);

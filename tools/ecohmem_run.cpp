@@ -79,6 +79,8 @@ int main(int argc, char** argv) {
   if (!iterations) return cli::fail(iterations.error());
   const auto pmem_dimms = args.get_int_in_range("pmem-dimms", 6, 1, 64);
   if (!pmem_dimms) return cli::fail(pmem_dimms.error());
+  const auto dram_capacity = args.get_bytes("dram-capacity", 12ull << 30);
+  if (!dram_capacity) return cli::fail_usage(dram_capacity.error());
   // Flag-combination rules (docs/cli.md): bad combinations are usage
   // errors (exit 2) with a one-line reason, uniformly.
   if (args.has("from-report") && !args.has("online")) {
@@ -108,7 +110,7 @@ int main(int argc, char** argv) {
   if (!report) return cli::fail_load(args.get("report"), report.error());
 
   auto fm_heaps = std::vector<flexmalloc::HeapSpec>{
-      {"dram", args.get_bytes("dram-capacity", 12ull << 30)},
+      {"dram", *dram_capacity},
       {"pmem", system->tier(system->fallback_index()).capacity()}};
   // The match cache memoizes repeated lookups of hot call stacks; it
   // changes overhead accounting but never placement.

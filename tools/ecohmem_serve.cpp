@@ -84,6 +84,12 @@ int run_client(const cli::Args& args) {
   if (!attach_id) return cli::fail_usage(attach_id.error());
   const auto block_events = args.get_int_in_range("block-events", 4096, 1, 1 << 24);
   if (!block_events) return cli::fail_usage(block_events.error());
+  const auto dram_limit = args.get_bytes("dram-limit", 12ull << 30);
+  if (!dram_limit) return cli::fail_usage(dram_limit.error());
+  const auto store_coef = args.get_double("store-coef", 0.0);
+  if (!store_coef) return cli::fail_usage(store_coef.error());
+  const auto peak_pmem_bw = args.get_double("peak-pmem-bw", 0.0);
+  if (!peak_pmem_bw) return cli::fail_usage(peak_pmem_bw.error());
   if (!args.has("attach") && !args.has("ingest")) {
     return cli::fail_usage("client mode needs --ingest <trace> (new session) or --attach ID");
   }
@@ -123,11 +129,9 @@ int run_client(const cli::Args& args) {
       if (!parsed) return cli::fail(parsed.error());
       config = std::move(*parsed);
     } else {
-      config = advisor::AdvisorConfig::dram_pmem(args.get_bytes("dram-limit", 12ull << 30),
-                                                 args.get_double("store-coef", 0.0));
+      config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
     }
-    auto report = client->query(config, args.has("bandwidth-aware"),
-                                args.get_double("peak-pmem-bw", 0.0));
+    auto report = client->query(config, args.has("bandwidth-aware"), *peak_pmem_bw);
     if (!report) return cli::fail(report.error());
     if (const int rc = write_text(args.get("query"), report->text); rc != 0) return rc;
     std::printf("report at epoch %llu (%llu events) -> %s\n",

@@ -113,6 +113,8 @@ int main(int argc, char** argv) {
 
   const auto iterations = args.get_int_in_range("iterations", 0, 0, 1'000'000);
   if (!iterations) return cli::fail(iterations.error());
+  const auto dram_limit = args.get_bytes("dram-limit", 12ull << 30);
+  if (!dram_limit) return cli::fail_usage(dram_limit.error());
 
   apps::AppOptions app_opt;
   app_opt.iterations = static_cast<int>(*iterations);
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
     metrics = std::move(*run);
   } else if (mode == "base" || mode == "bw-aware") {
     core::WorkflowOptions opt;
-    opt.dram_limit = args.get_bytes("dram-limit", 12ull << 30);
+    opt.dram_limit = *dram_limit;
     opt.bandwidth_aware = mode == "bw-aware";
     auto run = core::run_workflow(workload, *system, opt);
     if (!run) return cli::fail(run.error());

@@ -70,14 +70,25 @@ int main(int argc, char** argv) {
   const auto pmem_dimms = args.get_int_in_range("pmem-dimms", 6, 1, 64);
   if (!pmem_dimms) return cli::fail_usage(pmem_dimms.error());
 
+  const auto dram_limit = args.get_bytes("dram-limit", 12ull << 30);
+  if (!dram_limit) return cli::fail_usage(dram_limit.error());
+  const auto store_coef = args.get_double("store-coef", 0.125);
+  if (!store_coef) return cli::fail_usage(store_coef.error());
+  const auto scale = args.get_double("scale", 1.0);
+  if (!scale) return cli::fail_usage(scale.error());
+  if (!(*scale > 0.0)) return cli::fail_usage("--scale must be positive");
+  const auto learning_rate = args.get_double("learning-rate", 0.05);
+  if (!learning_rate) return cli::fail_usage(learning_rate.error());
+  const auto l2 = args.get_double("l2", 1e-4);
+  if (!l2) return cli::fail_usage(l2.error());
+
   learn::CorpusOptions copt;
-  copt.dram_limit = args.get_bytes("dram-limit", 12ull << 30);
-  copt.store_coef = args.get_double("store-coef", 0.125);
+  copt.dram_limit = *dram_limit;
+  copt.store_coef = *store_coef;
   copt.max_single_sites = static_cast<std::size_t>(*max_solo);
   copt.max_swaps = static_cast<std::size_t>(*max_swaps);
   copt.app_iterations = static_cast<int>(*iterations);
-  copt.app_scale = args.get_double("scale", 1.0);
-  if (!(copt.app_scale > 0.0)) return cli::fail_usage("--scale must be positive");
+  copt.app_scale = *scale;
 
   if (args.has("config")) {
     const auto file = Config::load(args.get("config"));
@@ -90,8 +101,8 @@ int main(int argc, char** argv) {
 
   learn::TrainOptions topt;
   topt.epochs = static_cast<int>(*epochs);
-  topt.learning_rate = args.get_double("learning-rate", 0.05);
-  topt.l2 = args.get_double("l2", 1e-4);
+  topt.learning_rate = *learning_rate;
+  topt.l2 = *l2;
   topt.seed = static_cast<std::uint64_t>(*seed);
 
   const auto system = memsim::paper_system(static_cast<int>(*pmem_dimms));
