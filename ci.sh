@@ -29,16 +29,18 @@ cmake --build --preset default
 ctest --preset default -j"$(nproc)"
 
 # Concurrency-suite filter, shared by the lockdep re-run below and the
-# TSan pass: every suite that exercises locks or worker threads —
-# FlexMalloc heap/matcher stress, the serve daemon, salvage-mode
-# parallel reads, online migration, the worker pool, and the lockdep
-# validator's own tests. New concurrent suites must match this regex
-# (name them *Concurrency* or extend the list).
-concurrency_suites='Concurrency|Salvage|OnlineEngine|Lockdep'
+# TSan pass: every suite that exercises locks or threads — the serve
+# daemon (ServeConcurrency*), the worker pool (WorkerPoolConcurrency),
+# salvage-mode parallel block decode, autotune's std::async candidate
+# fan-out, and the lockdep validator's own tests. FlexMalloc and the
+# online engine are single-threaded and need no entry. New concurrent
+# suites must match this regex (name them *Concurrency* or extend the
+# list).
+concurrency_suites='Concurrency|Salvage|Lockdep|Autotune'
 
-# Runtime lock-order validation (docs/threading.md): re-run the
-# concurrency suites with the lockdep validator armed. Any rank/leaf
-# violation or acquisition-order cycle aborts the offending test.
+# Runtime leaf-rule validation (docs/threading.md): re-run the
+# concurrency suites with the lockdep validator armed. Taking any lock
+# while holding one aborts the offending test.
 echo "== concurrency suites with ECOHMEM_LOCKDEP=1 =="
 ECOHMEM_LOCKDEP=1 ctest --preset default -j"$(nproc)" -R "$concurrency_suites"
 

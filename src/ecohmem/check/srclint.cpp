@@ -15,7 +15,7 @@ namespace fs = std::filesystem;
 
 /// One source rule: a regex over comment-stripped lines, scoped to path
 /// prefixes where the contract applies, with sanctioned prefixes where
-/// the banned construct is the implementation itself (e.g. the ranked
+/// the banned construct is the implementation itself (e.g. the leaf
 /// wrappers own a raw std::mutex; this file owns the pattern strings).
 struct SourceRule {
   std::string_view id;
@@ -55,10 +55,10 @@ const std::vector<SourceRule>& source_rules() {
         std::regex(R"(for\s*\(.*:\s*([^)]+)\))")});
     r.push_back(SourceRule{
         "conc-raw-mutex",
-        "no raw std::mutex/std::shared_mutex in library code (use the ranked "
+        "no raw std::mutex/std::shared_mutex in library code (use the leaf "
         "lockdep wrappers, docs/threading.md)",
-        "raw standard mutex/CV; use common::RankedMutex / RankedSharedMutex / "
-        "condition_variable_any so lock ranks and lockdep apply",
+        "raw standard mutex/CV; use common::LeafMutex / LeafSharedMutex / "
+        "condition_variable_any so the lockdep leaf rule applies",
         {"src/"},
         {"src/ecohmem/common/lockdep", "src/ecohmem/check/srclint"},
         std::regex(R"(std\s*::\s*(mutex|shared_mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|shared_timed_mutex|condition_variable)\b)")});

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -11,12 +10,10 @@ namespace ecohmem::common::lockdep {
 
 namespace {
 
-/// One entry of the per-thread held-lock stack.
+/// One entry of the per-thread held-lock list.
 struct Held {
   const void* mutex = nullptr;
   const char* name = "?";
-  int rank = 0;
-  bool leaf = false;
   LockSite site;
 };
 
@@ -45,71 +42,11 @@ void report(Violation violation) {
   }
 }
 
-/// The global acquisition-order graph, at lock-*class* granularity
-/// (like kernel lockdep): one observed "acquired B while holding A"
-/// anywhere in the process adds edge A -> B; a cycle means two code
-/// paths disagree about the order and could deadlock given the right
-/// interleaving, even if neither run ever deadlocked.
-struct Edge {
-  int to = -1;
-  LockSite held_site;       ///< where the source (held) lock was acquired
-  LockSite acquired_site;   ///< where the target lock was acquired
-};
-
-struct Graph {
-  // Internal bookkeeping lock. Deliberately raw: it is unranked (it
-  // must never appear in its own graph) and a strict leaf — nothing is
-  // called while it is held.
-  std::mutex mu;  // srclint-ok: conc-raw-mutex (lockdep's own bookkeeping)
-  std::map<std::string, int> ids;
-  std::vector<std::string> names;
-  std::vector<std::vector<Edge>> out;
-
-  int id_of(const char* name) {
-    const auto [it, inserted] = ids.emplace(name, static_cast<int>(names.size()));
-    if (inserted) {
-      names.emplace_back(name);
-      out.emplace_back();
-    }
-    return it->second;
-  }
-
-  [[nodiscard]] bool has_edge(int from, int to) const {
-    for (const auto& e : out[static_cast<std::size_t>(from)]) {
-      if (e.to == to) return true;
-    }
-    return false;
-  }
-
-  /// DFS for a path from `from` to `to`; on success `into_target` is
-  /// the recorded edge that enters `to` on the found path (the
-  /// previously observed opposite-direction acquisition).
-  bool find_path(int from, int to, std::vector<bool>& seen, Edge& into_target) const {
-    if (seen[static_cast<std::size_t>(from)]) return false;
-    seen[static_cast<std::size_t>(from)] = true;
-    for (const auto& e : out[static_cast<std::size_t>(from)]) {
-      if (e.to == to) {
-        into_target = e;
-        return true;
-      }
-      if (find_path(e.to, to, seen, into_target)) return true;
-    }
-    return false;
-  }
-};
-
-Graph& graph() {
-  static Graph g;
-  return g;
-}
-
 }  // namespace
 
 const char* to_string(ViolationKind kind) {
   switch (kind) {
-    case ViolationKind::kRankOrder: return "rank-order";
     case ViolationKind::kLeafNesting: return "leaf-nesting";
-    case ViolationKind::kCycle: return "cycle";
     case ViolationKind::kNotHeld: return "not-held";
   }
   return "?";
@@ -135,93 +72,33 @@ Handler set_violation_handler(Handler handler) {
   return g_handler.exchange(handler, std::memory_order_acq_rel);
 }
 
-void reset_for_testing() {
-  Graph& g = graph();
-  std::lock_guard<std::mutex> lock(g.mu);  // srclint-ok: conc-raw-mutex
-  g.ids.clear();
-  g.names.clear();
-  g.out.clear();
-  t_held.clear();
-}
+void reset_for_testing() { t_held.clear(); }
 
 std::size_t held_count() { return t_held.size(); }
 
-void on_acquire(const void* mutex, const char* name, int rank, bool leaf,
-                const std::source_location& where) {
+void on_acquire(const void* mutex, const char* name, const std::source_location& where) {
   const LockSite site{where.file_name(), where.line()};
 
+  // Leaf rule: every wrapped lock is a leaf, so any held lock is a
+  // violation; cite the first one.
   if (!t_held.empty()) {
-    // Leaf rule: the most restrictive — cite the first held leaf.
-    for (const auto& held : t_held) {
-      if (!held.leaf) continue;
-      Violation v;
-      v.kind = ViolationKind::kLeafNesting;
-      v.acquiring = name;
-      v.held = held.name;
-      v.acquiring_site = site;
-      v.held_site = held.site;
-      v.message = "leaf-nesting violation: acquiring '" + std::string(name) + "' at " +
-                  site_str(site) + " while holding leaf lock '" + held.name +
-                  "' acquired at " + site_str(held.site) +
-                  "; leaf locks admit no nested acquisition (docs/threading.md)";
-      report(std::move(v));
-      break;
-    }
-
-    // Rank rule: strictly increasing; cite the highest-ranked offender.
-    const Held* worst = nullptr;
-    for (const auto& held : t_held) {
-      if (held.rank >= rank && (worst == nullptr || held.rank > worst->rank)) {
-        worst = &held;
-      }
-    }
-    if (worst != nullptr) {
-      Violation v;
-      v.kind = ViolationKind::kRankOrder;
-      v.acquiring = name;
-      v.held = worst->name;
-      v.acquiring_site = site;
-      v.held_site = worst->site;
-      v.message = std::string(worst->mutex == mutex ? "recursive acquisition" : "rank-order violation") +
-                  ": acquiring '" + name + "' (rank " + std::to_string(rank) + ") at " +
-                  site_str(site) + " while holding '" + worst->name + "' (rank " +
-                  std::to_string(worst->rank) + ") acquired at " + site_str(worst->site) +
-                  "; acquisition order must be strictly rank-increasing (docs/threading.md)";
-      report(std::move(v));
-    }
-
-    // Acquisition-order graph: record held-class -> acquiring-class
-    // edges and refuse cycles. This is what catches inversions whose
-    // two halves only ever execute on different threads.
-    Graph& g = graph();
-    std::lock_guard<std::mutex> lock(g.mu);  // srclint-ok: conc-raw-mutex
-    const int to = g.id_of(name);
-    for (const auto& held : t_held) {
-      const int from = g.id_of(held.name);
-      if (from == to || g.has_edge(from, to)) continue;
-      std::vector<bool> seen(g.names.size(), false);
-      Edge into_target;
-      if (g.find_path(to, from, seen, into_target)) {
-        Violation v;
-        v.kind = ViolationKind::kCycle;
-        v.acquiring = name;
-        v.held = held.name;
-        v.acquiring_site = site;
-        v.held_site = into_target.acquired_site;
-        v.message = "lock-order cycle: acquiring '" + std::string(name) + "' at " +
-                    site_str(site) + " while holding '" + held.name + "' (acquired at " +
-                    site_str(held.site) + "), but the opposite order was previously observed: '" +
-                    g.names[static_cast<std::size_t>(into_target.to)] + "' acquired at " +
-                    site_str(into_target.acquired_site) + " while holding a lock acquired at " +
-                    site_str(into_target.held_site);
-        report(std::move(v));
-        continue;  // do not record the cycle-closing edge
-      }
-      g.out[static_cast<std::size_t>(from)].push_back(Edge{to, held.site, site});
-    }
+    const Held& held = t_held.front();
+    Violation v;
+    v.kind = ViolationKind::kLeafNesting;
+    v.acquiring = name;
+    v.held = held.name;
+    v.acquiring_site = site;
+    v.held_site = held.site;
+    v.message = std::string(held.mutex == mutex ? "recursive acquisition"
+                                                : "leaf-nesting violation") +
+                ": acquiring '" + name + "' at " + site_str(site) +
+                " while holding leaf lock '" + held.name + "' acquired at " +
+                site_str(held.site) +
+                "; leaf locks admit no nested acquisition (docs/threading.md)";
+    report(std::move(v));
   }
 
-  t_held.push_back(Held{mutex, name, rank, leaf, site});
+  t_held.push_back(Held{mutex, name, site});
 }
 
 void on_release(const void* mutex) {

@@ -1,33 +1,30 @@
 #pragma once
 
 /// \file lockdep.hpp
-/// Ranked mutex wrappers + an opt-in runtime lock-order validator.
+/// Leaf mutex wrappers + an opt-in runtime check of the leaf rule.
 ///
-/// docs/threading.md promises a strict lock hierarchy: every production
-/// mutex is a *leaf* (no code path acquires a second lock while holding
-/// one), and any future non-leaf locks must be acquired in strictly
-/// rank-increasing order. The Clang thread-safety analysis
-/// (thread_annotations.hpp) checks the *guarded-by* contracts at compile
-/// time; this file checks the *ordering* contract at run time, in the
-/// style of the Linux kernel's lockdep:
+/// docs/threading.md promises that every production mutex is a *leaf*:
+/// no code path acquires a second lock while holding one. A thread that
+/// only ever holds one lock cannot be part of a lock-order cycle, so the
+/// leaf rule is the whole ordering contract. The Clang thread-safety
+/// analysis (thread_annotations.hpp) checks the *guarded-by* contracts at
+/// compile time; this file checks the leaf rule at run time:
 ///
-///  - `RankedMutex` / `RankedSharedMutex` wrap `std::mutex` /
-///    `std::shared_mutex` with a rank and class name from the
-///    docs/threading.md lock-rank table.
+///  - `LeafMutex` / `LeafSharedMutex` wrap `std::mutex` /
+///    `std::shared_mutex` with a class name from the docs/threading.md
+///    lock table.
 ///  - When `ECOHMEM_LOCKDEP=1` is set in the environment, every
-///    acquisition is checked against a per-thread held-lock stack
-///    (rank order + leaf rules) and recorded in a global
-///    acquisition-order graph whose cycle detection catches inversions
-///    that only ever happen on *different* threads. Violations report
-///    both acquisition sites (file:line).
+///    acquisition is checked against a per-thread held-lock list: taking
+///    any wrapped lock while holding one is a violation that reports
+///    both acquisition sites (file:line). `assert_held` checks the list
+///    too.
 ///  - When disabled (the default), each lock/unlock pays one relaxed
-///    atomic load and a predicted branch — near-zero overhead, no
-///    allocation, no global state touched.
+///    atomic load and a predicted branch — no allocation, no global
+///    state touched.
 ///
 /// The validator is wired into `ci.sh`: the concurrency suites run with
-/// `ECOHMEM_LOCKDEP=1`, where any violation aborts the test. A seeded
-/// negative test (tests/common/test_lockdep.cpp) proves the validator
-/// fires on a deliberately inverted acquisition.
+/// `ECOHMEM_LOCKDEP=1`, where any violation aborts the test. Seeded
+/// negative tests (tests/common/test_lockdep.cpp) prove it fires.
 
 #include <source_location>
 #include <string>
@@ -41,23 +38,6 @@ namespace ecohmem::common {
 
 namespace lockdep {
 
-/// The lock-rank table (keep in sync with docs/threading.md).
-/// Acquisition order must be strictly rank-increasing; every rank below
-/// is additionally a *leaf* — no further ranked lock may be acquired
-/// while one is held. The serve-layer locks rank below the analyzer and
-/// FlexMalloc leaves they sit above architecturally, but they too are
-/// leaves: the daemon moves data between its queue, store and registry
-/// one lock at a time (docs/threading.md, docs/serving.md).
-enum class LockRank : int {
-  kServeRegistryShard = 4,  ///< SessionManager shard map (serve/session.*)
-  kServeSessionQueue = 6,   ///< per-session bounded ingest queue (serve/session.*)
-  kServeSessionStore = 8,   ///< per-session incremental site store (serve/session.*)
-  kWorkerPool = 10,         ///< WorkerPool phase hand-off (runtime/worker_pool.hpp)
-  kMatcherHr = 20,          ///< CallStackMatcher human-readable path (flexmalloc/matcher.*)
-  kMatchCacheShard = 30,    ///< MatchCache shard shared_mutex (flexmalloc/matcher.*)
-  kArenaHeap = 40,          ///< per-tier ArenaHeap leaf mutex (flexmalloc/heap_manager.*)
-};
-
 /// File:line of an acquisition, captured via std::source_location.
 struct LockSite {
   const char* file = "?";
@@ -65,20 +45,17 @@ struct LockSite {
 };
 
 enum class ViolationKind {
-  kRankOrder,    ///< acquired a rank <= a rank already held
-  kLeafNesting,  ///< acquired any ranked lock while holding a leaf lock
-  kCycle,        ///< acquisition-order graph would become cyclic
+  kLeafNesting,  ///< acquired a lock while holding one (or the same one)
   kNotHeld,      ///< assert_held() on a lock this thread does not hold
 };
 
 [[nodiscard]] const char* to_string(ViolationKind kind);
 
-/// One detected ordering violation. `acquiring`/`acquiring_site` are the
+/// One detected violation. `acquiring`/`acquiring_site` are the
 /// acquisition that tripped the check; `held`/`held_site` identify the
-/// conflicting held lock (rank/leaf violations) or the previously
-/// recorded opposite-direction edge (cycles).
+/// lock already held.
 struct Violation {
-  ViolationKind kind = ViolationKind::kRankOrder;
+  ViolationKind kind = ViolationKind::kLeafNesting;
   const char* acquiring = "?";
   const char* held = "?";
   LockSite acquiring_site;
@@ -101,39 +78,36 @@ void set_enabled_for_testing(bool on);
 using Handler = void (*)(const Violation&);
 Handler set_violation_handler(Handler handler);
 
-/// Test hook: clears the global acquisition-order graph and the calling
-/// thread's held-lock stack.
+/// Test hook: clears the calling thread's held-lock list.
 void reset_for_testing();
 
-/// Number of ranked locks the calling thread currently holds (0 when
+/// Number of wrapped locks the calling thread currently holds (0 when
 /// the validator is disabled).
 [[nodiscard]] std::size_t held_count();
 
 // Internal hooks called by the wrappers; `mutex` is the instance
-// identity, `name` its class (the lock-rank table row).
-void on_acquire(const void* mutex, const char* name, int rank, bool leaf,
-                const std::source_location& where);
+// identity, `name` its class (the lock table row).
+void on_acquire(const void* mutex, const char* name, const std::source_location& where);
 void on_release(const void* mutex);
 void on_assert_held(const void* mutex, const char* name);
 
 }  // namespace lockdep
 
-/// `std::mutex` with a rank, a class name and lockdep bookkeeping.
+/// `std::mutex` with a class name and leaf-rule bookkeeping.
 /// Satisfies BasicLockable, so it composes with
 /// `std::condition_variable_any` and `std::unique_lock`; prefer the
 /// `ScopedLock` guard, which captures the acquisition site of the
 /// guard's construction rather than a line inside the standard library.
-class ECOHMEM_CAPABILITY("mutex") RankedMutex {
+class ECOHMEM_CAPABILITY("mutex") LeafMutex {
  public:
-  explicit RankedMutex(lockdep::LockRank rank, const char* name, bool leaf = true)
-      : rank_(static_cast<int>(rank)), leaf_(leaf), name_(name) {}
+  explicit LeafMutex(const char* name) : name_(name) {}
 
-  RankedMutex(const RankedMutex&) = delete;
-  RankedMutex& operator=(const RankedMutex&) = delete;
+  LeafMutex(const LeafMutex&) = delete;
+  LeafMutex& operator=(const LeafMutex&) = delete;
 
   void lock(const std::source_location& where = std::source_location::current())
       ECOHMEM_ACQUIRE() {
-    if (lockdep::enabled()) lockdep::on_acquire(this, name_, rank_, leaf_, where);
+    if (lockdep::enabled()) lockdep::on_acquire(this, name_, where);
     mu_.lock();
   }
 
@@ -141,7 +115,7 @@ class ECOHMEM_CAPABILITY("mutex") RankedMutex {
       const std::source_location& where = std::source_location::current())
       ECOHMEM_TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    if (lockdep::enabled()) lockdep::on_acquire(this, name_, rank_, leaf_, where);
+    if (lockdep::enabled()) lockdep::on_acquire(this, name_, where);
     return true;
   }
 
@@ -158,30 +132,25 @@ class ECOHMEM_CAPABILITY("mutex") RankedMutex {
   }
 
   [[nodiscard]] const char* name() const { return name_; }
-  [[nodiscard]] int rank() const { return rank_; }
-  [[nodiscard]] bool leaf() const { return leaf_; }
 
  private:
-  std::mutex mu_;  // srclint-ok: conc-raw-mutex (this IS the ranked wrapper)
-  int rank_;
-  bool leaf_;
+  std::mutex mu_;  // srclint-ok: conc-raw-mutex (this IS the leaf wrapper)
   const char* name_;
 };
 
-/// `std::shared_mutex` with the same rank/lockdep treatment. Shared
-/// holds participate in ordering checks exactly like exclusive ones
-/// (the documented hierarchy makes no reader exception).
-class ECOHMEM_CAPABILITY("shared_mutex") RankedSharedMutex {
+/// `std::shared_mutex` with the same leaf-rule treatment. Shared holds
+/// count exactly like exclusive ones (the leaf rule makes no reader
+/// exception).
+class ECOHMEM_CAPABILITY("shared_mutex") LeafSharedMutex {
  public:
-  explicit RankedSharedMutex(lockdep::LockRank rank, const char* name, bool leaf = true)
-      : rank_(static_cast<int>(rank)), leaf_(leaf), name_(name) {}
+  explicit LeafSharedMutex(const char* name) : name_(name) {}
 
-  RankedSharedMutex(const RankedSharedMutex&) = delete;
-  RankedSharedMutex& operator=(const RankedSharedMutex&) = delete;
+  LeafSharedMutex(const LeafSharedMutex&) = delete;
+  LeafSharedMutex& operator=(const LeafSharedMutex&) = delete;
 
   void lock(const std::source_location& where = std::source_location::current())
       ECOHMEM_ACQUIRE() {
-    if (lockdep::enabled()) lockdep::on_acquire(this, name_, rank_, leaf_, where);
+    if (lockdep::enabled()) lockdep::on_acquire(this, name_, where);
     mu_.lock();
   }
 
@@ -192,7 +161,7 @@ class ECOHMEM_CAPABILITY("shared_mutex") RankedSharedMutex {
 
   void lock_shared(const std::source_location& where = std::source_location::current())
       ECOHMEM_ACQUIRE_SHARED() {
-    if (lockdep::enabled()) lockdep::on_acquire(this, name_, rank_, leaf_, where);
+    if (lockdep::enabled()) lockdep::on_acquire(this, name_, where);
     mu_.lock_shared();
   }
 
@@ -202,22 +171,18 @@ class ECOHMEM_CAPABILITY("shared_mutex") RankedSharedMutex {
   }
 
   [[nodiscard]] const char* name() const { return name_; }
-  [[nodiscard]] int rank() const { return rank_; }
-  [[nodiscard]] bool leaf() const { return leaf_; }
 
  private:
-  std::shared_mutex mu_;  // srclint-ok: conc-raw-mutex (this IS the ranked wrapper)
-  int rank_;
-  bool leaf_;
+  std::shared_mutex mu_;  // srclint-ok: conc-raw-mutex (this IS the leaf wrapper)
   const char* name_;
 };
 
-/// RAII exclusive guard over a RankedMutex, understood by the Clang
+/// RAII exclusive guard over a LeafMutex, understood by the Clang
 /// thread-safety analysis. Captures the guard's construction site as
 /// the acquisition site.
 class ECOHMEM_SCOPED_CAPABILITY ScopedLock {
  public:
-  explicit ScopedLock(RankedMutex& mu,
+  explicit ScopedLock(LeafMutex& mu,
                       const std::source_location& where = std::source_location::current())
       ECOHMEM_ACQUIRE(mu)
       : mu_(mu) {
@@ -230,13 +195,13 @@ class ECOHMEM_SCOPED_CAPABILITY ScopedLock {
   ~ScopedLock() ECOHMEM_RELEASE_GENERIC() { mu_.unlock(); }
 
  private:
-  RankedMutex& mu_;
+  LeafMutex& mu_;
 };
 
-/// RAII exclusive guard over a RankedSharedMutex (writer side).
+/// RAII exclusive guard over a LeafSharedMutex (writer side).
 class ECOHMEM_SCOPED_CAPABILITY ScopedWriteLock {
  public:
-  explicit ScopedWriteLock(RankedSharedMutex& mu,
+  explicit ScopedWriteLock(LeafSharedMutex& mu,
                            const std::source_location& where = std::source_location::current())
       ECOHMEM_ACQUIRE(mu)
       : mu_(mu) {
@@ -249,13 +214,13 @@ class ECOHMEM_SCOPED_CAPABILITY ScopedWriteLock {
   ~ScopedWriteLock() ECOHMEM_RELEASE_GENERIC() { mu_.unlock(); }
 
  private:
-  RankedSharedMutex& mu_;
+  LeafSharedMutex& mu_;
 };
 
-/// RAII shared guard over a RankedSharedMutex (reader side).
+/// RAII shared guard over a LeafSharedMutex (reader side).
 class ECOHMEM_SCOPED_CAPABILITY SharedScopedLock {
  public:
-  explicit SharedScopedLock(RankedSharedMutex& mu,
+  explicit SharedScopedLock(LeafSharedMutex& mu,
                             const std::source_location& where = std::source_location::current())
       ECOHMEM_ACQUIRE_SHARED(mu)
       : mu_(mu) {
@@ -268,7 +233,7 @@ class ECOHMEM_SCOPED_CAPABILITY SharedScopedLock {
   ~SharedScopedLock() ECOHMEM_RELEASE_GENERIC() { mu_.unlock_shared(); }
 
  private:
-  RankedSharedMutex& mu_;
+  LeafSharedMutex& mu_;
 };
 
 }  // namespace ecohmem::common

@@ -3,9 +3,9 @@
 /// \file thread_annotations.hpp
 /// Clang thread-safety-analysis macros (docs/threading.md).
 ///
-/// The locking contracts of the concurrent layers — FlexMalloc's leaf
-/// mutexes, the match-cache shards, the worker pool's phase hand-off —
-/// are machine-checked at compile time by Clang's `-Wthread-safety`
+/// The locking contracts of the concurrent layers — the serve daemon's
+/// session and registry locks, the worker pool's phase hand-off — are
+/// machine-checked at compile time by Clang's `-Wthread-safety`
 /// analysis. The `clang-tsa` CMake preset builds the tree with the
 /// analysis promoted to an error; under GCC (which has no equivalent
 /// analysis) every macro expands to nothing, so the annotations cost
@@ -13,15 +13,15 @@
 ///
 /// Usage mirrors the upstream Clang/Abseil idiom:
 ///
-///   class ECOHMEM_CAPABILITY("mutex") RankedMutex { ... };
+///   class ECOHMEM_CAPABILITY("mutex") LeafMutex { ... };
 ///
-///   common::RankedMutex mu_;
+///   common::LeafMutex mu_{"my_lock"};
 ///   std::map<K, V> live_ ECOHMEM_GUARDED_BY(mu_);
 ///
 ///   void drain() ECOHMEM_REQUIRES(mu_);   // caller must hold mu_
 ///
-/// The capability-bearing types live in lockdep.hpp (`RankedMutex`,
-/// `RankedSharedMutex`) together with the scoped guards the analysis
+/// The capability-bearing types live in lockdep.hpp (`LeafMutex`,
+/// `LeafSharedMutex`) together with the scoped guards the analysis
 /// understands (`ScopedLock`, `SharedScopedLock`). New mutex-protected
 /// state must carry `ECOHMEM_GUARDED_BY`; see the annotation how-to in
 /// docs/threading.md.

@@ -14,17 +14,11 @@
 /// call the execution engine makes for every workload allocation; on a
 /// real system the same entry point is reached via LD_PRELOAD.
 ///
-/// Thread safety (docs/threading.md): after `create` returns, `malloc`,
-/// `free`, `realloc` and every accessor are safe to call from any number
-/// of threads concurrently — exactly what an LD_PRELOAD interposer under
-/// a multi-threaded HPC application must guarantee. Locking is sharded
-/// per tier (each `ArenaHeap` has its own leaf mutex, never held across
-/// heaps); matching is lock-free on the BOM path; all counters are
-/// relaxed atomics. The object itself must not be moved or destroyed
-/// while other threads are calling into it.
+/// Single owner (docs/threading.md): a FlexMalloc, its heaps and its
+/// matcher belong to the one thread that replays the workload
+/// (`runtime::ExecutionEngine`). Nothing here takes a lock or uses an
+/// atomic; never share an instance between threads.
 
-#include <atomic>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +45,7 @@ struct Allocation {
   bool redirected = false;     ///< designated tier was full, fell back
 };
 
-/// Per-tier counters (a point-in-time snapshot under concurrency).
+/// Per-tier counters (a snapshot, see `FlexMalloc::stats`).
 /// Migrations are tracked separately (`FlexMalloc::migrations()`), so
 /// `allocations`/`bytes` always mean routing decisions, never moves.
 struct TierStats {
@@ -74,32 +68,28 @@ class FlexMalloc {
   /// `heaps`: one per tier, in the order used by `Allocation::tier_index`.
   /// `fallback_tier` must name one of them. `symbols` is required only
   /// for human-readable reports. `matcher_options` configures the
-  /// stack-depth fallback matching and the reader-mostly match cache.
+  /// stack-depth fallback matching and the match cache.
   [[nodiscard]] static Expected<FlexMalloc> create(std::vector<HeapSpec> heaps,
                                                    const ParsedReport& report,
                                                    const bom::SymbolTable* symbols = nullptr,
                                                    MatcherOptions matcher_options = {});
 
-  /// Move-only; moving is for single-threaded setup (factory return) —
-  /// never move an instance other threads are calling into.
-  FlexMalloc(FlexMalloc&& other) noexcept;
-  FlexMalloc& operator=(FlexMalloc&& other) noexcept;
+  /// Move-only.
+  FlexMalloc(FlexMalloc&&) noexcept = default;
+  FlexMalloc& operator=(FlexMalloc&&) noexcept = default;
   FlexMalloc(const FlexMalloc&) = delete;
   FlexMalloc& operator=(const FlexMalloc&) = delete;
   ~FlexMalloc() = default;
 
   /// Interposed malloc: captures nothing itself — the caller passes the
   /// call stack it captured (the engine plays the unwinder's role).
-  /// Thread-safe.
   [[nodiscard]] Expected<Allocation> malloc(const bom::CallStack& stack, Bytes size);
 
-  /// Interposed free. Thread-safe for distinct addresses (each address
-  /// is freed by exactly one caller, as with real pointers).
+  /// Interposed free.
   [[nodiscard]] Status free(std::uint64_t address);
 
   /// Interposed realloc: returns a new allocation in the same tier the
   /// stack maps to (contents-copy cost is the engine's concern).
-  /// Thread-safe under the same ownership rule as `free`.
   [[nodiscard]] Expected<Allocation> realloc(const bom::CallStack& stack,
                                              std::uint64_t address, Bytes new_size);
 
@@ -108,11 +98,7 @@ class FlexMalloc {
   /// The destination is allocated before the source is released, so a
   /// full target refuses the move (`moved == false`) and leaves the
   /// block untouched; a refusal is not an error. Errors are reserved
-  /// for unknown addresses/tiers and same-tier requests. Preserves the
-  /// PR-2 lock hierarchy: each step takes exactly one heap's leaf lock
-  /// (size lookup on the source, allocate on the target, deallocate on
-  /// the source), never two at once. Thread-safe under the same
-  /// single-owner-per-address rule as `free`.
+  /// for unknown addresses/tiers and same-tier requests.
   [[nodiscard]] Expected<MigrationOutcome> migrate(std::uint64_t address,
                                                    std::size_t target_tier);
 
@@ -125,31 +111,25 @@ class FlexMalloc {
   /// (`ArenaHeap::release_range`), so `offset` must be aligned to the
   /// source heap's alignment and `length` must be aligned or reach the
   /// block's end. Covering the whole block is exactly `migrate`. Same
-  /// refusal/locking contract as the whole-block form; `bytes` in the
-  /// outcome is `length`.
+  /// refusal contract as the whole-block form; `bytes` in the outcome is
+  /// `length`.
   [[nodiscard]] Expected<MigrationOutcome> migrate(std::uint64_t address,
                                                    std::size_t target_tier, Bytes offset,
                                                    Bytes length);
 
   /// Completed (moved) migrations and the padded bytes they moved.
-  [[nodiscard]] std::uint64_t migrations() const {
-    return migrations_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] Bytes migrated_bytes() const {
-    return migrated_bytes_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
+  [[nodiscard]] Bytes migrated_bytes() const { return migrated_bytes_; }
 
   /// Migration attempts refused because the target tier was full.
-  [[nodiscard]] std::uint64_t migration_refusals() const {
-    return migration_refusals_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t migration_refusals() const { return migration_refusals_; }
 
   /// Number of tier heaps.
   [[nodiscard]] std::size_t tier_count() const { return heaps_.size(); }
 
   /// Name of tier `index` (the order of `create`'s `heaps`).
   [[nodiscard]] const std::string& tier_name(std::size_t index) const {
-    return heaps_.at(index)->name();
+    return heaps_.at(index).name();
   }
 
   /// Index of the tier named `name`; fails on unknown names.
@@ -159,9 +139,9 @@ class FlexMalloc {
   [[nodiscard]] std::size_t fallback_index() const { return fallback_; }
 
   /// The heap backing tier `index`.
-  [[nodiscard]] const HeapManager& heap(std::size_t index) const { return *heaps_.at(index); }
+  [[nodiscard]] const ArenaHeap& heap(std::size_t index) const { return heaps_.at(index); }
 
-  /// Snapshot of the per-tier counters.
+  /// Snapshot of the per-tier counters; `high_water` is the heap's own.
   [[nodiscard]] std::vector<TierStats> stats() const;
 
   /// Simulated cost of all matching work so far (see matcher.hpp).
@@ -171,30 +151,37 @@ class FlexMalloc {
   [[nodiscard]] const CallStackMatcher& matcher() const { return matcher_; }
 
   /// Allocations that had to be redirected because their tier was full.
-  [[nodiscard]] std::uint64_t oom_redirects() const {
-    return oom_redirects_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t oom_redirects() const { return oom_redirects_; }
 
  private:
   FlexMalloc() = default;
 
-  /// Per-tier counters, atomic so concurrent allocations never lose
-  /// updates; boxed because atomics are not movable element-wise.
-  struct AtomicTierStats {
-    std::string tier;
-    std::atomic<std::uint64_t> allocations{0};
-    std::atomic<Bytes> bytes{0};
-    std::atomic<Bytes> high_water{0};
+  /// The tier holding the live block at `address` and its padded size.
+  struct BlockLocation {
+    std::size_t tier = 0;
+    Bytes size = 0;
   };
 
-  std::vector<std::unique_ptr<ArenaHeap>> heaps_;
-  std::vector<std::unique_ptr<AtomicTierStats>> tier_stats_;
+  /// Source lookup and validation shared by both `migrate` forms.
+  [[nodiscard]] Expected<BlockLocation> locate_for_move(std::uint64_t address,
+                                                        std::size_t target_tier) const;
+
+  /// Moves `[address + offset, address + offset + length)` of `source`'s
+  /// block into `target_tier`: destination first, so a full target
+  /// refuses and leaves the block untouched.
+  [[nodiscard]] Expected<MigrationOutcome> move_range(std::uint64_t address,
+                                                      const BlockLocation& source,
+                                                      std::size_t target_tier, Bytes offset,
+                                                      Bytes length);
+
+  std::vector<ArenaHeap> heaps_;
+  std::vector<TierStats> tier_stats_;  ///< stats() fills in high_water
   CallStackMatcher matcher_;
   std::size_t fallback_ = 0;
-  std::atomic<std::uint64_t> oom_redirects_{0};
-  std::atomic<std::uint64_t> migrations_{0};
-  std::atomic<Bytes> migrated_bytes_{0};
-  std::atomic<std::uint64_t> migration_refusals_{0};
+  std::uint64_t oom_redirects_ = 0;
+  std::uint64_t migrations_ = 0;
+  Bytes migrated_bytes_ = 0;
+  std::uint64_t migration_refusals_ = 0;
 };
 
 }  // namespace ecohmem::flexmalloc

@@ -15,10 +15,8 @@ Expected<std::uint64_t> ArenaHeap::allocate(Bytes size) {
   if (size == 0) size = alignment_;
   const Bytes padded = (size + alignment_ - 1) / alignment_ * alignment_;
 
-  common::ScopedLock lock(mu_);
-  const Bytes used_now = used_.load(std::memory_order_relaxed);
-  if (used_now + padded > capacity_) {
-    return unexpected("heap '" + name_ + "' out of capacity (used " + std::to_string(used_now) +
+  if (used_ + padded > capacity_) {
+    return unexpected("heap '" + name_ + "' out of capacity (used " + std::to_string(used_) +
                       ", request " + std::to_string(padded) + ", capacity " +
                       std::to_string(capacity_) + ")");
   }
@@ -40,46 +38,23 @@ Expected<std::uint64_t> ArenaHeap::allocate(Bytes size) {
   }
 
   live_.emplace(address, padded);
-  live_count_.store(live_.size(), std::memory_order_relaxed);
-  const Bytes used_after = used_now + padded;
-  used_.store(used_after, std::memory_order_relaxed);
-  if (used_after > high_water_.load(std::memory_order_relaxed)) {
-    high_water_.store(used_after, std::memory_order_relaxed);
-  }
+  used_ += padded;
+  high_water_ = std::max(high_water_, used_);
   return address;
 }
 
 Expected<Bytes> ArenaHeap::deallocate(std::uint64_t address) {
-  common::ScopedLock lock(mu_);
   const auto it = live_.find(address);
   if (it == live_.end()) {
     return unexpected("heap '" + name_ + "': free of unknown address");
   }
   const Bytes size = it->second;
   live_.erase(it);
-  live_count_.store(live_.size(), std::memory_order_relaxed);
-  used_.fetch_sub(size, std::memory_order_relaxed);
-
-  // Insert into the free list, coalescing with neighbors.
-  auto [pos, inserted] = free_.emplace(address, size);
-  (void)inserted;
-  if (pos != free_.begin()) {
-    auto prev = std::prev(pos);
-    if (prev->first + prev->second == pos->first) {
-      prev->second += pos->second;
-      free_.erase(pos);
-      pos = prev;
-    }
-  }
-  if (auto next = std::next(pos); next != free_.end() && pos->first + pos->second == next->first) {
-    pos->second += next->second;
-    free_.erase(next);
-  }
+  release(address, size);
   return size;
 }
 
 Expected<Bytes> ArenaHeap::release_range(std::uint64_t address, Bytes offset, Bytes length) {
-  common::ScopedLock lock(mu_);
   const auto it = live_.find(address);
   if (it == live_.end()) {
     return unexpected("heap '" + name_ + "': release_range on unknown address");
@@ -102,13 +77,13 @@ Expected<Bytes> ArenaHeap::release_range(std::uint64_t address, Bytes offset, By
   if (offset + length < size) {
     live_.emplace(address + offset + length, size - offset - length);
   }
-  live_count_.store(live_.size(), std::memory_order_relaxed);
-  used_.fetch_sub(length, std::memory_order_relaxed);
+  release(address + offset, length);
+  return length;
+}
 
-  // Insert the freed middle into the free list, coalescing with
-  // neighbours (same dance as deallocate).
-  auto [pos, inserted] = free_.emplace(address + offset, length);
-  (void)inserted;
+void ArenaHeap::release(std::uint64_t address, Bytes size) {
+  used_ -= size;
+  auto pos = free_.emplace(address, size).first;
   if (pos != free_.begin()) {
     auto prev = std::prev(pos);
     if (prev->first + prev->second == pos->first) {
@@ -121,11 +96,9 @@ Expected<Bytes> ArenaHeap::release_range(std::uint64_t address, Bytes offset, By
     pos->second += next->second;
     free_.erase(next);
   }
-  return length;
 }
 
 Expected<Bytes> ArenaHeap::block_size(std::uint64_t address) const {
-  common::ScopedLock lock(mu_);
   const auto it = live_.find(address);
   if (it == live_.end()) {
     return unexpected("heap '" + name_ + "': no live block at this address");
@@ -134,7 +107,6 @@ Expected<Bytes> ArenaHeap::block_size(std::uint64_t address) const {
 }
 
 bool ArenaHeap::owns(std::uint64_t address) const {
-  common::ScopedLock lock(mu_);
   return live_.contains(address) ||
          (address >= base_ && address < cursor_);
 }

@@ -13,69 +13,7 @@ bom::CallStack suffix_of(const bom::CallStack& stack, std::size_t depth) {
   return out;
 }
 
-/// fetch_add for atomic<double> via CAS (portable across libstdc++
-/// versions that predate the C++20 floating-point specializations).
-void atomic_add(std::atomic<double>& target, double value) {
-  double current = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + value, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------- MatchCache
-
-std::pair<const std::string*, bool> MatchCache::find(const bom::CallStack& key) const {
-  const Shard& shard = shards_[shard_of(key)];
-  common::SharedScopedLock lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return {nullptr, false};
-  return {it->second, true};
-}
-
-void MatchCache::insert(const bom::CallStack& key, const std::string* tier) {
-  Shard& shard = shards_[shard_of(key)];
-  common::ScopedWriteLock lock(shard.mu);
-  shard.map.emplace(key, tier);
-}
-
-// --------------------------------------------------------- CallStackMatcher
-
-CallStackMatcher::CallStackMatcher(CallStackMatcher&& other) noexcept
-    : is_bom_(other.is_bom_),
-      options_(other.options_),
-      bom_index_(std::move(other.bom_index_)),
-      hr_index_(std::move(other.hr_index_)),
-      suffix_index_(std::move(other.suffix_index_)),
-      symbols_(other.symbols_),
-      cache_(std::move(other.cache_)),
-      hr_mu_(std::move(other.hr_mu_)),
-      lookups_(other.lookups_.load(std::memory_order_relaxed)),
-      hits_(other.hits_.load(std::memory_order_relaxed)),
-      frames_compared_(other.frames_compared_.load(std::memory_order_relaxed)),
-      string_bytes_compared_(other.string_bytes_compared_.load(std::memory_order_relaxed)),
-      symbolization_ns_(other.symbolization_ns_.load(std::memory_order_relaxed)) {}
-
-CallStackMatcher& CallStackMatcher::operator=(CallStackMatcher&& other) noexcept {
-  if (this == &other) return *this;
-  is_bom_ = other.is_bom_;
-  options_ = other.options_;
-  bom_index_ = std::move(other.bom_index_);
-  hr_index_ = std::move(other.hr_index_);
-  suffix_index_ = std::move(other.suffix_index_);
-  symbols_ = other.symbols_;
-  cache_ = std::move(other.cache_);
-  hr_mu_ = std::move(other.hr_mu_);
-  lookups_.store(other.lookups_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  hits_.store(other.hits_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  frames_compared_.store(other.frames_compared_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  string_bytes_compared_.store(other.string_bytes_compared_.load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-  symbolization_ns_.store(other.symbolization_ns_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  return *this;
-}
 
 Expected<CallStackMatcher> CallStackMatcher::create(const ParsedReport& report,
                                                     const bom::SymbolTable* symbols,
@@ -84,7 +22,6 @@ Expected<CallStackMatcher> CallStackMatcher::create(const ParsedReport& report,
   m.is_bom_ = report.is_bom;
   m.symbols_ = symbols;
   m.options_ = options;
-  if (options.match_cache) m.cache_ = std::make_unique<MatchCache>();
 
   if (!report.is_bom && symbols == nullptr) {
     return unexpected("human-readable report requires debug information (symbol table)");
@@ -107,40 +44,34 @@ Expected<CallStackMatcher> CallStackMatcher::create(const ParsedReport& report,
 }
 
 MatchResult CallStackMatcher::match(const bom::CallStack& captured) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  ++lookups_;
+  if (!options_.match_cache) return match_uncached(captured);
 
-  if (cache_) {
-    const auto [tier, found] = cache_->find(captured);
-    if (found) {
-      // A cache hit still pays one hash-and-compare over the frames.
-      frames_compared_.fetch_add(captured.frames.size(), std::memory_order_relaxed);
-      if (tier != nullptr) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return MatchResult{tier};
-      }
-      return {};
-    }
+  if (const auto it = cache_.find(captured); it != cache_.end()) {
+    // A cache hit still pays one hash-and-compare over the frames.
+    frames_compared_ += captured.frames.size();
+    if (it->second != nullptr) ++hits_;
+    return MatchResult{it->second};
   }
-
   const MatchResult result = match_uncached(captured);
-  if (cache_) cache_->insert(captured, result.tier);
+  cache_.emplace(captured, result.tier);
   return result;
 }
 
 MatchResult CallStackMatcher::match_uncached(const bom::CallStack& captured) {
   if (is_bom_) {
-    frames_compared_.fetch_add(captured.frames.size(), std::memory_order_relaxed);
+    frames_compared_ += captured.frames.size();
     const auto it = bom_index_.find(captured);
     if (it != bom_index_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
       return MatchResult{&it->second};
     }
     if (options_.min_suffix_depth > 0) {
       const auto sfx =
           suffix_index_.find(suffix_of(captured, options_.min_suffix_depth));
-      frames_compared_.fetch_add(options_.min_suffix_depth, std::memory_order_relaxed);
+      frames_compared_ += options_.min_suffix_depth;
       if (sfx != suffix_index_.end() && !sfx->second.empty()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        ++hits_;
         return MatchResult{&sfx->second};
       }
     }
@@ -148,32 +79,26 @@ MatchResult CallStackMatcher::match_uncached(const bom::CallStack& captured) {
   }
 
   // Human-readable path: symbolize the captured frames, then compare the
-  // formatted strings. The shared symbol table sorts lazily and meters
-  // its own cost, so this whole path serializes on hr_mu_ (the BOM path
-  // above never takes it). The cost of symbolization accrues in the
-  // symbol table's meter; string comparison cost accrues here.
-  common::ScopedLock hr_lock(*hr_mu_);
+  // formatted strings. The cost of symbolization accrues in the symbol
+  // table's meter; string comparison cost accrues here.
   const double before = symbols_->cost().estimated_ns();
   auto hr = symbols_->translate(captured);
-  atomic_add(symbolization_ns_, symbols_->cost().estimated_ns() - before);
+  symbolization_ns_ += symbols_->cost().estimated_ns() - before;
   if (!hr) return {};  // stripped frame: unmatched, falls back
 
   const std::string key = bom::format_human(*hr);
-  string_bytes_compared_.fetch_add(key.size(), std::memory_order_relaxed);
+  string_bytes_compared_ += key.size();
   const auto it = hr_index_.find(key);
   if (it == hr_index_.end()) return {};
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   return MatchResult{&it->second};
 }
 
 double CallStackMatcher::matching_cost_ns() const {
   // BOM: ~2 ns per frame word compared (hash + equality on integers).
   // HR: symbolization dominates; string comparison adds ~0.25 ns/byte.
-  const double bom_cost =
-      2.0 * static_cast<double>(frames_compared_.load(std::memory_order_relaxed));
-  const double hr_cost =
-      symbolization_ns_.load(std::memory_order_relaxed) +
-      0.25 * static_cast<double>(string_bytes_compared_.load(std::memory_order_relaxed));
+  const double bom_cost = 2.0 * static_cast<double>(frames_compared_);
+  const double hr_cost = symbolization_ns_ + 0.25 * static_cast<double>(string_bytes_compared_);
   return is_bom_ ? bom_cost : hr_cost;
 }
 

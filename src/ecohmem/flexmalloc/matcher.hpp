@@ -17,28 +17,19 @@
 /// Both paths report accumulated matching cost in simulated nanoseconds
 /// so the execution engine can charge it against the run.
 ///
-/// Thread safety (docs/threading.md): after `create` returns, the match
-/// indexes are immutable and `match()` may be called from any number of
-/// threads concurrently. Instrumentation counters are relaxed atomics.
-/// The human-readable path serializes on an internal mutex because the
-/// shared `bom::SymbolTable` sorts lazily and meters its own cost — the
-/// BOM path (the paper's recommended configuration) takes no lock. The
-/// optional match cache (`MatcherOptions::match_cache`) is reader-mostly:
-/// sharded, shared-locked for lookups, exclusively locked only to insert
-/// a stack seen for the first time.
+/// Single owner (docs/threading.md): a matcher belongs to the FlexMalloc
+/// that built it and is used from one thread. `match()` updates its
+/// counters and cache without locks, and the human-readable path drives
+/// the (lazily sorted) `bom::SymbolTable` it was given.
 
-#include <atomic>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "ecohmem/bom/format.hpp"
 #include "ecohmem/bom/frame.hpp"
 #include "ecohmem/bom/symbols.hpp"
 #include "ecohmem/common/expected.hpp"
-#include "ecohmem/common/lockdep.hpp"
-#include "ecohmem/common/thread_annotations.hpp"
 #include "ecohmem/flexmalloc/report_parser.hpp"
 
 namespace ecohmem::flexmalloc {
@@ -62,47 +53,14 @@ struct MatcherOptions {
   /// innermost frames but mapped to different tiers — never match.
   std::size_t min_suffix_depth = 0;
 
-  /// Enable the reader-mostly match cache: full match outcomes
-  /// (including negative ones) are memoized per captured stack, so
-  /// repeated stacks skip suffix probing and — on the human-readable
-  /// path — re-symbolization. Placement decisions are unaffected (the
-  /// cache memoizes a pure function of the stack); the accumulated
-  /// matching *cost* shrinks, which is the point. Off by default to
-  /// preserve the per-allocation overhead accounting the §VIII-D
-  /// benchmarks reproduce.
+  /// Enable the match cache: full match outcomes (including negative
+  /// ones) are memoized per captured stack, so repeated stacks skip
+  /// suffix probing and — on the human-readable path — re-symbolization.
+  /// Placement decisions are unaffected (the cache memoizes a pure
+  /// function of the stack); the accumulated matching *cost* shrinks,
+  /// which is the point. Off by default to preserve the per-allocation
+  /// overhead accounting the §VIII-D benchmarks reproduce.
   bool match_cache = false;
-};
-
-/// Reader-mostly sharded memo of match outcomes keyed by captured stack.
-///
-/// 16 shards, each a hash map under its own `std::shared_mutex`: lookups
-/// take a shared lock, first-time insertions an exclusive one. Values are
-/// pointers into the owning matcher's immutable index (nullptr = cached
-/// negative), so entries never need invalidation.
-class MatchCache {
- public:
-  /// Returns {tier, true} when cached (tier may be nullptr = negative),
-  /// {nullptr, false} when this stack has not been seen yet.
-  [[nodiscard]] std::pair<const std::string*, bool> find(const bom::CallStack& key) const;
-
-  /// Memoizes an outcome; concurrent duplicate inserts are benign (the
-  /// outcome is a pure function of the key, so all writers agree).
-  void insert(const bom::CallStack& key, const std::string* tier);
-
- private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    /// Leaf lock (rank table: docs/threading.md); shared for probes,
-    /// exclusive only for first-time inserts.
-    mutable common::RankedSharedMutex mu{common::lockdep::LockRank::kMatchCacheShard,
-                                         "match_cache_shard"};
-    std::unordered_map<bom::CallStack, const std::string*, bom::CallStackHash> map
-        ECOHMEM_GUARDED_BY(mu);
-  };
-  [[nodiscard]] static std::size_t shard_of(const bom::CallStack& key) {
-    return bom::CallStackHash{}(key) % kShards;
-  }
-  Shard shards_[kShards];
 };
 
 /// Matches captured call stacks against a parsed placement report.
@@ -111,11 +69,9 @@ class CallStackMatcher {
   /// An empty matcher matches nothing (everything falls back).
   CallStackMatcher() = default;
 
-  /// Move-only: the instrumentation counters are atomics. Moving is for
-  /// single-threaded setup (factory return, FlexMalloc construction) —
-  /// never move a matcher other threads are using.
-  CallStackMatcher(CallStackMatcher&& other) noexcept;
-  CallStackMatcher& operator=(CallStackMatcher&& other) noexcept;
+  /// Move-only: cached results point into the matcher's own indexes.
+  CallStackMatcher(CallStackMatcher&&) noexcept = default;
+  CallStackMatcher& operator=(CallStackMatcher&&) noexcept = default;
   CallStackMatcher(const CallStackMatcher&) = delete;
   CallStackMatcher& operator=(const CallStackMatcher&) = delete;
   ~CallStackMatcher() = default;
@@ -128,7 +84,6 @@ class CallStackMatcher {
 
   /// Looks up the captured stack. Never fails; unmatched stacks return
   /// an empty result (FlexMalloc then uses the fallback tier).
-  /// Safe to call concurrently from multiple threads.
   [[nodiscard]] MatchResult match(const bom::CallStack& captured);
 
   /// Accumulated matching cost in simulated ns (BOM: hash+compare;
@@ -136,12 +91,10 @@ class CallStackMatcher {
   [[nodiscard]] double matching_cost_ns() const;
 
   /// Total `match()` calls so far.
-  [[nodiscard]] std::uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t lookups() const { return lookups_; }
 
   /// Lookups that found a report entry.
-  [[nodiscard]] std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
 
   /// True when the report uses BOM (module!offset) stacks.
   [[nodiscard]] bool is_bom() const { return is_bom_; }
@@ -157,20 +110,16 @@ class CallStackMatcher {
   std::unordered_map<bom::CallStack, std::string, bom::CallStackHash> suffix_index_;
   const bom::SymbolTable* symbols_ = nullptr;
 
-  /// Non-null when MatcherOptions::match_cache is set.
-  std::unique_ptr<MatchCache> cache_;
-  /// Serializes the human-readable path (shared lazily-sorted symbol
-  /// table + its cost meter). Leaf lock (rank table:
-  /// docs/threading.md); BOM lookups never take it. Boxed so the
-  /// matcher stays movable during single-threaded setup.
-  std::unique_ptr<common::RankedMutex> hr_mu_ =
-      std::make_unique<common::RankedMutex>(common::lockdep::LockRank::kMatcherHr, "matcher_hr");
+  /// Match outcomes per captured stack (nullptr = cached miss), filled
+  /// only when MatcherOptions::match_cache is set. Values point into the
+  /// indexes above, which never change after `create`.
+  std::unordered_map<bom::CallStack, const std::string*, bom::CallStackHash> cache_;
 
-  std::atomic<std::uint64_t> lookups_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> frames_compared_{0};
-  std::atomic<std::uint64_t> string_bytes_compared_{0};
-  std::atomic<double> symbolization_ns_{0.0};
+  std::uint64_t lookups_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t frames_compared_ = 0;
+  std::uint64_t string_bytes_compared_ = 0;
+  double symbolization_ns_ = 0.0;
 };
 
 }  // namespace ecohmem::flexmalloc

@@ -9,8 +9,8 @@
 /// finished. Workers are long-lived — one spawn per pool, not per `run`.
 ///
 /// Thread safety: `run` must be called from one coordinating thread at a
-/// time. The pool uses a ranked mutex + condition variables only for
-/// phase hand-off (lock-rank table: docs/threading.md); work
+/// time. The pool uses a leaf mutex + condition variables only for
+/// phase hand-off (lock table: docs/threading.md); work
 /// partitioning inside `fn` is the caller's job (the reader strides
 /// blocks by worker index).
 ///
@@ -77,7 +77,7 @@ class WorkerPool {
     std::exception_ptr error;
     {
       common::ScopedLock lock(mu_);
-      // condition_variable_any drives mu_ directly (RankedMutex is
+      // condition_variable_any drives mu_ directly (LeafMutex is
       // BasicLockable), so lockdep sees every release/reacquire of the
       // wait loop. The predicate asserts the capability for the static
       // analysis — the wait contract guarantees the lock is held.
@@ -124,9 +124,9 @@ class WorkerPool {
   }
 
   std::vector<std::thread> workers_;
-  /// Phase hand-off lock (rank table: docs/threading.md). Never held
-  /// while a task runs, so tasks may take any ranked lock.
-  common::RankedMutex mu_{common::lockdep::LockRank::kWorkerPool, "worker_pool"};
+  /// Phase hand-off leaf lock (lock table: docs/threading.md). Never
+  /// held while a task runs, so tasks may take any leaf lock.
+  common::LeafMutex mu_{"worker_pool"};
   std::condition_variable_any work_cv_;
   std::condition_variable_any done_cv_;
   const std::function<void(std::size_t)>* task_ ECOHMEM_GUARDED_BY(mu_) = nullptr;

@@ -14,14 +14,14 @@
 /// the first E blocks by construction (docs/serving.md
 /// §snapshot-consistency).
 ///
-/// Locking (all leaves; ranks in docs/threading.md):
+/// Locking (all leaves; lock table in docs/threading.md):
 ///  - `serve_session_queue` guards the ingest queue + block counters
 ///    and carries both condition variables (applier wakeup, flush).
 ///  - `serve_session_store` guards the aggregator, the drop/coverage
 ///    counters and the snapshot cache.
 /// The applier moves one block at a time: pop under the queue lock,
 /// apply under the store lock, acknowledge under the queue lock — at
-/// most one ranked lock held at any point.
+/// most one lock held at any point.
 ///
 /// `SessionManager` is the daemon's registry: id-sharded, each shard
 /// behind a `serve_registry_shard` shared mutex. Lookups copy the
@@ -142,8 +142,7 @@ class Session {
   const trace::codec::HeaderInfo header_;
   const SessionOptions options_;
 
-  common::RankedMutex queue_mu_{common::lockdep::LockRank::kServeSessionQueue,
-                                "serve_session_queue"};
+  common::LeafMutex queue_mu_{"serve_session_queue"};
   std::condition_variable_any work_cv_;     ///< queue_mu_: applier wakeup
   std::condition_variable_any applied_cv_;  ///< queue_mu_: flush waiters
   std::deque<std::vector<trace::Event>> queue_ ECOHMEM_GUARDED_BY(queue_mu_);
@@ -151,8 +150,7 @@ class Session {
   std::uint64_t applied_blocks_ ECOHMEM_GUARDED_BY(queue_mu_) = 0;
   bool stopping_ ECOHMEM_GUARDED_BY(queue_mu_) = false;
 
-  common::RankedMutex store_mu_{common::lockdep::LockRank::kServeSessionStore,
-                                "serve_session_store"};
+  common::LeafMutex store_mu_{"serve_session_store"};
   analyzer::IncrementalAggregator store_ ECOHMEM_GUARDED_BY(store_mu_);
   std::uint64_t epoch_ ECOHMEM_GUARDED_BY(store_mu_) = 0;
   std::uint64_t dropped_blocks_ ECOHMEM_GUARDED_BY(store_mu_) = 0;
@@ -193,8 +191,7 @@ class SessionManager {
   static constexpr std::size_t kShards = 8;
 
   struct Shard {
-    common::RankedSharedMutex mu{common::lockdep::LockRank::kServeRegistryShard,
-                                 "serve_registry_shard"};
+    common::LeafSharedMutex mu{"serve_registry_shard"};
     std::unordered_map<std::uint64_t, std::shared_ptr<Session>> sessions
         ECOHMEM_GUARDED_BY(mu);
   };

@@ -1,18 +1,18 @@
-// srclint fixture: the sanctioned concurrency vocabulary — ranked
+// srclint fixture: the sanctioned concurrency vocabulary — leaf
 // wrappers and condition_variable_any — must scan clean.
 // Never compiled; scanned by test_srclint.
 #pragma once
 #include <condition_variable>
 
 namespace fixture {
-class RankedMutexLike {
+class LeafMutexLike {
  public:
   void lock() {}
   void unlock() {}
 };
 }  // namespace fixture
 
-struct FixtureRankedLocks {
-  fixture::RankedMutexLike mu;
+struct FixtureLeafLocks {
+  fixture::LeafMutexLike mu;
   std::condition_variable_any cv;
 };

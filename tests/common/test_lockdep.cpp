@@ -1,14 +1,12 @@
-// Tests for the runtime lock-order validator (common/lockdep.hpp):
-// ranked wrappers, leaf/rank rules, the cross-thread acquisition-order
-// graph, and the disabled fast path. The suite name carries "Lockdep"
-// so ci.sh's TSan filter picks these up.
+// Tests for the runtime leaf-rule validator (common/lockdep.hpp): the
+// leaf wrappers, nested and recursive acquisition, assert_held, and the
+// disabled fast path. The suite name carries "Lockdep" so ci.sh's TSan
+// filter picks these up.
 
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <source_location>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ecohmem/common/lockdep.hpp"
@@ -16,24 +14,16 @@
 namespace ecohmem::common {
 namespace {
 
-using lockdep::LockRank;
 using lockdep::Violation;
 using lockdep::ViolationKind;
 
 /// Collected violations; a plain function pointer is all the handler
 /// slot takes, so captures go through this file-static state.
-std::mutex g_seen_mu;
 std::vector<Violation> g_seen;
 
-void collect(const Violation& violation) {
-  std::lock_guard<std::mutex> lock(g_seen_mu);
-  g_seen.push_back(violation);
-}
+void collect(const Violation& violation) { g_seen.push_back(violation); }
 
-std::vector<Violation> seen() {
-  std::lock_guard<std::mutex> lock(g_seen_mu);
-  return g_seen;
-}
+const std::vector<Violation>& seen() { return g_seen; }
 
 std::size_t count_kind(ViolationKind kind) {
   std::size_t n = 0;
@@ -41,15 +31,10 @@ std::size_t count_kind(ViolationKind kind) {
   return n;
 }
 
-LockRank rank(int value) { return static_cast<LockRank>(value); }
-
 class LockdepValidator : public ::testing::Test {
  protected:
   void SetUp() override {
-    {
-      std::lock_guard<std::mutex> lock(g_seen_mu);
-      g_seen.clear();
-    }
+    g_seen.clear();
     lockdep::reset_for_testing();
     lockdep::set_enabled_for_testing(true);
     previous_ = lockdep::set_violation_handler(&collect);
@@ -65,8 +50,8 @@ class LockdepValidator : public ::testing::Test {
 };
 
 TEST_F(LockdepValidator, SilentOnSequentialLeafUse) {
-  RankedMutex a(LockRank::kMatcherHr, "t_seq_a");
-  RankedMutex b(LockRank::kArenaHeap, "t_seq_b");
+  LeafMutex a("t_seq_a");
+  LeafMutex b("t_seq_b");
   for (int i = 0; i < 3; ++i) {
     {
       ScopedLock lock(a);
@@ -79,11 +64,11 @@ TEST_F(LockdepValidator, SilentOnSequentialLeafUse) {
 }
 
 TEST_F(LockdepValidator, LeafNestingFires) {
-  RankedMutex low(LockRank::kMatcherHr, "t_leaf_low");
-  RankedMutex high(LockRank::kArenaHeap, "t_leaf_high");
+  LeafMutex low("t_leaf_low");
+  LeafMutex high("t_leaf_high");
   {
     ScopedLock outer(low);
-    ScopedLock inner(high);  // rank-increasing, but low is a leaf
+    ScopedLock inner(high);  // low is a leaf: no nested acquisition
   }
   ASSERT_GE(count_kind(ViolationKind::kLeafNesting), 1u);
   const Violation v = seen().front();
@@ -95,107 +80,32 @@ TEST_F(LockdepValidator, LeafNestingFires) {
   EXPECT_NE(v.message.find("t_leaf_low"), std::string::npos);
 }
 
-TEST_F(LockdepValidator, RankOrderFiresOnInvertedNonLeafLocks) {
-  RankedMutex low(rank(50), "t_rank_low", /*leaf=*/false);
-  RankedMutex high(rank(60), "t_rank_high", /*leaf=*/false);
-  {
-    ScopedLock outer(high);
-    ScopedLock inner(low);  // decreasing rank: violation
-  }
-  ASSERT_EQ(count_kind(ViolationKind::kRankOrder), 1u);
-  const Violation v = seen().front();
-  EXPECT_STREQ(v.acquiring, "t_rank_low");
-  EXPECT_STREQ(v.held, "t_rank_high");
-  EXPECT_NE(v.message.find("rank-order violation"), std::string::npos);
-}
-
-TEST_F(LockdepValidator, RankIncreasingNonLeafChainIsSilent) {
-  RankedMutex low(rank(50), "t_chain_low", /*leaf=*/false);
-  RankedMutex high(rank(60), "t_chain_high", /*leaf=*/false);
-  {
-    ScopedLock outer(low);
-    ScopedLock inner(high);
-    EXPECT_EQ(lockdep::held_count(), 2u);
-  }
-  EXPECT_TRUE(seen().empty());
-}
-
 TEST_F(LockdepValidator, RecursiveAcquisitionFires) {
-  RankedMutex mu(rank(50), "t_recursive", /*leaf=*/false);
+  LeafMutex mu("t_recursive");
   {
     ScopedLock outer(mu);
     // A real same-thread recursive lock would deadlock std::mutex, so
     // drive the hook directly, the way a recursive ScopedLock
     // construction would before blocking.
-    lockdep::on_acquire(&mu, mu.name(), mu.rank(), mu.leaf(), std::source_location::current());
+    lockdep::on_acquire(&mu, mu.name(), std::source_location::current());
     lockdep::on_release(&mu);
   }
-  ASSERT_EQ(count_kind(ViolationKind::kRankOrder), 1u);
+  ASSERT_EQ(count_kind(ViolationKind::kLeafNesting), 1u);
   EXPECT_NE(seen().front().message.find("recursive acquisition"), std::string::npos);
 }
 
-// The seeded negative fixture from ISSUE.md: two threads acquire two
-// locks in opposite orders. Neither thread violates ranks in-thread
-// when ranks are equal-free, so this is exactly what the global
-// acquisition-order graph exists to catch.
-TEST_F(LockdepValidator, CrossThreadInvertedOrderIsDetected) {
-  RankedMutex a(rank(50), "t_cycle_a", /*leaf=*/false);
-  RankedMutex b(rank(60), "t_cycle_b", /*leaf=*/false);
-
-  // Drive the hooks directly instead of taking the real mutexes: the
-  // validator only sees on_acquire/on_release either way, and actually
-  // nesting the underlying std::mutexes would make TSan's own deadlock
-  // detector report the very inversion this test constructs on purpose.
-  const auto acquire = [](RankedMutex& m) {
-    lockdep::on_acquire(&m, m.name(), m.rank(), m.leaf(), std::source_location::current());
-  };
-  const auto release = [](RankedMutex& m) { lockdep::on_release(&m); };
-
-  // Thread 1 observes a -> b (rank-increasing: silent, records edge).
-  std::thread first([&] {
-    acquire(a);
-    acquire(b);
-    release(b);
-    release(a);
-  });
-  first.join();
-  EXPECT_TRUE(seen().empty());
-
-  // Thread 2 acquires b -> a: the graph already holds a -> b, so this
-  // must report a cycle citing both acquisition sites (it also trips
-  // the rank rule, which is the point of ranks — but the cycle proof
-  // does not depend on it).
-  std::thread second([&] {
-    acquire(b);
-    acquire(a);
-    release(a);
-    release(b);
-  });
-  second.join();
-
-  ASSERT_GE(count_kind(ViolationKind::kCycle), 1u);
-  for (const auto& v : seen()) {
-    if (v.kind != ViolationKind::kCycle) continue;
-    EXPECT_STREQ(v.acquiring, "t_cycle_a");
-    EXPECT_STREQ(v.held, "t_cycle_b");
-    EXPECT_GT(v.acquiring_site.line, 0u);
-    EXPECT_GT(v.held_site.line, 0u);
-    EXPECT_NE(v.message.find("opposite order"), std::string::npos);
-  }
-}
-
 TEST_F(LockdepValidator, SharedLocksParticipateInOrdering) {
-  RankedSharedMutex shard(LockRank::kMatchCacheShard, "t_shard");
-  RankedMutex heap(LockRank::kArenaHeap, "t_heap2");
+  LeafSharedMutex shard("t_shard");
+  LeafMutex other("t_other");
   {
     SharedScopedLock reader(shard);
-    ScopedLock nested(heap);  // shard is a leaf: shared holds count too
+    ScopedLock nested(other);  // shard is a leaf: shared holds count too
   }
   EXPECT_GE(count_kind(ViolationKind::kLeafNesting), 1u);
 }
 
 TEST_F(LockdepValidator, AssertHeldFiresOnlyWhenNotHeld) {
-  RankedMutex mu(LockRank::kArenaHeap, "t_assert");
+  LeafMutex mu("t_assert");
   {
     ScopedLock lock(mu);
     mu.assert_held();
@@ -207,7 +117,7 @@ TEST_F(LockdepValidator, AssertHeldFiresOnlyWhenNotHeld) {
 }
 
 TEST_F(LockdepValidator, TryLockRecordsAndReleases) {
-  RankedMutex mu(LockRank::kArenaHeap, "t_trylock");
+  LeafMutex mu("t_trylock");
   ASSERT_TRUE(mu.try_lock());
   EXPECT_EQ(lockdep::held_count(), 1u);
   mu.unlock();
@@ -217,8 +127,8 @@ TEST_F(LockdepValidator, TryLockRecordsAndReleases) {
 
 TEST_F(LockdepValidator, DisabledPathTracksNothing) {
   lockdep::set_enabled_for_testing(false);
-  RankedMutex low(LockRank::kMatcherHr, "t_off_low");
-  RankedMutex high(LockRank::kArenaHeap, "t_off_high");
+  LeafMutex low("t_off_low");
+  LeafMutex high("t_off_high");
   {
     ScopedLock outer(low);
     ScopedLock inner(high);  // would be a leaf violation if enabled
@@ -228,9 +138,7 @@ TEST_F(LockdepValidator, DisabledPathTracksNothing) {
 }
 
 TEST_F(LockdepValidator, ViolationKindNames) {
-  EXPECT_STREQ(lockdep::to_string(ViolationKind::kRankOrder), "rank-order");
   EXPECT_STREQ(lockdep::to_string(ViolationKind::kLeafNesting), "leaf-nesting");
-  EXPECT_STREQ(lockdep::to_string(ViolationKind::kCycle), "cycle");
   EXPECT_STREQ(lockdep::to_string(ViolationKind::kNotHeld), "not-held");
 }
 

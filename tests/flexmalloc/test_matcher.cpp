@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "ecohmem/common/rng.hpp"
 #include "ecohmem/flexmalloc/report_parser.hpp"
 
 namespace ecohmem::flexmalloc {
@@ -261,6 +264,61 @@ TEST(MatcherSuffix, DisabledByDefault) {
   auto m = CallStackMatcher::create(deep_report(), nullptr);
   ASSERT_TRUE(m.has_value());
   EXPECT_FALSE(m->match(bom::CallStack{{{0, 0x100}, {0, 0x200}, {1, 0xaaaa}}}).matched());
+}
+
+// ------------------------------------------------------- match cache
+
+TEST(MatcherCache, SerialStreamMatchesUncachedMatcher) {
+  // One stream of stacks with repeats, matched with the cache on and
+  // off: exact hits, suffix hits, ambiguous suffixes and misses. The
+  // cache memoizes a pure function, so every outcome and counter must
+  // agree; only the matching cost may shrink.
+  ParsedReport report = deep_report();
+  report.entries.push_back(
+      ReportEntry{bom::CallStack{{{0, 0x500}, {0, 0x600}, {1, 0x10}}}, "dram", 0});
+  report.entries.push_back(
+      ReportEntry{bom::CallStack{{{0, 0x500}, {0, 0x600}, {1, 0x20}}}, "pmem", 0});
+  const std::vector<bom::CallStack> pool = {
+      bom::CallStack{{{0, 0x100}, {0, 0x200}, {1, 0x900}}},  // exact hit (dram)
+      bom::CallStack{{{0, 0x300}, {0, 0x400}, {1, 0x900}}},  // exact hit (pmem)
+      bom::CallStack{{{0, 0x100}, {0, 0x200}, {1, 0xaaaa}}},  // suffix hit (dram)
+      bom::CallStack{{{0, 0x300}, {0, 0x400}, {1, 0xbbbb}}},  // suffix hit (pmem)
+      bom::CallStack{{{0, 0x500}, {0, 0x600}, {1, 0x30}}},   // ambiguous suffix
+      bom::CallStack{{{0, 0x777}, {0, 0x888}}},               // miss
+  };
+  constexpr std::size_t kHitStacks = 4;  // the first four of the pool
+
+  MatcherOptions options;
+  options.min_suffix_depth = 2;
+  auto plain = CallStackMatcher::create(report, nullptr, options);
+  options.match_cache = true;
+  auto cached = CallStackMatcher::create(report, nullptr, options);
+  ASSERT_TRUE(plain.has_value());
+  ASSERT_TRUE(cached.has_value());
+
+  Rng rng(0xC0FFEE);
+  std::vector<bool> kind_seen(pool.size(), false);
+  std::uint64_t expected_hits = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t pick = rng.next_below(pool.size());
+    kind_seen[pick] = true;
+    expected_hits += pick < kHitStacks ? 1 : 0;
+    const MatchResult want = plain->match(pool[pick]);
+    const MatchResult got = cached->match(pool[pick]);
+    ASSERT_EQ(got.matched(), want.matched()) << "lookup " << i << ", stack " << pick;
+    ASSERT_EQ(want.matched(), pick < kHitStacks) << "lookup " << i << ", stack " << pick;
+    if (want.matched()) {
+      ASSERT_EQ(*got.tier, *want.tier) << "lookup " << i;
+    }
+  }
+  for (std::size_t k = 0; k < pool.size(); ++k) EXPECT_TRUE(kind_seen[k]) << "stack " << k;
+
+  EXPECT_EQ(plain->lookups(), 2000u);
+  EXPECT_EQ(plain->hits(), expected_hits);
+  EXPECT_EQ(cached->lookups(), plain->lookups());
+  EXPECT_EQ(cached->hits(), plain->hits());
+  // Repeated suffix probes are skipped, so the cost strictly shrinks.
+  EXPECT_LT(cached->matching_cost_ns(), plain->matching_cost_ns());
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // ecohmem-lint checks the pipeline's *artifacts*; this tool checks the
 // *source tree* that produces them: banned nondeterministic random
 // sources, wall-clock reads in pipeline code, unordered-container
-// iteration in serialization paths, and raw std::mutex where the ranked
+// iteration in serialization paths, and raw std::mutex where the leaf
 // lockdep wrappers are required.
 //
 // Usage:
