@@ -228,6 +228,15 @@ cmp /tmp/ecohmem_ci_v3c.txt /tmp/ecohmem_ci_v3_serial.txt
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3c.trc \
   --out /tmp/ecohmem_ci_v3c.csv --bin-ms 50
 cmp /tmp/ecohmem_ci_v3c.csv /tmp/ecohmem_ci_v3.csv
+# One reader serves every encoding: the same workload profiled as v1 (the
+# default) and as v2 (--compact) must stream to the same timeline.
+build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v1.trc
+build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v2.trc --compact
+for v in v1 v2; do
+  build/tools/ecohmem-timeline --trace "/tmp/ecohmem_ci_$v.trc" \
+    --out "/tmp/ecohmem_ci_$v.csv" --bin-ms 50
+  cmp "/tmp/ecohmem_ci_$v.csv" /tmp/ecohmem_ci_v3.csv
+done
 # --compress without the v3 index must exit 2 (cli_common usage error).
 for bad_compress in "--compress" "--format v2 --compress" "--compact --compress"; do
   set +e
@@ -384,14 +393,16 @@ done
 # Malformed size and number flags must be usage errors (exit 2), never a
 # silent fall back to the default (a 12 GiB DRAM limit, a zero store
 # coefficient).
-for bad_value in "--dram-limit 4Gb" "--store-coef abc"; do
+advise_bad="ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.txt"
+for bad_value in "$advise_bad --dram-limit 4Gb" "$advise_bad --store-coef abc" \
+                 "$advise_bad --threads x" \
+                 "ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.csv --bin-ms abc"; do
   set +e
-  build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.txt \
-    $bad_value >/dev/null 2>&1
+  build/tools/$bad_value >/dev/null 2>&1
   value_rc=$?
   set -e
   if [ "$value_rc" -ne 2 ]; then
-    echo "ecohmem-advisor $bad_value exited $value_rc, want 2" >&2; exit 1
+    echo "$bad_value exited $value_rc, want 2" >&2; exit 1
   fi
 done
 

@@ -9,19 +9,14 @@
 /// itself — no `tellp` round-trips, and the v3 block writer knows every
 /// block's offset without seeking.
 ///
-/// Decoding runs over in-memory bytes (`ByteReader`, used for slurped
-/// streams and mmapped files) or over a bounded refill buffer pulled
-/// from an `std::istream` (`ChunkedStreamReader`, used by the streaming
-/// timeline path so peak memory stays flat with trace size). The event
-/// and header decoders are templates over that source concept; every
-/// error they produce carries the absolute file offset it was detected
-/// at, so a truncated or corrupt trace is diagnosable without a hex
-/// editor.
+/// Decoding runs over in-memory bytes (`ByteReader`: an mmapped file, a
+/// slurped stream, or a serve frame). Every error a decoder produces
+/// carries the absolute file offset it was detected at, so a truncated
+/// or corrupt trace is diagnosable without a hex editor.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -268,75 +263,6 @@ class ByteReader {
   std::uint64_t base_;
 };
 
-/// Bounded refill buffer over an `std::istream`: the streaming reader's
-/// source. Keeps at most `kChunkBytes` of the file resident, so the
-/// timeline path's memory stays flat however large the trace is.
-class ChunkedStreamReader {
- public:
-  static constexpr std::size_t kChunkBytes = 256 * 1024;
-
-  /// `base_offset` is the absolute file offset the stream is positioned
-  /// at, so reported offsets stay absolute after a seek.
-  explicit ChunkedStreamReader(std::istream& in, std::uint64_t base_offset = 0)
-      : in_(&in), consumed_(base_offset) {
-    buffer_.reserve(kChunkBytes);
-  }
-
-  [[nodiscard]] std::uint64_t offset() const { return consumed_ + pos_; }
-
-  bool read(void* out, std::size_t n) {
-    auto* dst = static_cast<unsigned char*>(out);
-    while (n > 0) {
-      if (pos_ == buffer_.size() && !refill()) return false;
-      const std::size_t take = std::min(n, buffer_.size() - pos_);
-      std::memcpy(dst, buffer_.data() + pos_, take);
-      pos_ += take;
-      dst += take;
-      n -= take;
-    }
-    return true;
-  }
-
-  template <typename T>
-  bool get(T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return read(&v, sizeof(v));
-  }
-
-  bool get_varint(std::uint64_t& v) {
-    v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (pos_ == buffer_.size() && !refill()) return false;
-      const unsigned char c = static_cast<unsigned char>(buffer_[pos_++]);
-      v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-      if ((c & 0x80) == 0) return true;
-    }
-    return false;
-  }
-
-  bool get_string(std::string& s) {
-    std::uint32_t n = 0;
-    if (!get(n) || n > kMaxStringBytes) return false;
-    s.resize(n);
-    return n == 0 || read(s.data(), n);
-  }
-
- private:
-  bool refill() {
-    consumed_ += buffer_.size();
-    buffer_.resize(kChunkBytes);
-    in_->read(buffer_.data(), static_cast<std::streamsize>(kChunkBytes));
-    buffer_.resize(static_cast<std::size_t>(in_->gcount()));
-    pos_ = 0;
-    return !buffer_.empty();
-  }
-
-  std::istream* in_;
-  std::string buffer_;
-  std::size_t pos_ = 0;
-  std::uint64_t consumed_ = 0;
-};
-
 inline Unexpected truncated_at(const char* what, std::uint64_t offset) {
   return unexpected(std::string(what) + " at offset " + std::to_string(offset));
 }
@@ -391,8 +317,7 @@ inline void encode_header(std::string& out, const StackTable& stacks,
   put(out, event_count);
 }
 
-template <typename Source>
-Expected<HeaderInfo> decode_header(Source& src) {
+inline Expected<HeaderInfo> decode_header(ByteReader& src) {
   char magic[8];
   if (!src.read(magic, sizeof(magic)) || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return unexpected("not an ecoHMEM trace (bad magic)");
@@ -455,8 +380,7 @@ Expected<HeaderInfo> decode_header(Source& src) {
 // --------------------------------------------------------------------------
 // Event decoders. `stack_count` bounds alloc stack references.
 
-template <typename Source>
-Status decode_event_plain(Source& src, std::uint32_t stack_count, Event& out) {
+inline Status decode_event_plain(ByteReader& src, std::uint32_t stack_count, Event& out) {
   std::uint8_t tag = 0;
   if (!src.get(tag)) return truncated_at("truncated event stream", src.offset());
   switch (tag) {
@@ -517,8 +441,8 @@ Status decode_event_plain(Source& src, std::uint32_t stack_count, Event& out) {
   }
 }
 
-template <typename Source>
-Status decode_event_compact(Source& src, std::uint32_t stack_count, Ns& last_time, Event& out) {
+inline Status decode_event_compact(ByteReader& src, std::uint32_t stack_count, Ns& last_time,
+                                   Event& out) {
   std::uint8_t tag = 0;
   std::uint64_t delta = 0;
   if (!src.get(tag) || !src.get_varint(delta)) {
@@ -592,7 +516,7 @@ Status decode_event_compact(Source& src, std::uint32_t stack_count, Ns& last_tim
 }
 
 // --------------------------------------------------------------------------
-// Two-stage batch decode fast path (compact codec, in-memory sources only).
+// Two-stage batch decode fast path (compact codec).
 //
 // The scalar decoder above pays two taxes the format forces on it: one
 // unpredictable branch per event (the tag dispatch — kinds interleave
@@ -982,51 +906,14 @@ inline void put_packed_column(std::string& out, const std::uint64_t* vals, std::
   if (nbits > 0) out.push_back(static_cast<char>(static_cast<unsigned char>(acc & 0xff)));
 }
 
-/// Reads a bit-packed u64 column of `n` values. Consumes exactly
-/// 1 + ceil(n*width/8) bytes; `scratch` is reused across columns.
-///
-/// Each value is extracted with one unaligned 8-byte load at its bit
-/// offset (plus one spill byte for the 64-bit-at-odd-offset case) — no
-/// carried accumulator, so the loop has no cross-iteration dependency
-/// and no per-byte branch. `scratch` is padded so the loads never read
-/// past the buffer.
-template <typename Source>
-bool get_packed_column(Source& src, std::uint64_t n, std::vector<std::uint64_t>& out,
-                       std::vector<unsigned char>& scratch) {
-  std::uint8_t width = 0;
-  if (!src.get(width) || width > 64) return false;
-  if (width == 0 || n == 0) {
-    out.assign(static_cast<std::size_t>(n), 0);
-    return true;
-  }
-  const std::uint64_t nbytes = (n * width + 7) / 8;
-  scratch.resize(static_cast<std::size_t>(nbytes) + 8);
-  if (!src.read(scratch.data(), static_cast<std::size_t>(nbytes))) return false;
-  out.resize(static_cast<std::size_t>(n));
-  const std::uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
-  const unsigned char* p = scratch.data();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t bitpos = i * width;
-    const std::uint64_t byte = bitpos >> 3;
-    const unsigned sh = static_cast<unsigned>(bitpos & 7);
-    std::uint64_t w;
-    std::memcpy(&w, p + byte, sizeof(w));
-    // The ninth byte contributes the top `sh` bits of a 64-bit-wide
-    // read; the double shift keeps sh == 0 well-defined.
-    const std::uint64_t spill = p[byte + 8];
-    out[static_cast<std::size_t>(i)] = ((w >> sh) | ((spill << 1) << (63 - sh))) & mask;
-  }
-  return true;
-}
-
 namespace detail {
 
 /// Bit-packed column view used by the fused block decoder: value `j`
 /// is extracted with one unaligned 8-byte load at its bit offset plus
-/// one spill byte, exactly like get_packed_column, but straight out of
-/// the source bytes — no intermediate u64 vector. `p` must stay
-/// dereferenceable 8 bytes past the packed payload (the zero-copy
-/// opener below proves that bound or falls back to an owned copy).
+/// one spill byte, straight out of the source bytes — no intermediate
+/// u64 vector. `p` must stay dereferenceable 8 bytes past the packed
+/// payload (the zero-copy opener below proves that bound or falls back
+/// to an owned copy).
 struct PackedCursor {
   const unsigned char* p = nullptr;
   unsigned width = 0;
@@ -1050,33 +937,10 @@ struct PackedCursor {
 inline constexpr unsigned char kZeroColumn[16] = {};
 
 /// Parses one packed column header and positions a cursor over its
-/// payload. Generic sources copy the payload into an owned buffer with
-/// the 8 spill bytes zeroed; the ByteReader overload serves the bytes
-/// in place whenever the buffer extends 8 bytes past the column (true
-/// for every column except a file's final one). Byte consumption and
-/// failure behavior match get_packed_column exactly.
-template <typename Source>
-bool open_packed_column(Source& src, std::uint64_t n, PackedCursor& c,
-                        std::vector<std::unique_ptr<unsigned char[]>>& own) {
-  std::uint8_t width = 0;
-  if (!src.get(width) || width > 64) return false;
-  if (width == 0 || n == 0) {
-    c.p = kZeroColumn;
-    c.width = 0;
-    c.mask = 0;
-    return true;
-  }
-  const std::uint64_t nbytes = (n * width + 7) / 8;
-  auto buf = std::make_unique<unsigned char[]>(static_cast<std::size_t>(nbytes) + 8);
-  if (!src.read(buf.get(), static_cast<std::size_t>(nbytes))) return false;
-  std::memset(buf.get() + nbytes, 0, 8);
-  c.p = buf.get();
-  c.width = width;
-  c.mask = width == 64 ? ~0ull : (1ull << width) - 1;
-  own.push_back(std::move(buf));
-  return true;
-}
-
+/// payload. The bytes are served in place whenever the buffer extends 8
+/// bytes past the column (true for every column except a file's final
+/// one); otherwise the payload is copied into an owned buffer with the
+/// 8 spill bytes zeroed.
 inline bool open_packed_column(ByteReader& src, std::uint64_t n, PackedCursor& c,
                                std::vector<std::unique_ptr<unsigned char[]>>& own) {
   std::uint8_t width = 0;
@@ -1190,8 +1054,8 @@ namespace detail {
 /// positions, so the hot loops have no per-event tag dispatch — and
 /// writes each Event at its stream position. Decoding is all-or-
 /// nothing: on error nothing is delivered (`prepare` may have run).
-template <typename Source, typename Prepare>
-Status decode_compressed_block_impl(Source& src, std::uint32_t stack_count,
+template <typename Prepare>
+Status decode_compressed_block_impl(ByteReader& src, std::uint32_t stack_count,
                                     std::uint64_t max_events, std::uint64_t& n_events,
                                     Prepare&& prepare) {
   const std::uint64_t body_offset = src.offset();
@@ -1338,10 +1202,9 @@ Status decode_compressed_block_impl(Source& src, std::uint32_t stack_count,
 /// the count actually decoded. The random-access reader uses this to
 /// skip the per-event sink indirection. All-or-nothing: on error `out`
 /// may hold partial garbage and nothing should be consumed.
-template <typename Source>
-Status decode_compressed_block_into(Source& src, std::uint32_t stack_count,
-                                    std::uint64_t max_events, std::uint64_t& n_events,
-                                    Event* out) {
+inline Status decode_compressed_block_into(ByteReader& src, std::uint32_t stack_count,
+                                           std::uint64_t max_events, std::uint64_t& n_events,
+                                           Event* out) {
   return detail::decode_compressed_block_impl(src, stack_count, max_events, n_events,
                                               [out](std::size_t) { return out; });
 }
@@ -1354,9 +1217,9 @@ Status decode_compressed_block_into(Source& src, std::uint32_t stack_count,
 /// carries the absolute offset it was detected at. The block decodes
 /// all-or-nothing — the sink only ever sees events from a block that
 /// decoded cleanly end to end.
-template <typename Source, typename Sink>
-Status decode_compressed_block(Source& src, std::uint32_t stack_count, std::uint64_t max_events,
-                               std::uint64_t& n_events, Sink&& sink) {
+template <typename Sink>
+Status decode_compressed_block(ByteReader& src, std::uint32_t stack_count,
+                               std::uint64_t max_events, std::uint64_t& n_events, Sink&& sink) {
   std::vector<Event> buf;
   if (Status s = detail::decode_compressed_block_impl(src, stack_count, max_events, n_events,
                                                       [&buf](std::size_t n) {
@@ -1429,7 +1292,9 @@ inline Expected<IndexInfo> decode_index(const unsigned char* data, std::size_t s
     return truncated_at("v3 footer offset points past the index trailer", size - 16);
   }
   const std::uint64_t index_bytes = trailer_offset - info.footer_offset;
-  if (entry_count * kIndexEntryBytes != index_bytes) {
+  // Divide rather than multiply: a hostile count times the entry size
+  // can wrap around to the real span and pass.
+  if (index_bytes % kIndexEntryBytes != 0 || entry_count != index_bytes / kIndexEntryBytes) {
     return unexpected("v3 index claims " + std::to_string(entry_count) + " entries but spans " +
                       std::to_string(index_bytes) + " bytes at offset " +
                       std::to_string(info.footer_offset));

@@ -5,21 +5,171 @@
 #include "ecohmem/trace/salvage.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <cstring>
-#include <istream>
 #include <limits>
+#include <memory>
 #include <utility>
 
 namespace ecohmem::trace {
 
 namespace {
 
+/// Outcome of trial-decoding one span of the file.
+struct Probe {
+  std::uint64_t events = 0;      ///< events decoded cleanly
+  std::uint64_t end_offset = 0;  ///< offset one past the last clean event
+  Ns first_time = 0;             ///< timestamp of the first decoded event
+  bool ok = true;                ///< false when decoding stopped on an error
+  std::uint64_t error_offset = 0;
+  std::string error;
+};
+
+/// Keeps the codec's message but anchors it at `offset`.
+std::string anchored(std::string msg, std::uint64_t offset) {
+  if (const auto k = msg.rfind(" at offset "); k != std::string::npos) msg.resize(k);
+  return msg + " at offset " + std::to_string(offset);
+}
+
+/// The trace bytes the planner trial-decodes. A probe's cursor runs to
+/// the file end, not the block end, so an event that overruns its block
+/// is detected by offset rather than by a short read.
+struct TraceBytes {
+  const unsigned char* data;
+  std::size_t size;
+  std::uint32_t stack_count;
+
+  [[nodiscard]] codec::ByteReader at(std::uint64_t begin) const {
+    begin = std::min<std::uint64_t>(begin, size);
+    return {data + begin, size - static_cast<std::size_t>(begin), begin};
+  }
+
+  /// Decodes up to `max_events` events starting at absolute offset
+  /// `begin`, never accepting an event that ends past `end`. `plain`
+  /// selects the v1 fixed-width codec (v2/v3 use the compact codec with
+  /// a fresh delta base). Stops cleanly when [begin, end) is exhausted,
+  /// and with `ok = false` at the first decode error or overrun.
+  [[nodiscard]] Probe probe(std::uint64_t begin, std::uint64_t end, std::uint64_t max_events,
+                            bool plain) const {
+    codec::ByteReader src = at(begin);
+    Probe p;
+    p.end_offset = src.offset();
+    Ns last_time = 0;
+    Event ev;
+#if ECOHMEM_CODEC_WIDE_SCAN
+    // Scratch for the scan fast path below, heap-allocated once per
+    // probe so the probe's stack stays small.
+    struct ScanScratch {
+      codec::detail::ScanChunk chunk;
+      std::array<Event, codec::kScanChunk> events;
+    };
+    std::unique_ptr<ScanScratch> scratch;
+    if (!plain && codec::detail::wide_scan_available()) {
+      scratch = std::make_unique<ScanScratch>();
+    }
+#endif
+    for (std::uint64_t j = 0; j < max_events;) {
+#if ECOHMEM_CODEC_WIDE_SCAN
+      // Scan fast path (compact codec): stage-1 scan a chunk of events,
+      // materialize them to run the full validation the scalar decoder
+      // applies (stack references included), and commit wholesale the
+      // prefix that stays inside [.., end). Any anomaly falls through to
+      // the scalar decode below, which owns the diagnosis — so the
+      // probe's result is bitwise what a scalar-only probe reports.
+      if (scratch && src.offset() < end && src.remaining() >= codec::kScanWindowBytes) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(max_events - j, codec::kScanChunk));
+        std::size_t used = 0;
+        const std::size_t got = codec::detail::scan_compact_chunk(
+            src.raw(), src.remaining(), want, last_time, scratch->chunk, used);
+        if (got > 0 && codec::detail::materialize_chunk(src.raw(), stack_count, scratch->chunk,
+                                                        scratch->events.data())) {
+          // Keep only the events that end inside the span (event k's end
+          // is event k+1's start; the overrunning tail re-decodes scalar
+          // so the overrun diagnosis below stays the scalar one).
+          std::size_t m = got;
+          while (m > 0 && src.offset() + (m < got ? scratch->chunk.off[m] : used) > end) {
+            --m;
+          }
+          if (m > 0) {
+            if (p.events == 0) p.first_time = scratch->chunk.time[0];
+            last_time = scratch->chunk.time[m - 1];
+            src.skip(m < got ? scratch->chunk.off[m] : used);
+            p.events += m;
+            p.end_offset = src.offset();
+            j += m;
+            continue;
+          }
+        }
+      }
+#endif
+      const std::uint64_t pos = src.offset();
+      if (pos >= end) break;
+      ++j;
+      const Status s = plain ? codec::decode_event_plain(src, stack_count, ev)
+                             : codec::decode_event_compact(src, stack_count, last_time, ev);
+      if (!s.ok()) {
+        // The loss names the event that failed, not the byte inside it
+        // where the codec gave up.
+        p.ok = false;
+        p.error = anchored(s.error(), pos);
+        p.error_offset = pos;
+        break;
+      }
+      if (src.offset() > end) {
+        p.ok = false;
+        p.error = "event at offset " + std::to_string(pos) +
+                  " overruns the block end at offset " + std::to_string(end);
+        p.error_offset = pos;
+        break;
+      }
+      if (p.events == 0) p.first_time = event_time(ev);
+      ++p.events;
+      p.end_offset = src.offset();
+    }
+    return p;
+  }
+
+  /// Trial-decodes one compressed column block starting at `begin`
+  /// (index-driven salvage only). A compressed block decodes
+  /// all-or-nothing, so on any error the probe reports zero events with
+  /// the error anchored at the block start.
+  [[nodiscard]] Probe probe_compressed(std::uint64_t begin, std::uint64_t end,
+                                       std::uint64_t max_events) const {
+    codec::ByteReader src = at(begin);
+    Probe p;
+    begin = src.offset();
+    p.end_offset = begin;
+    std::uint64_t declared = 0;
+    const Status s = codec::decode_compressed_block(src, stack_count, max_events, declared,
+                                                    [&p](const Event& ev) {
+                                                      if (p.events == 0) {
+                                                        p.first_time = event_time(ev);
+                                                      }
+                                                      ++p.events;
+                                                    });
+    std::string error;
+    if (!s.ok()) {
+      error = s.error();
+    } else if (src.offset() > end) {
+      error = "compressed block overruns the block end";
+    } else {
+      p.end_offset = src.offset();
+      return p;
+    }
+    p.ok = false;
+    p.error = anchored(std::move(error), begin);
+    p.error_offset = begin;
+    p.events = 0;
+    return p;
+  }
+};
+
 /// Sequential-scan recovery: decode the event section front to back as
 /// one virtual block. Used for v1/v2 and for v3 files whose footer
 /// index is unreadable (`index_error` carries the lenient decode error
 /// in that case).
-void plan_sequential(SalvageSource& source, const codec::HeaderInfo& header,
+void plan_sequential(const TraceBytes& source, const codec::HeaderInfo& header,
                      std::uint64_t file_size, const std::string& index_error,
                      SalvagePlan& plan) {
   SalvageManifest& m = plan.manifest;
@@ -36,7 +186,7 @@ void plan_sequential(SalvageSource& source, const codec::HeaderInfo& header,
   std::uint64_t cap = header.event_count;
   if (v3 && cap == 0) cap = std::numeric_limits<std::uint64_t>::max();
 
-  const SalvageSource::Probe p = source.probe(header.events_offset, file_size, cap, plain);
+  const Probe p = source.probe(header.events_offset, file_size, cap, plain);
   m.events_recovered = p.events;
   m.events_declared = std::max(header.event_count, p.events);
   m.events_dropped = m.events_declared - m.events_recovered;
@@ -80,8 +230,10 @@ std::string SalvageManifest::summary() const {
   return s;
 }
 
-SalvagePlan build_salvage_plan(SalvageSource& source, const codec::HeaderInfo& header,
-                               std::uint64_t file_size, const Expected<codec::IndexInfo>& index) {
+SalvagePlan build_salvage_plan(const unsigned char* data, std::size_t size,
+                               const codec::HeaderInfo& header) {
+  const TraceBytes source{data, size, static_cast<std::uint32_t>(header.stacks.size())};
+  const std::uint64_t file_size = size;
   SalvagePlan plan;
   SalvageManifest& m = plan.manifest;
   m.salvaged = true;
@@ -96,6 +248,7 @@ SalvagePlan build_salvage_plan(SalvageSource& source, const codec::HeaderInfo& h
   // A structurally-readable footer whose offset points into (or before)
   // the header cannot describe real blocks — its "entries" are header
   // bytes. Treat it the same as an unreadable index.
+  const Expected<codec::IndexInfo> index = codec::decode_index(data, size);
   if (!index.has_value() || index->footer_offset < header.events_offset) {
     const std::string err =
         index.has_value() ? "footer offset points before the event section" : index.error();
@@ -157,7 +310,7 @@ SalvagePlan build_salvage_plan(SalvageSource& source, const codec::HeaderInfo& h
         k + 1 < candidates.size() ? candidates[k + 1].entry.offset : events_end;
     const bool compressed = (c.entry.count & codec::kBlockCompressedFlag) != 0;
     const std::uint64_t declared = c.entry.count & codec::kBlockCountMask;
-    SalvageSource::Probe p =
+    Probe p =
         compressed ? source.probe_compressed(c.entry.offset, span_end, declared)
                    : source.probe(c.entry.offset, span_end, declared, /*plain=*/false);
     std::string reason;
@@ -199,57 +352,6 @@ SalvagePlan build_salvage_plan(SalvageSource& source, const codec::HeaderInfo& h
   std::sort(m.losses.begin(), m.losses.end(),
             [](const SalvageBlockLoss& a, const SalvageBlockLoss& b) { return a.block < b.block; });
   return plan;
-}
-
-Expected<codec::IndexInfo> read_index_lenient(std::istream& in, std::uint64_t file_size) {
-  // Mirrors codec::decode_index byte for byte (same checks, same error
-  // strings) so TraceReader and TraceStreamer produce identical salvage
-  // manifests for identical file contents.
-  if (file_size < codec::kTrailerBytes) {
-    return codec::truncated_at("v3 trace too small for index trailer", file_size);
-  }
-  const std::uint64_t trailer_offset = file_size - codec::kTrailerBytes;
-  unsigned char trailer[codec::kTrailerBytes];
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(trailer_offset));
-  in.read(reinterpret_cast<char*>(trailer), sizeof(trailer));
-  if (!in.good()) {
-    return codec::truncated_at("unreadable v3 index trailer", trailer_offset);
-  }
-  if (std::memcmp(trailer + 16, codec::kIndexMagic, sizeof(codec::kIndexMagic)) != 0) {
-    return codec::truncated_at("missing v3 index trailer magic", file_size - 8);
-  }
-  std::uint64_t entry_count = 0;
-  codec::IndexInfo info;
-  info.file_size = file_size;
-  std::memcpy(&entry_count, trailer, 8);
-  std::memcpy(&info.footer_offset, trailer + 8, 8);
-  if (info.footer_offset > trailer_offset) {
-    return codec::truncated_at("v3 footer offset points past the index trailer", file_size - 16);
-  }
-  const std::uint64_t index_bytes = trailer_offset - info.footer_offset;
-  if (entry_count * codec::kIndexEntryBytes != index_bytes) {
-    return unexpected("v3 index claims " + std::to_string(entry_count) + " entries but spans " +
-                      std::to_string(index_bytes) + " bytes at offset " +
-                      std::to_string(info.footer_offset));
-  }
-  std::vector<unsigned char> raw(static_cast<std::size_t>(index_bytes));
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(info.footer_offset));
-  in.read(reinterpret_cast<char*>(raw.data()), static_cast<std::streamsize>(raw.size()));
-  if (!in.good() && index_bytes != 0) {
-    return codec::truncated_at("unreadable v3 index footer", info.footer_offset);
-  }
-  info.entries.reserve(static_cast<std::size_t>(entry_count));
-  codec::ByteReader r(raw.data(), raw.size(), info.footer_offset);
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    codec::IndexEntry e;
-    if (!r.get(e.offset) || !r.get(e.count) || !r.get(e.first_time)) {
-      return codec::truncated_at("truncated v3 index entry", r.offset());
-    }
-    info.entries.push_back(e);
-  }
-  return info;
 }
 
 }  // namespace ecohmem::trace

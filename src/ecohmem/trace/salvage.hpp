@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file salvage.hpp
-/// Fail-soft trace recovery: the salvage planner shared by `TraceReader`
-/// and `TraceStreamer` (trace_reader.hpp) when they are opened in
-/// salvage mode.
+/// Fail-soft trace recovery: the salvage planner `TraceReader`
+/// (trace_reader.hpp) runs when it is opened in salvage mode.
 ///
 /// A strict reader rejects a trace at the first structural error. The
 /// salvage planner instead classifies the file block by block, using the
@@ -37,13 +36,10 @@
 /// gates on it (trace-salvage-coverage). docs/robustness.md is the
 /// user-facing guide.
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "ecohmem/common/expected.hpp"
 #include "ecohmem/trace/codec.hpp"
 #include "ecohmem/trace/events.hpp"
 
@@ -113,177 +109,8 @@ struct SalvageManifest {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Random-access decode probe the planner classifies blocks through.
-/// Implemented over the mmapped bytes (TraceReader) and over a seekable
-/// file stream (TraceStreamer); both must report identical results for
-/// identical bytes, which the corruption-sweep test cross-checks.
-class SalvageSource {
- public:
-  struct Probe {
-    std::uint64_t events = 0;      ///< events decoded cleanly
-    std::uint64_t end_offset = 0;  ///< offset one past the last clean event
-    Ns first_time = 0;             ///< timestamp of the first decoded event
-    bool ok = true;                ///< false when decoding stopped on an error
-    std::uint64_t error_offset = 0;
-    std::string error;
-  };
-
-  virtual ~SalvageSource() = default;
-
-  /// Decodes up to `max_events` events starting at absolute offset
-  /// `begin`, never accepting an event that ends past `end`. `plain`
-  /// selects the v1 fixed-width codec (v2/v3 use the compact codec with
-  /// a fresh delta base). Must not throw.
-  [[nodiscard]] virtual Probe probe(std::uint64_t begin, std::uint64_t end,
-                                    std::uint64_t max_events, bool plain) = 0;
-
-  /// Trial-decodes one compressed column block starting at `begin`
-  /// (index-driven salvage only; a compressed block is all-or-nothing).
-  /// Errors are re-anchored at `begin` so both sources classify
-  /// identical bytes identically regardless of how far their cursors
-  /// advanced before failing. Must not throw.
-  [[nodiscard]] virtual Probe probe_compressed(std::uint64_t begin, std::uint64_t end,
-                                               std::uint64_t max_events) = 0;
-};
-
-/// Shared probe loop for both sources (`Source` is a codec decode source
-/// positioned at `begin`). Stops cleanly when the span [begin, end) is
-/// exhausted, and with `ok = false` at the first decode error or the
-/// first event that overruns `end`.
-template <typename Source>
-SalvageSource::Probe probe_events(Source& src, std::uint64_t end, std::uint64_t max_events,
-                                  bool plain, std::uint32_t stack_count) {
-  SalvageSource::Probe p;
-  p.end_offset = src.offset();
-  Ns last_time = 0;
-  Event ev;
-#if ECOHMEM_CODEC_WIDE_SCAN
-  // Scratch for the scan fast path below. Heap-allocated once per probe
-  // so the stream-source instantiation (which never uses it) costs
-  // nothing and the probe's stack stays small.
-  struct ScanScratch {
-    codec::detail::ScanChunk chunk;
-    std::array<Event, codec::kScanChunk> events;
-  };
-  std::unique_ptr<ScanScratch> scratch;
-  if constexpr (std::is_same_v<Source, codec::ByteReader>) {
-    if (!plain && codec::detail::wide_scan_available()) {
-      scratch = std::make_unique<ScanScratch>();
-    }
-  }
-#endif
-  for (std::uint64_t j = 0; j < max_events;) {
-    // Scan fast path (in-memory source, compact codec): stage-1 scan a
-    // chunk of events, materialize them to run the full validation the
-    // scalar decoder applies (stack references included), and commit
-    // wholesale the prefix that stays inside [.., end). Any anomaly
-    // falls through to the scalar decode below, which owns the
-    // diagnosis — so the probe's result is bitwise what a scalar-only
-    // probe reports.
-    if constexpr (std::is_same_v<Source, codec::ByteReader>) {
-#if ECOHMEM_CODEC_WIDE_SCAN
-      if (scratch && src.offset() < end && src.remaining() >= codec::kScanWindowBytes) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(max_events - j, codec::kScanChunk));
-        std::size_t used = 0;
-        const std::size_t got = codec::detail::scan_compact_chunk(
-            src.raw(), src.remaining(), want, last_time, scratch->chunk, used);
-        if (got > 0 && codec::detail::materialize_chunk(src.raw(), stack_count, scratch->chunk,
-                                                        scratch->events.data())) {
-          // Keep only the events that end inside the span (event k's end
-          // is event k+1's start; the overrunning tail re-decodes scalar
-          // so the overrun diagnosis below stays the scalar one).
-          std::size_t m = got;
-          while (m > 0 &&
-                 src.offset() + (m < got ? scratch->chunk.off[m] : used) > end) {
-            --m;
-          }
-          if (m > 0) {
-            if (p.events == 0) p.first_time = scratch->chunk.time[0];
-            last_time = scratch->chunk.time[m - 1];
-            src.skip(m < got ? scratch->chunk.off[m] : used);
-            p.events += m;
-            p.end_offset = src.offset();
-            j += m;
-            continue;
-          }
-        }
-      }
-#endif
-    }
-    const std::uint64_t pos = src.offset();
-    if (pos >= end) break;
-    ++j;
-    const Status s = plain ? codec::decode_event_plain(src, stack_count, ev)
-                           : codec::decode_event_compact(src, stack_count, last_time, ev);
-    if (!s.ok()) {
-      // Re-anchor the codec's error at the event *start*: the mmap and
-      // stream sources consume a failing event's bytes differently, and
-      // both readers must report an identical manifest for identical
-      // bytes (the corruption sweep cross-checks this).
-      p.ok = false;
-      std::string msg = s.error();
-      if (const auto k = msg.rfind(" at offset "); k != std::string::npos) msg.resize(k);
-      p.error = msg + " at offset " + std::to_string(pos);
-      p.error_offset = pos;
-      break;
-    }
-    if (src.offset() > end) {
-      p.ok = false;
-      p.error = "event at offset " + std::to_string(pos) + " overruns the block end at offset " +
-                std::to_string(end);
-      p.error_offset = pos;
-      break;
-    }
-    if (p.events == 0) p.first_time = event_time(ev);
-    ++p.events;
-    p.end_offset = src.offset();
-  }
-  return p;
-}
-
-/// Shared compressed-block trial decode for both sources. A compressed
-/// block decodes all-or-nothing, so on any error the probe reports zero
-/// events with the error re-anchored at the block start `begin`: the
-/// byte and stream sources consume a failing read differently, and both
-/// readers must produce an identical manifest for identical bytes.
-template <typename Source>
-SalvageSource::Probe probe_compressed_events(Source& src, std::uint64_t end,
-                                             std::uint64_t max_events,
-                                             std::uint32_t stack_count) {
-  SalvageSource::Probe p;
-  const std::uint64_t begin = src.offset();
-  p.end_offset = begin;
-  bool first = true;
-  std::uint64_t declared = 0;
-  const Status s = codec::decode_compressed_block(
-      src, stack_count, max_events, declared, [&p, &first](const Event& ev) {
-        if (first) {
-          p.first_time = event_time(ev);
-          first = false;
-        }
-        ++p.events;
-      });
-  const auto fail = [&p, begin](std::string msg) {
-    if (const auto k = msg.rfind(" at offset "); k != std::string::npos) msg.resize(k);
-    p.ok = false;
-    p.error = msg + " at offset " + std::to_string(begin);
-    p.error_offset = begin;
-    p.end_offset = begin;
-    p.events = 0;
-  };
-  if (!s.ok()) {
-    fail(s.error());
-  } else if (src.offset() > end) {
-    fail("compressed block overruns the block end");
-  } else {
-    p.end_offset = src.offset();
-  }
-  return p;
-}
-
 /// The salvage classification: manifest plus the kept-block table the
-/// readers serve (`first_event_index` renumbered over recovered events
+/// reader serves (`first_event_index` renumbered over recovered events
 /// only, `first_time` taken from the decoded events, so the index values
 /// need not be trusted).
 struct SalvagePlan {
@@ -291,19 +118,12 @@ struct SalvagePlan {
   std::vector<TraceBlockInfo> blocks;
 };
 
-/// Classifies a trace for salvage. `index` is the *lenient* footer
-/// decode result for v3 traces (its error selects the sequential-scan
-/// path); ignored for v1/v2. The header must already have decoded —
-/// without its tables nothing is recoverable.
-[[nodiscard]] SalvagePlan build_salvage_plan(SalvageSource& source,
-                                             const codec::HeaderInfo& header,
-                                             std::uint64_t file_size,
-                                             const Expected<codec::IndexInfo>& index);
-
-/// Lenient footer/trailer read over a seekable stream — the stream-side
-/// twin of codec::decode_index, with the same checks and error strings
-/// so both readers classify a damaged index identically.
-[[nodiscard]] Expected<codec::IndexInfo> read_index_lenient(std::istream& in,
-                                                            std::uint64_t file_size);
+/// Classifies the trace held in `[data, data + size)` for salvage,
+/// trial-decoding every candidate block in place. A v3 footer index is
+/// decoded leniently (codec::decode_index); when it is unreadable the
+/// planner falls back to the sequential scan. The header must already
+/// have decoded — without its tables nothing is recoverable.
+[[nodiscard]] SalvagePlan build_salvage_plan(const unsigned char* data, std::size_t size,
+                                             const codec::HeaderInfo& header);
 
 }  // namespace ecohmem::trace

@@ -1,12 +1,11 @@
 #include "ecohmem/trace/trace_file.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <utility>
 
 #include "ecohmem/trace/codec.hpp"
+#include "ecohmem/trace/trace_reader.hpp"
 
 namespace ecohmem::trace {
 
@@ -23,22 +22,6 @@ Status flush_buffer(std::ostream& out, std::string& buf) {
   }
   if (!out.good()) return unexpected("trace write failed (I/O error)");
   return {};
-}
-
-/// Reads the whole stream in large chunks (satellite of the v3 work:
-/// even legacy v1/v2 traces are decoded from memory instead of per-event
-/// istream reads). A stream that goes bad mid-read is an error — a
-/// short buffer would otherwise decode as a silently truncated trace.
-Expected<std::string> slurp_stream(std::istream& in) {
-  std::string bytes;
-  char chunk[256 * 1024];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-  if (in.bad()) {
-    return unexpected("stream read error after " + std::to_string(bytes.size()) + " bytes");
-  }
-  return bytes;
 }
 
 Status write_events_v3(std::ostream& out, const Trace& trace, std::uint64_t events_offset,
@@ -81,109 +64,6 @@ Status write_events_v3(std::ostream& out, const Trace& trace, std::uint64_t even
   return flush_buffer(out, buf);
 }
 
-Expected<TraceBundle> decode_trace(const unsigned char* data, std::size_t size) {
-  codec::ByteReader r(data, size, 0);
-  auto header = codec::decode_header(r);
-  if (!header.has_value()) return unexpected(header.error());
-
-  TraceBundle bundle;
-  bundle.trace.stacks = std::move(header->stacks);
-  bundle.trace.functions = std::move(header->functions);
-  bundle.trace.sample_rate_hz = header->sample_rate_hz;
-  bundle.modules = std::move(header->modules);
-  bundle.coverage.events_seen = header->event_count;
-  bundle.coverage.events_declared = header->event_count;
-  const auto stack_count = static_cast<std::uint32_t>(bundle.trace.stacks.size());
-  // Every event is at least 2 encoded bytes, so a hostile header count
-  // cannot make us reserve more than the file could actually hold.
-  bundle.trace.events.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(header->event_count, size / 2 + 1)));
-
-  if (header->version == codec::kVersionIndexed) {
-    auto index = codec::decode_index(data, size);
-    if (!index.has_value()) return unexpected(index.error());
-    // The event section must end where the footer begins.
-    if (Status s = codec::validate_index(*index, header->events_offset, header->event_count);
-        !s.ok()) {
-      return unexpected(s.error());
-    }
-    for (std::size_t b = 0; b < index->entries.size(); ++b) {
-      const codec::IndexEntry& entry = index->entries[b];
-      const std::uint64_t end =
-          b + 1 < index->entries.size() ? index->entries[b + 1].offset : index->footer_offset;
-      const std::uint64_t count = entry.count & codec::kBlockCountMask;
-      const bool compressed = (entry.count & codec::kBlockCompressedFlag) != 0;
-      // Every event costs at least one block byte (tags are one byte in
-      // both body encodings), so a hostile count cannot force a large
-      // allocation before the decode fails.
-      if (count > end - entry.offset) {
-        return unexpected("v3 index block " + std::to_string(b) + " declares " +
-                          std::to_string(count) + " events in " +
-                          std::to_string(end - entry.offset) + " bytes at offset " +
-                          std::to_string(entry.offset));
-      }
-      codec::ByteReader br(data + entry.offset, static_cast<std::size_t>(end - entry.offset),
-                           entry.offset);
-      const std::size_t base = bundle.trace.events.size();
-      if (compressed) {
-        std::uint64_t body_events = 0;
-        if (Status s = codec::decode_compressed_block(
-                br, stack_count, count, body_events,
-                [&bundle](const Event& ev) { bundle.trace.events.push_back(ev); });
-            !s.ok()) {
-          return unexpected(s.error());
-        }
-        if (body_events != count) {
-          return unexpected("v3 index block " + std::to_string(b) + " declares " +
-                            std::to_string(count) + " events but its compressed body holds " +
-                            std::to_string(body_events) + " at offset " +
-                            std::to_string(entry.offset));
-        }
-      } else {
-        bundle.trace.events.resize(base + static_cast<std::size_t>(count));
-        Ns last_time = 0;
-        if (Status s = codec::decode_compact_events(br, stack_count, last_time,
-                                                    bundle.trace.events.data() + base, count);
-            !s.ok()) {
-          return unexpected(s.error());
-        }
-      }
-      if (count > 0 && event_time(bundle.trace.events[base]) != entry.first_time) {
-        return unexpected("v3 index block " + std::to_string(b) +
-                          " first timestamp disagrees with its events at offset " +
-                          std::to_string(entry.offset));
-      }
-      if (br.remaining() != 0) {
-        return unexpected("v3 index block " + std::to_string(b) + " has " +
-                          std::to_string(br.remaining()) + " undecoded bytes at offset " +
-                          std::to_string(br.offset()));
-      }
-    }
-    return bundle;
-  }
-
-  if (header->version == codec::kVersionCompact) {
-    Ns last_time = 0;
-    for (std::uint64_t i = 0; i < header->event_count; ++i) {
-      Event ev;
-      if (Status s = codec::decode_event_compact(r, stack_count, last_time, ev); !s.ok()) {
-        return unexpected(s.error());
-      }
-      bundle.trace.events.push_back(std::move(ev));
-    }
-    return bundle;
-  }
-
-  for (std::uint64_t i = 0; i < header->event_count; ++i) {
-    Event ev;
-    if (Status s = codec::decode_event_plain(r, stack_count, ev); !s.ok()) {
-      return unexpected(s.error());
-    }
-    bundle.trace.events.push_back(std::move(ev));
-  }
-  return bundle;
-}
-
 }  // namespace
 
 Status write_trace(std::ostream& out, const Trace& trace, const bom::ModuleTable& modules,
@@ -224,9 +104,9 @@ Status write_trace(std::ostream& out, const Trace& trace, const bom::ModuleTable
 }
 
 Expected<TraceBundle> read_trace(std::istream& in) {
-  const Expected<std::string> bytes = slurp_stream(in);
-  if (!bytes.has_value()) return unexpected("cannot read trace stream: " + bytes.error());
-  return decode_trace(reinterpret_cast<const unsigned char*>(bytes->data()), bytes->size());
+  const Expected<TraceReader> reader = TraceReader::from_stream(in);
+  if (!reader.has_value()) return unexpected(reader.error());
+  return reader->read_all();
 }
 
 Status save_trace(const std::string& path, const Trace& trace, const bom::ModuleTable& modules,
@@ -237,9 +117,9 @@ Status save_trace(const std::string& path, const Trace& trace, const bom::Module
 }
 
 Expected<TraceBundle> load_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return unexpected("cannot open trace: " + path);
-  return read_trace(in);
+  const Expected<TraceReader> reader = TraceReader::open(path);
+  if (!reader.has_value()) return unexpected(reader.error());
+  return reader->read_all();
 }
 
 // --------------------------------------------------------------------------

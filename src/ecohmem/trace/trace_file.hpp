@@ -93,11 +93,12 @@ struct TraceWriteOptions {
 
 /// Deserializes a trace (any version; auto-detected); validates
 /// magic/version, stack/module indices, and — for v3 — the footer index.
-/// The stream is slurped into memory in large chunks and decoded from
-/// there, so even v1/v2 traces avoid per-event stream reads.
+/// Shorthand for `TraceReader::from_stream(in)` then `read_all()`
+/// (trace_reader.hpp).
 [[nodiscard]] Expected<TraceBundle> read_trace(std::istream& in);
 
-/// File-path conveniences.
+/// File-path conveniences; `load_trace` is `TraceReader::open(path)`
+/// then `read_all()`.
 [[nodiscard]] Status save_trace(const std::string& path, const Trace& trace,
                                 const bom::ModuleTable& modules,
                                 const TraceWriteOptions& options = {});

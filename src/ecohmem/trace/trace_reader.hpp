@@ -1,7 +1,9 @@
 #pragma once
 
 /// \file trace_reader.hpp
-/// Zero-copy and streaming access to on-disk traces.
+/// The one trace decoder: every read of an on-disk trace goes through
+/// `TraceReader` (`load_trace`/`read_trace` are `open`/`from_stream`
+/// plus `read_all`).
 ///
 /// `TraceReader` mmaps a trace file (falling back to a private in-memory
 /// copy for unseekable inputs) and exposes the v3 block index: each
@@ -12,15 +14,17 @@
 /// construction). v1/v2 traces are presented as a single virtual block,
 /// so every caller works on every version.
 ///
-/// `TraceStreamer` is the bounded-memory path for consumers that never
-/// need the whole trace at once (ecohmem-timeline): it keeps only the
-/// header tables, the block index, and one 256 KiB read buffer resident
-/// regardless of trace size, re-reading the file on each pass.
+/// `for_each` is the bounded-memory path for consumers that never need
+/// the whole trace at once (ecohmem-timeline): it decodes in chunks of
+/// at most one compressed block or 16K events — v1/v2 included — and
+/// hands consumed pages of the mapping back as it goes, so peak memory
+/// stays flat however large the trace is.
 ///
-/// Thread safety: after construction, `TraceReader`'s accessors and
-/// `decode_block*` are const and safe to call from any number of threads
-/// concurrently (the mapping is immutable). `read_all` must be called
-/// from one thread at a time (it owns the worker pool hand-off).
+/// Thread safety: after construction, `TraceReader`'s accessors,
+/// `decode_block*` and `for_each` are const and safe to call from any
+/// number of threads concurrently (the mapping is immutable; a page
+/// `for_each` released faults back in unchanged). `read_all` must be
+/// called from one thread at a time (it owns the worker pool hand-off).
 
 #include <cstdint>
 #include <functional>
@@ -98,48 +102,22 @@ class TraceReader {
   /// The bundle's `coverage` reflects the salvage manifest.
   [[nodiscard]] Expected<TraceBundle> read_all(int threads = 1) const;
 
+  /// Streams every event, in order, through `fn` without materializing
+  /// the trace: uncompressed events decode in chunks of at most 16K, a
+  /// compressed block whole, and consumed pages of the mapping are
+  /// released as the walk advances. Each call re-reads from the first
+  /// block, so multi-pass consumers call it once per pass. Strict and
+  /// salvage opens behave as in `read_all` (salvage streams only the
+  /// recovered blocks); on a decode error, the events of earlier chunks
+  /// have already been delivered.
+  [[nodiscard]] Status for_each(const std::function<void(const Event&)>& fn) const;
+
   /// Salvage accounting for this open. `manifest().salvaged` is false
   /// for strict opens (the other fields are then meaningless).
   [[nodiscard]] const SalvageManifest& manifest() const;
 
  private:
   TraceReader();
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Bounded-memory sequential reader: only the header tables, the block
-/// index, and one fixed-size read chunk stay resident, independent of
-/// how many events the trace holds. Each `for_each` call re-reads the
-/// file front to back, so multi-pass consumers work on a cold file
-/// handle instead of a materialized `Trace`.
-class TraceStreamer {
- public:
-  static Expected<TraceStreamer> open(const std::string& path, TraceOpenOptions options = {});
-
-  TraceStreamer(TraceStreamer&&) noexcept;
-  TraceStreamer& operator=(TraceStreamer&&) noexcept;
-  TraceStreamer(const TraceStreamer&) = delete;
-  TraceStreamer& operator=(const TraceStreamer&) = delete;
-  ~TraceStreamer();
-
-  [[nodiscard]] std::uint32_t version() const;
-  [[nodiscard]] double sample_rate_hz() const;
-  [[nodiscard]] const bom::ModuleTable& modules() const;
-  [[nodiscard]] const StackTable& stacks() const;
-  [[nodiscard]] const FunctionTable& functions() const;
-  [[nodiscard]] std::uint64_t event_count() const;
-
-  /// Streams every event, in order, through `fn`. Decodes from a
-  /// bounded chunk buffer; never materializes more than one event. In
-  /// salvage mode only the blocks recovered at open time are streamed.
-  [[nodiscard]] Status for_each(const std::function<void(const Event&)>& fn) const;
-
-  /// Salvage accounting for this open (see TraceReader::manifest).
-  [[nodiscard]] const SalvageManifest& manifest() const;
-
- private:
-  TraceStreamer();
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

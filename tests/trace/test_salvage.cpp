@@ -7,12 +7,12 @@
 //     the index was usable — every declared event (recovered + dropped
 //     == declared),
 //   - parallel read_all is bit-identical to serial,
-//   - TraceReader and TraceStreamer agree on manifest and events,
+//   - for_each streams exactly the events read_all materializes,
 //   - strict reads of the same corrupt input still fail loudly.
 //
-// The targeted tests cover the satellite cases: truncation mid-chunk
-// (v1/v2) and mid-block (v3) through the streamer, and failing-istream
-// (badbit mid-read, not EOF) through the slurp paths.
+// The targeted tests cover truncation mid-chunk (v1/v2) and mid-block
+// (v3), and failing-istream (badbit mid-read, not EOF) through the
+// slurp path.
 
 #include <gtest/gtest.h>
 
@@ -154,46 +154,27 @@ TraceOpenOptions salvage_opts() {
   return o;
 }
 
-/// Streams every event out of a salvage-mode streamer and re-encodes the
+/// Streams every event out of `reader` with for_each and re-encodes the
 /// result in the canonical v1 form for equality checks.
-Expected<std::string> streamer_v1_bytes(const TraceStreamer& s) {
+Expected<std::string> for_each_v1_bytes(const TraceReader& reader) {
   Trace t;
-  t.sample_rate_hz = s.sample_rate_hz();
-  t.stacks = s.stacks();
-  t.functions = s.functions();
-  if (const auto st = s.for_each([&t](const Event& e) { t.events.push_back(e); }); !st.ok()) {
+  t.sample_rate_hz = reader.sample_rate_hz();
+  t.stacks = reader.stacks();
+  t.functions = reader.functions();
+  if (const auto st = reader.for_each([&t](const Event& e) { t.events.push_back(e); });
+      !st.ok()) {
     return unexpected(st.error());
   }
-  return v1_bytes(t, s.modules());
+  return v1_bytes(t, reader.modules());
 }
 
-/// Reader and streamer must classify identical bytes identically.
-void expect_manifest_eq(const SalvageManifest& a, const SalvageManifest& b) {
-  EXPECT_EQ(a.salvaged, b.salvaged);
-  EXPECT_EQ(a.index_usable, b.index_usable);
-  EXPECT_EQ(a.sequential_scan, b.sequential_scan);
-  EXPECT_EQ(a.version, b.version);
-  EXPECT_EQ(a.file_bytes, b.file_bytes);
-  EXPECT_EQ(a.header_bytes, b.header_bytes);
-  EXPECT_EQ(a.kept_bytes, b.kept_bytes);
-  EXPECT_EQ(a.dropped_bytes, b.dropped_bytes);
-  EXPECT_EQ(a.index_bytes, b.index_bytes);
-  EXPECT_EQ(a.blocks_declared, b.blocks_declared);
-  EXPECT_EQ(a.blocks_kept, b.blocks_kept);
-  EXPECT_EQ(a.blocks_dropped, b.blocks_dropped);
-  EXPECT_EQ(a.events_declared, b.events_declared);
-  EXPECT_EQ(a.events_recovered, b.events_recovered);
-  EXPECT_EQ(a.events_dropped, b.events_dropped);
-  ASSERT_EQ(a.losses.size(), b.losses.size());
-  for (std::size_t i = 0; i < a.losses.size(); ++i) {
-    EXPECT_EQ(a.losses[i].block, b.losses[i].block) << "loss " << i;
-    EXPECT_EQ(a.losses[i].file_offset, b.losses[i].file_offset) << "loss " << i;
-    EXPECT_EQ(a.losses[i].byte_size, b.losses[i].byte_size) << "loss " << i;
-    EXPECT_EQ(a.losses[i].events_declared, b.losses[i].events_declared) << "loss " << i;
-    EXPECT_EQ(a.losses[i].first_error_offset, b.losses[i].first_error_offset) << "loss " << i;
-    EXPECT_EQ(a.losses[i].reason, b.losses[i].reason) << "loss " << i;
-  }
-  EXPECT_EQ(a.summary(), b.summary());
+/// for_each over a salvage-mode reader yields exactly what read_all does.
+void expect_for_each_matches_read_all(const TraceReader& reader) {
+  const auto bundle = reader.read_all();
+  ASSERT_TRUE(bundle.has_value()) << bundle.error();
+  const auto streamed = for_each_v1_bytes(reader);
+  ASSERT_TRUE(streamed.has_value()) << streamed.error();
+  EXPECT_EQ(*streamed, v1_bytes(bundle->trace, bundle->modules));
 }
 
 // --------------------------------------------------------------------------
@@ -344,6 +325,7 @@ TEST(SalvageReader, TruncatedMidBlockRecoversPrefix) {
   const auto bundle = reader->read_all();
   ASSERT_TRUE(bundle.has_value()) << bundle.error();
   EXPECT_EQ(bundle->trace.events.size(), m.events_recovered);
+  expect_for_each_matches_read_all(*reader);
 }
 
 TEST(SalvageReader, CorruptHeaderStillFails) {
@@ -387,9 +369,9 @@ TEST(SalvageReader, ParallelSalvageReadMatchesSerial) {
 }
 
 // --------------------------------------------------------------------------
-// Streamer parity and the truncation satellites.
+// for_each over salvaged and truncated traces.
 
-TEST(SalvageStreamer, MatchesReaderOnDamagedTrace) {
+TEST(SalvageReader, ForEachMatchesReadAllOnDamagedTrace) {
   const Trace original = synth_trace(6'000, 67);
   const bom::ModuleTable modules = test_modules();
   const std::string path = tmp_path("salv_parity.trc");
@@ -405,20 +387,11 @@ TEST(SalvageStreamer, MatchesReaderOnDamagedTrace) {
 
   auto reader = TraceReader::open(path, salvage_opts());
   ASSERT_TRUE(reader.has_value()) << reader.error();
-  auto streamer = TraceStreamer::open(path, salvage_opts());
-  ASSERT_TRUE(streamer.has_value()) << streamer.error();
-
-  expect_manifest_eq(reader->manifest(), streamer->manifest());
-
-  const auto bundle = reader->read_all();
-  ASSERT_TRUE(bundle.has_value()) << bundle.error();
-  const auto streamed = streamer_v1_bytes(*streamer);
-  ASSERT_TRUE(streamed.has_value()) << streamed.error();
-  EXPECT_EQ(*streamed, v1_bytes(bundle->trace, bundle->modules));
-  EXPECT_EQ(streamer->event_count(), reader->event_count());
+  EXPECT_EQ(reader->manifest().blocks_dropped, 1u);
+  expect_for_each_matches_read_all(*reader);
 }
 
-TEST(SalvageStreamer, TruncatedMidChunkV1AndV2) {
+TEST(SalvageReader, TruncatedMidChunkV1AndV2) {
   const Trace original = synth_trace(3'000, 71);
   const bom::ModuleTable modules = test_modules();
   for (const bool compact : {false, true}) {
@@ -432,59 +405,25 @@ TEST(SalvageStreamer, TruncatedMidChunkV1AndV2) {
     // Cut deep inside the event section, far past the header.
     write_bytes(path, bytes.substr(0, bytes.size() - bytes.size() / 3));
 
-    // Strict streamer: open sees a valid header; the walk must fail with
+    // Strict reader: open sees a valid header; the walk must fail with
     // an offset-bearing error, not stop silently at the cut.
-    auto strict = TraceStreamer::open(path);
+    auto strict = TraceReader::open(path);
     ASSERT_TRUE(strict.has_value()) << strict.error();
     const Status walked = strict->for_each([](const Event&) {});
     ASSERT_FALSE(walked.ok());
     EXPECT_NE(walked.error().find("offset"), std::string::npos) << walked.error();
 
-    // Salvage streamer: the decodable prefix comes back, the manifest
-    // charges the rest, and the mmap reader agrees byte for byte.
-    auto streamer = TraceStreamer::open(path, salvage_opts());
-    ASSERT_TRUE(streamer.has_value()) << streamer.error();
-    const SalvageManifest& m = streamer->manifest();
+    // Salvage reader: the decodable prefix comes back and the manifest
+    // charges the rest.
+    auto reader = TraceReader::open(path, salvage_opts());
+    ASSERT_TRUE(reader.has_value()) << reader.error();
+    const SalvageManifest& m = reader->manifest();
     EXPECT_TRUE(m.sequential_scan);
     EXPECT_GT(m.events_recovered, 0u);
     EXPECT_LT(m.events_recovered, original.events.size());
     EXPECT_TRUE(m.bytes_conserved());
-
-    auto reader = TraceReader::open(path, salvage_opts());
-    ASSERT_TRUE(reader.has_value()) << reader.error();
-    expect_manifest_eq(reader->manifest(), streamer->manifest());
-    const auto bundle = reader->read_all();
-    ASSERT_TRUE(bundle.has_value()) << bundle.error();
-    const auto streamed = streamer_v1_bytes(*streamer);
-    ASSERT_TRUE(streamed.has_value()) << streamed.error();
-    EXPECT_EQ(*streamed, v1_bytes(bundle->trace, bundle->modules));
+    expect_for_each_matches_read_all(*reader);
   }
-}
-
-TEST(SalvageStreamer, TruncatedMidBlockV3) {
-  const std::size_t kEvents = 4'096;
-  const std::uint64_t kBlock = 512;
-  const Trace original = synth_trace(kEvents, 83);
-  const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("salv_trunc_v3.trc");
-  const std::string bytes = v3_file_bytes(path, original, modules, kBlock);
-
-  const auto lm = faultinject::landmarks_v3(to_vec(bytes), events_offset_of(bytes));
-  write_bytes(path, bytes.substr(0, lm.block_offsets[4] + 7));
-
-  const auto strict = TraceStreamer::open(path);
-  ASSERT_FALSE(strict.has_value());
-  EXPECT_NE(strict.error().find("offset"), std::string::npos) << strict.error();
-
-  auto streamer = TraceStreamer::open(path, salvage_opts());
-  ASSERT_TRUE(streamer.has_value()) << streamer.error();
-  EXPECT_TRUE(streamer->manifest().sequential_scan);
-  EXPECT_GT(streamer->manifest().events_recovered, 0u);
-  EXPECT_TRUE(streamer->manifest().bytes_conserved());
-
-  auto reader = TraceReader::open(path, salvage_opts());
-  ASSERT_TRUE(reader.has_value()) << reader.error();
-  expect_manifest_eq(reader->manifest(), streamer->manifest());
 }
 
 // --------------------------------------------------------------------------
@@ -633,10 +572,7 @@ void run_fault_sweep(const std::string& bytes, const std::string& path) {
       EXPECT_EQ(v1_bytes(parallel->trace, parallel->modules),
                 v1_bytes(serial->trace, serial->modules));
 
-      auto streamer = TraceStreamer::open(path, salvage_opts());
-      ASSERT_TRUE(streamer.has_value()) << streamer.error();
-      expect_manifest_eq(reader->manifest(), streamer->manifest());
-      const auto streamed = streamer_v1_bytes(*streamer);
+      const auto streamed = for_each_v1_bytes(*reader);
       ASSERT_TRUE(streamed.has_value()) << streamed.error();
       EXPECT_EQ(*streamed, v1_bytes(serial->trace, serial->modules));
     }
@@ -654,7 +590,7 @@ TEST(SalvageSweep, CompressedBlocksHonorTheSameContract) {
   // The same fault schedule over the same trace written with per-block
   // compression: a damaged compressed block is all-or-nothing (trial
   // decode either yields the whole block or drops it), but the fail-soft
-  // accounting and reader/streamer parity must be identical in form.
+  // accounting and for_each/read_all parity must be identical in form.
   const Trace original = synth_trace(6'000, 101);
   const std::string bytes = v3_file_bytes(tmp_path("salv_sweepc_base.trc"), original,
                                           test_modules(), 512, /*compress=*/true);
@@ -707,20 +643,14 @@ TEST(SalvageReader, CompressedCorruptedBlockDropsExactlyThatBlock) {
   const auto bundle = reader->read_all();
   ASSERT_TRUE(bundle.has_value()) << bundle.error();
   EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), v1_bytes(expected, modules));
-
-  auto streamer = TraceStreamer::open(path, salvage_opts());
-  ASSERT_TRUE(streamer.has_value()) << streamer.error();
-  expect_manifest_eq(reader->manifest(), streamer->manifest());
-  const auto streamed = streamer_v1_bytes(*streamer);
-  ASSERT_TRUE(streamed.has_value()) << streamed.error();
-  EXPECT_EQ(*streamed, v1_bytes(bundle->trace, bundle->modules));
+  expect_for_each_matches_read_all(*reader);
 }
 
 TEST(SalvageReader, CompressedTraceWithoutIndexIsUnrecoverableButAccounted) {
   // With the trailer gone the sequential scan is the only fallback, and
   // it stops at the first compressed block's 0xEC byte — compressed
   // events are only reachable through the index (docs/robustness.md).
-  // The manifest must still conserve bytes and agree across readers.
+  // The manifest must still conserve bytes.
   const Trace original = synth_trace(3'000, 31);
   const bom::ModuleTable modules = test_modules();
   const std::string path = tmp_path("salv_c_trailer.trc");
@@ -735,10 +665,7 @@ TEST(SalvageReader, CompressedTraceWithoutIndexIsUnrecoverableButAccounted) {
   EXPECT_TRUE(m.sequential_scan);
   EXPECT_EQ(m.events_recovered, 0u);
   EXPECT_TRUE(m.bytes_conserved());
-
-  auto streamer = TraceStreamer::open(path, salvage_opts());
-  ASSERT_TRUE(streamer.has_value()) << streamer.error();
-  expect_manifest_eq(reader->manifest(), streamer->manifest());
+  expect_for_each_matches_read_all(*reader);
 }
 
 }  // namespace

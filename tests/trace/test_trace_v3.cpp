@@ -1,11 +1,12 @@
 // Tests for the v3 indexed trace format: round trips (bulk writer and
 // streaming block writer), the mmap TraceReader's block API and parallel
-// read_all, the bounded-memory TraceStreamer, and malformed-index
+// read_all, the bounded-memory for_each walk, and malformed-index
 // rejection — every corruption must fail with an offset-bearing Status,
 // never crash.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -238,24 +239,44 @@ TEST(TraceV3, V1ToV3PropertyRoundTrip) {
   }
 }
 
-TEST(TraceV3, StreamerVisitsEveryEventInOrder) {
-  const Trace original = synth_trace(4'000, 11);
+/// Walks `reader` with for_each and re-encodes the events in the
+/// canonical v1 form.
+std::string for_each_v1_bytes(const TraceReader& reader) {
+  Trace walked;
+  walked.sample_rate_hz = reader.sample_rate_hz();
+  walked.stacks = reader.stacks();
+  walked.functions = reader.functions();
+  const Status st = reader.for_each([&walked](const Event& e) { walked.events.push_back(e); });
+  EXPECT_TRUE(st.ok()) << st.error();
+  return v1_bytes(walked, reader.modules());
+}
+
+TEST(TraceV3, ForEachVisitsEveryEventInOrder) {
+  // 40K events cross for_each's 16K-event chunk boundary inside the v1/v2
+  // virtual block and inside the single-block v3 file.
+  const Trace original = synth_trace(40'000, 11);
   const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("v3_streamer.trc");
-  v3_file_bytes(path, original, modules, 128);
+  const std::string expected = v1_bytes(original, modules);
 
-  const auto streamer = TraceStreamer::open(path);
-  ASSERT_TRUE(streamer.has_value()) << streamer.error();
-  EXPECT_EQ(streamer->version(), 3u);
-  EXPECT_EQ(streamer->event_count(), original.events.size());
+  TraceWriteOptions v2;
+  v2.compact = true;
+  const std::string v1_path = tmp_path("for_each_v1.trc");
+  const std::string v2_path = tmp_path("for_each_v2.trc");
+  const std::string v3_path = tmp_path("for_each_v3.trc");
+  const std::string v3_one_path = tmp_path("for_each_v3_one_block.trc");
+  ASSERT_TRUE(save_trace(v1_path, original, modules).ok());
+  ASSERT_TRUE(save_trace(v2_path, original, modules, v2).ok());
+  v3_file_bytes(v3_path, original, modules, 128);
+  v3_file_bytes(v3_one_path, original, modules, 1u << 20);
 
-  Trace streamed;
-  streamed.sample_rate_hz = streamer->sample_rate_hz();
-  streamed.stacks = streamer->stacks();
-  streamed.functions = streamer->functions();
-  ASSERT_TRUE(
-      streamer->for_each([&streamed](const Event& e) { streamed.events.push_back(e); }).ok());
-  EXPECT_EQ(v1_bytes(streamed, streamer->modules()), v1_bytes(original, modules));
+  for (const std::string& path : {v1_path, v2_path, v3_path, v3_one_path}) {
+    const auto reader = TraceReader::open(path);
+    ASSERT_TRUE(reader.has_value()) << path << ": " << reader.error();
+    EXPECT_EQ(reader->event_count(), original.events.size()) << path;
+    EXPECT_EQ(for_each_v1_bytes(*reader), expected) << path;
+    // Each call is a fresh pass over the same reader.
+    EXPECT_EQ(for_each_v1_bytes(*reader), expected) << path << " (second pass)";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -313,6 +334,21 @@ TEST(TraceV3, RejectsIndexPastEof) {
   // Trailer's footer offset points beyond the end of the file.
   put_u64(c.bytes, c.bytes.size() - 16, c.bytes.size() + 100);
   expect_rejected_with_offset(tmp_path("v3_pasteof.trc"), c.bytes);
+}
+
+TEST(TraceV3, RejectsWrappingIndexEntryCount) {
+  CorruptionCase c = valid_v3("v3_wrapcount_src.trc");
+  // Setting bit 63 of the trailer's entry count leaves count * 24 equal
+  // to the real index span modulo 2^64; the count must still be refused
+  // before anything is sized by it, by strict and salvage opens alike.
+  put_u64(c.bytes, c.bytes.size() - 24, c.entry_count | (1ull << 63));
+  const std::string path = tmp_path("v3_wrapcount.trc");
+  expect_rejected_with_offset(path, c.bytes);
+  TraceOpenOptions salvage;
+  salvage.salvage = true;
+  const auto reader = TraceReader::open(path, salvage);
+  ASSERT_TRUE(reader.has_value()) << reader.error();
+  EXPECT_TRUE(reader->manifest().sequential_scan);
 }
 
 TEST(TraceV3, RejectsTruncationAtEveryPrefix) {
@@ -423,21 +459,15 @@ TEST(TraceV3Compressed, BlockWriterIsByteIdenticalToBulkWriter) {
   EXPECT_EQ(read_bytes(stream_path), bulk);
 }
 
-TEST(TraceV3Compressed, StreamerVisitsEveryEventInOrder) {
+TEST(TraceV3Compressed, ForEachVisitsEveryEventInOrder) {
   const Trace original = synth_trace(4'000, 11);
   const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("v3c_streamer.trc");
+  const std::string path = tmp_path("v3c_for_each.trc");
   v3c_file_bytes(path, original, modules, 128);
 
-  const auto streamer = TraceStreamer::open(path);
-  ASSERT_TRUE(streamer.has_value()) << streamer.error();
-  Trace streamed;
-  streamed.sample_rate_hz = streamer->sample_rate_hz();
-  streamed.stacks = streamer->stacks();
-  streamed.functions = streamer->functions();
-  ASSERT_TRUE(
-      streamer->for_each([&streamed](const Event& e) { streamed.events.push_back(e); }).ok());
-  EXPECT_EQ(v1_bytes(streamed, streamer->modules()), v1_bytes(original, modules));
+  const auto reader = TraceReader::open(path);
+  ASSERT_TRUE(reader.has_value()) << reader.error();
+  EXPECT_EQ(for_each_v1_bytes(*reader), v1_bytes(original, modules));
 }
 
 TEST(TraceV3Compressed, RejectsCompressOnNonIndexedFormats) {
@@ -467,7 +497,7 @@ TEST(TraceV3Compressed, RejectsBodyCountDisagreeingWithIndex) {
   write_bytes(bad_path, bytes);
   // The index itself is intact, so open succeeds; the disagreement is
   // caught when the block body is decoded — by the block API, the bulk
-  // loader and the streamer alike, always with an offset.
+  // loader and for_each alike, always with an offset and the same text.
   const auto reader = TraceReader::open(bad_path);
   ASSERT_TRUE(reader.has_value()) << reader.error();
   std::vector<Event> block0_events;
@@ -477,9 +507,9 @@ TEST(TraceV3Compressed, RejectsBodyCountDisagreeingWithIndex) {
   const auto loaded = load_trace(bad_path);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_NE(loaded.error().find("offset"), std::string::npos) << loaded.error();
-  const auto streamer = TraceStreamer::open(bad_path);
-  ASSERT_TRUE(streamer.has_value()) << streamer.error();
-  EXPECT_FALSE(streamer->for_each([](const Event&) {}).ok());
+  const Status walked = reader->for_each([](const Event&) {});
+  ASSERT_FALSE(walked.ok());
+  EXPECT_EQ(walked.error(), st.error());
 }
 
 TEST(TraceV3Compressed, RejectsTruncationAtEveryPrefix) {
@@ -532,59 +562,130 @@ TEST(TraceV3, FormatsAgreeAtDefaultBlockSize) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming memory bound (satellite: flat peak RSS however large the
-// trace). VmHWM is a process-wide high-water mark, so the assertion is an
-// honest upper bound: streaming a trace whose decoded form would be tens
-// of MB must not raise the peak by more than a few chunk buffers.
+// Streaming memory bound: flat peak RSS however large the trace, in every
+// encoding. Mapped file pages count toward the resident set, so this also
+// proves for_each hands consumed pages of the mapping back.
 
-std::size_t vm_hwm_kb() {
+/// A `/proc/self/status` field in KiB (0 when absent).
+std::size_t proc_status_kb(const std::string& field) {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::size_t>(std::strtoul(line.c_str() + 6, nullptr, 10));
+    if (line.rfind(field, 0) == 0) {
+      return static_cast<std::size_t>(std::strtoul(line.c_str() + field.size(), nullptr, 10));
     }
   }
   return 0;
 }
 
-TEST(TraceV3, StreamingKeepsPeakRssFlat) {
-  if (vm_hwm_kb() == 0) GTEST_SKIP() << "no /proc/self/status VmHWM on this platform";
+// AddressSanitizer keeps freed memory resident in its quarantine, so an
+// instrumented walk's resident set counts every buffer it ever freed.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAddressSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAddressSanitizer = true;
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
 
-  const std::string path = tmp_path("v3_flat_rss.trc");
+struct ResidentRise {
+  std::size_t hwm_kb = 0;  ///< VmHWM rise over the walk
+  std::size_t rss_kb = 0;  ///< largest VmRSS rise sampled during the walk
+};
+
+/// Walks the trace at `path` with for_each, sampling VmRSS inside the
+/// callback every 16K events, and reports how far the walk raised the
+/// process's resident set.
+ResidentRise walk_resident_rise(const std::string& path, std::size_t events) {
+  ResidentRise rise;
+  const std::size_t hwm_before = proc_status_kb("VmHWM:");
+  const std::size_t rss_before = proc_status_kb("VmRSS:");
+  std::size_t rss_peak = rss_before;
+  {
+    const auto reader = TraceReader::open(path);
+    EXPECT_TRUE(reader.has_value()) << path << ": " << reader.error();
+    if (!reader.has_value()) return rise;
+    std::size_t seen = 0;
+    const Status st = reader->for_each([&](const Event&) {
+      if (++seen % (16 * 1024) == 0) rss_peak = std::max(rss_peak, proc_status_kb("VmRSS:"));
+    });
+    EXPECT_TRUE(st.ok()) << path << ": " << st.error();
+    EXPECT_EQ(seen, events) << path;
+    rss_peak = std::max(rss_peak, proc_status_kb("VmRSS:"));
+  }
+  rise.hwm_kb = proc_status_kb("VmHWM:") - hwm_before;
+  rise.rss_kb = rss_peak - rss_before;
+  return rise;
+}
+
+TEST(TraceV3, StreamingKeepsPeakRssFlat) {
+  if (proc_status_kb("VmHWM:") == 0) GTEST_SKIP() << "no /proc/self/status VmHWM on this platform";
+  constexpr std::size_t kBoundKb = 16u * 1024;
+
   Trace header_only;
   header_only.sample_rate_hz = 1000.0;
   const StackId s0 = header_only.stacks.intern(bom::CallStack{{{0, 0x10}}});
   const StackId s1 = header_only.stacks.intern(bom::CallStack{{{0, 0x20}, {1, 0x8}}});
   const std::uint32_t fn = header_only.functions.intern("synth");
 
-  // 1.5M events are generated straight into the block writer: neither the
-  // write nor the read side ever materializes the event vector (decoded it
-  // would be > 70 MB).
+  // 1.5M events (decoded they would be > 70 MB). v3 and compressed v3 are
+  // generated straight into two block writers, so neither side ever
+  // materializes the event vector and the VmHWM rise bounds the walk.
   constexpr std::size_t kEvents = 1'500'000;
-  auto writer = TraceBlockWriter::create(path, header_only.stacks, header_only.functions,
-                                         test_modules(), 1000.0);
-  ASSERT_TRUE(writer.has_value()) << writer.error();
+  const std::string v3_path = tmp_path("flat_rss_v3.trc");
+  const std::string v3c_path = tmp_path("flat_rss_v3c.trc");
   {
+    auto v3 = TraceBlockWriter::create(v3_path, header_only.stacks, header_only.functions,
+                                       test_modules(), 1000.0);
+    auto v3c = TraceBlockWriter::create(v3c_path, header_only.stacks, header_only.functions,
+                                        test_modules(), 1000.0, codec::kDefaultBlockEvents,
+                                        /*compress=*/true);
+    ASSERT_TRUE(v3.has_value()) << v3.error();
+    ASSERT_TRUE(v3c.has_value()) << v3c.error();
     Status status;
     synth_events(kEvents, 5, s0, s1, fn, [&](const Event& e) {
-      if (status.ok()) status = writer->add(e);
+      if (status.ok()) status = v3->add(e);
+      if (status.ok()) status = v3c->add(e);
     });
     ASSERT_TRUE(status.ok()) << status.error();
+    ASSERT_TRUE(v3->finish().ok());
+    ASSERT_TRUE(v3c->finish().ok());
   }
-  ASSERT_TRUE(writer->finish().ok());
-  ASSERT_EQ(writer->events_written(), kEvents);
+  for (const std::string& path : {v3_path, v3c_path}) {
+    const ResidentRise rise = walk_resident_rise(path, kEvents);
+    // The compressed decoder allocates its column scratch per block; the
+    // uninstrumented allocator reuses it, ASan's quarantine holds all 23
+    // blocks' worth, so under ASan only the walk itself is checked here.
+    if (path == v3c_path && kAddressSanitizer) continue;
+    EXPECT_LE(rise.hwm_kb, kBoundKb) << path << ": streaming raised peak RSS by " << rise.hwm_kb
+                                     << " KiB";
+    EXPECT_LE(rise.rss_kb, kBoundKb) << path << ": streaming raised RSS by " << rise.rss_kb
+                                     << " KiB";
+  }
 
-  const std::size_t hwm_before_kb = vm_hwm_kb();
-  const auto streamer = TraceStreamer::open(path);
-  ASSERT_TRUE(streamer.has_value()) << streamer.error();
-  std::size_t seen = 0;
-  ASSERT_TRUE(streamer->for_each([&seen](const Event&) { ++seen; }).ok());
-  EXPECT_EQ(seen, kEvents);
-
-  const std::size_t hwm_after_kb = vm_hwm_kb();
-  EXPECT_LE(hwm_after_kb - hwm_before_kb, 16u * 1024)
-      << "streaming raised peak RSS by " << (hwm_after_kb - hwm_before_kb) << " KiB";
+  // v1 and v2 can only be written from a materialized trace, which raises
+  // VmHWM before the walk starts and could hide a regression there; the
+  // VmRSS samples taken inside the callback bound these walks instead.
+  const std::string v1_path = tmp_path("flat_rss_v1.trc");
+  const std::string v2_path = tmp_path("flat_rss_v2.trc");
+  {
+    Trace t = header_only;
+    t.events.reserve(kEvents);
+    synth_events(kEvents, 5, s0, s1, fn, [&t](const Event& e) { t.events.push_back(e); });
+    TraceWriteOptions v2;
+    v2.compact = true;
+    ASSERT_TRUE(save_trace(v1_path, t, test_modules()).ok());
+    ASSERT_TRUE(save_trace(v2_path, t, test_modules(), v2).ok());
+  }
+  for (const std::string& path : {v1_path, v2_path}) {
+    const ResidentRise rise = walk_resident_rise(path, kEvents);
+    EXPECT_LE(rise.rss_kb, kBoundKb) << path << ": streaming raised RSS by " << rise.rss_kb
+                                     << " KiB";
+  }
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   }
 
   const auto threads = args.get_int_in_range("threads", 1, 1, 256);
-  if (!threads) return cli::fail(threads.error());
+  if (!threads) return cli::fail_usage(threads.error());
   const auto min_coverage = args.get_double("min-coverage", 0.9);
   if (!min_coverage) return cli::fail_usage(min_coverage.error());
   if (*min_coverage < 0.0 || *min_coverage > 1.0) {

@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   }
 
   const auto iterations = args.get_int_in_range("iterations", 0, 0, 1'000'000);
-  if (!iterations) return cli::fail(iterations.error());
+  if (!iterations) return cli::fail_usage(iterations.error());
   const auto parallelism = args.get_int_in_range("parallelism", 0, 0, 1024);
-  if (!parallelism) return cli::fail(parallelism.error());
+  if (!parallelism) return cli::fail_usage(parallelism.error());
 
   apps::AppOptions app_opt;
   app_opt.iterations = static_cast<int>(*iterations);

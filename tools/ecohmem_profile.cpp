@@ -47,11 +47,11 @@ int main(int argc, char** argv) {
   }
 
   const auto iterations = args.get_int_in_range("iterations", 0, 0, 1'000'000);
-  if (!iterations) return cli::fail(iterations.error());
+  if (!iterations) return cli::fail_usage(iterations.error());
   const auto pmem_dimms = args.get_int_in_range("pmem-dimms", 6, 1, 64);
-  if (!pmem_dimms) return cli::fail(pmem_dimms.error());
+  if (!pmem_dimms) return cli::fail_usage(pmem_dimms.error());
   const auto seed = args.get_int_in_range("seed", 0x5eed, 0, std::numeric_limits<long long>::max());
-  if (!seed) return cli::fail(seed.error());
+  if (!seed) return cli::fail_usage(seed.error());
   const auto rate = args.get_double("rate", 100.0);
   if (!rate) return cli::fail_usage(rate.error());
 
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   if (!metrics) return cli::fail("profiling run failed: " + metrics.error());
 
   const auto block_events = args.get_int_in_range("block-events", 64 * 1024, 1, 1 << 30);
-  if (!block_events) return cli::fail(block_events.error());
+  if (!block_events) return cli::fail_usage(block_events.error());
 
   const trace::Trace t = prof.take_trace();
   trace::TraceWriteOptions wopt;

@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
   }
 
   const auto iterations = args.get_int_in_range("iterations", 0, 0, 1'000'000);
-  if (!iterations) return cli::fail(iterations.error());
+  if (!iterations) return cli::fail_usage(iterations.error());
   const auto pmem_dimms = args.get_int_in_range("pmem-dimms", 6, 1, 64);
-  if (!pmem_dimms) return cli::fail(pmem_dimms.error());
+  if (!pmem_dimms) return cli::fail_usage(pmem_dimms.error());
   const auto dram_capacity = args.get_bytes("dram-capacity", 12ull << 30);
   if (!dram_capacity) return cli::fail_usage(dram_capacity.error());
   // Flag-combination rules (docs/cli.md): bad combinations are usage

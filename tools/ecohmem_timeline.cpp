@@ -6,9 +6,10 @@
 //                    bandwidth series;
 //   --trace <file>   stream an existing trace file and export the
 //                    reconstructed system bandwidth series. The trace is
-//                    never materialized in memory: events are decoded
-//                    from a bounded buffer (TraceStreamer), so peak RSS
-//                    stays flat however large the trace is.
+//                    never materialized in memory: TraceReader::for_each
+//                    decodes it in bounded chunks and releases the mapped
+//                    pages it has consumed, so peak RSS stays flat however
+//                    large the trace is.
 //
 // Usage:
 //   ecohmem-timeline --app <name> --out <file.csv>
@@ -36,21 +37,21 @@ namespace {
 /// fallback otherwise), streaming the file twice instead of loading it.
 int run_trace_mode(const cli::Args& args) {
   const auto bin_ms = args.get_int_in_range("bin-ms", 10, 1, 60'000);
-  if (!bin_ms) return cli::fail(bin_ms.error());
+  if (!bin_ms) return cli::fail_usage(bin_ms.error());
 
   trace::TraceOpenOptions topt;
   topt.salvage = args.has("salvage");
-  auto streamer = trace::TraceStreamer::open(args.get("trace"), topt);
-  if (!streamer) return cli::fail_load(args.get("trace"), streamer.error());
-  if (streamer->manifest().salvaged) {
-    std::printf("%s\n", streamer->manifest().summary().c_str());
+  auto reader = trace::TraceReader::open(args.get("trace"), topt);
+  if (!reader) return cli::fail_load(args.get("trace"), reader.error());
+  if (reader->manifest().salvaged) {
+    std::printf("%s\n", reader->manifest().summary().c_str());
   }
 
   // Pass 1: does the trace carry uncore readings? (Early-exits on the
   // first one in spirit; the streaming API visits all events, which is
   // still O(chunk) memory.)
   bool has_uncore = false;
-  if (const auto s = streamer->for_each([&](const trace::Event& e) {
+  if (const auto s = reader->for_each([&](const trace::Event& e) {
         has_uncore = has_uncore || std::holds_alternative<trace::UncoreBwEvent>(e);
       });
       !s.ok()) {
@@ -59,7 +60,7 @@ int run_trace_mode(const cli::Args& args) {
 
   // Pass 2: fold the traffic into fixed-width bins.
   memsim::BandwidthMeter meter(1, static_cast<Ns>(*bin_ms) * 1'000'000);
-  if (const auto s = streamer->for_each([&](const trace::Event& e) {
+  if (const auto s = reader->for_each([&](const trace::Event& e) {
         if (const auto* u = std::get_if<trace::UncoreBwEvent>(&e)) {
           const Ns t0 = u->time > u->period_ns ? u->time - u->period_ns : 0;
           meter.add(0, t0, u->time,
@@ -85,7 +86,7 @@ int run_trace_mode(const cli::Args& args) {
   }
   std::printf("%s: %llu events streamed (v%u, %s source), %zu bins -> %s\n",
               args.get("trace").c_str(),
-              static_cast<unsigned long long>(streamer->event_count()), streamer->version(),
+              static_cast<unsigned long long>(reader->event_count()), reader->version(),
               has_uncore ? "uncore" : "pebs", rows, args.get("out").c_str());
   return 0;
 }
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
   if (trace_mode) return run_trace_mode(args);
 
   const auto iterations = args.get_int_in_range("iterations", 0, 0, 1'000'000);
-  if (!iterations) return cli::fail(iterations.error());
+  if (!iterations) return cli::fail_usage(iterations.error());
   const auto dram_limit = args.get_bytes("dram-limit", 12ull << 30);
   if (!dram_limit) return cli::fail_usage(dram_limit.error());
 
