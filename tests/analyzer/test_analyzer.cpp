@@ -147,7 +147,8 @@ TEST(Analyzer, FunctionProfilesAggregateLoadSamples) {
 }
 
 TEST(Analyzer, MalformedTraceFailsWithItsReason) {
-  // A double free fails the replay with an error naming the object.
+  // Freeing an id a second time fails the replay with an error naming
+  // the object: the first free forgot the id, so it is unknown.
   Trace t;
   const StackId s = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
   t.events.emplace_back(AllocEvent{1, 7, 0x1000, 64, s, AllocKind::kMalloc});
@@ -156,6 +157,21 @@ TEST(Analyzer, MalformedTraceFailsWithItsReason) {
   const auto result = analyze(t);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error(), "free event for unknown object id 7");
+}
+
+TEST(Analyzer, FreeOfAnAddressReusedWhileLiveIsADoubleFree) {
+  // B reuses A's address while A is live, so the first free (of A)
+  // drops the object at that address; B's id is still known but
+  // nothing is live at its address any more.
+  Trace t;
+  const StackId s = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
+  t.events.emplace_back(AllocEvent{1, 7, 0x1000, 64, s, AllocKind::kMalloc});
+  t.events.emplace_back(AllocEvent{2, 8, 0x1000, 32, s, AllocKind::kMalloc});
+  t.events.emplace_back(FreeEvent{3, 7});
+  t.events.emplace_back(FreeEvent{4, 8});
+  const auto result = analyze(t);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error(), "double free of object id 8");
 }
 
 /// Bit pattern of a double: -0.0 != +0.0, exactly the "bit-identical"
