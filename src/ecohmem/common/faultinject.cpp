@@ -47,10 +47,11 @@ Landmarks landmarks_v3(const std::vector<unsigned char>& bytes, std::uint64_t ev
   std::memcpy(&entry_count, trailer, 8);
   std::memcpy(&footer_offset, trailer + 8, 8);
   lm.trailer_offset = bytes.size() - kTrailer;
-  if (footer_offset > lm.trailer_offset ||
-      entry_count * 24 != lm.trailer_offset - footer_offset) {
-    return lm;
-  }
+  // Divide the span rather than multiply the count: a count with high
+  // bits set must not wrap into a match.
+  if (footer_offset > lm.trailer_offset) return lm;
+  const std::uint64_t index_bytes = lm.trailer_offset - footer_offset;
+  if (index_bytes % 24 != 0 || entry_count != index_bytes / 24) return lm;
   lm.footer_offset = footer_offset;
   lm.block_offsets.reserve(static_cast<std::size_t>(entry_count));
   for (std::uint64_t i = 0; i < entry_count; ++i) {

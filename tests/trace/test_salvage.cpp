@@ -494,6 +494,23 @@ TEST(SalvageFaultInject, ScheduleIsDeterministicAndSeedSensitive) {
   EXPECT_TRUE(differs_from_other_seed);
 }
 
+TEST(SalvageFaultInject, LandmarksRejectAWrappingEntryCount) {
+  // 1 | 1 << 63 entries of 24 bytes wrap to 24 bytes, exactly the span
+  // between this footer offset and the trailer.
+  std::vector<unsigned char> bytes(64, 0);
+  const std::uint64_t entry_count = 1 | (std::uint64_t{1} << 63);
+  const std::uint64_t footer_offset = 16;
+  std::memcpy(bytes.data() + 40, &entry_count, 8);
+  std::memcpy(bytes.data() + 48, &footer_offset, 8);
+  std::memcpy(bytes.data() + 56, "ECOHMIDX", 8);
+
+  faultinject::Landmarks lm;
+  EXPECT_NO_THROW(lm = faultinject::landmarks_v3(bytes, 0));
+  EXPECT_EQ(lm.file_size, 64u);
+  EXPECT_EQ(lm.footer_offset, 0u);
+  EXPECT_TRUE(lm.block_offsets.empty());
+}
+
 TEST(SalvageFaultInject, ApplySemantics) {
   const std::vector<unsigned char> bytes{0, 1, 2, 3, 4, 5, 6, 7};
 
