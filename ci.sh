@@ -44,6 +44,14 @@ concurrency_suites='Concurrency|Salvage|Lockdep|Autotune'
 echo "== concurrency suites with ECOHMEM_LOCKDEP=1 =="
 ECOHMEM_LOCKDEP=1 ctest --preset default -j"$(nproc)" -R "$concurrency_suites"
 
+# The repository benchmark's own output checks: every workload runs
+# tiny, traced and untraced, and fails on a report hash that changes
+# across ops, an incremental fold whose site count differs from
+# analyze()'s, a served report that differs from the offline one, or a
+# metric name or unit that BENCHMARK.json does not declare.
+echo "== perfbench smoke =="
+python3 perfbench/run.py --smoke
+
 if [ "$static" -eq 1 ]; then
   # Source-level determinism/concurrency contracts: gates unconditionally
   # (no external toolchain needed). Zero findings required.

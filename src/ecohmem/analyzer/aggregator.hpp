@@ -62,8 +62,9 @@ struct AnalysisResult {
   trace::TraceCoverage coverage;
 };
 
-/// Aggregates `trace` into per-site records. Fails on malformed traces
-/// (free of unknown object, unordered events beyond tolerance).
+/// Aggregates `trace` into per-site records. Fails on malformed traces:
+/// an alloc with an invalid stack id, a free of an unknown object id, or
+/// a double free (a free whose object's address holds no live object).
 [[nodiscard]] Expected<AnalysisResult> analyze(const trace::Trace& trace,
                                                const AnalyzerOptions& options = {});
 

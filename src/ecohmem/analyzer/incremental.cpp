@@ -5,6 +5,84 @@
 
 namespace ecohmem::analyzer {
 
+namespace {
+
+/// Index of the last of the `n` ascending `keys` at or below `a`;
+/// requires `n > 0` and `keys[0] <= a`. The loop runs ceil(log2 n)
+/// times whatever the keys and its compare compiles to a conditional
+/// move, so unpredictable addresses cost no branch mispredictions.
+std::size_t last_at_or_below(const std::uint64_t* keys, std::size_t n, std::uint64_t a) {
+  const std::uint64_t* p = keys;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    p = p[half] <= a ? p + half : p;
+    n -= half;
+  }
+  return static_cast<std::size_t>(p - keys);
+}
+
+}  // namespace
+
+void IncrementalAggregator::LiveIndex::upsert(std::uint64_t start, const LiveObject& obj) {
+  if (chunks_.empty()) {
+    mins_.push_back(start);
+    chunks_.push_back(Chunk{{start}, {obj}});
+    return;
+  }
+  // A start below every chunk goes to the front of the first one.
+  const std::size_t c =
+      start < mins_[0] ? 0 : last_at_or_below(mins_.data(), mins_.size(), start);
+  Chunk& chunk = chunks_[c];
+  const auto at = std::lower_bound(chunk.starts.begin(), chunk.starts.end(), start);
+  const auto offset = at - chunk.starts.begin();
+  if (at != chunk.starts.end() && *at == start) {
+    chunk.objects[static_cast<std::size_t>(offset)] = obj;
+    return;
+  }
+  chunk.starts.insert(at, start);
+  chunk.objects.insert(chunk.objects.begin() + offset, obj);
+  mins_[c] = chunk.starts.front();
+  if (chunk.starts.size() <= kChunkCapacity) return;
+
+  // Split off the upper half into a new chunk right after this one.
+  const auto half = static_cast<std::ptrdiff_t>(chunk.starts.size() / 2);
+  Chunk upper{{chunk.starts.begin() + half, chunk.starts.end()},
+              {chunk.objects.begin() + half, chunk.objects.end()}};
+  chunk.starts.erase(chunk.starts.begin() + half, chunk.starts.end());
+  chunk.objects.erase(chunk.objects.begin() + half, chunk.objects.end());
+  const auto next = static_cast<std::ptrdiff_t>(c + 1);
+  mins_.insert(mins_.begin() + next, upper.starts.front());
+  chunks_.insert(chunks_.begin() + next, std::move(upper));
+}
+
+bool IncrementalAggregator::LiveIndex::take(std::uint64_t start, LiveObject& out) {
+  if (chunks_.empty() || start < mins_[0]) return false;
+  const std::size_t c = last_at_or_below(mins_.data(), mins_.size(), start);
+  Chunk& chunk = chunks_[c];
+  const std::size_t at = last_at_or_below(chunk.starts.data(), chunk.starts.size(), start);
+  if (chunk.starts[at] != start) return false;
+  out = chunk.objects[at];
+  const auto offset = static_cast<std::ptrdiff_t>(at);
+  chunk.starts.erase(chunk.starts.begin() + offset);
+  chunk.objects.erase(chunk.objects.begin() + offset);
+  if (chunk.starts.empty()) {
+    mins_.erase(mins_.begin() + static_cast<std::ptrdiff_t>(c));
+    chunks_.erase(chunks_.begin() + static_cast<std::ptrdiff_t>(c));
+  } else {
+    mins_[c] = chunk.starts.front();
+  }
+  return true;
+}
+
+const IncrementalAggregator::LiveObject* IncrementalAggregator::LiveIndex::floor(
+    std::uint64_t addr, std::uint64_t& start) const {
+  if (chunks_.empty() || addr < mins_[0]) return nullptr;
+  const Chunk& chunk = chunks_[last_at_or_below(mins_.data(), mins_.size(), addr)];
+  const std::size_t at = last_at_or_below(chunk.starts.data(), chunk.starts.size(), addr);
+  start = chunk.starts[at];
+  return &chunk.objects[at];
+}
+
 IncrementalAggregator::IncrementalAggregator(const trace::StackTable& stacks,
                                              const trace::FunctionTable& functions,
                                              AnalyzerOptions options)
@@ -34,11 +112,9 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
         error_ = "alloc event with invalid stack id";
         return unexpected(error_);
       }
-      auto [it, inserted] = live_.try_emplace(a->address);
       // Address reuse while live: the previous object drops out of the
-      // live map here.
-      it->second = LiveObject{a->size, a->stack, a->time};
-      (void)inserted;
+      // live index here.
+      live_.upsert(a->address, LiveObject{a->size, a->stack, a->time});
       object_address_[a->object_id] = a->address;
 
       auto& acc = sites_[a->stack];
@@ -62,19 +138,17 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
         error_ = "free event for unknown object id " + std::to_string(f->object_id);
         return unexpected(error_);
       }
-      const auto live_it = live_.find(addr_it->second);
-      if (live_it == live_.end()) {
+      LiveObject obj;
+      if (!live_.take(addr_it->second, obj)) {
         error_ = "double free of object id " + std::to_string(f->object_id);
         return unexpected(error_);
       }
-      const LiveObject& obj = live_it->second;
       auto& acc = sites_[obj.stack];
       acc.live_bytes = acc.live_bytes >= obj.size ? acc.live_bytes - obj.size : 0;
       acc.record.windows.push_back(LiveWindow{obj.alloc_time, f->time});
       acc.record.last_free = std::max(acc.record.last_free, f->time);
       acc.record.total_lifetime_ns +=
           static_cast<double>(f->time > obj.alloc_time ? f->time - obj.alloc_time : 0);
-      live_.erase(live_it);
       object_address_.erase(addr_it);
     } else if (const auto* s = std::get_if<trace::SampleEvent>(&event)) {
       if (!has_uncore_) {
@@ -91,18 +165,13 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
         fn.latency_sum += s->weight * s->latency_ns;
       }
 
-      // Resolve against the live map as of event i: nearest live start
-      // at or below the address, containment-check that single
+      // Resolve against the live objects as of event i: nearest live
+      // start at or below the address, containment-check that single
       // candidate.
       trace::StackId stack = trace::kInvalidStack;
-      auto live_it = live_.upper_bound(s->address);
-      if (live_it != live_.begin()) {
-        --live_it;
-        const LiveObject& obj = live_it->second;
-        if (s->address >= live_it->first && s->address < live_it->first + obj.size) {
-          stack = obj.stack;
-        }
-      }
+      std::uint64_t start = 0;
+      const LiveObject* obj = live_.floor(s->address, start);
+      if (obj != nullptr && s->address < start + obj->size) stack = obj->stack;
       if (stack == trace::kInvalidStack) {
         unattributed_ += s->weight;
       } else {
@@ -152,14 +221,13 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
 
   // Objects still live: close their windows at the last event time, in
   // ascending address order.
-  for (const auto& [addr, obj] : live_) {
-    (void)addr;
+  live_.for_each([&](const LiveObject& obj) {
     auto& acc = sites[obj.stack];
     acc.record.windows.push_back(LiveWindow{obj.alloc_time, last_time_});
     acc.record.last_free = std::max(acc.record.last_free, last_time_);
     acc.record.total_lifetime_ns +=
         static_cast<double>(last_time_ > obj.alloc_time ? last_time_ - obj.alloc_time : 0);
-  }
+  });
 
   for (SiteAccum& acc : sites) {
     SiteRecord& r = acc.record;
