@@ -18,6 +18,7 @@
 #include <iomanip>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -25,10 +26,13 @@
 #include <variant>
 #include <vector>
 
+#include "ecohmem/advisor/knapsack.hpp"
+#include "ecohmem/advisor/report.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/analyzer/incremental.hpp"
 #include "ecohmem/apps/apps.hpp"
 #include "ecohmem/apps/synthetic.hpp"
+#include "ecohmem/bom/symbols.hpp"
 #include "ecohmem/core/ecohmem.hpp"
 #include "ecohmem/flexmalloc/flexmalloc.hpp"
 #include "ecohmem/flexmalloc/report_parser.hpp"
@@ -284,6 +288,131 @@ TEST(PinnedOutputs, Fig6Workflows) {
     report.add(workflow->report_text);
     EXPECT_EQ(report.value(), p.report_digest)
         << p.app << " report: got 0x" << std::hex << report.value();
+  }
+}
+
+/// splitmix64, the seeded stream the hand-built pins below draw from.
+class SplitMix {
+ public:
+  explicit SplitMix(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t next() {
+    state_ += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state_;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+/// A report far larger than the Fig. 6 apps' over four modules:
+/// 3,000 density-placed sites (1- and 16-frame stacks among 2- to
+/// 6-frame ones, frame offsets 0 and 2^64-1, zero-size sites, sites
+/// with no misses, and 429 sites of one equal density, which must keep
+/// their input order; the 13 GiB DRAM limit runs out inside that group)
+/// plus hand-placed decisions with footprints 0 and 2^64-1, under a
+/// `# model =` stamp.
+struct SyntheticReport {
+  bom::ModuleTable modules;
+  std::unique_ptr<bom::SymbolTable> symbols;
+  advisor::Placement placement;
+};
+
+SyntheticReport synthetic_report() {
+  constexpr std::uint64_t kMaxU64 = ~std::uint64_t{0};
+  SyntheticReport out;
+  for (const char* name : {"app.x", "libmpi.so.12", "libm.so.6", "libfoam.so"}) {
+    out.modules.add_module(name, 1 << 24);
+  }
+  out.symbols = std::make_unique<bom::SymbolTable>(&out.modules);
+  SplitMix rng(0x5eed);
+  for (bom::ModuleId m = 0; m < 4; ++m) {
+    out.symbols->add_entry(m, {0, "src/m" + std::to_string(m) + "/entry.cc", 1});
+    for (std::uint32_t k = 0; k < 64; ++k) {
+      out.symbols->add_entry(m, {rng.next() % (1ull << 24),
+                                 "src/m" + std::to_string(m) + "/f" + std::to_string(k % 9) +
+                                     ".cpp",
+                                 10 + static_cast<std::uint32_t>(rng.next() % 5000)});
+    }
+  }
+
+  const auto random_stack = [&](std::size_t frames) {
+    bom::CallStack cs;
+    for (std::size_t f = 0; f < frames; ++f) {
+      const std::uint64_t r = rng.next();
+      const std::uint64_t offset = r % 16 == 0 ? 0 : r % 16 == 1 ? kMaxU64 : r >> 40;
+      cs.frames.push_back(bom::Frame{static_cast<bom::ModuleId>(rng.next() % 4), offset});
+    }
+    return cs;
+  };
+
+  std::vector<analyzer::SiteRecord> sites;
+  for (std::size_t k = 0; k < 3000; ++k) {
+    analyzer::SiteRecord s;
+    s.stack = static_cast<trace::StackId>(k);
+    s.callstack = random_stack(k % 5 == 0 ? 1 : k % 5 == 1 ? 16 : 2 + rng.next() % 5);
+    if (k % 7 == 0) {  // one density shared by every seventh site
+      s.max_size = 1 << 20;
+      s.load_misses = 512.0;
+      s.store_misses = 64.0;
+    } else if (k % 11 == 0) {  // no misses: worthless to a fast tier
+      s.max_size = 1 + rng.next() % (64ull << 20);
+    } else {
+      s.max_size = k % 13 == 0 ? 0 : 1 + rng.next() % (64ull << 20);
+      s.load_misses = static_cast<double>(rng.next() % 100000) / 4.0;
+      s.store_misses = static_cast<double>(rng.next() % 20000) / 8.0;
+    }
+    s.peak_live_bytes = s.max_size;
+    sites.push_back(std::move(s));
+  }
+  auto placed =
+      advisor::place_by_density(sites, advisor::AdvisorConfig::dram_pmem(13ull << 30, 0.125));
+  EXPECT_TRUE(placed.has_value()) << placed.error();
+  if (placed) out.placement = std::move(*placed);
+
+  for (const Bytes footprint : {Bytes{0}, kMaxU64, Bytes{1}, kMaxU64 - 1}) {
+    advisor::PlacementDecision d;
+    d.stack = static_cast<trace::StackId>(out.placement.decisions.size());
+    d.callstack = random_stack(16);
+    d.callstack.frames.front().offset = 0;
+    d.callstack.frames.back().offset = kMaxU64;
+    d.tier = footprint % 2 == 0 ? "dram" : "pmem";
+    d.footprint = footprint;
+    out.placement.decisions.push_back(std::move(d));
+  }
+  out.placement.model_stamp = "0x9ae16a3b2f90404f";
+  return out;
+}
+
+TEST(PinnedOutputs, SyntheticReportBytes) {
+  const SyntheticReport r = synthetic_report();
+  ASSERT_EQ(r.placement.decisions.size(), 3004u);
+  const struct {
+    advisor::ReportFormat format;
+    std::size_t bytes;
+    std::uint64_t digest;
+  } pinned[] = {
+      {advisor::ReportFormat::kBom, 433772, 0x32242670589fb032ull},
+      {advisor::ReportFormat::kHumanReadable, 424351, 0xa57841f3591d6760ull},
+  };
+  for (const auto& p : pinned) {
+    const auto text =
+        advisor::report_to_string(r.placement, p.format, r.modules, r.symbols.get());
+    ASSERT_TRUE(text.has_value()) << text.error();
+    Digest d;
+    d.add(*text);
+    EXPECT_EQ(text->size(), p.bytes) << advisor::to_string(p.format);
+    EXPECT_EQ(d.value(), p.digest)
+        << advisor::to_string(p.format) << " report: got 0x" << std::hex << d.value();
+    if (p.format == advisor::ReportFormat::kBom) {
+      EXPECT_NE(text->find("# model = 0x9ae16a3b2f90404f\n"), std::string::npos);
+      EXPECT_NE(text->find("!0xffffffffffffffff @ "), std::string::npos);
+      EXPECT_NE(text->find("!0x0 > "), std::string::npos);
+      EXPECT_NE(text->find(" # size=18446744073709551615\n"), std::string::npos);
+      EXPECT_NE(text->find(" @ dram # size=0\n"), std::string::npos);
+    }
   }
 }
 
@@ -604,6 +733,80 @@ TEST(PinnedAnalysis, HandBuiltEdgeCases) {
   const auto b = analyzer::analyze(samples_only, options);
   ASSERT_TRUE(b.has_value()) << b.error();
   EXPECT_EQ(digest(*b), 0xec8119b3b52a878full) << "samples only: got 0x" << std::hex << digest(*b);
+}
+
+/// Live and allocation windows at the edges of the bandwidth bins
+/// (bins of 1000 ns, allocation windows of 2000 ns, so an allocation at
+/// `t > 2000` averages [t - 1000, t + 1000) and one at or before 2000
+/// clamps to [0, 2000)): windows that start or end exactly on a bin
+/// edge, lie inside one bin, have zero duration, or run past the last
+/// bin the meter holds (the last uncore reading ends at 9000 while
+/// events go on to 14500).
+trace::Trace bin_edge_trace() {
+  using trace::AllocEvent;
+  using trace::FreeEvent;
+  using trace::MarkerEvent;
+  using trace::SampleEvent;
+  using trace::UncoreBwEvent;
+  trace::Trace t;
+  t.sample_rate_hz = 100.0;
+  std::vector<trace::StackId> s;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    s.push_back(t.stacks.intern(bom::CallStack{{{0, 0x100 + 0x10 * k}}}));
+  }
+  const std::uint32_t fn = t.functions.intern("kernel");
+  const auto kMalloc = trace::AllocKind::kMalloc;
+
+  auto& e = t.events;
+  e.emplace_back(AllocEvent{0, 1, 0x10000, 4096, s[0], kMalloc});  // clamps at t = 0
+  e.emplace_back(UncoreBwEvent{500, 500, 3.0, 1.0});
+  e.emplace_back(AllocEvent{1000, 2, 0x20000, 2048, s[1], kMalloc});  // on an edge, clamps
+  e.emplace_back(SampleEvent{1200, 0x10010, 2.0, 110.0, false, fn});
+  e.emplace_back(UncoreBwEvent{2000, 1500, 5.5, 2.25});
+  e.emplace_back(AllocEvent{2000, 3, 0x30000, 512, s[2], kMalloc});  // last clamped start
+  e.emplace_back(SampleEvent{2100, 0x20100, 1.5, 0.0, true, fn});
+  e.emplace_back(FreeEvent{3000, 2});  // [1000, 3000): both ends on edges
+  e.emplace_back(AllocEvent{3000, 4, 0x40000, 1024, s[3], kMalloc});  // window [2000, 4000)
+  e.emplace_back(FreeEvent{3000, 4});  // zero duration
+  e.emplace_back(UncoreBwEvent{3700, 1700, 8.0, 0.5});
+  e.emplace_back(AllocEvent{4250, 5, 0x50000, 8192, s[4], kMalloc});  // [3250, 5250)
+  e.emplace_back(SampleEvent{4300, 0x50010, 3.0, 240.0, false, fn});
+  e.emplace_back(FreeEvent{4750, 5});  // [4250, 4750): inside one bin
+  e.emplace_back(UncoreBwEvent{6000, 2000, 1.0, 1.0});  // exactly bins 4 and 5
+  e.emplace_back(AllocEvent{6400, 6, 0x50000, 8192, s[4], kMalloc});
+  e.emplace_back(SampleEvent{6500, 0x30010, 1.0, 0.0, true, fn});
+  e.emplace_back(MarkerEvent{7000, fn, true});
+  e.emplace_back(FreeEvent{7000, 3});  // [2000, 7000): both ends on edges
+  e.emplace_back(AllocEvent{8800, 7, 0x60000, 256, s[5], kMalloc});  // window past the bins
+  e.emplace_back(UncoreBwEvent{9000, 2500, 6.25, 3.0});  // the last bin is [8000, 9000)
+  e.emplace_back(FreeEvent{9000, 6});  // [6400, 9000): ends on the meter's end
+  e.emplace_back(AllocEvent{11000, 8, 0x70000, 128, s[5], kMalloc});  // window beyond the bins
+  e.emplace_back(SampleEvent{12000, 0x70000, 2.5, 300.0, false, fn});
+  e.emplace_back(FreeEvent{13000, 7});  // [8800, 13000): runs past the last bin
+  e.emplace_back(MarkerEvent{14500, fn, false});  // objects 1 and 8 close here
+  return t;
+}
+
+TEST(PinnedAnalysis, WindowsOnBinEdges) {
+  analyzer::AnalyzerOptions options;
+  options.bw_bin_ns = 1000;
+  options.alloc_window_ns = 2000;
+
+  const trace::Trace with_uncore = bin_edge_trace();
+  const auto a = analyzer::analyze(with_uncore, options);
+  ASSERT_TRUE(a.has_value()) << a.error();
+  EXPECT_EQ(a->sites.size(), 6u);
+  EXPECT_EQ(a->system_bw.size(), 9u);
+  EXPECT_EQ(digest(*a), 0xcb47a06c21204c5cull) << "with uncore: got 0x" << std::hex << digest(*a);
+
+  // Without uncore readings the meter ends at the last sample's bin.
+  trace::Trace samples_only = bin_edge_trace();
+  std::erase_if(samples_only.events, [](const trace::Event& ev) {
+    return std::holds_alternative<trace::UncoreBwEvent>(ev);
+  });
+  const auto b = analyzer::analyze(samples_only, options);
+  ASSERT_TRUE(b.has_value()) << b.error();
+  EXPECT_EQ(digest(*b), 0xcc433572ebe69ac0ull) << "samples only: got 0x" << std::hex << digest(*b);
 }
 
 /// A seeded stream that keeps thousands of objects live at once, the
