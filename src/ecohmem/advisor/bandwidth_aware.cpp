@@ -49,9 +49,6 @@ Expected<BandwidthAwareResult> place_bandwidth_aware(
     decision_of[result.placement.decisions[i].stack] = i;
   }
 
-  std::unordered_map<trace::StackId, const analyzer::SiteRecord*> site_of;
-  for (const auto& s : sites) site_of[s.stack] = &s;
-
   // --- Step 1: categorization.
   std::vector<const analyzer::SiteRecord*> fitting;
   std::vector<const analyzer::SiteRecord*> thrashing;
@@ -108,12 +105,12 @@ Expected<BandwidthAwareResult> place_bandwidth_aware(
 
     const analyzer::SiteRecord* replacement = nullptr;
     for (const analyzer::SiteRecord* f : fitting) {
-      if (consumed.contains(f->stack)) continue;
       if (site_footprint(*f, config.footprint_mode) < needed) continue;
       // "can accommodate object for its entire lifetime": the Fitting
       // object must be live over the whole span of the Thrashing one.
       const analyzer::LiveWindow f_span{f->first_alloc, f->last_free};
       if (!f_span.contains(t_span)) continue;
+      if (consumed.contains(f->stack)) continue;
       replacement = f;
       break;
     }

@@ -28,24 +28,28 @@ Expected<Placement> place_by_density(const std::vector<analyzer::SiteRecord>& si
   for (const TierPolicy& tier : config.tiers) {
     if (remaining.empty()) break;
 
-    // Value function for *this* knapsack uses this tier's coefficients.
-    std::vector<std::size_t> order = remaining;
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return sites[a].density(tier.load_coef, tier.store_coef) >
-             sites[b].density(tier.load_coef, tier.store_coef);
-    });
+    // Value function for *this* knapsack uses this tier's coefficients,
+    // evaluated once per remaining site (`order` indexes `remaining`).
+    std::vector<double> density(remaining.size());
+    for (std::size_t k = 0; k < remaining.size(); ++k) {
+      density[k] = sites[remaining[k]].density(tier.load_coef, tier.store_coef);
+    }
+    std::vector<std::size_t> order(remaining.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return density[a] > density[b]; });
 
     Bytes used = 0;
     std::vector<std::size_t> next_remaining;
     next_remaining.reserve(remaining.size());
-    for (const std::size_t idx : order) {
+    for (const std::size_t k : order) {
+      const std::size_t idx = remaining[k];
       const analyzer::SiteRecord& site = sites[idx];
       const Bytes footprint = site_footprint(site, config.footprint_mode);
-      const double density = site.density(tier.load_coef, tier.store_coef);
 
       // Objects with no observed misses carry no value; leave them for the
       // fallback tier rather than wasting fast-tier capacity.
-      const bool worthless = density <= 0.0 && !tier.fallback;
+      const bool worthless = density[k] <= 0.0 && !tier.fallback;
 
       if (!worthless && used + footprint <= tier.limit) {
         used += footprint;
@@ -54,7 +58,7 @@ Expected<Placement> place_by_density(const std::vector<analyzer::SiteRecord>& si
         d.callstack = site.callstack;
         d.tier = tier.name;
         d.footprint = footprint;
-        d.density = density;
+        d.density = density[k];
         placement.decisions.push_back(std::move(d));
       } else {
         next_remaining.push_back(idx);

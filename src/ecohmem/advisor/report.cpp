@@ -1,8 +1,8 @@
 #include "ecohmem/advisor/report.hpp"
 
 #include <fstream>
-#include <ostream>
-#include <sstream>
+
+#include "ecohmem/common/strings.hpp"
 
 namespace ecohmem::advisor {
 
@@ -10,50 +10,65 @@ std::string to_string(ReportFormat fmt) {
   return fmt == ReportFormat::kBom ? "bom" : "human-readable";
 }
 
-Status write_report(std::ostream& out, const Placement& placement, ReportFormat format,
+Status write_report(std::string& out, const Placement& placement, ReportFormat format,
                     const bom::ModuleTable& modules, const bom::SymbolTable* symbols) {
-  out << "# ecoHMEM placement report\n";
-  out << "# format = " << to_string(format) << "\n";
-  out << "# fallback = " << placement.fallback_tier << "\n";
+  // Roughly the report's size: ~32 bytes per frame, ~40 per line besides.
+  std::size_t frames = 0;
+  for (const auto& d : placement.decisions) frames += d.callstack.frames.size();
+  out.reserve(out.size() + 128 + 40 * placement.decisions.size() + 32 * frames);
+
+  out += "# ecoHMEM placement report\n# format = ";
+  out += to_string(format);
+  out += "\n# fallback = ";
+  out += placement.fallback_tier;
+  out += '\n';
   // Unknown header keys are ignored by every report consumer, so the
   // model stamp is byte-invisible to pre-learn parsers.
   if (!placement.model_stamp.empty()) {
-    out << "# model = " << placement.model_stamp << "\n";
+    out += "# model = ";
+    out += placement.model_stamp;
+    out += '\n';
   }
 
   for (const auto& d : placement.decisions) {
-    std::string stack_text;
     if (format == ReportFormat::kBom) {
-      stack_text = bom::format_bom(d.callstack, modules);
+      bom::append_bom(out, d.callstack, modules);
     } else {
       if (symbols == nullptr) {
         return unexpected("human-readable report requires a symbol table");
       }
       auto hr = symbols->translate(d.callstack);
       if (!hr) return unexpected("cannot symbolize call stack: " + hr.error());
-      stack_text = bom::format_human(*hr);
+      bom::append_human(out, *hr);
     }
-    out << stack_text << " @ " << d.tier << " # size=" << d.footprint << "\n";
+    out += " @ ";
+    out += d.tier;
+    out += " # size=";
+    strings::append_u64(out, d.footprint);
+    out += '\n';
   }
-  if (!out.good()) return unexpected("report write failed (I/O error)");
   return {};
 }
 
 Expected<std::string> report_to_string(const Placement& placement, ReportFormat format,
                                        const bom::ModuleTable& modules,
                                        const bom::SymbolTable* symbols) {
-  std::ostringstream out;
+  std::string out;
   if (Status s = write_report(out, placement, format, modules, symbols); !s) {
     return unexpected(s.error());
   }
-  return out.str();
+  return out;
 }
 
 Status save_report(const std::string& path, const Placement& placement, ReportFormat format,
                    const bom::ModuleTable& modules, const bom::SymbolTable* symbols) {
+  auto text = report_to_string(placement, format, modules, symbols);
+  if (!text) return unexpected(text.error());
   std::ofstream out(path);
   if (!out) return unexpected("cannot open report for writing: " + path);
-  return write_report(out, placement, format, modules, symbols);
+  out << *text;
+  if (!out.good()) return unexpected("report write failed (I/O error)");
+  return {};
 }
 
 }  // namespace ecohmem::advisor

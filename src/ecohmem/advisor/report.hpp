@@ -13,7 +13,6 @@
 /// symbolizes every frame (requiring debug info — the cost §VIII-D
 /// measures).
 
-#include <iosfwd>
 #include <string>
 
 #include "ecohmem/advisor/placement.hpp"
@@ -28,9 +27,10 @@ enum class ReportFormat { kBom, kHumanReadable };
 
 [[nodiscard]] std::string to_string(ReportFormat fmt);
 
-/// Writes the placement. For kHumanReadable, `symbols` must be able to
-/// translate every frame (fails otherwise, like a stripped binary would).
-[[nodiscard]] Status write_report(std::ostream& out, const Placement& placement,
+/// Appends the placement's report to `out`. For kHumanReadable,
+/// `symbols` must be able to translate every frame (fails otherwise,
+/// like a stripped binary would; `out` then holds a partial report).
+[[nodiscard]] Status write_report(std::string& out, const Placement& placement,
                                   ReportFormat format, const bom::ModuleTable& modules,
                                   const bom::SymbolTable* symbols = nullptr);
 

@@ -209,14 +209,14 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   const memsim::BandwidthMeter& bw_meter = has_uncore_ ? uncore_meter_ : sample_meter_;
   result.system_bw = bw_meter.series(0);
   result.observed_peak_bw_gbs = bw_meter.peak_gbs(0);
+  const memsim::WindowAverages system_bw = bw_meter.window_averages(0);
 
   // Snapshot semantics: all remaining folds mutate copies.
   std::vector<SiteAccum> sites = sites_;
 
   // Deferred alloc-window folds, replayed in allocation order.
   for (const auto& [stack, w0] : alloc_bw_pending_) {
-    sites[stack].alloc_bw_sum +=
-        bw_meter.average_gbs(0, w0, w0 + options_.alloc_window_ns);
+    sites[stack].alloc_bw_sum += system_bw.average_gbs(w0, w0 + options_.alloc_window_ns);
   }
 
   // Objects still live: close their windows at the last event time, in
@@ -246,7 +246,7 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
     double total_dur = 0.0;
     for (const auto& w : r.windows) {
       const double dur = static_cast<double>(w.duration());
-      weighted += bw_meter.average_gbs(0, w.start, std::max(w.end, w.start + 1)) * dur;
+      weighted += system_bw.average_gbs(w.start, std::max(w.end, w.start + 1)) * dur;
       total_dur += dur;
     }
     r.exec_time_system_bw_gbs = total_dur > 0.0 ? weighted / total_dur : 0.0;

@@ -1,19 +1,23 @@
 #include "ecohmem/bom/format.hpp"
 
-#include <sstream>
-
 #include "ecohmem/common/strings.hpp"
 
 namespace ecohmem::bom {
 
-std::string format_bom(const CallStack& stack, const ModuleTable& modules) {
-  std::ostringstream out;
+void append_bom(std::string& out, const CallStack& stack, const ModuleTable& modules) {
   for (std::size_t i = 0; i < stack.frames.size(); ++i) {
-    if (i > 0) out << kFrameSeparator;
+    if (i > 0) out += kFrameSeparator;
     const Frame& f = stack.frames[i];
-    out << modules.module(f.module).name << '!' << strings::to_hex(f.offset);
+    out += modules.module(f.module).name;
+    out += '!';
+    strings::append_hex(out, f.offset);
   }
-  return out.str();
+}
+
+std::string format_bom(const CallStack& stack, const ModuleTable& modules) {
+  std::string out;
+  append_bom(out, stack, modules);
+  return out;
 }
 
 Expected<CallStack> parse_bom(std::string_view text, const ModuleTable& modules) {
@@ -33,13 +37,19 @@ Expected<CallStack> parse_bom(std::string_view text, const ModuleTable& modules)
   return cs;
 }
 
-std::string format_human(const HumanStack& stack) {
-  std::ostringstream out;
+void append_human(std::string& out, const HumanStack& stack) {
   for (std::size_t i = 0; i < stack.size(); ++i) {
-    if (i > 0) out << kFrameSeparator;
-    out << stack[i].file << ':' << stack[i].line;
+    if (i > 0) out += kFrameSeparator;
+    out += stack[i].file;
+    out += ':';
+    strings::append_u64(out, stack[i].line);
   }
-  return out.str();
+}
+
+std::string format_human(const HumanStack& stack) {
+  std::string out;
+  append_human(out, stack);
+  return out;
 }
 
 Expected<HumanStack> parse_human(std::string_view text) {

@@ -30,13 +30,19 @@ using HumanStack = std::vector<SourceLocation>;
 /// Separator between frames in both formats.
 inline constexpr std::string_view kFrameSeparator = " > ";
 
-/// `module!0x1a2b0 > module!0x44c8`
+/// Appends `module!0x1a2b0 > module!0x44c8` to `out`.
+void append_bom(std::string& out, const CallStack& stack, const ModuleTable& modules);
+
+/// `append_bom` into a new string.
 [[nodiscard]] std::string format_bom(const CallStack& stack, const ModuleTable& modules);
 
 /// Parses the BOM format; module names must exist in `modules`.
 [[nodiscard]] Expected<CallStack> parse_bom(std::string_view text, const ModuleTable& modules);
 
-/// `src/Vector.hpp:88 > src/driver.hpp:120`
+/// Appends `src/Vector.hpp:88 > src/driver.hpp:120` to `out`.
+void append_human(std::string& out, const HumanStack& stack);
+
+/// `append_human` into a new string.
 [[nodiscard]] std::string format_human(const HumanStack& stack);
 
 /// Parses the human-readable format.

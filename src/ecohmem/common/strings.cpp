@@ -112,10 +112,22 @@ std::string format_bytes(Bytes n) {
   return buf;
 }
 
+void append_hex(std::string& out, std::uint64_t v) {
+  char buf[2 + 16] = {'0', 'x'};
+  const auto end = std::to_chars(buf + 2, buf + sizeof buf, v, 16).ptr;
+  out.append(buf, end);
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out.append(buf, end);
+}
+
 std::string to_hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
+  std::string out;
+  append_hex(out, v);
+  return out;
 }
 
 Expected<std::uint64_t> parse_hex(std::string_view s) {

@@ -37,7 +37,13 @@ namespace ecohmem::strings {
 /// Formats a byte count with a human-friendly binary suffix ("11.0 GiB").
 [[nodiscard]] std::string format_bytes(Bytes n);
 
-/// Case-sensitive printf-free hex formatting "0x1a2b".
+/// Appends `v` as lowercase hex with a "0x" prefix ("0x1a2b").
+void append_hex(std::string& out, std::uint64_t v);
+
+/// Appends `v` in decimal.
+void append_u64(std::string& out, std::uint64_t v);
+
+/// `v` as lowercase hex with a "0x" prefix: `append_hex` into a new string.
 [[nodiscard]] std::string to_hex(std::uint64_t v);
 
 /// Parses "0x..." hexadecimal (or decimal without prefix).

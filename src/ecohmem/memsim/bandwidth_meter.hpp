@@ -21,6 +21,8 @@ struct BandwidthPoint {
   double gbs = 0.0;   ///< average bandwidth over the bin
 };
 
+class WindowAverages;
+
 class BandwidthMeter {
  public:
   /// `tiers`: number of tiers tracked. `bin_ns`: bin width.
@@ -35,6 +37,9 @@ class BandwidthMeter {
   /// Average bandwidth of `tier` over [t0, t1).
   [[nodiscard]] double average_gbs(std::size_t tier, Ns t0, Ns t1) const;
 
+  /// `average_gbs` of `tier` for many windows (see `WindowAverages`).
+  [[nodiscard]] WindowAverages window_averages(std::size_t tier) const;
+
   /// Peak binned bandwidth of `tier` over the whole run.
   [[nodiscard]] double peak_gbs(std::size_t tier) const;
 
@@ -44,6 +49,28 @@ class BandwidthMeter {
  private:
   Ns bin_ns_;
   std::vector<std::vector<double>> bins_;  // [tier][bin] -> bytes
+};
+
+/// `BandwidthMeter::average_gbs` of one tier over many windows. A
+/// window's average sums its first bin's share, each whole bin's term
+/// `bytes * bin_ns / bin_ns` and its last bin's share, in that order;
+/// this computes every whole-bin term once, so a window divides only at
+/// its two end bins. The sum runs in the same order over the same
+/// terms, so each average is bit-identical to the meter's. Reads the
+/// meter's bins in place: the meter must outlive it and take no more
+/// traffic meanwhile.
+class WindowAverages {
+ public:
+  /// Average bandwidth over [t0, t1), as `BandwidthMeter::average_gbs`.
+  [[nodiscard]] double average_gbs(Ns t0, Ns t1) const;
+
+ private:
+  friend class BandwidthMeter;
+  WindowAverages(const std::vector<double>* lane, Ns bin_ns);
+
+  const std::vector<double>* lane_;
+  Ns bin_ns_;
+  std::vector<double> whole_;  ///< whole_[b] = (*lane_)[b] * bin_ns / bin_ns
 };
 
 }  // namespace ecohmem::memsim

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
 namespace ecohmem::memsim {
 namespace {
 
@@ -67,6 +71,42 @@ TEST(BandwidthMeter, ZeroLengthIntervalTreatedAsPoint) {
   BandwidthMeter m(1, 1000);
   m.add(0, 500, 500, 64.0);
   EXPECT_NEAR(m.peak_gbs(0), 64.0 / 1000.0, 1e-12);
+}
+
+std::uint64_t bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+TEST(BandwidthMeter, WindowAveragesMatchAverageBitForBit) {
+  BandwidthMeter m(2, 333);
+  std::uint64_t state = 7;  // LCG: traffic with inexact bin shares
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (int k = 0; k < 200; ++k) {
+    const Ns t0 = next() % 20'000;
+    m.add(0, t0, t0 + 1 + next() % 3000, static_cast<double>(next() % 100'000) / 7.0);
+  }
+  const WindowAverages lane0 = m.window_averages(0);
+  const WindowAverages empty = m.window_averages(1);
+  const WindowAverages past_tiers = m.window_averages(9);
+  // Edges, inside one bin, zero length, past the last bin, far past it.
+  const std::pair<Ns, Ns> windows[] = {{0, 333},   {333, 999},       {100, 200},
+                                       {5, 5},     {332, 334},       {21'000, 25'000},
+                                       {0, 10'000}, {40'000, 40'001}, {0, 1'000'000}};
+  for (const auto& [t0, t1] : windows) {
+    EXPECT_EQ(bits(lane0.average_gbs(t0, t1)), bits(m.average_gbs(0, t0, t1))) << t0 << ".." << t1;
+    EXPECT_EQ(empty.average_gbs(t0, t1), 0.0);
+    EXPECT_EQ(past_tiers.average_gbs(t0, t1), 0.0);
+  }
+  for (int k = 0; k < 2000; ++k) {
+    const Ns t0 = next() % 25'000;
+    const Ns t1 = t0 + next() % 6000;
+    EXPECT_EQ(bits(lane0.average_gbs(t0, t1)), bits(m.average_gbs(0, t0, t1))) << t0 << ".." << t1;
+  }
 }
 
 }  // namespace
