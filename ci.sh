@@ -414,6 +414,21 @@ for bad_value in "$advise_bad --dram-limit 4Gb" "$advise_bad --store-coef abc" \
   fi
 done
 
+# A failed output write is a runtime error (exit 1), never a silent
+# success: /dev/full accepts the open and fails the write at flush.
+for full_out in "ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /dev/full" \
+                "ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_full.txt --csv /dev/full" \
+                "ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc --out /dev/full" \
+                "ecohmem-timeline --app minife --out /dev/full"; do
+  set +e
+  build/tools/$full_out >/dev/null 2>&1
+  full_rc=$?
+  set -e
+  if [ "$full_rc" -ne 1 ]; then
+    echo "$full_out exited $full_rc, want 1" >&2; exit 1
+  fi
+done
+
 # Both linters must reject unknown rule ids in --disable (exit 2, not a
 # silent no-op that would re-enable a rule in CI) and list valid ids.
 build/tools/ecohmem-srclint --list-rules >/dev/null

@@ -1,7 +1,6 @@
 #include "ecohmem/advisor/report.hpp"
 
-#include <fstream>
-
+#include "ecohmem/common/file.hpp"
 #include "ecohmem/common/strings.hpp"
 
 namespace ecohmem::advisor {
@@ -64,11 +63,7 @@ Status save_report(const std::string& path, const Placement& placement, ReportFo
                    const bom::ModuleTable& modules, const bom::SymbolTable* symbols) {
   auto text = report_to_string(placement, format, modules, symbols);
   if (!text) return unexpected(text.error());
-  std::ofstream out(path);
-  if (!out) return unexpected("cannot open report for writing: " + path);
-  out << *text;
-  if (!out.good()) return unexpected("report write failed (I/O error)");
-  return {};
+  return common::write_file(path, *text);
 }
 
 }  // namespace ecohmem::advisor

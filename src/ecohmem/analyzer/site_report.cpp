@@ -1,13 +1,13 @@
 #include "ecohmem/analyzer/site_report.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "ecohmem/bom/format.hpp"
+#include "ecohmem/common/file.hpp"
 #include "ecohmem/common/strings.hpp"
 
 namespace ecohmem::analyzer {
@@ -111,11 +111,9 @@ std::string site_table_to_string(const AnalysisResult& analysis,
 
 Status save_site_csv(const std::string& path, const AnalysisResult& analysis,
                      const bom::ModuleTable& modules) {
-  std::ofstream out(path);
-  if (!out) return unexpected("cannot open for writing: " + path);
+  std::ostringstream out;
   write_site_csv(out, analysis, modules);
-  if (!out.good()) return unexpected("write failed: " + path);
-  return {};
+  return common::write_file(path, out.str());
 }
 
 }  // namespace ecohmem::analyzer

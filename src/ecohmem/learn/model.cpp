@@ -5,6 +5,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "ecohmem/common/file.hpp"
 #include "ecohmem/common/strings.hpp"
 
 namespace ecohmem::learn {
@@ -160,13 +161,7 @@ Expected<Model> decode_model(std::string_view bytes) {
 }
 
 Status save_model(const Model& model, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return unexpected("cannot open " + path + " for writing");
-  const std::string bytes = encode_model(model);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) return unexpected("write failed for " + path);
-  return {};
+  return common::write_file(path, encode_model(model));
 }
 
 Expected<Model> load_model(const std::string& path) {

@@ -24,9 +24,9 @@
 #include <csignal>
 
 #include <cstdio>
-#include <fstream>
 
 #include "cli_common.hpp"
+#include "ecohmem/common/file.hpp"
 #include "ecohmem/serve/client.hpp"
 #include "ecohmem/serve/server.hpp"
 #include "ecohmem/trace/trace_reader.hpp"
@@ -72,10 +72,7 @@ int run_server(const cli::Args& args) {
 }
 
 int write_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out || !(out << text) || !out.flush()) {
-    return cli::fail("cannot write " + path);
-  }
+  if (const auto s = common::write_file(path, text); !s) return cli::fail(s.error());
   return 0;
 }
 

@@ -20,10 +20,11 @@
 // CSV columns: time_s, tier, gbs
 
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 
 #include "cli_common.hpp"
 #include "ecohmem/apps/apps.hpp"
+#include "ecohmem/common/file.hpp"
 #include "ecohmem/core/ecohmem.hpp"
 #include "ecohmem/memsim/bandwidth_meter.hpp"
 #include "ecohmem/trace/trace_reader.hpp"
@@ -76,13 +77,15 @@ int run_trace_mode(const cli::Args& args) {
     return cli::fail_load(args.get("trace"), s.error());
   }
 
-  std::ofstream out(args.get("out"));
-  if (!out) return cli::fail("cannot open " + args.get("out"));
+  std::ostringstream out;
   out << "time_s,tier,gbs\n";
   std::size_t rows = 0;
   for (const auto& p : meter.series(0)) {
     out << static_cast<double>(p.time) * 1e-9 << ",system," << p.gbs << '\n';
     ++rows;
+  }
+  if (const auto s = common::write_file(args.get("out"), out.str()); !s) {
+    return cli::fail(s.error());
   }
   std::printf("%s: %llu events streamed (v%u, %s source), %zu bins -> %s\n",
               args.get("trace").c_str(),
@@ -145,8 +148,7 @@ int main(int argc, char** argv) {
     return cli::fail("unknown mode '" + mode + "' (memory|base|bw-aware)");
   }
 
-  std::ofstream out(args.get("out"));
-  if (!out) return cli::fail("cannot open " + args.get("out"));
+  std::ostringstream out;
   out << "time_s,tier,gbs\n";
   std::size_t rows = 0;
   for (std::size_t t = 0; t < metrics.tier_bw.size(); ++t) {
@@ -155,6 +157,9 @@ int main(int argc, char** argv) {
       out << static_cast<double>(p.time) * 1e-9 << ',' << tier << ',' << p.gbs << '\n';
       ++rows;
     }
+  }
+  if (const auto s = common::write_file(args.get("out"), out.str()); !s) {
+    return cli::fail(s.error());
   }
   std::printf("%s %s run: %.2f s simulated, %zu samples -> %s\n", args.get("app").c_str(),
               mode.c_str(), static_cast<double>(metrics.total_ns) * 1e-9, rows,
