@@ -63,8 +63,8 @@ struct AnalysisResult {
 };
 
 /// Aggregates `trace` into per-site records. Fails on malformed traces:
-/// an alloc with an invalid stack id, a free of an unknown object id, or
-/// a double free (a free whose object's address holds no live object).
+/// an alloc with an invalid stack id or a free of an object id that is
+/// unknown or already freed.
 [[nodiscard]] Expected<AnalysisResult> analyze(const trace::Trace& trace,
                                                const AnalyzerOptions& options = {});
 

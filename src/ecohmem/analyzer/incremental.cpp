@@ -1,6 +1,7 @@
 #include "ecohmem/analyzer/incremental.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <variant>
 
 namespace ecohmem::analyzer {
@@ -23,11 +24,12 @@ std::size_t last_at_or_below(const std::uint64_t* keys, std::size_t n, std::uint
 
 }  // namespace
 
-void IncrementalAggregator::LiveIndex::upsert(std::uint64_t start, const LiveObject& obj) {
+bool IncrementalAggregator::LiveIndex::upsert(std::uint64_t start, const LiveObject& obj,
+                                              LiveObject& displaced) {
   if (chunks_.empty()) {
     mins_.push_back(start);
     chunks_.push_back(Chunk{{start}, {obj}});
-    return;
+    return false;
   }
   // A start below every chunk goes to the front of the first one.
   const std::size_t c =
@@ -36,13 +38,13 @@ void IncrementalAggregator::LiveIndex::upsert(std::uint64_t start, const LiveObj
   const auto at = std::lower_bound(chunk.starts.begin(), chunk.starts.end(), start);
   const auto offset = at - chunk.starts.begin();
   if (at != chunk.starts.end() && *at == start) {
-    chunk.objects[static_cast<std::size_t>(offset)] = obj;
-    return;
+    displaced = std::exchange(chunk.objects[static_cast<std::size_t>(offset)], obj);
+    return true;
   }
   chunk.starts.insert(at, start);
   chunk.objects.insert(chunk.objects.begin() + offset, obj);
   mins_[c] = chunk.starts.front();
-  if (chunk.starts.size() <= kChunkCapacity) return;
+  if (chunk.starts.size() <= kChunkCapacity) return false;
 
   // Split off the upper half into a new chunk right after this one.
   const auto half = static_cast<std::ptrdiff_t>(chunk.starts.size() / 2);
@@ -53,14 +55,16 @@ void IncrementalAggregator::LiveIndex::upsert(std::uint64_t start, const LiveObj
   const auto next = static_cast<std::ptrdiff_t>(c + 1);
   mins_.insert(mins_.begin() + next, upper.starts.front());
   chunks_.insert(chunks_.begin() + next, std::move(upper));
+  return false;
 }
 
-bool IncrementalAggregator::LiveIndex::take(std::uint64_t start, LiveObject& out) {
+bool IncrementalAggregator::LiveIndex::take(std::uint64_t start, std::uint64_t id,
+                                            LiveObject& out) {
   if (chunks_.empty() || start < mins_[0]) return false;
   const std::size_t c = last_at_or_below(mins_.data(), mins_.size(), start);
   Chunk& chunk = chunks_[c];
   const std::size_t at = last_at_or_below(chunk.starts.data(), chunk.starts.size(), start);
-  if (chunk.starts[at] != start) return false;
+  if (chunk.starts[at] != start || chunk.objects[at].id != id) return false;
   out = chunk.objects[at];
   const auto offset = static_cast<std::ptrdiff_t>(at);
   chunk.starts.erase(chunk.starts.begin() + offset);
@@ -112,9 +116,13 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
         error_ = "alloc event with invalid stack id";
         return unexpected(error_);
       }
-      // Address reuse while live: the previous object drops out of the
-      // live index here.
-      live_.upsert(a->address, LiveObject{a->size, a->stack, a->time});
+      // Address reuse while live: the previous object leaves the index
+      // but stays live until its own free.
+      LiveObject displaced;
+      if (live_.upsert(a->address, LiveObject{a->size, a->stack, a->time, a->object_id},
+                       displaced)) {
+        displaced_.emplace(displaced.id, displaced);
+      }
       object_address_[a->object_id] = a->address;
 
       auto& acc = sites_[a->stack];
@@ -139,9 +147,15 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
         return unexpected(error_);
       }
       LiveObject obj;
-      if (!live_.take(addr_it->second, obj)) {
-        error_ = "double free of object id " + std::to_string(f->object_id);
-        return unexpected(error_);
+      if (!live_.take(addr_it->second, f->object_id, obj)) {
+        // Not at its address any more: displaced by address reuse.
+        const auto d = displaced_.lower_bound(f->object_id);
+        if (d == displaced_.end() || d->first != f->object_id) {
+          error_ = "double free of object id " + std::to_string(f->object_id);
+          return unexpected(error_);
+        }
+        obj = d->second;
+        displaced_.erase(d);
       }
       auto& acc = sites_[obj.stack];
       acc.live_bytes = acc.live_bytes >= obj.size ? acc.live_bytes - obj.size : 0;
@@ -220,14 +234,16 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   }
 
   // Objects still live: close their windows at the last event time, in
-  // ascending address order.
-  live_.for_each([&](const LiveObject& obj) {
+  // ascending address order, then the displaced ones in id order.
+  const auto close_at_end = [&](const LiveObject& obj) {
     auto& acc = sites[obj.stack];
     acc.record.windows.push_back(LiveWindow{obj.alloc_time, last_time_});
     acc.record.last_free = std::max(acc.record.last_free, last_time_);
     acc.record.total_lifetime_ns +=
         static_cast<double>(last_time_ > obj.alloc_time ? last_time_ - obj.alloc_time : 0);
-  });
+  };
+  live_.for_each(close_at_end);
+  for (const auto& [id, obj] : displaced_) close_at_end(obj);
 
   for (SiteAccum& acc : sites) {
     SiteRecord& r = acc.record;

@@ -34,6 +34,13 @@
 /// addresses are; an allocation or free shifts the entries of one
 /// chunk, and the chunk list only when a chunk splits or empties.
 ///
+/// An allocation at the start of a live object (address reuse while
+/// live, which the profiler never emits) takes that address in the
+/// index, so samples there resolve to the new object; the displaced
+/// object stays live, set aside by id, until its own free closes its
+/// own window. Objects still displaced at `finalize()` close at the
+/// last event time like the live ones, after them, in id order.
+///
 /// Not thread-safe: the serving layer serializes access through the
 /// session store lock (docs/threading.md). `finalize()` is const and
 /// non-destructive, so ingestion can continue after a snapshot.
@@ -97,6 +104,7 @@ class IncrementalAggregator {
     Bytes size = 0;
     trace::StackId stack = trace::kInvalidStack;
     Ns alloc_time = 0;
+    std::uint64_t id = 0;
   };
 
   /// Live objects ordered by start address. Chunks hold sorted starts
@@ -105,13 +113,14 @@ class IncrementalAggregator {
   /// splits in two, one that empties is dropped, so no chunk is empty.
   class LiveIndex {
    public:
-    /// Inserts the object starting at `start`, replacing the one that
-    /// starts there if any (address reuse while live).
-    void upsert(std::uint64_t start, const LiveObject& obj);
+    /// Inserts the object starting at `start`. If one already starts
+    /// there (address reuse while live), it is replaced, copied into
+    /// `displaced` first, and the call returns true.
+    bool upsert(std::uint64_t start, const LiveObject& obj, LiveObject& displaced);
 
     /// Copies the object starting at `start` into `out` and removes it;
-    /// false if no live object starts there.
-    bool take(std::uint64_t start, LiveObject& out);
+    /// false if no object with id `id` starts there.
+    bool take(std::uint64_t start, std::uint64_t id, LiveObject& out);
 
     /// The object with the greatest start at or below `addr`, its start
     /// stored in `start`; nullptr if every start is above `addr`.
@@ -171,6 +180,9 @@ class IncrementalAggregator {
 
   LiveIndex live_;  ///< start address -> object
   std::unordered_map<std::uint64_t, std::uint64_t> object_address_;  ///< id -> addr
+  /// Live objects displaced from `live_` by address reuse, by id (an id
+  /// allocated twice while live may appear twice; the older goes first).
+  std::multimap<std::uint64_t, LiveObject> displaced_;
   std::vector<SiteAccum> sites_;               ///< indexed by stack id
   std::vector<FunctionAccum> function_accum_;  ///< indexed by function id
   /// Function ids past the table (the decoder does not reject them),

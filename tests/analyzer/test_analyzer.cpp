@@ -159,19 +159,70 @@ TEST(Analyzer, MalformedTraceFailsWithItsReason) {
   EXPECT_EQ(result.error(), "free event for unknown object id 7");
 }
 
-TEST(Analyzer, FreeOfAnAddressReusedWhileLiveIsADoubleFree) {
-  // B reuses A's address while A is live, so the first free (of A)
-  // drops the object at that address; B's id is still known but
-  // nothing is live at its address any more.
+TEST(Analyzer, AddressReusedWhileLiveKeepsBothObjects) {
+  // B reuses A's address while A is live. Samples at the address resolve
+  // to B; A stays live, and each free closes its own object's window.
+  Trace t;
+  const StackId sa = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
+  const StackId sb = t.stacks.intern(bom::CallStack{{{0, 0x20}}});
+  t.events.emplace_back(AllocEvent{1, 7, 0x1000, 64, sa, AllocKind::kMalloc});
+  t.events.emplace_back(AllocEvent{2, 8, 0x1000, 32, sb, AllocKind::kMalloc});
+  t.events.emplace_back(SampleEvent{3, 0x1010, 2.0, 100.0, false, 0});  // in B
+  t.events.emplace_back(SampleEvent{3, 0x1030, 1.0, 100.0, false, 0});  // only in A
+  t.events.emplace_back(FreeEvent{4, 7});
+  t.events.emplace_back(SampleEvent{5, 0x1010, 4.0, 100.0, false, 0});  // still B
+  t.events.emplace_back(FreeEvent{6, 8});
+  const auto result = analyze(t);
+  ASSERT_TRUE(result.has_value()) << result.error();
+  ASSERT_EQ(result->sites.size(), 2u);
+  const SiteRecord& a = result->sites[0];
+  const SiteRecord& b = result->sites[1];
+  ASSERT_EQ(a.stack, sa);
+  ASSERT_EQ(b.stack, sb);
+  ASSERT_EQ(a.windows.size(), 1u);
+  EXPECT_EQ(a.windows[0].start, 1u);
+  EXPECT_EQ(a.windows[0].end, 4u);
+  EXPECT_EQ(a.last_free, 4u);
+  EXPECT_EQ(a.load_misses, 0.0);
+  ASSERT_EQ(b.windows.size(), 1u);
+  EXPECT_EQ(b.windows[0].start, 2u);
+  EXPECT_EQ(b.windows[0].end, 6u);
+  EXPECT_EQ(b.load_misses, 6.0);
+  EXPECT_EQ(result->unattributed_samples, 1.0);
+}
+
+TEST(Analyzer, DisplacedObjectsStillLiveCloseAtTheEndInIdOrder) {
+  // Objects 9 and 7 are displaced from their addresses and never freed:
+  // they close at the last event time, after the live objects.
   Trace t;
   const StackId s = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
-  t.events.emplace_back(AllocEvent{1, 7, 0x1000, 64, s, AllocKind::kMalloc});
-  t.events.emplace_back(AllocEvent{2, 8, 0x1000, 32, s, AllocKind::kMalloc});
-  t.events.emplace_back(FreeEvent{3, 7});
-  t.events.emplace_back(FreeEvent{4, 8});
+  t.events.emplace_back(AllocEvent{1, 9, 0x1000, 64, s, AllocKind::kMalloc});
+  t.events.emplace_back(AllocEvent{2, 7, 0x2000, 64, s, AllocKind::kMalloc});
+  t.events.emplace_back(AllocEvent{3, 8, 0x2000, 16, s, AllocKind::kMalloc});
+  t.events.emplace_back(AllocEvent{4, 6, 0x1000, 16, s, AllocKind::kMalloc});
+  t.events.emplace_back(FreeEvent{5, 8});
+  t.events.emplace_back(SampleEvent{10, 0x5000, 1.0, 0.0, true, 0});
   const auto result = analyze(t);
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error(), "double free of object id 8");
+  ASSERT_TRUE(result.has_value()) << result.error();
+  ASSERT_EQ(result->sites.size(), 1u);
+  const SiteRecord& site = result->sites[0];
+  EXPECT_EQ(site.alloc_count, 4u);
+  EXPECT_EQ(site.peak_live_bytes, 160u);
+  EXPECT_EQ(site.last_free, 10u);
+  // [3, 5) freed, then object 6 (live), 7 and 9 (displaced) at t = 10.
+  EXPECT_EQ(site.total_lifetime_ns, 2.0 + 6.0 + 8.0 + 9.0);
+  ASSERT_EQ(site.windows.size(), 4u);
+  EXPECT_EQ(site.windows[0].start, 1u);
+  EXPECT_EQ(site.windows[3].start, 4u);
+  for (const auto& w : site.windows) {
+    EXPECT_EQ(w.end, w.start == 3 ? 5u : 10u);
+  }
+  // Freeing a displaced id twice is a free of an unknown id.
+  t.events.emplace_back(FreeEvent{11, 7});
+  t.events.emplace_back(FreeEvent{12, 7});
+  const auto twice = analyze(t);
+  ASSERT_FALSE(twice.has_value());
+  EXPECT_EQ(twice.error(), "free event for unknown object id 7");
 }
 
 /// Bit pattern of a double: -0.0 != +0.0, exactly the "bit-identical"
