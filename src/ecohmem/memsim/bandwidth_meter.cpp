@@ -5,39 +5,6 @@
 
 namespace ecohmem::memsim {
 
-namespace {
-
-/// Average of `lane` over [t0, t1) with bins `bin_ns` wide: the shares
-/// of the first and last bin and `whole(b)` for each bin between them,
-/// summed in ascending bin order, then divided by the window length.
-/// Bins past the lane hold no traffic.
-template <typename Whole>
-double window_average(const std::vector<double>& lane, Ns bin_ns, Ns t0, Ns t1, Whole whole) {
-  if (t1 <= t0) return 0.0;
-  const std::size_t first = static_cast<std::size_t>(t0 / bin_ns);
-  const std::size_t last = static_cast<std::size_t>((t1 - 1) / bin_ns);
-  const auto share = [&](std::size_t b) {
-    const Ns bin_start = static_cast<Ns>(b) * bin_ns;
-    const Ns overlap = std::min(bin_start + bin_ns, t1) - std::max(bin_start, t0);
-    return lane[b] * static_cast<double>(overlap) / static_cast<double>(bin_ns);
-  };
-  double bytes = 0.0;
-  if (first < lane.size()) {
-    bytes += share(first);
-    const std::size_t interior_end = std::min(last, lane.size());
-    for (std::size_t b = first + 1; b < interior_end; ++b) bytes += whole(b);
-    if (last > first && last < lane.size()) bytes += share(last);
-  }
-  return bytes / static_cast<double>(t1 - t0);
-}
-
-/// The share of a bin the window covers entirely.
-double whole_bin(double bytes, Ns bin_ns) {
-  return bytes * static_cast<double>(bin_ns) / static_cast<double>(bin_ns);
-}
-
-}  // namespace
-
 BandwidthMeter::BandwidthMeter(std::size_t tiers, Ns bin_ns)
     : bin_ns_(std::max<Ns>(bin_ns, 1)), bins_(tiers) {}
 
@@ -73,25 +40,36 @@ std::vector<BandwidthPoint> BandwidthMeter::series(std::size_t tier) const {
   return out;
 }
 
-double BandwidthMeter::average_gbs(std::size_t tier, Ns t0, Ns t1) const {
-  if (tier >= bins_.size()) return 0.0;
-  const auto& lane = bins_[tier];
-  return window_average(lane, bin_ns_, t0, t1,
-                        [&](std::size_t b) { return whole_bin(lane[b], bin_ns_); });
-}
-
 WindowAverages BandwidthMeter::window_averages(std::size_t tier) const {
   static const std::vector<double> kNoTraffic;
-  return WindowAverages(tier < bins_.size() ? &bins_[tier] : &kNoTraffic, bin_ns_);
+  return WindowAverages(tier < bins_.size() ? bins_[tier] : kNoTraffic, bin_ns_);
 }
 
-WindowAverages::WindowAverages(const std::vector<double>* lane, Ns bin_ns)
-    : lane_(lane), bin_ns_(bin_ns), whole_(lane->size()) {
-  for (std::size_t b = 0; b < whole_.size(); ++b) whole_[b] = whole_bin((*lane)[b], bin_ns_);
+WindowAverages::WindowAverages(const std::vector<double>& lane, Ns bin_ns)
+    : lane_(&lane), bin_ns_(bin_ns), whole_(lane.size()) {
+  const auto bin = static_cast<double>(bin_ns_);
+  for (std::size_t b = 0; b < lane.size(); ++b) whole_[b] = lane[b] * bin / bin;
 }
 
 double WindowAverages::average_gbs(Ns t0, Ns t1) const {
-  return window_average(*lane_, bin_ns_, t0, t1, [&](std::size_t b) { return whole_[b]; });
+  if (t1 <= t0) return 0.0;
+  const std::vector<double>& lane = *lane_;
+  const std::size_t first = static_cast<std::size_t>(t0 / bin_ns_);
+  const std::size_t last = static_cast<std::size_t>((t1 - 1) / bin_ns_);
+  const auto share = [&](std::size_t b) {
+    const Ns bin_start = static_cast<Ns>(b) * bin_ns_;
+    const Ns overlap = std::min(bin_start + bin_ns_, t1) - std::max(bin_start, t0);
+    return lane[b] * static_cast<double>(overlap) / static_cast<double>(bin_ns_);
+  };
+  // Bins past the lane saw no traffic.
+  double bytes = 0.0;
+  if (first < lane.size()) {
+    bytes += share(first);
+    const std::size_t interior_end = std::min(last, lane.size());
+    for (std::size_t b = first + 1; b < interior_end; ++b) bytes += whole_[b];
+    if (last > first && last < lane.size()) bytes += share(last);
+  }
+  return bytes / static_cast<double>(t1 - t0);
 }
 
 double BandwidthMeter::peak_gbs(std::size_t tier) const {

@@ -34,10 +34,8 @@ class BandwidthMeter {
   /// Bandwidth timeline of one tier (bins up to the last touched bin).
   [[nodiscard]] std::vector<BandwidthPoint> series(std::size_t tier) const;
 
-  /// Average bandwidth of `tier` over [t0, t1).
-  [[nodiscard]] double average_gbs(std::size_t tier, Ns t0, Ns t1) const;
-
-  /// `average_gbs` of `tier` for many windows (see `WindowAverages`).
+  /// Average bandwidths of `tier` over time windows (a tier past the
+  /// meter's has no traffic).
   [[nodiscard]] WindowAverages window_averages(std::size_t tier) const;
 
   /// Peak binned bandwidth of `tier` over the whole run.
@@ -51,22 +49,22 @@ class BandwidthMeter {
   std::vector<std::vector<double>> bins_;  // [tier][bin] -> bytes
 };
 
-/// `BandwidthMeter::average_gbs` of one tier over many windows. A
-/// window's average sums its first bin's share, each whole bin's term
-/// `bytes * bin_ns / bin_ns` and its last bin's share, in that order;
-/// this computes every whole-bin term once, so a window divides only at
-/// its two end bins. The sum runs in the same order over the same
-/// terms, so each average is bit-identical to the meter's. Reads the
-/// meter's bins in place: the meter must outlive it and take no more
-/// traffic meanwhile.
+/// Average bandwidths of one tier of a `BandwidthMeter`. A window sums
+/// each bin's bytes times the share of the bin it covers, in ascending
+/// bin order: `bytes * overlap / bin_ns` for its first and last bin and
+/// `bytes * bin_ns / bin_ns` for each bin between them. The whole-bin
+/// terms are computed once, on construction, so a window divides only
+/// at its two end bins, however many bins it spans. Reads the meter's
+/// bins in place: the meter must outlive it and take no more traffic
+/// meanwhile.
 class WindowAverages {
  public:
-  /// Average bandwidth over [t0, t1), as `BandwidthMeter::average_gbs`.
+  /// Average bandwidth over [t0, t1); 0 for an empty window.
   [[nodiscard]] double average_gbs(Ns t0, Ns t1) const;
 
  private:
   friend class BandwidthMeter;
-  WindowAverages(const std::vector<double>* lane, Ns bin_ns);
+  WindowAverages(const std::vector<double>& lane, Ns bin_ns);
 
   const std::vector<double>* lane_;
   Ns bin_ns_;
