@@ -846,14 +846,8 @@ LiveIndexStream live_index_stream() {
   }
   for (const char* name : {"spmv", "dot", "axpy", "halo", "reduce"}) t.functions.intern(name);
 
-  std::uint64_t state = 23;  // splitmix64
-  const auto next = [&state] {
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  };
+  SplitMix rng(23);
+  const auto next = [&rng] { return rng.next(); };
   const auto slot_size = [&next](std::uint64_t slot) -> Bytes {
     switch (slot % 8) {
       case 0: return 0;                  // right after a slot-filling object
