@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/analyzer/incremental.hpp"
 #include "ecohmem/apps/apps.hpp"
+#include "ecohmem/common/rng.hpp"
 #include "ecohmem/memsim/tier.hpp"
 #include "ecohmem/profiler/profiler.hpp"
 #include "ecohmem/runtime/engine.hpp"
@@ -191,6 +193,155 @@ TEST(ServeIncremental, FinalizeIsRepeatable) {
   const auto offline_full = analyzer::analyze(t);
   ASSERT_TRUE(offline_full.has_value()) << offline_full.error();
   expect_identical(*offline_full, *full);
+}
+
+/// Snapshots `t` after every slice of `slice` events and checks each
+/// against analyze() of the same prefix: whatever finalize() carries
+/// from one snapshot to the next must leave every snapshot equal to a
+/// fresh fold of its prefix.
+void check_snapshot_per_slice(const trace::Trace& t, std::size_t slice,
+                              const analyzer::AnalyzerOptions& options = {}) {
+  analyzer::IncrementalAggregator inc(t.stacks, t.functions, options);
+  trace::Trace prefix;
+  prefix.stacks = t.stacks;
+  prefix.functions = t.functions;
+  prefix.sample_rate_hz = t.sample_rate_hz;
+  for (std::size_t at = 0; at < t.events.size(); at += slice) {
+    const std::size_t n = std::min(slice, t.events.size() - at);
+    const auto status = inc.ingest(t.events.data() + at, n);
+    ASSERT_TRUE(status.ok()) << status.error();
+    const auto snap = inc.finalize();
+    ASSERT_TRUE(snap.has_value()) << snap.error();
+
+    const auto first = t.events.begin() + static_cast<std::ptrdiff_t>(at);
+    prefix.events.insert(prefix.events.end(), first, first + static_cast<std::ptrdiff_t>(n));
+    const auto offline = analyzer::analyze(prefix, options);
+    ASSERT_TRUE(offline.has_value()) << offline.error();
+    SCOPED_TRACE("slices of " + std::to_string(slice) + ", prefix of " +
+                 std::to_string(at + n) + " events");
+    expect_identical(*offline, *snap);
+    if (::testing::Test::HasFailure()) return;  // report the first diverging prefix only
+  }
+}
+
+/// A seeded stream (bins of 1000 ns) that hits every way state carried
+/// between snapshots can go stale: a samples-only prefix and then the
+/// first uncore reading; a reading whose period reaches back behind
+/// earlier snapshots; sample, uncore, alloc and free timestamps that go
+/// backwards; allocations and frees on bin edges; address reuse while
+/// live, with frees of the displaced objects; objects live at the end.
+trace::Trace snapshot_edge_stream(std::uint64_t seed) {
+  using trace::AllocEvent;
+  using trace::FreeEvent;
+  using trace::SampleEvent;
+  using trace::UncoreBwEvent;
+  constexpr Ns kBin = 1000;
+  trace::Trace t;
+  t.sample_rate_hz = 1000.0;
+  std::vector<trace::StackId> stacks;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    stacks.push_back(t.stacks.intern(bom::CallStack{{{0, 0x100 + 0x10 * k}}}));
+  }
+  for (const char* name : {"spmv", "dot", "halo"}) t.functions.intern(name);
+
+  Rng rng(seed);
+  const auto next = [&rng](std::uint64_t n) { return rng.next_u64() % n; };
+  struct Live {
+    std::uint64_t id;
+    std::uint64_t address;
+    Bytes size;
+  };
+  std::vector<Live> live;
+  std::uint64_t next_id = 1;
+  Ns now = 0;
+  auto& e = t.events;
+
+  const auto to_edge = [&] { now = (now / kBin + 1) * kBin; };
+  const auto alloc = [&](Ns time) {
+    const std::uint64_t id = next_id++;
+    // One allocation in eight reuses the address of a live object.
+    const std::uint64_t address =
+        !live.empty() && next(8) == 0 ? live[next(live.size())].address : 0x100000 * id;
+    const Bytes size = 64 + next(4096);
+    e.emplace_back(AllocEvent{time, id, address, size, stacks[next(stacks.size())],
+                              trace::AllocKind::kMalloc});
+    live.push_back(Live{id, address, size});
+  };
+  const auto free_one = [&](Ns time) {
+    const std::size_t k = next(live.size());
+    e.emplace_back(FreeEvent{time, live[k].id});
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+  };
+  const auto uncore = [&](Ns time, Ns period) {
+    e.emplace_back(UncoreBwEvent{time, period, static_cast<double>(next(40)) / 4.0, 0.5});
+  };
+  const auto sample = [&](Ns time) {
+    const bool store = next(4) == 0;
+    std::uint64_t address = 0x7000'0000 + next(1 << 20);  // outside every object
+    if (!live.empty() && next(6) != 0) {
+      const Live& obj = live[next(live.size())];
+      address = obj.address + next(obj.size + 1);
+    }
+    e.emplace_back(SampleEvent{time, address, 1.0 + static_cast<double>(next(4)) * 0.5,
+                               store ? 0.0 : 50.0 + static_cast<double>(next(400)), store,
+                               static_cast<std::uint32_t>(next(3))});
+  };
+  const auto steps = [&](int n, Ns period) {
+    for (int k = 0; k < n; ++k) {
+      now += 1 + next(700);
+      const std::uint64_t r = next(16);
+      if (r < 4 || live.empty()) {
+        if (next(4) == 0) to_edge();
+        alloc(now);
+      } else if (r < 7) {
+        if (next(3) == 0) to_edge();
+        free_one(now);
+      } else if (period > 0 && r < 9) {
+        uncore(now, period);
+      } else {
+        sample(now);
+      }
+    }
+  };
+
+  steps(150, 0);
+  sample(now - 4500);  // backwards, into the sample meter
+  steps(150, 0);
+  uncore(now + 10, 1500);  // the first uncore reading
+  now += 10;
+  steps(300, 1500);
+  uncore(now + 10, 25'000);  // reaches back behind earlier snapshots
+  now += 10;
+  steps(200, 1500);
+  uncore(now - 6000, 1000);  // backwards, into the uncore meter
+  alloc(now - 2000);         // backwards allocation
+  free_one(now - 3000);      // backwards free
+  steps(200, 1500);
+  return t;
+}
+
+TEST(ServeIncremental, SnapshotAfterEverySliceMatchesPrefix) {
+  for (const char* app : {"hpcg", "lulesh", "openfoam"}) {
+    SCOPED_TRACE(app);
+    const trace::Trace t = profile_app(app);
+    ASSERT_FALSE(t.events.empty());
+    for (const std::size_t slice : {t.events.size() / 64 + 1, t.events.size() / 7 + 1}) {
+      check_snapshot_per_slice(t, slice);
+      if (HasFailure()) return;
+    }
+  }
+
+  analyzer::AnalyzerOptions options;
+  options.bw_bin_ns = 1000;
+  options.alloc_window_ns = 4000;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const trace::Trace t = snapshot_edge_stream(seed);
+    for (const std::size_t slice : {std::size_t{1}, std::size_t{13}}) {
+      check_snapshot_per_slice(t, slice, options);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 TEST(ServeIncremental, SemanticErrorIsSticky) {
