@@ -22,6 +22,13 @@ std::size_t last_at_or_below(const std::uint64_t* keys, std::size_t n, std::uint
   return static_cast<std::size_t>(p - keys);
 }
 
+/// The order of a site's windows in the result: by start, then end. A
+/// total order, so the sorted list does not depend on the order the
+/// windows were pushed in.
+bool window_before(const LiveWindow& a, const LiveWindow& b) {
+  return a.start != b.start ? a.start < b.start : a.end < b.end;
+}
+
 }  // namespace
 
 bool IncrementalAggregator::LiveIndex::upsert(std::uint64_t start, const LiveObject& obj,
@@ -267,8 +274,7 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
     }
     r.exec_time_system_bw_gbs = total_dur > 0.0 ? weighted / total_dur : 0.0;
 
-    std::sort(r.windows.begin(), r.windows.end(),
-              [](const LiveWindow& a, const LiveWindow& b) { return a.start < b.start; });
+    std::sort(r.windows.begin(), r.windows.end(), window_before);
     result.sites.push_back(std::move(r));
   }
 
