@@ -1,6 +1,7 @@
 #include "ecohmem/analyzer/incremental.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <variant>
 
@@ -113,8 +114,14 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
     const std::uint64_t i = n_events_;
 
     if (const auto* u = std::get_if<trace::UncoreBwEvent>(&event)) {
-      has_uncore_ = true;
+      if (!has_uncore_) {
+        // Folds so far averaged the sample meter; the uncore meter replaces it.
+        drop_folds();
+        has_uncore_ = true;
+      }
+      max_period_ = std::max(max_period_, u->period_ns);
       const Ns t0 = u->time > u->period_ns ? u->time - u->period_ns : 0;
+      if (t0 < fold_horizon_) drop_folds();
       uncore_meter_.add(0, t0, u->time,
                         (u->read_gbs + u->write_gbs) * static_cast<double>(u->period_ns));
     } else if (const auto* a = std::get_if<trace::AllocEvent>(&event)) {
@@ -166,13 +173,14 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
       }
       auto& acc = sites_[obj.stack];
       acc.live_bytes = acc.live_bytes >= obj.size ? acc.live_bytes - obj.size : 0;
-      acc.record.windows.push_back(LiveWindow{obj.alloc_time, f->time});
+      acc.closed.push_back(LiveWindow{obj.alloc_time, f->time});
       acc.record.last_free = std::max(acc.record.last_free, f->time);
       acc.record.total_lifetime_ns +=
           static_cast<double>(f->time > obj.alloc_time ? f->time - obj.alloc_time : 0);
       object_address_.erase(addr_it);
     } else if (const auto* s = std::get_if<trace::SampleEvent>(&event)) {
       if (!has_uncore_) {
+        if (s->time < fold_horizon_) drop_folds();
         sample_meter_.add(0, s->time, s->time + 1, s->weight * static_cast<double>(kCacheLine));
       }
 
@@ -215,7 +223,14 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
   return {};
 }
 
-Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage coverage) const {
+void IncrementalAggregator::drop_folds() {
+  if (fold_horizon_ == 0) return;
+  for (SiteAccum& acc : sites_) acc.folds = {};
+  alloc_folded_ = 0;
+  fold_horizon_ = 0;
+}
+
+Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage coverage) {
   if (!error_.empty()) return unexpected(error_);
 
   AnalysisResult result;
@@ -231,32 +246,88 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   result.system_bw = bw_meter.series(0);
   result.observed_peak_bw_gbs = bw_meter.peak_gbs(0);
   const memsim::WindowAverages system_bw = bw_meter.window_averages(0);
+  const Ns alloc_window = options_.alloc_window_ns;
+  // The window [start, end) the execution-time average reads.
+  const auto exec_average = [&](const LiveWindow& w) {
+    return system_bw.average_gbs(w.start, std::max(w.end, w.start + 1));
+  };
 
-  // Snapshot semantics: all remaining folds mutate copies.
-  std::vector<SiteAccum> sites = sites_;
+  // Move the fold horizon up: a later add starts at or after the last
+  // event time minus the largest period (or drops the folds), and bins
+  // past the meter's end have not been written yet.
+  const Ns bin = bw_meter.bin_ns();
+  const Ns reach = last_time_ > max_period_ ? (last_time_ - max_period_) / bin * bin : 0;
+  fold_horizon_ =
+      std::max(fold_horizon_, std::min(reach, static_cast<Ns>(result.system_bw.size()) * bin));
 
-  // Deferred alloc-window folds, replayed in allocation order.
-  for (const auto& [stack, w0] : alloc_bw_pending_) {
-    sites[stack].alloc_bw_sum += system_bw.average_gbs(w0, w0 + options_.alloc_window_ns);
+  // Fold what now lies below the horizon, in the order a fresh fold
+  // adds it: allocation windows in allocation order, then each site's
+  // closed windows in free order, each up to the first one that does
+  // not.
+  if (fold_horizon_ > 0) {
+    for (; alloc_folded_ < alloc_bw_pending_.size(); ++alloc_folded_) {
+      const auto [stack, w0] = alloc_bw_pending_[alloc_folded_];
+      if (w0 + alloc_window > fold_horizon_) break;
+      sites_[stack].folds.alloc_bw_sum += system_bw.average_gbs(w0, w0 + alloc_window);
+    }
+    for (SiteAccum& acc : sites_) {
+      SiteFolds& folds = acc.folds;
+      const auto from = acc.closed.begin() + static_cast<std::ptrdiff_t>(folds.closed);
+      auto to = from;
+      for (; to != acc.closed.end() && std::max(to->end, to->start + 1) <= fold_horizon_; ++to) {
+        const double dur = static_cast<double>(to->duration());
+        folds.exec_weighted += exec_average(*to) * dur;
+        folds.exec_duration += dur;
+      }
+      if (to == from) continue;
+      folds.closed = static_cast<std::size_t>(to - acc.closed.begin());
+      const auto mid = folds.sorted.insert(folds.sorted.end(), from, to);
+      std::sort(mid, folds.sorted.end(), window_before);
+      std::inplace_merge(folds.sorted.begin(), mid, folds.sorted.end(), window_before);
+    }
   }
 
-  // Objects still live: close their windows at the last event time, in
-  // ascending address order, then the displaced ones in id order.
-  const auto close_at_end = [&](const LiveObject& obj) {
-    auto& acc = sites[obj.stack];
-    acc.record.windows.push_back(LiveWindow{obj.alloc_time, last_time_});
-    acc.record.last_free = std::max(acc.record.last_free, last_time_);
-    acc.record.total_lifetime_ns +=
-        static_cast<double>(last_time_ > obj.alloc_time ? last_time_ - obj.alloc_time : 0);
-  };
-  live_.for_each(close_at_end);
-  for (const auto& [id, obj] : displaced_) close_at_end(obj);
+  // The rest is folded for this result only, starting from the carried
+  // sums: the remaining allocation windows in allocation order, ...
+  std::vector<double> alloc_bw_sum(sites_.size());
+  for (std::size_t k = 0; k < sites_.size(); ++k) alloc_bw_sum[k] = sites_[k].folds.alloc_bw_sum;
+  for (std::size_t i = alloc_folded_; i < alloc_bw_pending_.size(); ++i) {
+    const auto [stack, w0] = alloc_bw_pending_[i];
+    alloc_bw_sum[stack] += system_bw.average_gbs(w0, w0 + alloc_window);
+  }
 
-  for (SiteAccum& acc : sites) {
-    SiteRecord& r = acc.record;
-    if (r.alloc_count == 0) continue;
+  // ... and the windows of objects still live, which close at the last
+  // event time: in ascending address order, then the displaced ones in
+  // id order, grouped by site with that order kept.
+  std::vector<std::size_t> open_begin(sites_.size() + 1, 0);
+  live_.for_each([&](const LiveObject& obj) { ++open_begin[obj.stack + 1]; });
+  for (const auto& [id, obj] : displaced_) ++open_begin[obj.stack + 1];
+  for (std::size_t k = 1; k < open_begin.size(); ++k) open_begin[k] += open_begin[k - 1];
+  std::vector<Ns> open_start(open_begin.back());
+  {
+    std::vector<std::size_t> fill(open_begin.begin(), open_begin.end() - 1);
+    const auto place = [&](const LiveObject& obj) { open_start[fill[obj.stack]++] = obj.alloc_time; };
+    live_.for_each(place);
+    for (const auto& [id, obj] : displaced_) place(obj);
+  }
+
+  std::vector<LiveWindow> rest;
+  for (std::size_t stack = 0; stack < sites_.size(); ++stack) {
+    const SiteAccum& acc = sites_[stack];
+    if (acc.record.alloc_count == 0) continue;
+    SiteRecord r = acc.record;
+
+    rest.assign(acc.closed.begin() + static_cast<std::ptrdiff_t>(acc.folds.closed),
+                acc.closed.end());
+    for (std::size_t k = open_begin[stack]; k < open_begin[stack + 1]; ++k) {
+      const Ns start = open_start[k];
+      rest.push_back(LiveWindow{start, last_time_});
+      r.last_free = std::max(r.last_free, last_time_);
+      r.total_lifetime_ns += static_cast<double>(last_time_ > start ? last_time_ - start : 0);
+    }
+
     r.mean_lifetime_ns = r.total_lifetime_ns / static_cast<double>(r.alloc_count);
-    r.alloc_time_system_bw_gbs = acc.alloc_bw_sum / static_cast<double>(r.alloc_count);
+    r.alloc_time_system_bw_gbs = alloc_bw_sum[stack] / static_cast<double>(r.alloc_count);
     if (acc.latency_weight > 0.0) {
       r.avg_load_latency_ns = acc.latency_sum / acc.latency_weight;
     }
@@ -265,16 +336,26 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
                       r.total_lifetime_ns;
     }
     // Execution-time system bandwidth: average over the live windows.
-    double weighted = 0.0;
-    double total_dur = 0.0;
-    for (const auto& w : r.windows) {
+    double weighted = acc.folds.exec_weighted;
+    double total_dur = acc.folds.exec_duration;
+    for (const LiveWindow& w : rest) {
       const double dur = static_cast<double>(w.duration());
-      weighted += system_bw.average_gbs(w.start, std::max(w.end, w.start + 1)) * dur;
+      weighted += exec_average(w) * dur;
       total_dur += dur;
     }
     r.exec_time_system_bw_gbs = total_dur > 0.0 ? weighted / total_dur : 0.0;
 
-    std::sort(r.windows.begin(), r.windows.end(), window_before);
+    // Most carried windows sort before every other one: copy those, then
+    // merge the overlap.
+    std::sort(rest.begin(), rest.end(), window_before);
+    const std::vector<LiveWindow>& folded = acc.folds.sorted;
+    const auto cut = rest.empty() ? folded.end()
+                                  : std::upper_bound(folded.begin(), folded.end(), rest.front(),
+                                                     window_before);
+    r.windows.reserve(folded.size() + rest.size());
+    r.windows.assign(folded.begin(), cut);
+    std::merge(cut, folded.end(), rest.begin(), rest.end(), std::back_inserter(r.windows),
+               window_before);
     result.sites.push_back(std::move(r));
   }
 

@@ -41,9 +41,24 @@
 /// own window. Objects still displaced at `finalize()` close at the
 /// last event time like the live ones, after them, in id order.
 ///
+/// A snapshot pays only for what changed since the previous one. The
+/// bandwidth averages of windows whose meter bins all lie below a fold
+/// horizon (`last_time_` minus the largest uncore period seen, rounded
+/// down to a bin) cannot change any more: `finalize()` folds each
+/// site's closed live windows (in free order) and allocation windows
+/// (in allocation order) up to the first one that reaches the horizon,
+/// keeps the running sums and a sorted copy of those windows, and on
+/// the next call continues from there. Every average and every `+=`
+/// runs once, on the same bins, in the same order as a fresh fold, so
+/// the result is bit-identical by construction. A meter add below the
+/// horizon (a reading whose period reaches back further than any
+/// before, a timestamp going backwards, the switch from the sample
+/// meter to the uncore meter) drops what was carried, and the next
+/// `finalize()` starts from zero.
+///
 /// Not thread-safe: the serving layer serializes access through the
-/// session store lock (docs/threading.md). `finalize()` is const and
-/// non-destructive, so ingestion can continue after a snapshot.
+/// session store lock (docs/threading.md). `finalize()` only extends
+/// what it carries, so ingestion can continue after a snapshot.
 
 #include <cstddef>
 #include <cstdint>
@@ -91,12 +106,12 @@ class IncrementalAggregator {
   [[nodiscard]] const std::string& error() const { return error_; }
 
   /// Produces the analysis of everything ingested so far: the same
-  /// result as `analyze()` over that prefix. Non-destructive: operates
-  /// on copies of the accumulators, so ingestion may continue
-  /// afterwards. `coverage` stamps the result like
+  /// result as `analyze()` over that prefix. Ingestion may continue
+  /// afterwards; the window folds below the horizon are kept for the
+  /// next call. `coverage` stamps the result like
   /// `AnalyzerOptions::coverage` does offline (empty = the ingested
   /// events are the whole trace).
-  [[nodiscard]] Expected<AnalysisResult> finalize(trace::TraceCoverage coverage = {}) const;
+  [[nodiscard]] Expected<AnalysisResult> finalize(trace::TraceCoverage coverage = {});
 
  private:
   /// One live allocation, keyed by start address in `live_`.
@@ -148,13 +163,23 @@ class IncrementalAggregator {
     std::vector<Chunk> chunks_;
   };
 
+  /// What finalize() has folded of one site below the fold horizon.
+  struct SiteFolds {
+    double alloc_bw_sum = 0.0;    ///< system bw of the folded allocation windows, summed
+    std::size_t closed = 0;       ///< SiteAccum::closed[0, closed) are folded
+    double exec_weighted = 0.0;   ///< their system bw times duration, summed
+    double exec_duration = 0.0;   ///< their durations, summed
+    std::vector<LiveWindow> sorted;  ///< SiteAccum::closed[0, closed), by (start, end)
+  };
+
   /// Accumulator per allocation site; unused slots keep alloc_count 0.
   struct SiteAccum {
-    SiteRecord record;            ///< the fields that survive into the result
+    SiteRecord record;            ///< the fields that survive into the result; no windows
     Bytes live_bytes = 0;         ///< currently live footprint of this site
     double latency_weight = 0.0;  ///< weights of latency-carrying samples
     double latency_sum = 0.0;     ///< weight * latency
-    double alloc_bw_sum = 0.0;    ///< per-allocation system bw, summed in finalize()
+    std::vector<LiveWindow> closed;  ///< windows of freed objects, in free order
+    SiteFolds folds;
   };
 
   /// Accumulator per traced function (Table VII inputs). Any sample,
@@ -165,6 +190,10 @@ class IncrementalAggregator {
     bool touched = false;
   };
 
+  /// Forgets every fold finalize() carries; the next call starts from
+  /// zero. Called when a meter add lands below the fold horizon.
+  void drop_folds();
+
   const trace::StackTable* stacks_;
   const trace::FunctionTable* functions_;
   AnalyzerOptions options_;
@@ -172,6 +201,11 @@ class IncrementalAggregator {
   memsim::BandwidthMeter uncore_meter_;  ///< fold of uncore readings only
   memsim::BandwidthMeter sample_meter_;  ///< sample fallback, until the first uncore reading
   bool has_uncore_ = false;
+  Ns max_period_ = 0;  ///< largest uncore reading period seen
+
+  /// Bin-aligned time below which the carried folds read the meter;
+  /// 0 while nothing is carried.
+  Ns fold_horizon_ = 0;
 
   std::uint64_t n_events_ = 0;
   Ns last_time_ = 0;
@@ -193,6 +227,8 @@ class IncrementalAggregator {
   /// allocation order. Grows with the allocation count, not the event
   /// count.
   std::vector<std::pair<trace::StackId, Ns>> alloc_bw_pending_;
+  /// alloc_bw_pending_[0, alloc_folded_) are in the sites' folds.
+  std::size_t alloc_folded_ = 0;
 };
 
 }  // namespace ecohmem::analyzer

@@ -168,8 +168,9 @@ TEST(ServeIncremental, StoreOnlyFunctionsIdenticalToOffline) {
 }
 
 TEST(ServeIncremental, FinalizeIsRepeatable) {
-  // finalize() is const: a mid-stream snapshot then more ingest then a
-  // second snapshot must equal a fresh aggregator over each prefix.
+  // What finalize() carries never changes a later result: a mid-stream
+  // snapshot then more ingest then a second snapshot must equal a fresh
+  // aggregator over each prefix.
   const trace::Trace t = profile_app("hpcg");
   const std::size_t half = t.events.size() / 2;
 
