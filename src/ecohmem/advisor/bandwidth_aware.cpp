@@ -3,8 +3,7 @@
 #include "ecohmem/advisor/knapsack.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace ecohmem::advisor {
 
@@ -36,17 +35,26 @@ Category categorize(const analyzer::SiteRecord& site, const std::string& tier,
 }
 
 Expected<BandwidthAwareResult> place_bandwidth_aware(
-    const std::vector<analyzer::SiteRecord>& sites, const Placement& base,
-    const AdvisorConfig& config, const BandwidthAwareOptions& options) {
+    const std::vector<analyzer::SiteRecord>& sites, Placement base, const AdvisorConfig& config,
+    const BandwidthAwareOptions& options) {
   BandwidthAwareResult result;
-  result.placement = base;
+  result.placement = std::move(base);
 
-  // Index decisions by position so retiers go through
-  // Placement::set_tier (which keeps the placement's lookup caches
-  // coherent) instead of mutating decisions in place.
-  std::unordered_map<trace::StackId, std::size_t> decision_of;
+  // Index decisions by the sites' stack ids, which index the trace's
+  // stack table, so retiers go through Placement::set_tier (which keeps
+  // the placement's lookup caches coherent) instead of mutating
+  // decisions in place. A stack listed twice resolves to its last
+  // decision.
+  constexpr std::size_t kUnlisted = static_cast<std::size_t>(-1);
+  std::size_t stacks = 0;
+  for (const auto& s : sites) {
+    if (s.stack == trace::kInvalidStack) return unexpected("site with an invalid stack id");
+    stacks = std::max<std::size_t>(stacks, std::size_t{s.stack} + 1);
+  }
+  std::vector<std::size_t> decision_of(stacks, kUnlisted);
   for (std::size_t i = 0; i < result.placement.decisions.size(); ++i) {
-    decision_of[result.placement.decisions[i].stack] = i;
+    const trace::StackId stack = result.placement.decisions[i].stack;
+    if (stack < stacks) decision_of[stack] = i;
   }
 
   // --- Step 1: categorization.
@@ -54,10 +62,9 @@ Expected<BandwidthAwareResult> place_bandwidth_aware(
   std::vector<const analyzer::SiteRecord*> thrashing;
   result.categories.reserve(sites.size());
   for (const auto& s : sites) {
-    const auto it = decision_of.find(s.stack);
-    const std::string& tier = it != decision_of.end()
-                                  ? result.placement.decisions[it->second].tier
-                                  : base.fallback_tier;
+    const std::size_t d = decision_of[s.stack];
+    const std::string& tier = d != kUnlisted ? result.placement.decisions[d].tier
+                                             : result.placement.fallback_tier;
     const Category c = categorize(s, tier, options);
     result.categories.push_back(CategorizedSite{s.stack, c});
 
@@ -70,8 +77,8 @@ Expected<BandwidthAwareResult> place_bandwidth_aware(
         break;
       case Category::kStreamingD: {
         // Algorithm 1: all Streaming-D objects move to PMEM directly.
-        if (it != decision_of.end()) {
-          result.placement.set_tier(it->second, options.pmem_tier);
+        if (d != kUnlisted) {
+          result.placement.set_tier(d, options.pmem_tier);
           ++result.streaming_moved;
         }
         break;
@@ -98,7 +105,7 @@ Expected<BandwidthAwareResult> place_bandwidth_aware(
                      site_footprint(*b, config.footprint_mode);
             });
 
-  std::unordered_set<trace::StackId> consumed;
+  std::vector<bool> consumed(stacks, false);
   for (const analyzer::SiteRecord* t : thrashing) {
     const Bytes needed = site_footprint(*t, config.footprint_mode);
     const analyzer::LiveWindow t_span{t->first_alloc, t->last_free};
@@ -110,18 +117,18 @@ Expected<BandwidthAwareResult> place_bandwidth_aware(
       // object must be live over the whole span of the Thrashing one.
       const analyzer::LiveWindow f_span{f->first_alloc, f->last_free};
       if (!f_span.contains(t_span)) continue;
-      if (consumed.contains(f->stack)) continue;
+      if (consumed[f->stack]) continue;
       replacement = f;
       break;
     }
     if (replacement == nullptr) continue;
 
-    consumed.insert(replacement->stack);
-    if (auto it = decision_of.find(t->stack); it != decision_of.end()) {
-      result.placement.set_tier(it->second, options.dram_tier);
+    consumed[replacement->stack] = true;
+    if (const std::size_t d = decision_of[t->stack]; d != kUnlisted) {
+      result.placement.set_tier(d, options.dram_tier);
     }
-    if (auto it = decision_of.find(replacement->stack); it != decision_of.end()) {
-      result.placement.set_tier(it->second, options.pmem_tier);
+    if (const std::size_t d = decision_of[replacement->stack]; d != kUnlisted) {
+      result.placement.set_tier(d, options.pmem_tier);
     }
     ++result.swaps;
   }

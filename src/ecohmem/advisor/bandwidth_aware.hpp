@@ -61,7 +61,10 @@ struct CategorizedSite {
 
 /// Applies Algorithm 1 to the base placement, returning the refined
 /// placement plus the categorization (for reporting). `sites` must be the
-/// same records the base placement was computed from.
+/// same records the base placement was computed from; their stack ids
+/// index the trace's stack table (as the analyzer produces them), and a
+/// site with `kInvalidStack` is an error. `base` is refined in place, so
+/// a caller that no longer needs it moves it in.
 struct BandwidthAwareResult {
   Placement placement;
   std::vector<CategorizedSite> categories;
@@ -70,7 +73,7 @@ struct BandwidthAwareResult {
 };
 
 [[nodiscard]] Expected<BandwidthAwareResult> place_bandwidth_aware(
-    const std::vector<analyzer::SiteRecord>& sites, const Placement& base,
-    const AdvisorConfig& config, const BandwidthAwareOptions& options);
+    const std::vector<analyzer::SiteRecord>& sites, Placement base, const AdvisorConfig& config,
+    const BandwidthAwareOptions& options);
 
 }  // namespace ecohmem::advisor

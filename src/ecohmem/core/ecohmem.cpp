@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "ecohmem/flexmalloc/flexmalloc.hpp"
 #include "ecohmem/memsim/dram_cache.hpp"
@@ -146,8 +147,8 @@ Expected<WorkflowResult> run_workflow(const runtime::Workload& workload,
       bw.dram_tier = system.tier(0).name();
       bw.pmem_tier = system.tier(system.fallback_index()).name();
     }
-    auto refined =
-        advisor::place_bandwidth_aware(result.analysis.sites, result.placement, config, bw);
+    auto refined = advisor::place_bandwidth_aware(result.analysis.sites,
+                                                  std::move(result.placement), config, bw);
     if (!refined) return unexpected("bandwidth-aware placement failed: " + refined.error());
     result.placement = refined->placement;
     result.bandwidth_aware = std::move(*refined);

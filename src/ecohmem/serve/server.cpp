@@ -345,8 +345,8 @@ void Server::handle_connection(common::posix::UniqueFd fd) {
                                     : snap->analysis->observed_peak_bw_gbs;
           bw.dram_tier = config->tiers.front().name;
           bw.pmem_tier = config->fallback_tier().name;
-          auto refined =
-              advisor::place_bandwidth_aware(snap->analysis->sites, *placement, *config, bw);
+          auto refined = advisor::place_bandwidth_aware(snap->analysis->sites,
+                                                        std::move(*placement), *config, bw);
           if (!refined) {
             if (!send_error(ErrorCode::kBadConfig, refined.error())) goto done;
             break;

@@ -197,6 +197,39 @@ TEST_P(ThresholdSweep, DecisionSetPreserved) {
   }
 }
 
+TEST(Algorithm1, UnlistedSitesUseTheFallbackTier) {
+  // Site 7 has no decision, so it sits in the fallback (PMem) tier and
+  // can be Thrashing; the decision for stack 40, past every site, is
+  // carried over untouched.
+  const std::vector<analyzer::SiteRecord> sites = {
+      make_site(0, 1000, 1, 1.0, 0.1, true, 0, 1'000'000),   // Fitting, in DRAM
+      make_site(7, 500, 10, 5.0, 3.0, true, 1000, 900'000),  // Thrashing, unlisted
+  };
+  Placement base = place({sites[0]}, {"dram"});
+  PlacementDecision extra;
+  extra.stack = 40;
+  extra.tier = "dram";
+  base.decisions.push_back(extra);
+  AdvisorConfig cfg = AdvisorConfig::dram_pmem(10'000, 0.0);
+  const auto result = place_bandwidth_aware(sites, base, cfg, options());
+  ASSERT_TRUE(result.has_value()) << result.error();
+  ASSERT_EQ(result->categories.size(), 2u);
+  EXPECT_EQ(result->categories[1].category, Category::kThrashing);
+  EXPECT_EQ(result->swaps, 1u);
+  EXPECT_EQ(result->placement.tier_of(0), "pmem");
+  EXPECT_EQ(result->placement.tier_of(40), "dram");
+}
+
+TEST(Algorithm1, RejectsInvalidStackId) {
+  const std::vector<analyzer::SiteRecord> sites = {
+      make_site(trace::kInvalidStack, 100, 1, 1.0, 0.1, true),
+  };
+  AdvisorConfig cfg = AdvisorConfig::dram_pmem(10'000, 0.0);
+  const auto result = place_bandwidth_aware(sites, place(sites, {"dram"}), cfg, options());
+  ASSERT_FALSE(result.has_value());
+  EXPECT_NE(result.error().find("invalid stack id"), std::string::npos);
+}
+
 INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
                          ::testing::Values(0.1, 0.2, 0.4, 0.6, 0.9));
 

@@ -18,6 +18,7 @@
 // not available from this tool).
 
 #include <cstdio>
+#include <utility>
 
 #include "cli_common.hpp"
 #include "ecohmem/advisor/bandwidth_aware.hpp"
@@ -150,7 +151,8 @@ int main(int argc, char** argv) {
         args.has("peak-pmem-bw") ? *peak_pmem_bw : analysis->observed_peak_bw_gbs;
     bw.dram_tier = config.tiers.front().name;
     bw.pmem_tier = config.fallback_tier().name;
-    auto refined = advisor::place_bandwidth_aware(analysis->sites, *placement, config, bw);
+    auto refined =
+        advisor::place_bandwidth_aware(analysis->sites, std::move(*placement), config, bw);
     if (!refined) return cli::fail(refined.error());
     swaps = refined->swaps;
     streaming = refined->streaming_moved;
