@@ -51,7 +51,9 @@ Expected<Placement> place_by_density(const std::vector<analyzer::SiteRecord>& si
       // fallback tier rather than wasting fast-tier capacity.
       const bool worthless = density[k] <= 0.0 && !tier.fallback;
 
-      if (!worthless && used + footprint <= tier.limit) {
+      // `used` never exceeds the limit, so the difference cannot wrap
+      // (`used + footprint` can, for a footprint near 2^64).
+      if (!worthless && footprint <= tier.limit - used) {
         used += footprint;
         PlacementDecision d;
         d.stack = site.stack;

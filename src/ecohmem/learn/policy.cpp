@@ -48,7 +48,8 @@ Expected<advisor::Placement> place_by_ranker(const analyzer::AnalysisResult& ana
       const bool worthless =
           site.density(tier.load_coef, tier.store_coef) <= 0.0 && !tier.fallback;
 
-      if (!worthless && used + footprint <= tier.limit) {
+      // used <= limit, so the difference never wraps.
+      if (!worthless && footprint <= tier.limit - used) {
         used += footprint;
         advisor::PlacementDecision d;
         d.stack = site.stack;

@@ -141,6 +141,21 @@ TEST(Knapsack, NeverExceedsTierLimit) {
   EXPECT_EQ(placement->decisions.size(), sites.size());
 }
 
+TEST(Knapsack, CapacityCheckDoesNotWrap) {
+  // A footprint near 2^64 (an alloc size read from a trace) must not
+  // wrap the capacity check: it does not fit a 1 GiB tier.
+  const std::vector<analyzer::SiteRecord> sites = {
+      make_site(0, 4096, 100.0),
+      make_site(1, ~Bytes{0}, 100.0),
+  };
+  AdvisorConfig cfg = AdvisorConfig::dram_pmem(1ull << 30, 0.0, 1ull << 40);
+  const auto placement = place_by_density(sites, cfg);
+  ASSERT_TRUE(placement.has_value());
+  EXPECT_EQ(placement->tier_of(0), "dram");
+  EXPECT_EQ(placement->tier_of(1), "pmem");
+  EXPECT_EQ(placement->footprint_in("dram"), 4096u);
+}
+
 TEST(Knapsack, ZeroMissObjectsGoToFallback) {
   const std::vector<analyzer::SiteRecord> sites = {make_site(0, 100, 0.0)};
   AdvisorConfig cfg = AdvisorConfig::dram_pmem(1000, 0.0, 1ull << 40);
