@@ -23,12 +23,26 @@ namespace {
 /// is. A compressed block decodes whole, being all-or-nothing.
 constexpr std::uint64_t kForEachChunkEvents = 16 * 1024;
 
-/// Reads a whole stream into memory. A stream that goes bad mid-read
-/// (I/O error, exception from the stream buffer) is reported as an
-/// error — `gcount() == 0` alone cannot distinguish EOF from failure,
-/// so the loop's exit condition must be double-checked with `bad()`.
+/// Reads the rest of a stream into memory. A seekable stream is sized
+/// first and read once into a buffer of that size; a pipe (or anything
+/// else `tellg` cannot place) is read in chunks, as is anything past the
+/// size seen. A stream that goes bad mid-read (I/O error, exception from
+/// the stream buffer) is reported as an error — `gcount() == 0` alone
+/// cannot distinguish EOF from failure, so the loop's exit condition
+/// must be double-checked with `bad()`.
 Expected<std::string> slurp_stream(std::istream& in) {
   std::string bytes;
+  if (const std::istream::pos_type at = in.tellg(); at != std::istream::pos_type(-1)) {
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in.tellg();
+    in.clear();
+    if (!in.seekg(at)) return unexpected("cannot seek stream back after sizing it");
+    if (end != std::istream::pos_type(-1) && end > at) {
+      bytes.resize(static_cast<std::size_t>(end - at));
+      in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      bytes.resize(static_cast<std::size_t>(in.gcount()));
+    }
+  }
   char chunk[256 * 1024];
   while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
     bytes.append(chunk, static_cast<std::size_t>(in.gcount()));

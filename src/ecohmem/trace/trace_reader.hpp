@@ -61,8 +61,10 @@ class TraceReader {
   static Expected<TraceReader> open(const std::string& path, TraceOpenOptions options = {});
 
   /// Reads a trace from a stream that may not be seekable (a pipe): the
-  /// bytes are copied into a private buffer, everything else behaves
-  /// like `open`. A stream that goes bad mid-read is an error, not EOF.
+  /// bytes from the current position on are copied into a private
+  /// buffer (in one read of the size a seekable stream reports, in
+  /// chunks otherwise), everything else behaves like `open`. A stream
+  /// that goes bad mid-read is an error, not EOF.
   static Expected<TraceReader> from_stream(std::istream& in, TraceOpenOptions options = {});
 
   TraceReader(TraceReader&&) noexcept;

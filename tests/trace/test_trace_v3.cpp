@@ -148,6 +148,65 @@ TEST(TraceV3, SaveLoadRoundTripMultiBlock) {
   EXPECT_EQ(v1_bytes(loaded->trace, loaded->modules), v1_bytes(original, modules));
 }
 
+/// A stream over `bytes` that cannot seek (like a pipe): `tellg` fails,
+/// so `from_stream` must fall back to reading it in chunks.
+class PipeStream : public std::istream {
+ public:
+  explicit PipeStream(std::string bytes) : std::istream(nullptr), buf_(std::move(bytes)) {
+    rdbuf(&buf_);
+  }
+
+ private:
+  class Buf : public std::streambuf {
+   public:
+    explicit Buf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+   protected:
+    int_type underflow() override {
+      if (pos_ >= bytes_.size()) return traits_type::eof();
+      const std::size_t run = std::min<std::size_t>(bytes_.size() - pos_, 1000);
+      setg(bytes_.data() + pos_, bytes_.data() + pos_, bytes_.data() + pos_ + run);
+      pos_ += run;
+      return traits_type::to_int_type(*gptr());
+    }
+
+   private:
+    std::string bytes_;
+    std::size_t pos_ = 0;
+  };
+  Buf buf_;
+};
+
+TEST(TraceV3, FromStreamSeekableAndPipeAgree) {
+  const Trace original = synth_trace(10'000, 11);
+  const bom::ModuleTable modules = test_modules();
+  const std::string bytes = v3_file_bytes(tmp_path("v3_stream.trc"), original, modules, 256);
+  const std::string expected = v1_bytes(original, modules);
+
+  PipeStream pipe(bytes);
+  ASSERT_EQ(pipe.tellg(), std::istream::pos_type(-1)) << "the pipe must not be seekable";
+  const auto from_pipe = read_trace(pipe);
+  ASSERT_TRUE(from_pipe.has_value()) << from_pipe.error();
+
+  std::istringstream seekable(bytes);
+  const auto from_string = read_trace(seekable);
+  ASSERT_TRUE(from_string.has_value()) << from_string.error();
+
+  // A seekable stream is read from where it stands, not from its start.
+  std::istringstream offset("junk" + bytes);
+  offset.seekg(4);
+  const auto from_offset = read_trace(offset);
+  ASSERT_TRUE(from_offset.has_value()) << from_offset.error();
+
+  for (const TraceBundle* bundle : {&*from_pipe, &*from_string, &*from_offset}) {
+    EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), expected);
+    EXPECT_EQ(bundle->trace.sample_rate_hz, original.sample_rate_hz);
+    EXPECT_EQ(bundle->coverage.events_seen, from_pipe->coverage.events_seen);
+    EXPECT_EQ(bundle->coverage.events_declared, from_pipe->coverage.events_declared);
+    EXPECT_EQ(bundle->coverage.salvaged, from_pipe->coverage.salvaged);
+  }
+}
+
 TEST(TraceV3, ReaderExposesBlockMetadata) {
   const Trace original = synth_trace(10'000, 7);
   const std::string path = tmp_path("v3_blocks.trc");
