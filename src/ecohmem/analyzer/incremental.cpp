@@ -311,10 +311,21 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
     for (const auto& [id, obj] : displaced_) place(obj);
   }
 
-  std::vector<LiveWindow> rest;
+  // Deterministic output order: by first allocation, then stack id.
+  std::vector<trace::StackId> order;
   for (std::size_t stack = 0; stack < sites_.size(); ++stack) {
+    if (sites_[stack].record.alloc_count > 0) order.push_back(static_cast<trace::StackId>(stack));
+  }
+  std::sort(order.begin(), order.end(), [&](trace::StackId a, trace::StackId b) {
+    const Ns first_a = sites_[a].record.first_alloc;
+    const Ns first_b = sites_[b].record.first_alloc;
+    return first_a != first_b ? first_a < first_b : a < b;
+  });
+
+  result.sites.reserve(order.size());
+  std::vector<LiveWindow> rest;
+  for (const trace::StackId stack : order) {
     const SiteAccum& acc = sites_[stack];
-    if (acc.record.alloc_count == 0) continue;
     SiteRecord r = acc.record;
 
     rest.assign(acc.closed.begin() + static_cast<std::ptrdiff_t>(acc.folds.closed),
@@ -358,11 +369,6 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
                window_before);
     result.sites.push_back(std::move(r));
   }
-
-  // Deterministic output order: by first allocation, then stack id.
-  std::sort(result.sites.begin(), result.sites.end(), [](const SiteRecord& a, const SiteRecord& b) {
-    return a.first_alloc != b.first_alloc ? a.first_alloc < b.first_alloc : a.stack < b.stack;
-  });
 
   // Functions in id order (the table, then the ids past it), so ties
   // between equal names (the "?" placeholder) break deterministically.
