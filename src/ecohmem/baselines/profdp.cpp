@@ -153,8 +153,7 @@ Expected<std::vector<ProfDPVariant>> profdp_placements(
       d.callstack = s.site->stack;
       d.footprint = s.site->footprint;
       d.density = s.score[v];
-      // used <= dram_limit, so the difference never wraps.
-      if (s.score[v] > 0.0 && s.site->footprint <= options.dram_limit - used) {
+      if (s.score[v] > 0.0 && used + s.site->footprint <= options.dram_limit) {
         used += s.site->footprint;
         d.tier = dram_name;
       } else {

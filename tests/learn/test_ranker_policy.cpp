@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <tuple>
 #include <unordered_set>
 
 #include "ecohmem/advisor/knapsack.hpp"
@@ -176,6 +177,29 @@ TEST(LearnedPolicy, EverySiteGetsExactlyOneDecision) {
     EXPECT_EQ(placement->tier_of(d.stack), d.tier);
   }
   EXPECT_EQ(seen.size(), analysis.sites.size());
+}
+
+TEST(LearnedPolicy, CapacityCheckDoesNotWrap) {
+  // A footprint near 2^64 (an alloc size read from a trace) must not
+  // wrap the capacity check: it does not fit a 1 GiB tier.
+  analyzer::AnalysisResult analysis;
+  for (const auto& [stack, size, misses] :
+       {std::tuple<trace::StackId, Bytes, double>{0, 4096, 1000.0}, {1, ~Bytes{0}, 10.0}}) {
+    analyzer::SiteRecord site;
+    site.stack = stack;
+    site.callstack = bom::CallStack{{{0, 0x100 + 0x40 * stack}}};
+    site.max_size = size;
+    site.peak_live_bytes = size;
+    site.alloc_count = 1;
+    site.load_misses = misses;
+    analysis.sites.push_back(site);
+  }
+  const auto placement =
+      place_by_ranker(analysis, two_tier_config(1ull << 30), miss_volume_model());
+  ASSERT_TRUE(placement.has_value()) << placement.error();
+  EXPECT_EQ(placement->tier_of(0), "dram");
+  EXPECT_EQ(placement->tier_of(1), "pmem");
+  EXPECT_EQ(placement->footprint_in("dram"), 4096u);
 }
 
 TEST(LearnedPolicy, SchemaMismatchIsAnError) {
