@@ -400,10 +400,13 @@ done
 
 # Malformed size and number flags must be usage errors (exit 2), never a
 # silent fall back to the default (a 12 GiB DRAM limit, a zero store
-# coefficient).
+# coefficient). The advisor config the flags build must pass the same
+# validation a config file does.
 advise_bad="ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.txt"
 for bad_value in "$advise_bad --dram-limit 4Gb" "$advise_bad --store-coef abc" \
                  "$advise_bad --threads x" \
+                 "$advise_bad --store-coef nan" "$advise_bad --store-coef -1" \
+                 "$advise_bad --dram-limit 0" \
                  "ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.csv --bin-ms abc"; do
   set +e
   build/tools/$bad_value >/dev/null 2>&1
@@ -411,6 +414,33 @@ for bad_value in "$advise_bad --dram-limit 4Gb" "$advise_bad --store-coef abc" \
   set -e
   if [ "$value_rc" -ne 2 ]; then
     echo "$bad_value exited $value_rc, want 2" >&2; exit 1
+  fi
+done
+
+# Lint and the loaders share one validator per config: a config the
+# loader rejects must fail ecohmem-lint too, with the loader's message.
+printf '[online]\nchunk_bytes = 3\n' > /tmp/ecohmem_ci_bad_policy1.ini
+printf '[online]\nhuge_object_bytes = 4096\n' > /tmp/ecohmem_ci_bad_policy2.ini
+printf '[memory]\nname = dram\nlimit = 1GB\nload_coef = %s\n[memory]\nname = pmem\nlimit = 1TB\norder = 1\nfallback = true\n' \
+  nan > /tmp/ecohmem_ci_bad_config1.ini
+printf '[memory]\nname = dram\nlimit = 1GB\nload_coef = %s\n[memory]\nname = pmem\nlimit = 1TB\norder = 1\nfallback = true\n' \
+  -1 > /tmp/ecohmem_ci_bad_config2.ini
+for bad_cfg in "--online-policy /tmp/ecohmem_ci_bad_policy1.ini|ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --online /tmp/ecohmem_ci_bad_policy1.ini" \
+               "--online-policy /tmp/ecohmem_ci_bad_policy2.ini|ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --online /tmp/ecohmem_ci_bad_policy2.ini" \
+               "--config /tmp/ecohmem_ci_bad_config1.ini|$advise_bad --config /tmp/ecohmem_ci_bad_config1.ini" \
+               "--config /tmp/ecohmem_ci_bad_config2.ini|$advise_bad --config /tmp/ecohmem_ci_bad_config2.ini"; do
+  set +e
+  build/tools/ecohmem-lint ${bad_cfg%%|*} >/tmp/ecohmem_ci_lint_msg.txt 2>&1
+  lint_rc=$?
+  build/tools/${bad_cfg#*|} >/dev/null 2>/tmp/ecohmem_ci_load_msg.txt
+  load_rc=$?
+  set -e
+  if [ "$lint_rc" -ne 1 ] || [ "$load_rc" -ne 1 ]; then
+    echo "$bad_cfg: lint exited $lint_rc, loader exited $load_rc, want 1 and 1" >&2; exit 1
+  fi
+  load_msg=$(sed -n 's/^error: //p' /tmp/ecohmem_ci_load_msg.txt)
+  if [ -z "$load_msg" ] || ! grep -qF ": $load_msg" /tmp/ecohmem_ci_lint_msg.txt; then
+    echo "$bad_cfg: lint does not report the loader's message '$load_msg'" >&2; exit 1
   fi
 done
 

@@ -1,12 +1,13 @@
 #include "ecohmem/advisor/advisor_config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 
 namespace ecohmem::advisor {
 
-Expected<AdvisorConfig> AdvisorConfig::from_config(const Config& config) {
+Expected<AdvisorConfig> AdvisorConfig::parse(const Config& config) {
   AdvisorConfig out;
 
   if (const ConfigSection* adv = config.first_section("advisor")) {
@@ -21,41 +22,72 @@ Expected<AdvisorConfig> AdvisorConfig::from_config(const Config& config) {
     }
   }
 
-  std::set<std::string> names;
-  std::size_t fallback_count = 0;
   for (const ConfigSection* mem : config.sections_named("memory")) {
     TierPolicy t;
     auto name = mem->get_string("name");
-    if (!name || name->empty()) return unexpected("[memory] section without name");
-    t.name = *name;
-    if (!names.insert(t.name).second) return unexpected("duplicate [memory] name: " + t.name);
-
     auto limit = mem->get_bytes("limit", 0);
-    if (!limit) return unexpected(limit.error());
-    if (*limit == 0) return unexpected("[memory] '" + t.name + "' needs a positive limit");
-    t.limit = *limit;
-
     auto lc = mem->get_double("load_coef", 1.0);
     auto sc = mem->get_double("store_coef", 0.0);
     auto order = mem->get_double("order", 0.0);
     auto fb = mem->get_bool("fallback", false);
+    if (!name) return unexpected(name.error());
+    if (!limit) return unexpected(limit.error());
     if (!lc) return unexpected(lc.error());
     if (!sc) return unexpected(sc.error());
     if (!order) return unexpected(order.error());
     if (!fb) return unexpected(fb.error());
+    t.name = *name;
+    t.limit = *limit;
     t.load_coef = *lc;
     t.store_coef = *sc;
     t.order = static_cast<int>(*order);
     t.fallback = *fb;
-    if (t.fallback) ++fallback_count;
     out.tiers.push_back(std::move(t));
   }
 
-  if (out.tiers.empty()) return unexpected("advisor config needs at least one [memory] section");
-  if (fallback_count != 1) return unexpected("advisor config needs exactly one fallback tier");
-
   std::stable_sort(out.tiers.begin(), out.tiers.end(),
                    [](const TierPolicy& a, const TierPolicy& b) { return a.order < b.order; });
+  return out;
+}
+
+Expected<AdvisorConfig> AdvisorConfig::from_config(const Config& config) {
+  auto out = parse(config);
+  if (!out) return out;
+  if (const auto violations = out->validate(); !violations.empty()) {
+    return unexpected(violations.front());
+  }
+  return out;
+}
+
+std::vector<std::string> AdvisorConfig::validate() const {
+  std::vector<std::string> out;
+  std::set<std::string> names;
+  std::size_t fallbacks = 0;
+  const auto bad_coef = [](double c) { return !std::isfinite(c) || c < 0.0; };
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    const TierPolicy& t = tiers[i];
+    if (t.name.empty()) {
+      out.push_back("tier #" + std::to_string(i) + " has no name");
+    } else if (!names.insert(t.name).second) {
+      out.push_back("duplicate tier name: " + t.name);
+    }
+    if (t.limit == 0) out.push_back("tier '" + t.name + "' needs a positive limit");
+    if (bad_coef(t.load_coef)) {
+      out.push_back("tier '" + t.name + "': load_coef " + std::to_string(t.load_coef) +
+                    " is not a finite non-negative number");
+    }
+    if (bad_coef(t.store_coef)) {
+      out.push_back("tier '" + t.name + "': store_coef " + std::to_string(t.store_coef) +
+                    " is not a finite non-negative number");
+    }
+    if (t.fallback) ++fallbacks;
+  }
+  if (tiers.empty()) {
+    out.emplace_back("advisor config needs at least one tier");
+  } else if (fallbacks != 1) {
+    out.push_back("advisor config needs exactly one fallback tier, got " +
+                  std::to_string(fallbacks));
+  }
   return out;
 }
 

@@ -55,8 +55,21 @@ struct AdvisorConfig {
   std::vector<TierPolicy> tiers;  ///< sorted by `order`
   FootprintMode footprint_mode = FootprintMode::kPeakLive;
 
-  /// Parses and validates (unique names, exactly one fallback).
+  /// Reads the `[advisor]` and `[memory]` sections without validate():
+  /// only a malformed value or an unknown footprint mode is an error.
+  /// ecohmem-lint loads through this so config-coefficients can list
+  /// every violation.
+  [[nodiscard]] static Expected<AdvisorConfig> parse(const Config& config);
+
+  /// parse(), then validate(); returns the first violation.
   [[nodiscard]] static Expected<AdvisorConfig> from_config(const Config& config);
+
+  /// Every violation, in fill order: a nameless tier or a duplicate name,
+  /// a zero limit, a non-finite or negative coefficient; then no tier or
+  /// other than one fallback. Empty when the config is usable. Every
+  /// consumer checks through this: the file loader, the CLIs' flag
+  /// configs, serve's QUERY_PLACEMENT and the config-coefficients rule.
+  [[nodiscard]] std::vector<std::string> validate() const;
 
   /// Convenience builder for the paper's two-tier node.
   /// `store_coef` = 0 gives the "Loads" configuration of Fig. 6;

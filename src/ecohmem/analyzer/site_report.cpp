@@ -79,9 +79,7 @@ void write_site_csv(std::ostream& out, const AnalysisResult& analysis,
     out << "# coverage: events_seen=" << analysis.coverage.events_seen
         << " events_declared=" << analysis.coverage.events_declared << " salvaged=1\n";
   }
-  out << "callstack,allocs,max_size,peak_live,load_misses,store_misses,"
-         "avg_load_latency_ns,exec_bw_gbs,alloc_bw_gbs,exec_sys_bw_gbs,"
-         "first_alloc_ns,last_free_ns,mean_lifetime_ns,has_writes\n";
+  out << kSiteCsvHeader << '\n';
   for (const auto& s : analysis.sites) {
     out << '"' << bom::format_bom(s.callstack, modules) << '"' << ',' << s.alloc_count << ','
         << s.max_size << ',' << s.peak_live_bytes << ',' << s.load_misses << ','

@@ -24,6 +24,13 @@ struct SiteReportOptions {
 void write_site_table(std::ostream& out, const AnalysisResult& analysis,
                       const bom::ModuleTable& modules, const SiteReportOptions& options = {});
 
+/// Header row of the site CSV (without its newline); the checker's
+/// parser (check/sites_csv.cpp) expects exactly this.
+inline constexpr char kSiteCsvHeader[] =
+    "callstack,allocs,max_size,peak_live,load_misses,store_misses,"
+    "avg_load_latency_ns,exec_bw_gbs,alloc_bw_gbs,exec_sys_bw_gbs,"
+    "first_alloc_ns,last_free_ns,mean_lifetime_ns,has_writes";
+
 /// CSV export: one row per site with every aggregate column; stable
 /// column order documented in the header row.
 void write_site_csv(std::ostream& out, const AnalysisResult& analysis,

@@ -220,7 +220,8 @@ Expected<LintResult> lint_files(const RuleRegistry& registry, const LintInputs& 
     if (!file) {
       load_diags.push_back(error("config-load", inputs.config_path, file.error()));
     } else {
-      auto parsed = advisor::AdvisorConfig::from_config(*file);
+      // Unvalidated: config-coefficients reports every violation.
+      auto parsed = advisor::AdvisorConfig::parse(*file);
       if (!parsed) {
         load_diags.push_back(error("config-load", inputs.config_path, parsed.error()));
       } else {

@@ -4,12 +4,12 @@
 #include <sstream>
 
 #include "ecohmem/common/strings.hpp"
+#include "ecohmem/runtime/metrics.hpp"
 
 namespace ecohmem::check {
 
 namespace {
 
-constexpr std::string_view kExpectedHeader = "at_ns,object,from_tier,to_tier,bytes,offset,partial";
 constexpr std::size_t kColumns = 7;
 
 Expected<std::uint64_t> row_u64(const std::string& field, std::string_view name,
@@ -70,7 +70,7 @@ Expected<MigrationLog> parse_migration_log(std::string_view text) {
     }
 
     if (!saw_header) {
-      if (line != kExpectedHeader) {
+      if (line != runtime::kMigrationLogHeader) {
         return unexpected("line " + std::to_string(line_no) +
                           ": unexpected migration log header (column layout changed?)");
       }

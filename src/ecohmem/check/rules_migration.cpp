@@ -159,7 +159,7 @@ class ChunkAlignmentRule final : public MigrationRule {
   [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
     std::vector<Diagnostic> out;
     // Strict-load the policy; an unloadable one is the online-* rules'
-    // finding, not this rule's.
+    // finding (a bad chunk_bytes is online-chunk-bytes'), not this rule's.
     auto policy = online::OnlinePolicyConfig::from_config(*ctx.online);
     if (!policy) return out;
     const Bytes chunk = policy->chunk_bytes;

@@ -1,13 +1,14 @@
 /// \file rules_online.cpp
 /// Online placement policy rules: the `[online]` INI an operator hands
-/// to `ecohmem-run --online` must parse under the strict loader
-/// (online/policy_config.hpp). The loader stops at its first violation;
-/// these rules re-check every key independently so one typo does not
-/// hide the next, and they share the loader's key table so the linter
-/// can never disagree with the runtime about what is a valid policy.
+/// to `ecohmem-run --online` must load under the strict loader
+/// (online/policy_config.hpp). The rules hold no checks of their own:
+/// each runs the loader's collecting pass, online::check_policy(), and
+/// reports the issues of its key with the loader's message, so lint and
+/// `ecohmem-run` agree by construction and one bad key does not hide the
+/// next.
 
-#include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ecohmem/check/rule.hpp"
@@ -17,148 +18,69 @@ namespace ecohmem::check::rules {
 
 namespace {
 
-/// The section the policy lives in: `[online]` when present, else the
-/// unnamed global section — mirrors OnlinePolicyConfig::from_config.
-const ConfigSection& policy_section(const Config& config) {
-  const ConfigSection* section = config.first_section(online::kPolicySection);
-  return section != nullptr ? *section : config.global();
+/// Rule id of each policy key. An issue whose key is not listed names an
+/// unknown key, which online-keys reports.
+constexpr std::pair<std::string_view, std::string_view> kKeyRules[] = {
+    {"sample_rate", "online-sample-rate"},
+    {"ewma_alpha", "online-ewma-alpha"},
+    {"window", "online-window"},
+    {"hysteresis", "online-hysteresis"},
+    {"min_density", "online-min-density"},
+    {"max_moves_per_step", "online-max-moves"},
+    {"max_bytes_per_step", "online-max-bytes"},
+    {"bandwidth_fraction", "online-bandwidth-fraction"},
+    {"seed", "online-seed"},
+    {"chunk_bytes", "online-chunk-bytes"},
+    {"huge_object_bytes", "online-huge-object-bytes"},
+};
+
+bool listed(std::string_view key) {
+  for (const auto& [listed_key, id] : kKeyRules) {
+    if (key == listed_key) return true;
+  }
+  return false;
 }
 
-class OnlineRule : public Rule {
+/// Reports the loader's issues for one key; an empty key means every
+/// key the loader does not recognize.
+class PolicyKeyRule final : public Rule {
  public:
-  OnlineRule(std::string_view id, std::string_view description)
-      : id_(id), description_(description) {}
+  PolicyKeyRule(std::string_view id, std::string_view key)
+      : id_(id),
+        key_(key),
+        description_(key.empty()
+                         ? "every [online] key must be one the policy loader recognizes"
+                         : "[online] " + std::string(key) +
+                               " must parse and pass the policy loader's check") {}
 
-  [[nodiscard]] std::string_view id() const final { return id_; }
-  [[nodiscard]] std::string_view description() const final { return description_; }
-  [[nodiscard]] bool applicable(const CheckContext& ctx) const final {
+  [[nodiscard]] std::string_view id() const override { return id_; }
+  [[nodiscard]] std::string_view description() const override { return description_; }
+  [[nodiscard]] bool applicable(const CheckContext& ctx) const override {
     return ctx.online != nullptr;
   }
 
- protected:
+  [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
+    std::vector<Diagnostic> out;
+    for (auto& issue : online::check_policy(*ctx.online).issues) {
+      if (key_.empty() ? !listed(issue.key) : issue.key == key_) {
+        out.push_back(error(std::string(id_), ctx.online_name, std::move(issue.message)));
+      }
+    }
+    return out;
+  }
+
+ private:
   std::string_view id_;
-  std::string_view description_;
-};
-
-/// A policy key whose value must parse as a double inside a range.
-/// Emits at most one diagnostic: unparseable or out-of-range.
-class DoubleRangeRule final : public OnlineRule {
- public:
-  DoubleRangeRule(std::string_view id, std::string_view key, double fallback,
-                  std::string_view range_text, bool (*in_range)(double))
-      : OnlineRule(id, std::string()),
-        key_(key),
-        fallback_(fallback),
-        range_text_(range_text),
-        in_range_(in_range),
-        description_text_("[online] " + std::string(key) + " must be " +
-                          std::string(range_text)) {
-    description_ = description_text_;
-  }
-
-  [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
-    std::vector<Diagnostic> out;
-    const ConfigSection& section = policy_section(*ctx.online);
-    const auto value = section.get_double(std::string(key_), fallback_);
-    if (!value) {
-      out.push_back(error(std::string(id_), ctx.online_name, value.error()));
-    } else if (!in_range_(*value)) {
-      out.push_back(error(std::string(id_), ctx.online_name,
-                          std::string(key_) + " = " + std::to_string(*value) + " must be " +
-                              std::string(range_text_)));
-    }
-    return out;
-  }
-
- private:
   std::string_view key_;
-  double fallback_;
-  std::string_view range_text_;
-  bool (*in_range_)(double);
-  std::string description_text_;
+  std::string description_;
 };
-
-/// Every key in the policy section must be one the runtime loader
-/// recognizes — a typo would otherwise silently run the default policy
-/// for that knob.
-class KnownKeysRule final : public OnlineRule {
- public:
-  KnownKeysRule()
-      : OnlineRule("online-keys",
-                   "every [online] key must be one the policy loader recognizes") {}
-
-  [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
-    std::vector<Diagnostic> out;
-    const ConfigSection& section = policy_section(*ctx.online);
-    for (const auto& [key, value] : section.entries()) {
-      (void)value;
-      bool known = false;
-      for (const char* const* k = online::policy_keys(); *k != nullptr; ++k) {
-        if (key == *k) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        out.push_back(error(std::string(id_), ctx.online_name,
-                            "unknown key '" + key + "' (see docs/online.md for the grammar)"));
-      }
-    }
-    return out;
-  }
-};
-
-/// window and max_moves_per_step are counts that must be positive.
-class PositiveCountRule final : public OnlineRule {
- public:
-  PositiveCountRule(std::string_view id, std::string_view key, std::uint64_t fallback)
-      : OnlineRule(id, std::string()),
-        key_(key),
-        fallback_(fallback),
-        description_text_("[online] " + std::string(key) + " must be > 0") {
-    description_ = description_text_;
-  }
-
-  [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
-    std::vector<Diagnostic> out;
-    const ConfigSection& section = policy_section(*ctx.online);
-    const auto value = section.get_u64(std::string(key_), fallback_);
-    if (!value) {
-      out.push_back(error(std::string(id_), ctx.online_name, value.error()));
-    } else if (*value == 0) {
-      out.push_back(
-          error(std::string(id_), ctx.online_name, std::string(key_) + " must be > 0"));
-    }
-    return out;
-  }
-
- private:
-  std::string_view key_;
-  std::uint64_t fallback_;
-  std::string description_text_;
-};
-
-bool unit_interval(double v) { return std::isfinite(v) && v > 0.0 && v <= 1.0; }
-bool non_negative(double v) { return std::isfinite(v) && v >= 0.0; }
 
 }  // namespace
 
 std::vector<std::unique_ptr<Rule>> online_rules() {
   std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(std::make_unique<KnownKeysRule>());
-  rules.push_back(std::make_unique<DoubleRangeRule>("online-sample-rate", "sample_rate", 0.01,
-                                                    "in (0, 1]", unit_interval));
-  rules.push_back(std::make_unique<DoubleRangeRule>("online-ewma-alpha", "ewma_alpha", 0.3,
-                                                    "in (0, 1]", unit_interval));
-  rules.push_back(std::make_unique<PositiveCountRule>("online-window", "window", 12));
-  rules.push_back(std::make_unique<DoubleRangeRule>("online-hysteresis", "hysteresis", 0.25,
-                                                    ">= 0 and finite", non_negative));
-  rules.push_back(std::make_unique<DoubleRangeRule>("online-min-density", "min_density", 1.0,
-                                                    ">= 0 and finite", non_negative));
-  rules.push_back(std::make_unique<PositiveCountRule>("online-max-moves", "max_moves_per_step",
-                                                      8));
-  rules.push_back(std::make_unique<DoubleRangeRule>(
-      "online-bandwidth-fraction", "bandwidth_fraction", 0.5, "in (0, 1]", unit_interval));
+  rules.push_back(std::make_unique<PolicyKeyRule>("online-keys", ""));
+  for (const auto& [key, id] : kKeyRules) rules.push_back(std::make_unique<PolicyKeyRule>(id, key));
   return rules;
 }
 

@@ -5,7 +5,6 @@
 /// DRAM/PMEM classes, and reference only sites that exist in the trace it
 /// was derived from — the "silent profile/placement drift" failure mode.
 
-#include <cmath>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -66,7 +65,8 @@ class ConfigCoefficientsRule final : public NamedRule {
  public:
   ConfigCoefficientsRule()
       : NamedRule("config-coefficients",
-                  "tier coefficients must be finite and non-negative, limits positive") {}
+                  "the tier list passes AdvisorConfig::validate (named unique tiers, positive "
+                  "limits, finite non-negative coefficients, one fallback)") {}
 
   [[nodiscard]] bool applicable(const CheckContext& ctx) const override {
     return ctx.config != nullptr;
@@ -74,24 +74,8 @@ class ConfigCoefficientsRule final : public NamedRule {
 
   [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
     std::vector<Diagnostic> out;
-    for (const auto& tier : ctx.config->tiers) {
-      const auto bad_coef = [](double c) { return !std::isfinite(c) || c < 0.0; };
-      if (bad_coef(tier.load_coef)) {
-        out.push_back(error(std::string(id_), ctx.config_name,
-                            "tier '" + tier.name + "': load_coef " +
-                                std::to_string(tier.load_coef) +
-                                " is not a finite non-negative number"));
-      }
-      if (bad_coef(tier.store_coef)) {
-        out.push_back(error(std::string(id_), ctx.config_name,
-                            "tier '" + tier.name + "': store_coef " +
-                                std::to_string(tier.store_coef) +
-                                " is not a finite non-negative number"));
-      }
-      if (tier.limit == 0) {
-        out.push_back(error(std::string(id_), ctx.config_name,
-                            "tier '" + tier.name + "' has a zero capacity limit"));
-      }
+    for (auto& message : ctx.config->validate()) {
+      out.push_back(error(std::string(id_), ctx.config_name, std::move(message)));
     }
     return out;
   }
@@ -250,7 +234,8 @@ class ReportBwClassesRule final : public NamedRule {
 
   [[nodiscard]] bool applicable(const CheckContext& ctx) const override {
     return ctx.analysis != nullptr && ctx.config != nullptr && ctx.report != nullptr &&
-           ctx.report->is_bom && ctx.config->tiers.size() >= 2;
+           ctx.report->is_bom && ctx.config->tiers.size() >= 2 &&
+           ctx.config->validate().empty();  // else config-coefficients' finding
   }
 
   [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {

@@ -3,16 +3,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "ecohmem/analyzer/site_report.hpp"
 #include "ecohmem/common/strings.hpp"
 
 namespace ecohmem::check {
 
 namespace {
-
-constexpr std::string_view kExpectedHeader =
-    "callstack,allocs,max_size,peak_live,load_misses,store_misses,"
-    "avg_load_latency_ns,exec_bw_gbs,alloc_bw_gbs,exec_sys_bw_gbs,"
-    "first_alloc_ns,last_free_ns,mean_lifetime_ns,has_writes";
 
 constexpr std::size_t kColumns = 14;
 
@@ -111,7 +107,7 @@ Expected<SiteCsv> parse_site_csv(std::string_view text) {
     }
 
     if (!saw_header) {
-      if (line != kExpectedHeader) {
+      if (line != analyzer::kSiteCsvHeader) {
         return unexpected("line " + std::to_string(line_no) +
                           ": unexpected site CSV header (column layout changed?)");
       }

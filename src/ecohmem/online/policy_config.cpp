@@ -25,92 +25,84 @@ bool known_key(std::string_view key) {
 
 const char* const* policy_keys() { return kKeys; }
 
-Status OnlinePolicyConfig::validate() const {
-  const auto in_unit = [](double v) { return std::isfinite(v) && v > 0.0 && v <= 1.0; };
-  if (!in_unit(sample_rate)) {
-    return unexpected("online policy: sample_rate must be in (0, 1], got " +
-                      std::to_string(sample_rate));
-  }
-  if (!in_unit(ewma_alpha)) {
-    return unexpected("online policy: ewma_alpha must be in (0, 1], got " +
-                      std::to_string(ewma_alpha));
-  }
-  if (window == 0) return unexpected("online policy: window must be > 0");
-  if (!std::isfinite(hysteresis) || hysteresis < 0.0) {
-    return unexpected("online policy: hysteresis must be >= 0, got " +
-                      std::to_string(hysteresis));
-  }
-  if (!std::isfinite(min_density) || min_density < 0.0) {
-    return unexpected("online policy: min_density must be >= 0, got " +
-                      std::to_string(min_density));
-  }
-  if (max_moves_per_step == 0) {
-    return unexpected("online policy: max_moves_per_step must be >= 1");
-  }
-  if (!in_unit(bandwidth_fraction)) {
-    return unexpected("online policy: bandwidth_fraction must be in (0, 1], got " +
-                      std::to_string(bandwidth_fraction));
-  }
+std::vector<PolicyIssue> OnlinePolicyConfig::violations() const {
+  std::vector<PolicyIssue> out;
+  const auto must_be = [&out](const char* key, const std::string& rule) {
+    out.push_back({key, "online policy: " + std::string(key) + " must be " + rule});
+  };
+  const auto in_unit = [&must_be](const char* key, double v) {
+    if (!std::isfinite(v) || v <= 0.0 || v > 1.0) {
+      must_be(key, "in (0, 1], got " + std::to_string(v));
+    }
+  };
+  const auto non_negative = [&must_be](const char* key, double v) {
+    if (!std::isfinite(v) || v < 0.0) must_be(key, ">= 0, got " + std::to_string(v));
+  };
+  in_unit("sample_rate", sample_rate);
+  in_unit("ewma_alpha", ewma_alpha);
+  if (window == 0) must_be("window", "> 0");
+  non_negative("hysteresis", hysteresis);
+  non_negative("min_density", min_density);
+  if (max_moves_per_step == 0) must_be("max_moves_per_step", ">= 1");
+  in_unit("bandwidth_fraction", bandwidth_fraction);
   if (chunk_bytes == 0 || (chunk_bytes & (chunk_bytes - 1)) != 0) {
-    return unexpected("online policy: chunk_bytes must be a power of two, got " +
-                      std::to_string(chunk_bytes));
+    must_be("chunk_bytes", "a power of two, got " + std::to_string(chunk_bytes));
   }
   if (huge_object_bytes != 0 && huge_object_bytes < chunk_bytes) {
-    return unexpected("online policy: huge_object_bytes must be 0 (disabled) or >= chunk_bytes");
+    must_be("huge_object_bytes", "0 (disabled) or >= chunk_bytes");
   }
+  return out;
+}
+
+Status OnlinePolicyConfig::validate() const {
+  const auto issues = violations();
+  if (!issues.empty()) return unexpected(issues.front().message);
   return {};
 }
 
-Expected<OnlinePolicyConfig> OnlinePolicyConfig::from_config(const Config& config) {
+PolicyCheck check_policy(const Config& config) {
   // `[online]` section when present, else the unnamed global section —
   // a bare `key = value` policy file is accepted.
   const ConfigSection* section = config.first_section(kPolicySection);
   if (section == nullptr) section = &config.global();
 
+  PolicyCheck out;
   for (const auto& [key, value] : section->entries()) {
     (void)value;
     if (!known_key(key)) {
-      return unexpected("online policy: unknown key '" + key + "' (see docs/online.md)");
+      out.issues.push_back({key, "online policy: unknown key '" + key + "' (see docs/online.md)"});
     }
   }
 
-  OnlinePolicyConfig out;
-  const auto rate = section->get_double("sample_rate", out.sample_rate);
-  if (!rate) return unexpected(rate.error());
-  out.sample_rate = *rate;
-  const auto alpha = section->get_double("ewma_alpha", out.ewma_alpha);
-  if (!alpha) return unexpected(alpha.error());
-  out.ewma_alpha = *alpha;
-  const auto window = section->get_u64("window", out.window);
-  if (!window) return unexpected(window.error());
-  out.window = *window;
-  const auto hysteresis = section->get_double("hysteresis", out.hysteresis);
-  if (!hysteresis) return unexpected(hysteresis.error());
-  out.hysteresis = *hysteresis;
-  const auto min_density = section->get_double("min_density", out.min_density);
-  if (!min_density) return unexpected(min_density.error());
-  out.min_density = *min_density;
-  const auto max_moves = section->get_u64("max_moves_per_step", out.max_moves_per_step);
-  if (!max_moves) return unexpected(max_moves.error());
-  out.max_moves_per_step = *max_moves;
-  const auto max_bytes = section->get_bytes("max_bytes_per_step", out.max_bytes_per_step);
-  if (!max_bytes) return unexpected(max_bytes.error());
-  out.max_bytes_per_step = *max_bytes;
-  const auto bw_fraction = section->get_double("bandwidth_fraction", out.bandwidth_fraction);
-  if (!bw_fraction) return unexpected(bw_fraction.error());
-  out.bandwidth_fraction = *bw_fraction;
-  const auto seed = section->get_u64("seed", out.seed);
-  if (!seed) return unexpected(seed.error());
-  out.seed = *seed;
-  const auto chunk = section->get_bytes("chunk_bytes", out.chunk_bytes);
-  if (!chunk) return unexpected(chunk.error());
-  out.chunk_bytes = *chunk;
-  const auto huge = section->get_bytes("huge_object_bytes", out.huge_object_bytes);
-  if (!huge) return unexpected(huge.error());
-  out.huge_object_bytes = *huge;
+  OnlinePolicyConfig& c = out.config;
+  const auto take = [&out, section](const char* key, auto& field, auto getter) {
+    const auto parsed = (section->*getter)(key, field);
+    if (parsed) {
+      field = *parsed;
+    } else {
+      out.issues.push_back({key, parsed.error()});
+    }
+  };
+  take("sample_rate", c.sample_rate, &ConfigSection::get_double);
+  take("ewma_alpha", c.ewma_alpha, &ConfigSection::get_double);
+  take("window", c.window, &ConfigSection::get_u64);
+  take("hysteresis", c.hysteresis, &ConfigSection::get_double);
+  take("min_density", c.min_density, &ConfigSection::get_double);
+  take("max_moves_per_step", c.max_moves_per_step, &ConfigSection::get_u64);
+  take("max_bytes_per_step", c.max_bytes_per_step, &ConfigSection::get_bytes);
+  take("bandwidth_fraction", c.bandwidth_fraction, &ConfigSection::get_double);
+  take("seed", c.seed, &ConfigSection::get_u64);
+  take("chunk_bytes", c.chunk_bytes, &ConfigSection::get_bytes);
+  take("huge_object_bytes", c.huge_object_bytes, &ConfigSection::get_bytes);
 
-  if (Status s = out.validate(); !s) return unexpected(s.error());
+  for (auto& issue : c.violations()) out.issues.push_back(std::move(issue));
   return out;
+}
+
+Expected<OnlinePolicyConfig> OnlinePolicyConfig::from_config(const Config& config) {
+  auto checked = check_policy(config);
+  if (!checked.issues.empty()) return unexpected(std::move(checked.issues.front().message));
+  return checked.config;
 }
 
 Expected<OnlinePolicyConfig> OnlinePolicyConfig::load(const std::string& path) {

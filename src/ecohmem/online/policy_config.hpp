@@ -6,13 +6,16 @@
 /// The policy is configured through the same INI layer as the Advisor:
 /// an `[online]` section whose keys control the PEBS-style sampler, the
 /// EWMA hotness tracker and the promote/demote migration policy. The
-/// loader is strict — unknown keys and out-of-range values are errors,
-/// mirroring the `online-*` rules of ecohmem-lint — so a typo in a
-/// policy file stops the run instead of silently running a different
-/// policy.
+/// loader is strict — unknown keys, malformed and out-of-range values are
+/// errors — so a typo in a policy file stops the run instead of silently
+/// running a different policy. check_policy() is the one place these
+/// rules live: the loader returns its first issue, and the `online-*`
+/// rules of ecohmem-lint report all of them, so the two agree by
+/// construction.
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ecohmem/common/config.hpp"
 #include "ecohmem/common/expected.hpp"
@@ -24,9 +27,16 @@ namespace ecohmem::online {
 inline constexpr std::string_view kPolicySection = "online";
 
 /// The recognized keys of the `[online]` section, terminated by a
-/// nullptr sentinel. Shared with the `online-keys` lint rule so the
-/// loader and the linter can never disagree about what is a typo.
+/// nullptr sentinel.
 [[nodiscard]] const char* const* policy_keys();
+
+/// One problem with a policy: the key it concerns (an unknown key names
+/// itself; a cross-key violation names the key it constrains) and the
+/// loader's error text.
+struct PolicyIssue {
+  std::string key;
+  std::string message;
+};
 
 struct OnlinePolicyConfig {
   /// Fraction of LLC-miss events the simulated PEBS unit samples, in
@@ -85,16 +95,30 @@ struct OnlinePolicyConfig {
   /// page-granular migration entirely.
   Bytes huge_object_bytes = 1ull << 30;
 
-  /// Range-checks every field; returns the first violation.
+  /// Every range and cross-key violation, in field order.
+  [[nodiscard]] std::vector<PolicyIssue> violations() const;
+
+  /// The first of violations(), if any.
   [[nodiscard]] Status validate() const;
 
-  /// Strict parse of an `[online]` section (top-level keys are also
-  /// accepted when no section is present). Unknown keys, malformed
-  /// values and range violations are errors.
+  /// Strict parse of an `[online]` section: the first issue check_policy()
+  /// finds is the error.
   [[nodiscard]] static Expected<OnlinePolicyConfig> from_config(const Config& config);
 
   /// Reads and parses a policy file.
   [[nodiscard]] static Expected<OnlinePolicyConfig> load(const std::string& path);
 };
+
+/// What one collecting pass over a policy file finds.
+struct PolicyCheck {
+  OnlinePolicyConfig config;        ///< every well-formed value; defaults elsewhere
+  std::vector<PolicyIssue> issues;  ///< empty when the policy is valid
+};
+
+/// Reads an `[online]` section (top-level keys are also accepted when no
+/// section is present) and records every issue: unknown keys (in key
+/// order), then malformed values, then config.violations() (both in
+/// field order).
+[[nodiscard]] PolicyCheck check_policy(const Config& config);
 
 }  // namespace ecohmem::online

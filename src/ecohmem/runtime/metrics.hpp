@@ -52,6 +52,11 @@ struct MigrationRecord {
   friend bool operator==(const MigrationRecord&, const MigrationRecord&) = default;
 };
 
+/// Header row (without its newline) of the migration log, one CSV row
+/// per MigrationRecord, that `ecohmem-run --migration-log` writes and
+/// check/migration_log.cpp parses.
+inline constexpr char kMigrationLogHeader[] = "at_ns,object,from_tier,to_tier,bytes,offset,partial";
+
 /// Everything one replayed run produced: timing breakdown, per-function
 /// aggregates, per-tier traffic and bandwidth timelines, and allocator
 /// counters. Plain data — produced by one engine run, then read-only.

@@ -246,28 +246,17 @@ Expected<QueryPlacement> decode_query_placement(const std::string& payload) {
 }
 
 Expected<advisor::AdvisorConfig> QueryPlacement::to_config() const {
-  if (tiers.empty()) return unexpected("query names no tiers");
   advisor::AdvisorConfig config;
   config.footprint_mode = (flags & kFootprintMaxSize) != 0
                               ? advisor::FootprintMode::kMaxSize
                               : advisor::FootprintMode::kPeakLive;
-  int fallbacks = 0;
   for (std::size_t i = 0; i < tiers.size(); ++i) {
     const QueryTier& t = tiers[i];
-    if (t.name.empty()) return unexpected("query tier " + std::to_string(i) + " has no name");
-    advisor::TierPolicy policy;
-    policy.name = t.name;
-    policy.limit = t.limit;
-    policy.load_coef = t.load_coef;
-    policy.store_coef = t.store_coef;
-    policy.order = static_cast<int>(i);
-    policy.fallback = (t.flags & 1u) != 0;
-    fallbacks += policy.fallback ? 1 : 0;
-    config.tiers.push_back(std::move(policy));
+    config.tiers.push_back(advisor::TierPolicy{t.name, t.limit, t.load_coef, t.store_coef,
+                                               static_cast<int>(i), (t.flags & 1u) != 0});
   }
-  if (fallbacks != 1) {
-    return unexpected("query must name exactly one fallback tier, got " +
-                      std::to_string(fallbacks));
+  if (const auto violations = config.validate(); !violations.empty()) {
+    return unexpected("query: " + violations.front());
   }
   return config;
 }

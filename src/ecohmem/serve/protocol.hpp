@@ -172,7 +172,8 @@ struct QueryPlacement {
   static constexpr std::uint32_t kBandwidthAware = 1u << 0;
   static constexpr std::uint32_t kFootprintMaxSize = 1u << 1;
 
-  /// The advisor configuration the tier rows describe.
+  /// The advisor configuration the tier rows describe; the first
+  /// AdvisorConfig::validate violation is the error (`bad-config`).
   [[nodiscard]] Expected<advisor::AdvisorConfig> to_config() const;
   /// Builds the tier rows (and footprint flag) from `config`.
   static QueryPlacement from_config(const advisor::AdvisorConfig& config);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "ecohmem/serve/protocol.hpp"
@@ -201,6 +202,26 @@ TEST(ServeProtocol, QueryPlacementRejectsBadTierLists) {
   QueryPlacement unnamed;
   unnamed.tiers.push_back(QueryTier{"", 1 << 20, 1.0, 0.0, 1});
   EXPECT_FALSE(unnamed.to_config().has_value());
+
+  // The advisor's own validation applies: names unique, limits positive,
+  // coefficients finite and non-negative.
+  QueryPlacement duplicate;
+  duplicate.tiers.push_back(QueryTier{"dram", 1 << 20, 1.0, 0.0, 0});
+  duplicate.tiers.push_back(QueryTier{"dram", 1 << 30, 1.0, 0.0, 1});
+  EXPECT_FALSE(duplicate.to_config().has_value());
+
+  QueryPlacement zero_limit;
+  zero_limit.tiers.push_back(QueryTier{"dram", 0, 1.0, 0.0, 0});
+  zero_limit.tiers.push_back(QueryTier{"pmem", 1 << 30, 1.0, 0.0, 1});
+  EXPECT_FALSE(zero_limit.to_config().has_value());
+
+  QueryPlacement nan_coef;
+  nan_coef.tiers.push_back(
+      QueryTier{"dram", 1 << 20, std::numeric_limits<double>::quiet_NaN(), 0.0, 0});
+  nan_coef.tiers.push_back(QueryTier{"pmem", 1 << 30, 1.0, 0.0, 1});
+  const auto rejected = nan_coef.to_config();
+  ASSERT_FALSE(rejected.has_value());
+  EXPECT_NE(rejected.error().find("load_coef"), std::string::npos) << rejected.error();
 }
 
 TEST(ServeProtocol, ReportAndSnapshotRoundTrip) {

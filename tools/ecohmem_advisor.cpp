@@ -87,6 +87,10 @@ int main(int argc, char** argv) {
   if (!dram_limit) return cli::fail_usage(dram_limit.error());
   const auto store_coef = args.get_double("store-coef", 0.0);
   if (!store_coef) return cli::fail_usage(store_coef.error());
+  const auto flag_config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
+  if (const auto bad = flag_config.validate(); !bad.empty()) {
+    return cli::fail_usage("--dram-limit/--store-coef: " + bad.front());
+  }
   const auto peak_pmem_bw = args.get_double("peak-pmem-bw", 0.0);
   if (!peak_pmem_bw) return cli::fail_usage(peak_pmem_bw.error());
 
@@ -134,7 +138,7 @@ int main(int argc, char** argv) {
     if (!parsed) return cli::fail(parsed.error());
     config = std::move(*parsed);
   } else {
-    config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
+    config = flag_config;
   }
 
   auto placement = policy == "learned"

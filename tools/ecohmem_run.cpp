@@ -34,7 +34,7 @@ namespace {
 bool write_migration_log(const std::string& path, const runtime::RunMetrics& metrics) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
-  std::fprintf(out, "at_ns,object,from_tier,to_tier,bytes,offset,partial\n");
+  std::fprintf(out, "%s\n", runtime::kMigrationLogHeader);
   for (const auto& e : metrics.migration_events) {
     std::fprintf(out, "%lld,%zu,%zu,%zu,%llu,%llu,%d\n", static_cast<long long>(e.at),
                  e.object, e.from_tier, e.to_tier, static_cast<unsigned long long>(e.bytes),

@@ -85,6 +85,10 @@ int run_client(const cli::Args& args) {
   if (!dram_limit) return cli::fail_usage(dram_limit.error());
   const auto store_coef = args.get_double("store-coef", 0.0);
   if (!store_coef) return cli::fail_usage(store_coef.error());
+  const auto flag_config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
+  if (const auto bad = flag_config.validate(); !bad.empty()) {
+    return cli::fail_usage("--dram-limit/--store-coef: " + bad.front());
+  }
   const auto peak_pmem_bw = args.get_double("peak-pmem-bw", 0.0);
   if (!peak_pmem_bw) return cli::fail_usage(peak_pmem_bw.error());
   if (!args.has("attach") && !args.has("ingest")) {
@@ -126,7 +130,7 @@ int run_client(const cli::Args& args) {
       if (!parsed) return cli::fail(parsed.error());
       config = std::move(*parsed);
     } else {
-      config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
+      config = flag_config;
     }
     auto report = client->query(config, args.has("bandwidth-aware"), *peak_pmem_bw);
     if (!report) return cli::fail(report.error());
