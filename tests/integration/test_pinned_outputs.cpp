@@ -461,6 +461,52 @@ TEST(PinnedOutputs, OnlineLargeHot) {
   expect_pinned(m, {559653868915ll, 10, 10, 0, 3, 0x6e61dff21c6bfdccull}, "online large-hot");
 }
 
+/// FNV-1a over every bin of every tier's bandwidth timeline: tier count,
+/// then per tier its bin count and each bin's start time and gbs bits.
+std::uint64_t timeline_digest(const runtime::RunMetrics& m) {
+  Digest d;
+  d.add(static_cast<std::uint64_t>(m.tier_bw.size()));
+  for (const auto& series : m.tier_bw) {
+    d.add(static_cast<std::uint64_t>(series.size()));
+    for (const auto& p : series) {
+      d.add(static_cast<std::uint64_t>(p.time));
+      d.add(p.gbs);
+    }
+  }
+  return d.value();
+}
+
+TEST(PinnedOutputs, BandwidthTimelines) {
+  const struct {
+    const char* app;
+    std::uint64_t baseline;
+    std::uint64_t production;
+  } pinned[] = {
+      {"minife", 0x754f417ca1b7d0faull, 0x6b30e5b19f363a22ull},
+      {"minimd", 0x2055845f136cbdb4ull, 0x8f852f6e081c5e30ull},
+      {"lulesh", 0x0646f812acc168d9ull, 0x4333057887e46784ull},
+      {"hpcg", 0x6daa1190c2b18ad2ull, 0x5592ae1c5355b223ull},
+      {"cloverleaf3d", 0x92c8fe06c17a1db9ull, 0xbeca1057efa62966ull},
+  };
+  const auto system = paper();
+  for (const auto& p : pinned) {
+    core::WorkflowOptions wopt;
+    wopt.dram_limit = kDramLimit;
+    const auto workflow = core::run_workflow(apps::make_app(p.app), system, wopt);
+    ASSERT_TRUE(workflow.has_value()) << p.app << ": " << workflow.error();
+    EXPECT_EQ(timeline_digest(workflow->baseline_metrics), p.baseline)
+        << p.app << " memory mode: got 0x" << std::hex << std::setw(16) << std::setfill('0')
+        << timeline_digest(workflow->baseline_metrics);
+    EXPECT_EQ(timeline_digest(workflow->production_metrics), p.production)
+        << p.app << " app-direct: got 0x" << std::hex << std::setw(16) << std::setfill('0')
+        << timeline_digest(workflow->production_metrics);
+  }
+  const auto online = online_run(apps::make_phase_shift(), false);
+  EXPECT_EQ(timeline_digest(online), 0xd15c7cc607e77eb6ull)
+      << "online phase-shift: got 0x" << std::hex << std::setw(16) << std::setfill('0')
+      << timeline_digest(online);
+}
+
 // ---------------------------------------------------------------- traces
 
 /// Profiles `app` the way ecohmem-profile does (memory mode on the paper

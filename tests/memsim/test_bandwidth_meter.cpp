@@ -135,5 +135,68 @@ TEST(BandwidthMeter, WindowAveragesKeepTheBinByBinSum) {
   }
 }
 
+/// `add` as one loop over the bins, each bin getting `bytes` times its
+/// overlap over the span: the per-bin shares every timeline digest
+/// (PinnedOutputs.BandwidthTimelines) was recorded with.
+void reference_add(std::vector<double>& lane, Ns bin_ns, Ns t0, Ns t1, double bytes) {
+  if (bytes <= 0.0) return;
+  if (t1 <= t0) t1 = t0 + 1;
+  const auto first = static_cast<std::size_t>(t0 / bin_ns);
+  const auto last = static_cast<std::size_t>((t1 - 1) / bin_ns);
+  if (last >= lane.size()) lane.resize(last + 1, 0.0);
+  const auto span = static_cast<double>(t1 - t0);
+  for (std::size_t b = first; b <= last; ++b) {
+    const Ns bin_start = static_cast<Ns>(b) * bin_ns;
+    const Ns overlap = std::min(bin_start + bin_ns, t1) - std::max(bin_start, t0);
+    lane[b] += bytes * (static_cast<double>(overlap) / span);
+  }
+}
+
+TEST(BandwidthMeter, AddKeepsThePerBinShares) {
+  // 1024 is a power of two, so each gbs is the lane's bytes scaled
+  // exactly; 777 checks an inexact bin width through the same division.
+  for (const Ns bin : {Ns{1024}, Ns{777}}) {
+    BandwidthMeter m(2, bin);
+    std::vector<double> ref[2];
+    std::uint64_t state = 11;  // LCG: seeded (tier, t0, t1, bytes)
+    const auto next = [&state] {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return state >> 33;
+    };
+    const auto add = [&](std::size_t tier, Ns t0, Ns t1, double bytes) {
+      m.add(tier, t0, t1, bytes);
+      reference_add(ref[tier], bin, t0, t1, bytes);
+    };
+    // One bin, two bins, ends on bin edges, t1 <= t0, thousands of bins.
+    add(0, 3, 9, 100.0);
+    add(0, bin - 5, bin + 7, 1234.5);
+    add(1, bin, 3 * bin, 999.0);
+    add(1, 2 * bin, 2 * bin + bin / 2, 7.25);
+    add(0, 5 * bin + 3, 5 * bin + 3, 64.0);
+    add(1, 9 * bin, 4 * bin, 33.0);
+    add(0, 17, 4321 * bin + 29, 1.0e9 / 3.0);
+    add(1, 0, 6000 * bin, 2.0e8 / 7.0);
+    for (int k = 0; k < 3000; ++k) {
+      const std::size_t tier = next() % 2;
+      const Ns t0 = static_cast<Ns>(next() % (8000 * static_cast<std::uint64_t>(bin)));
+      const std::uint64_t kind = next() % 4;
+      const Ns len = kind == 0   ? static_cast<Ns>(next() % bin)
+                     : kind == 1 ? static_cast<Ns>(next() % (2 * bin))
+                     : kind == 2 ? static_cast<Ns>(next() % (3000 * static_cast<std::uint64_t>(bin)))
+                                 : (static_cast<Ns>(next() % 50) + 1) * bin - t0 % bin;
+      add(tier, t0, t0 + len, static_cast<double>(next() % 10'000'000) / 13.0);
+    }
+    for (std::size_t tier = 0; tier < 2; ++tier) {
+      const auto series = m.series(tier);
+      ASSERT_EQ(series.size(), ref[tier].size()) << "bin " << bin << " tier " << tier;
+      for (std::size_t b = 0; b < series.size(); ++b) {
+        ASSERT_EQ(series[b].time, static_cast<Ns>(b) * bin);
+        ASSERT_EQ(bits(series[b].gbs), bits(ref[tier][b] / static_cast<double>(bin)))
+            << "bin " << bin << " tier " << tier << " bin index " << b;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ecohmem::memsim
