@@ -31,7 +31,7 @@ int main() {
 
   // One phase = 1/20th of the run (the model's 20 recurring phases);
   // print the second phase to skip warm-up.
-  const auto& pmem_bw = result->production_metrics.tier_bw[sys.fallback_index()];
+  const auto pmem_bw = result->production_metrics.bandwidth.series(sys.fallback_index());
   if (pmem_bw.empty()) {
     std::printf("no bandwidth data\n");
     return 1;

@@ -32,8 +32,8 @@ void compare_series(const std::string& app, Bytes dram_limit) {
   }
 
   const std::size_t pmem = sys.fallback_index();
-  const auto& a = main_run->production_metrics.tier_bw[pmem];
-  const auto& b = bw_run->production_metrics.tier_bw[pmem];
+  const auto a = main_run->production_metrics.bandwidth.series(pmem);
+  const auto b = bw_run->production_metrics.bandwidth.series(pmem);
 
   auto bucket_avg = [](const std::vector<memsim::BandwidthPoint>& series, std::size_t buckets,
                        std::size_t i) {

@@ -18,14 +18,18 @@ void BandwidthMeter::add(std::size_t tier, Ns t0, Ns t1, double bytes) {
   if (last >= lane.size()) lane.resize(last + 1, 0.0);
 
   const double span = static_cast<double>(t1 - t0);
-  for (std::size_t b = first; b <= last; ++b) {
+  const auto end_share = [&](std::size_t b) {
     const Ns bin_start = static_cast<Ns>(b) * bin_ns_;
-    const Ns bin_end = bin_start + bin_ns_;
-    const Ns overlap_start = std::max(bin_start, t0);
-    const Ns overlap_end = std::min(bin_end, t1);
-    const double frac = static_cast<double>(overlap_end - overlap_start) / span;
-    lane[b] += bytes * frac;
-  }
+    const Ns overlap = std::min(bin_start + bin_ns_, t1) - std::max(bin_start, t0);
+    return bytes * (static_cast<double>(overlap) / span);
+  };
+  lane[first] += end_share(first);
+  if (last == first) return;
+  // Every bin strictly between the ends overlaps the span by exactly
+  // bin_ns_, so its share is the same double for all of them.
+  const double interior = bytes * (static_cast<double>(bin_ns_) / span);
+  for (std::size_t b = first + 1; b < last; ++b) lane[b] += interior;
+  lane[last] += end_share(last);
 }
 
 std::vector<BandwidthPoint> BandwidthMeter::series(std::size_t tier) const {

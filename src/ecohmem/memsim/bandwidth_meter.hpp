@@ -28,10 +28,15 @@ class BandwidthMeter {
   /// `tiers`: number of tiers tracked. `bin_ns`: bin width.
   BandwidthMeter(std::size_t tiers, Ns bin_ns);
 
-  /// Adds `bytes` of traffic on `tier` spread uniformly over [t0, t1).
+  /// Adds `bytes` of traffic on `tier` spread uniformly over [t0, t1)
+  /// (a point when t1 <= t0): each bin gets `bytes * (overlap / span)`.
+  /// Only the first and last bin divide their own overlap; every bin
+  /// between them overlaps by `bin_ns` and gets the one share
+  /// `bytes * (bin_ns / span)`, computed once per call.
   void add(std::size_t tier, Ns t0, Ns t1, double bytes);
 
-  /// Bandwidth timeline of one tier (bins up to the last touched bin).
+  /// Bandwidth timeline of one tier (bins up to the last touched bin),
+  /// built on each call from the binned bytes.
   [[nodiscard]] std::vector<BandwidthPoint> series(std::size_t tier) const;
 
   /// Average bandwidths of `tier` over time windows (a tier past the

@@ -61,12 +61,14 @@ KernelSolution solve_kernel_fixed_point(const memsim::MemorySystem& system,
   }
   duration = std::max(duration, bw_floor);
 
+  // Each iteration overwrites the solution's per-tier latencies, so they
+  // hold the last iteration's values when the loop ends.
+  std::vector<double>& lat_read = sol.tier_read_latency_ns;
+  std::vector<double>& lat_write = sol.tier_write_latency_ns;
   for (int iter = 0; iter < options.max_fixed_point_iters; ++iter) {
     sol.iterations = iter + 1;
 
     // Utilization and latency per tier at the current duration guess.
-    std::vector<double> lat_read(tiers, 0.0);
-    std::vector<double> lat_write(tiers, 0.0);
     for (std::size_t k = 0; k < tiers; ++k) {
       const auto& tier = system.tier(k);
       const double u = tier.utilization(read_bytes[k] / duration, write_bytes[k] / duration);
@@ -96,8 +98,6 @@ KernelSolution solve_kernel_fixed_point(const memsim::MemorySystem& system,
     duration = damped;
     sol.load_stall_ns = load_stall;
     sol.store_stall_ns = store_stall;
-    sol.tier_read_latency_ns = lat_read;
-    sol.tier_write_latency_ns = lat_write;
     if (converged) break;
   }
 
@@ -640,8 +640,7 @@ Expected<RunMetrics> ExecutionEngine::run(const Workload& workload, ExecutionMod
   metrics.total_ns = now;
   metrics.dram_cache_hit_ratio = mode.dram_cache_hit_ratio();
   metrics.oom_redirects = mode.oom_redirects();
-  metrics.tier_bw.resize(tiers);
-  for (std::size_t k = 0; k < tiers; ++k) metrics.tier_bw[k] = bw_meter.series(k);
+  metrics.bandwidth = std::move(bw_meter);
   return metrics;
 }
 

@@ -58,8 +58,9 @@ struct MigrationRecord {
 inline constexpr char kMigrationLogHeader[] = "at_ns,object,from_tier,to_tier,bytes,offset,partial";
 
 /// Everything one replayed run produced: timing breakdown, per-function
-/// aggregates, per-tier traffic and bandwidth timelines, and allocator
-/// counters. Plain data — produced by one engine run, then read-only.
+/// aggregates, per-tier traffic, the binned per-tier bandwidth, and
+/// allocator counters. Plain data — produced by one engine run, then
+/// read-only.
 struct RunMetrics {
   std::string workload;  ///< workload name
   std::string mode;      ///< execution-mode name ("app-direct", ...)
@@ -86,7 +87,11 @@ struct RunMetrics {
 
   std::vector<FunctionMetrics> functions;
   std::vector<TierTraffic> tier_traffic;
-  std::vector<std::vector<memsim::BandwidthPoint>> tier_bw;  ///< per tier timeline
+  /// The run's per-tier traffic in time bins, as the engine recorded
+  /// it (EngineOptions::bw_bin_ns wide). The bandwidth timeline of tier
+  /// k (Figs. 3 and 7) is `bandwidth.series(k)`, built when asked for;
+  /// the run itself builds none. No tiers before a run.
+  memsim::BandwidthMeter bandwidth{0, 1};
 
   std::uint64_t allocations = 0;  ///< completed alloc + realloc ops
   std::uint64_t frees = 0;        ///< completed free ops (realloc's internal free not counted)

@@ -125,9 +125,7 @@ TEST(PaperShapes, Fig7_BandwidthAwareCutsPmemPeak) {
   ASSERT_TRUE(base && bw);
 
   auto peak = [&sys](const runtime::RunMetrics& m) {
-    double p = 0.0;
-    for (const auto& pt : m.tier_bw[sys.fallback_index()]) p = std::max(p, pt.gbs);
-    return p;
+    return m.bandwidth.peak_gbs(sys.fallback_index());
   };
   EXPECT_LT(peak(bw->production_metrics), peak(base->production_metrics) * 0.8);
 }

@@ -465,8 +465,9 @@ TEST(PinnedOutputs, OnlineLargeHot) {
 /// then per tier its bin count and each bin's start time and gbs bits.
 std::uint64_t timeline_digest(const runtime::RunMetrics& m) {
   Digest d;
-  d.add(static_cast<std::uint64_t>(m.tier_bw.size()));
-  for (const auto& series : m.tier_bw) {
+  d.add(static_cast<std::uint64_t>(m.bandwidth.tier_count()));
+  for (std::size_t k = 0; k < m.bandwidth.tier_count(); ++k) {
+    const auto series = m.bandwidth.series(k);
     d.add(static_cast<std::uint64_t>(series.size()));
     for (const auto& p : series) {
       d.add(static_cast<std::uint64_t>(p.time));

@@ -165,10 +165,9 @@ TEST(Engine, BandwidthTimelineCoversRun) {
   ExecutionEngine engine(&sys, {});
   const auto metrics = engine.run(w, pmem);
   ASSERT_TRUE(metrics.has_value());
-  ASSERT_EQ(metrics->tier_bw.size(), 2u);
-  EXPECT_FALSE(metrics->tier_bw[1].empty());
-  double peak = 0.0;
-  for (const auto& p : metrics->tier_bw[1]) peak = std::max(peak, p.gbs);
+  ASSERT_EQ(metrics->bandwidth.tier_count(), 2u);
+  EXPECT_FALSE(metrics->bandwidth.series(1).empty());
+  const double peak = metrics->bandwidth.peak_gbs(1);
   EXPECT_GT(peak, 1.0);
   EXPECT_LT(peak, sys.tier(1).spec().peak_read_gbs * 1.1);
 }

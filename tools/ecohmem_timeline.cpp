@@ -151,9 +151,9 @@ int main(int argc, char** argv) {
   std::ostringstream out;
   out << "time_s,tier,gbs\n";
   std::size_t rows = 0;
-  for (std::size_t t = 0; t < metrics.tier_bw.size(); ++t) {
+  for (std::size_t t = 0; t < metrics.bandwidth.tier_count(); ++t) {
     const std::string& tier = system->tier(t).name();
-    for (const auto& p : metrics.tier_bw[t]) {
+    for (const auto& p : metrics.bandwidth.series(t)) {
       out << static_cast<double>(p.time) * 1e-9 << ',' << tier << ',' << p.gbs << '\n';
       ++rows;
     }
