@@ -112,6 +112,10 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
   for (std::size_t k = 0; k < count; ++k) {
     const trace::Event& event = events[k];
     const std::uint64_t i = n_events_;
+    if (std::string bad = trace::invalid_value(event); !bad.empty()) {
+      error_ = "event " + std::to_string(i) + ": " + bad;
+      return unexpected(error_);
+    }
 
     if (const auto* u = std::get_if<trace::UncoreBwEvent>(&event)) {
       if (!has_uncore_) {

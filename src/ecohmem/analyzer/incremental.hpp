@@ -89,7 +89,9 @@ class IncrementalAggregator {
 
   /// Folds the next slice of the event stream, continuing where the
   /// previous call stopped. Fails on malformed streams (invalid alloc
-  /// stack, unknown/double free); a failure is sticky — the aggregator
+  /// stack, unknown/double free, a non-finite or negative sample or
+  /// uncore value per `trace::invalid_value`, reported with its event
+  /// index); a failure is sticky — the aggregator
   /// is poisoned and every later `ingest()`/`finalize()` reports the
   /// first error.
   Status ingest(const trace::Event* events, std::size_t count);

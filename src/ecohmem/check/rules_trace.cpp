@@ -220,6 +220,25 @@ class StackIdsRule final : public TraceRule {
   }
 };
 
+class EventValuesRule final : public TraceRule {
+ public:
+  EventValuesRule()
+      : TraceRule("trace-event-values",
+                  "sample weights/latencies and uncore bandwidths must be finite and "
+                  "non-negative") {}
+
+  [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
+    std::vector<Diagnostic> out;
+    const auto& events = ctx.bundle->trace.events;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (std::string bad = trace::invalid_value(events[i]); !bad.empty()) {
+        out.push_back(fail(ctx, "event " + std::to_string(i) + ": " + bad));
+      }
+    }
+    return out;
+  }
+};
+
 class FrameBoundsRule final : public TraceRule {
  public:
   FrameBoundsRule()
@@ -436,6 +455,7 @@ std::vector<std::unique_ptr<Rule>> trace_rules() {
   rules.push_back(std::make_unique<OverlappingLiveRule>());
   rules.push_back(std::make_unique<LeakedObjectsRule>());
   rules.push_back(std::make_unique<StackIdsRule>());
+  rules.push_back(std::make_unique<EventValuesRule>());
   rules.push_back(std::make_unique<FrameBoundsRule>());
   return rules;
 }

@@ -86,6 +86,16 @@ using Event = std::variant<AllocEvent, FreeEvent, SampleEvent, MarkerEvent, Unco
 /// Timestamp of any event.
 [[nodiscard]] Ns event_time(const Event& e);
 
+/// The one value check of trace events: a sample's `weight` and
+/// `latency_ns` and an uncore reading's `read_gbs` and `write_gbs` must
+/// be finite and non-negative, or they fold into NaN or negative site
+/// weights and bandwidths. Returns what is wrong with the first bad
+/// value ("sample weight nan is not a finite non-negative number"), or
+/// an empty string for a valid event. The analyzer fails on the first
+/// such event and `trace-event-values` lists every one, both as
+/// "event <index>: <this text>".
+[[nodiscard]] std::string invalid_value(const Event& e);
+
 /// Interned call stacks (BOM form) for one trace.
 class StackTable {
  public:

@@ -4,6 +4,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+
+#include "ecohmem/analyzer/incremental.hpp"
 
 namespace ecohmem::analyzer {
 namespace {
@@ -103,6 +106,52 @@ TEST(Analyzer, RejectsInvalidStackId) {
   Trace t;
   t.events.emplace_back(AllocEvent{10, 1, 0x1000, 64, 42, AllocKind::kMalloc});
   EXPECT_FALSE(analyze(t).has_value());
+}
+
+TEST(Analyzer, NonFiniteOrNegativeValuesFailAtTheirEvent) {
+  // A NaN weight would make its site's load_misses NaN (placed ahead of
+  // every real site by density); a NaN reading would make every site's
+  // bandwidth NaN. The first such value fails the fold, named with its
+  // event index.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    trace::Event bad;
+    const char* error;
+  } cases[] = {
+      {SampleEvent{900, 0x1000, kNan, 100.0, false, 0},
+       "event 7: sample weight nan is not a finite non-negative number"},
+      {SampleEvent{900, 0x1000, -2.0, 100.0, false, 0},
+       "event 7: sample weight -2 is not a finite non-negative number"},
+      {SampleEvent{900, 0x1000, 1.0, kInf, false, 0},
+       "event 7: sample latency_ns inf is not a finite non-negative number"},
+      {SampleEvent{900, 0x1000, 1.0, -0.5, true, 0},
+       "event 7: sample latency_ns -0.5 is not a finite non-negative number"},
+      {UncoreBwEvent{900, 100, kNan, 1.0},
+       "event 7: uncore read_gbs nan is not a finite non-negative number"},
+      {UncoreBwEvent{900, 100, 1.0, -kInf},
+       "event 7: uncore write_gbs -inf is not a finite non-negative number"},
+  };
+  for (const auto& c : cases) {
+    Trace t = simple_trace();
+    t.events.push_back(c.bad);
+    const auto result = analyze(t);
+    ASSERT_FALSE(result.has_value()) << c.error;
+    EXPECT_EQ(result.error(), c.error);
+
+    // Sticky like a bad stack id: later slices report the first error.
+    IncrementalAggregator agg(t.stacks, t.functions);
+    EXPECT_TRUE(agg.ingest(t.events.data(), 7).ok());
+    EXPECT_EQ(agg.ingest(t.events.data() + 7, 1).error(), c.error);
+    EXPECT_EQ(agg.ingest(t.events.data(), 1).error(), c.error);
+    EXPECT_EQ(agg.events_ingested(), 7u);
+  }
+
+  // Zero weights, latencies and bandwidths are valid.
+  Trace t = simple_trace();
+  t.events.emplace_back(SampleEvent{900, 0x1000, 0.0, 0.0, false, 0});
+  t.events.emplace_back(UncoreBwEvent{1000, 100, 0.0, 0.0});
+  EXPECT_TRUE(analyze(t).has_value());
 }
 
 TEST(Analyzer, UncoreEventsDriveBandwidthTimeline) {

@@ -204,6 +204,28 @@ TEST(TraceRules, FunctionIdOutOfRangeWarns) {
   expect_fires(run(ctx), "trace-stack-ids", Severity::kWarning);
 }
 
+TEST(TraceRules, EventValuesListsEveryBadValue) {
+  auto b = clean_bundle();
+  CheckContext ctx;
+  ctx.bundle = &b;
+  expect_silent(run(ctx), "trace-event-values");
+
+  auto& events = b.trace.events;
+  std::get<SampleEvent>(events[2]).weight = std::numeric_limits<double>::quiet_NaN();
+  std::get<SampleEvent>(events[3]).latency_ns = -1.0;
+  events.emplace_back(trace::UncoreBwEvent{1200, 100, 2.0, std::numeric_limits<double>::infinity()});
+  const auto found = diags_with(run(ctx), "trace-event-values");
+  ASSERT_EQ(found.size(), 3u);
+  EXPECT_EQ(found[0].severity, Severity::kError);
+  EXPECT_EQ(found[0].message, "event 2: sample weight nan is not a finite non-negative number");
+  EXPECT_EQ(found[1].message, "event 3: sample latency_ns -1 is not a finite non-negative number");
+  EXPECT_EQ(found[2].message, "event 6: uncore write_gbs inf is not a finite non-negative number");
+  // The analyzer stops at the first one, with the same words.
+  const auto analysis = analyzer::analyze(b.trace);
+  ASSERT_FALSE(analysis.has_value());
+  EXPECT_EQ(analysis.error(), found[0].message);
+}
+
 TEST(TraceRules, FrameBeyondModuleText) {
   auto b = clean_bundle();
   // Offset 0x200000 lies beyond app.x's 1 MiB text segment.
