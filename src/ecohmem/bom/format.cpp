@@ -20,6 +20,22 @@ std::string format_bom(const CallStack& stack, const ModuleTable& modules) {
   return out;
 }
 
+std::string format_bom_lenient(const CallStack& stack, const ModuleTable* modules) {
+  std::string out;
+  for (std::size_t i = 0; i < stack.frames.size(); ++i) {
+    if (i > 0) out += kFrameSeparator;
+    const Frame& f = stack.frames[i];
+    if (modules != nullptr && f.module < modules->size()) {
+      out += modules->module(f.module).name;
+    } else {
+      out += "module#" + std::to_string(f.module);
+    }
+    out += '!';
+    strings::append_hex(out, f.offset);
+  }
+  return out;
+}
+
 Expected<CallStack> parse_bom(std::string_view text, const ModuleTable& modules) {
   CallStack cs;
   for (const auto& part : strings::split(text, kFrameSeparator)) {

@@ -36,6 +36,11 @@ void append_bom(std::string& out, const CallStack& stack, const ModuleTable& mod
 /// `append_bom` into a new string.
 [[nodiscard]] std::string format_bom(const CallStack& stack, const ModuleTable& modules);
 
+/// `format_bom` for a stack that may not belong to `modules`: a module
+/// id outside the table, or any module when `modules` is null, prints
+/// as `module#<id>`.
+[[nodiscard]] std::string format_bom_lenient(const CallStack& stack, const ModuleTable* modules);
+
 /// Parses the BOM format; module names must exist in `modules`.
 [[nodiscard]] Expected<CallStack> parse_bom(std::string_view text, const ModuleTable& modules);
 

@@ -71,6 +71,9 @@ class SymbolTable {
   /// frame (matching the strictness of file:line report matching).
   [[nodiscard]] Expected<std::vector<SourceLocation>> translate(const CallStack& stack) const;
 
+  /// The module table frames are translated against.
+  [[nodiscard]] const ModuleTable* modules() const { return modules_; }
+
   [[nodiscard]] const TranslationCost& cost() const { return cost_; }
   void reset_cost() { cost_.reset(); }
 

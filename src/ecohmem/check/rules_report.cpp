@@ -34,23 +34,6 @@ class NamedRule : public Rule {
   std::string_view description_;
 };
 
-/// BOM rendering that tolerates module ids outside `modules` (a report
-/// parsed against a different table must not crash its own linter).
-std::string render_stack(const bom::CallStack& cs, const bom::ModuleTable* modules) {
-  std::string out;
-  for (std::size_t i = 0; i < cs.frames.size(); ++i) {
-    if (i > 0) out += bom::kFrameSeparator;
-    const bom::Frame& f = cs.frames[i];
-    if (modules != nullptr && f.module < modules->size()) {
-      out += modules->module(f.module).name;
-    } else {
-      out += "module#" + std::to_string(f.module);
-    }
-    out += "!" + strings::to_hex(f.offset);
-  }
-  return out;
-}
-
 /// A stable text key for a report entry's stack (BOM or human-readable).
 std::string entry_key(const flexmalloc::ReportEntry& entry) {
   if (const auto* hs = std::get_if<bom::HumanStack>(&entry.stack)) {
@@ -58,7 +41,7 @@ std::string entry_key(const flexmalloc::ReportEntry& entry) {
   }
   // BOM stacks render module ids directly; entries came from one report,
   // so equal stacks produce equal keys.
-  return render_stack(std::get<bom::CallStack>(entry.stack), nullptr);
+  return bom::format_bom_lenient(std::get<bom::CallStack>(entry.stack), nullptr);
 }
 
 class ConfigCoefficientsRule final : public NamedRule {
@@ -217,7 +200,7 @@ class ReportSiteInTraceRule final : public NamedRule {
       const auto* cs = std::get_if<bom::CallStack>(&entry.stack);
       if (cs == nullptr || known.contains(*cs)) continue;
       out.push_back(error(std::string(id_), ctx.report_name,
-                          "placed site " + render_stack(*cs, &ctx.bundle->modules) +
+                          "placed site " + bom::format_bom_lenient(*cs, &ctx.bundle->modules) +
                               " does not exist in " + ctx.trace_name +
                               " (dangling placement: the profile and report drifted apart)"));
     }
@@ -267,7 +250,7 @@ class ReportBwClassesRule final : public NamedRule {
       if (entry.tier == from) continue;
       if (!in_classes(from) || !in_classes(entry.tier)) {
         const std::string site =
-            render_stack(*cs, ctx.bundle != nullptr ? &ctx.bundle->modules : nullptr);
+            bom::format_bom_lenient(*cs, ctx.bundle != nullptr ? &ctx.bundle->modules : nullptr);
         out.push_back(error(std::string(id_), ctx.report_name,
                             "site " + site + " moved '" + from + "' -> '" + entry.tier +
                                 "' which leaves the " + dram_class + "/" + pmem_class +

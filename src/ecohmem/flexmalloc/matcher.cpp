@@ -13,6 +13,22 @@ bom::CallStack suffix_of(const bom::CallStack& stack, std::size_t depth) {
   return out;
 }
 
+/// Adds `key -> tier` to `index`. Returns the tier `key` is already
+/// listed on if that is another tier (either would be a guess), else
+/// null: a repeat on the same tier is redundant and accepted.
+template <typename Index>
+const std::string* add_entry(Index& index, const typename Index::key_type& key,
+                             const std::string& tier) {
+  const auto [it, inserted] = index.emplace(key, tier);
+  return inserted || it->second == tier ? nullptr : &it->second;
+}
+
+Unexpected conflicting_tiers(const std::string& stack, const std::string& first,
+                             const std::string& second) {
+  return unexpected("report lists call stack " + stack + " twice with conflicting tiers '" +
+                    first + "' and '" + second + "'");
+}
+
 }  // namespace
 
 Expected<CallStackMatcher> CallStackMatcher::create(const ParsedReport& report,
@@ -29,15 +45,20 @@ Expected<CallStackMatcher> CallStackMatcher::create(const ParsedReport& report,
 
   for (const auto& entry : report.entries) {
     if (const auto* cs = std::get_if<bom::CallStack>(&entry.stack)) {
-      m.bom_index_.emplace(*cs, entry.tier);
+      if (const std::string* first = add_entry(m.bom_index_, *cs, entry.tier)) {
+        const bom::ModuleTable* modules = symbols != nullptr ? symbols->modules() : nullptr;
+        return conflicting_tiers(bom::format_bom_lenient(*cs, modules), *first, entry.tier);
+      }
       if (options.min_suffix_depth > 0) {
         const bom::CallStack key = suffix_of(*cs, options.min_suffix_depth);
         const auto [it, inserted] = m.suffix_index_.emplace(key, entry.tier);
         if (!inserted && it->second != entry.tier) it->second.clear();  // ambiguous
       }
     } else {
-      const auto& hs = std::get<bom::HumanStack>(entry.stack);
-      m.hr_index_.emplace(bom::format_human(hs), entry.tier);
+      const std::string text = bom::format_human(std::get<bom::HumanStack>(entry.stack));
+      if (const std::string* first = add_entry(m.hr_index_, text, entry.tier)) {
+        return conflicting_tiers(text, *first, entry.tier);
+      }
     }
   }
   return m;

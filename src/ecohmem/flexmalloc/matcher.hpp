@@ -77,7 +77,9 @@ class CallStackMatcher {
   ~CallStackMatcher() = default;
 
   /// Builds matching structures from a parsed report. For human-readable
-  /// reports a symbol table is mandatory.
+  /// reports a symbol table is mandatory. A stack listed twice on one
+  /// tier is accepted; listed on two tiers it fails the build, naming
+  /// the stack and both tiers.
   [[nodiscard]] static Expected<CallStackMatcher> create(const ParsedReport& report,
                                                          const bom::SymbolTable* symbols,
                                                          MatcherOptions options = {});

@@ -152,6 +152,65 @@ TEST(Matcher, HumanReadableMatchesViaSymbolization) {
   EXPECT_EQ(*hit.tier, "dram");
 }
 
+/// `create` over a BOM report listing app.x!0x100 > libm.so!0x20 on
+/// `first`, then on `second`.
+Expected<CallStackMatcher> twice_listed(const bom::ModuleTable& mt, const bom::SymbolTable& st,
+                                        const char* first, const char* second) {
+  const std::string text = std::string("# format = bom\n# fallback = pmem\n") +
+                           "app.x!0x100 > libm.so!0x20 @ " + first + "\n" +
+                           "app.x!0x300 @ dram\n" +
+                           "app.x!0x100 > libm.so!0x20 @ " + second + "\n";
+  const auto report = parse_report(text, mt);
+  EXPECT_TRUE(report.has_value()) << report.error();
+  return CallStackMatcher::create(*report, &st);
+}
+
+TEST(Matcher, StackListedOnDramThenPmemFails) {
+  const auto mt = test_modules();
+  const auto st = test_symbols(mt);
+  const auto m = twice_listed(mt, st, "dram", "pmem");
+  ASSERT_FALSE(m.has_value());
+  EXPECT_EQ(m.error(),
+            "report lists call stack app.x!0x100 > libm.so!0x20 twice with conflicting tiers "
+            "'dram' and 'pmem'");
+}
+
+TEST(Matcher, StackListedOnPmemThenDramFails) {
+  const auto mt = test_modules();
+  const auto st = test_symbols(mt);
+  const auto m = twice_listed(mt, st, "pmem", "dram");
+  ASSERT_FALSE(m.has_value());
+  EXPECT_EQ(m.error(),
+            "report lists call stack app.x!0x100 > libm.so!0x20 twice with conflicting tiers "
+            "'pmem' and 'dram'");
+}
+
+TEST(Matcher, StackListedTwiceOnOneTierIsAccepted) {
+  const auto mt = test_modules();
+  const auto st = test_symbols(mt);
+  auto m = twice_listed(mt, st, "pmem", "pmem");
+  ASSERT_TRUE(m.has_value()) << m.error();
+  const auto hit = m->match(bom::CallStack{{{0, 0x100}, {1, 0x20}}});
+  ASSERT_TRUE(hit.matched());
+  EXPECT_EQ(*hit.tier, "pmem");
+}
+
+TEST(Matcher, HumanReadableStackListedOnTwoTiersFails) {
+  const auto mt = test_modules();
+  const auto st = test_symbols(mt);
+  ParsedReport r;
+  r.is_bom = false;
+  r.entries.push_back(ReportEntry{bom::HumanStack{{"vector.hpp", 40}}, "dram", 0});
+  r.entries.push_back(ReportEntry{bom::HumanStack{{"vector.hpp", 40}}, "dram", 0});
+  EXPECT_TRUE(CallStackMatcher::create(r, &st).has_value());
+  r.entries.push_back(ReportEntry{bom::HumanStack{{"vector.hpp", 40}}, "pmem", 0});
+  const auto m = CallStackMatcher::create(r, &st);
+  ASSERT_FALSE(m.has_value());
+  EXPECT_EQ(m.error(),
+            "report lists call stack vector.hpp:40 twice with conflicting tiers 'dram' and "
+            "'pmem'");
+}
+
 TEST(Matcher, HumanReadableRequiresSymbolTable) {
   ParsedReport r;
   r.is_bom = false;
