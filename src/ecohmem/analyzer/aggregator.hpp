@@ -65,7 +65,7 @@ struct AnalysisResult {
 /// Aggregates `trace` into per-site records. Fails on malformed traces:
 /// an alloc with an invalid stack id, a free of an object id that is
 /// unknown or already freed, or a sample or uncore reading with a
-/// non-finite or negative value (`trace::invalid_value`).
+/// non-finite or negative value (`trace::first_bad_value`).
 [[nodiscard]] Expected<AnalysisResult> analyze(const trace::Trace& trace,
                                                const AnalyzerOptions& options = {});
 

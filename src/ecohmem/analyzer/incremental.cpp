@@ -112,8 +112,8 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
   for (std::size_t k = 0; k < count; ++k) {
     const trace::Event& event = events[k];
     const std::uint64_t i = n_events_;
-    if (std::string bad = trace::invalid_value(event); !bad.empty()) {
-      error_ = "event " + std::to_string(i) + ": " + bad;
+    if (const trace::BadValue bad = trace::first_bad_value(event); bad.field != nullptr) {
+      error_ = trace::describe_bad_value(i, bad);
       return unexpected(error_);
     }
 

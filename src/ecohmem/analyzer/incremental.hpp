@@ -90,7 +90,7 @@ class IncrementalAggregator {
   /// Folds the next slice of the event stream, continuing where the
   /// previous call stopped. Fails on malformed streams (invalid alloc
   /// stack, unknown/double free, a non-finite or negative sample or
-  /// uncore value per `trace::invalid_value`, reported with its event
+  /// uncore value per `trace::first_bad_value`, reported with its event
   /// index); a failure is sticky — the aggregator
   /// is poisoned and every later `ingest()`/`finalize()` reports the
   /// first error.

@@ -231,8 +231,8 @@ class EventValuesRule final : public TraceRule {
     std::vector<Diagnostic> out;
     const auto& events = ctx.bundle->trace.events;
     for (std::size_t i = 0; i < events.size(); ++i) {
-      if (std::string bad = trace::invalid_value(events[i]); !bad.empty()) {
-        out.push_back(fail(ctx, "event " + std::to_string(i) + ": " + bad));
+      if (const trace::BadValue bad = trace::first_bad_value(events[i]); bad.field != nullptr) {
+        out.push_back(fail(ctx, trace::describe_bad_value(i, bad)));
       }
     }
     return out;

@@ -1,7 +1,6 @@
 #include "ecohmem/trace/events.hpp"
 
 #include <cstdio>
-#include <limits>
 
 namespace ecohmem::trace {
 
@@ -9,36 +8,11 @@ Ns event_time(const Event& e) {
   return std::visit([](const auto& ev) { return ev.time; }, e);
 }
 
-namespace {
-
-/// False for NaN, infinities and negative numbers.
-bool finite_non_negative(double v) {
-  return v >= 0.0 && v <= std::numeric_limits<double>::max();
-}
-
-std::string not_finite_non_negative(const char* field, double v) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%s %g is not a finite non-negative number", field, v);
+std::string describe_bad_value(std::uint64_t index, const BadValue& bad) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "event %llu: %s %g is not a finite non-negative number",
+                static_cast<unsigned long long>(index), bad.field, bad.value);
   return buf;
-}
-
-}  // namespace
-
-std::string invalid_value(const Event& e) {
-  if (const auto* s = std::get_if<SampleEvent>(&e)) {
-    if (!finite_non_negative(s->weight)) return not_finite_non_negative("sample weight", s->weight);
-    if (!finite_non_negative(s->latency_ns)) {
-      return not_finite_non_negative("sample latency_ns", s->latency_ns);
-    }
-  } else if (const auto* u = std::get_if<UncoreBwEvent>(&e)) {
-    if (!finite_non_negative(u->read_gbs)) {
-      return not_finite_non_negative("uncore read_gbs", u->read_gbs);
-    }
-    if (!finite_non_negative(u->write_gbs)) {
-      return not_finite_non_negative("uncore write_gbs", u->write_gbs);
-    }
-  }
-  return {};
 }
 
 StackId StackTable::intern(const bom::CallStack& stack) {

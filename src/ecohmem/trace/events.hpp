@@ -19,6 +19,7 @@
 /// translation done at trace time, once per allocation site.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -86,15 +87,35 @@ using Event = std::variant<AllocEvent, FreeEvent, SampleEvent, MarkerEvent, Unco
 /// Timestamp of any event.
 [[nodiscard]] Ns event_time(const Event& e);
 
+/// A sample or uncore value the analyzer cannot fold; `field` is null
+/// when there is none.
+struct BadValue {
+  const char* field = nullptr;  ///< "sample weight", "uncore read_gbs", ...
+  double value = 0.0;
+};
+
 /// The one value check of trace events: a sample's `weight` and
 /// `latency_ns` and an uncore reading's `read_gbs` and `write_gbs` must
 /// be finite and non-negative, or they fold into NaN or negative site
-/// weights and bandwidths. Returns what is wrong with the first bad
-/// value ("sample weight nan is not a finite non-negative number"), or
-/// an empty string for a valid event. The analyzer fails on the first
-/// such event and `trace-event-values` lists every one, both as
-/// "event <index>: <this text>".
-[[nodiscard]] std::string invalid_value(const Event& e);
+/// weights and bandwidths. Returns the first bad value of `e`. Inline
+/// and allocation-free: the analyzer runs it on every event it folds.
+[[nodiscard]] inline BadValue first_bad_value(const Event& e) {
+  // False for NaN, infinities and negative numbers.
+  const auto ok = [](double v) { return v >= 0.0 && v <= std::numeric_limits<double>::max(); };
+  if (const auto* s = std::get_if<SampleEvent>(&e)) {
+    if (!ok(s->weight)) return {"sample weight", s->weight};
+    if (!ok(s->latency_ns)) return {"sample latency_ns", s->latency_ns};
+  } else if (const auto* u = std::get_if<UncoreBwEvent>(&e)) {
+    if (!ok(u->read_gbs)) return {"uncore read_gbs", u->read_gbs};
+    if (!ok(u->write_gbs)) return {"uncore write_gbs", u->write_gbs};
+  }
+  return {};
+}
+
+/// "event <index>: sample weight nan is not a finite non-negative
+/// number": how the analyzer fails on the first bad value and how
+/// `trace-event-values` lists every one.
+[[nodiscard]] std::string describe_bad_value(std::uint64_t index, const BadValue& bad);
 
 /// Interned call stacks (BOM form) for one trace.
 class StackTable {
