@@ -166,9 +166,9 @@ class ReportDuplicateEntryRule final : public NamedRule {
       if (inserted) continue;
       if (it->second->tier != entry.tier) {
         out.push_back(error(std::string(id_), ctx.report_name,
-                            "call stack listed twice with conflicting tiers '" +
+                            "call stack " + it->first + " listed twice with conflicting tiers '" +
                                 it->second->tier + "' and '" + entry.tier +
-                                "' (FlexMalloc matching would be ambiguous)"));
+                                "' (FlexMalloc refuses the report)"));
       } else {
         out.push_back(warning(std::string(id_), ctx.report_name,
                               "call stack listed twice on tier '" + entry.tier +

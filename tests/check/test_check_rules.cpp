@@ -213,7 +213,8 @@ TEST(TraceRules, EventValuesListsEveryBadValue) {
   auto& events = b.trace.events;
   std::get<SampleEvent>(events[2]).weight = std::numeric_limits<double>::quiet_NaN();
   std::get<SampleEvent>(events[3]).latency_ns = -1.0;
-  events.emplace_back(trace::UncoreBwEvent{1200, 100, 2.0, std::numeric_limits<double>::infinity()});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  events.emplace_back(trace::UncoreBwEvent{1200, 100, 2.0, kInf});
   const auto found = diags_with(run(ctx), "trace-event-values");
   ASSERT_EQ(found.size(), 3u);
   EXPECT_EQ(found[0].severity, Severity::kError);

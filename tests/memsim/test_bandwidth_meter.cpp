@@ -178,12 +178,13 @@ TEST(BandwidthMeter, AddKeepsThePerBinShares) {
     add(1, 0, 6000 * bin, 2.0e8 / 7.0);
     for (int k = 0; k < 3000; ++k) {
       const std::size_t tier = next() % 2;
-      const Ns t0 = static_cast<Ns>(next() % (8000 * static_cast<std::uint64_t>(bin)));
+      const Ns t0 = next() % (8000 * bin);
+      // Within a bin, up to two bins, up to 3000 bins, or ending on an edge.
       const std::uint64_t kind = next() % 4;
-      const Ns len = kind == 0   ? static_cast<Ns>(next() % bin)
-                     : kind == 1 ? static_cast<Ns>(next() % (2 * bin))
-                     : kind == 2 ? static_cast<Ns>(next() % (3000 * static_cast<std::uint64_t>(bin)))
-                                 : (static_cast<Ns>(next() % 50) + 1) * bin - t0 % bin;
+      const Ns len = kind == 0   ? next() % bin
+                     : kind == 1 ? next() % (2 * bin)
+                     : kind == 2 ? next() % (3000 * bin)
+                                 : (next() % 50 + 1) * bin - t0 % bin;
       add(tier, t0, t0 + len, static_cast<double>(next() % 10'000'000) / 13.0);
     }
     for (std::size_t tier = 0; tier < 2; ++tier) {
