@@ -210,6 +210,19 @@ build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3.csv --bin-ms 50
 
+# Replay-mode timelines (the series behind Figs. 3 and 7): the engine's
+# per-tier bandwidth bins printed by ecohmem-timeline --app. Pinned by
+# hash; a deliberate model change re-pins them.
+for pin in "memory a80443ad078fb1d121994b3fbbde409d46b0328d2098c97ab03f6493e3fb0a78" \
+           "bw-aware 153ce58a999e3ceab0f6f6842292212ef0c568e4c07fb0bdc4965aaa172d25d4"; do
+  read -r mode want <<< "$pin"
+  build/tools/ecohmem-timeline --app lulesh --mode "$mode" --out /tmp/ecohmem_ci_tl.csv >/dev/null
+  got=$(sha256sum /tmp/ecohmem_ci_tl.csv | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "ecohmem-timeline --app lulesh --mode $mode: sha256 $got, pinned $want" >&2; exit 1
+  fi
+done
+
 # The profiler emits its trace in time order without a final sort
 # (docs/model.md §5). Every registry app, and lulesh at other sampling
 # rates and without store samples, must pass trace-monotonic-time.
