@@ -213,8 +213,8 @@ build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc \
 # Replay-mode timelines (the series behind Figs. 3 and 7): the engine's
 # per-tier bandwidth bins printed by ecohmem-timeline --app. Pinned by
 # hash; a deliberate model change re-pins them.
-for pin in "memory a80443ad078fb1d121994b3fbbde409d46b0328d2098c97ab03f6493e3fb0a78" \
-           "bw-aware 153ce58a999e3ceab0f6f6842292212ef0c568e4c07fb0bdc4965aaa172d25d4"; do
+for pin in "memory 8c8b4e858c9007cd267ebd8d28742b002985ff30d3fcde69b59c9673f15dd117" \
+           "bw-aware 3119858fc09c9ad60cecdd2b2aac1ba2556b2cfd5011e3727166809fce1c4dcf"; do
   read -r mode want <<< "$pin"
   build/tools/ecohmem-timeline --app lulesh --mode "$mode" --out /tmp/ecohmem_ci_tl.csv >/dev/null
   got=$(sha256sum /tmp/ecohmem_ci_tl.csv | cut -d' ' -f1)

@@ -124,6 +124,12 @@ void append_u64(std::string& out, std::uint64_t v) {
   out.append(buf, end);
 }
 
+void append_double(std::string& out, double v) {
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out.append(buf, end);
+}
+
 std::string to_hex(std::uint64_t v) {
   std::string out;
   append_hex(out, v);

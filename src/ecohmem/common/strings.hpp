@@ -43,6 +43,10 @@ void append_hex(std::string& out, std::uint64_t v);
 /// Appends `v` in decimal.
 void append_u64(std::string& out, std::uint64_t v);
 
+/// Appends `v` as the shortest decimal that reads back as the same
+/// double (`std::to_chars`), e.g. "0.25", "1e-09", "3.3333333333333335".
+void append_double(std::string& out, double v);
+
 /// `v` as lowercase hex with a "0x" prefix: `append_hex` into a new string.
 [[nodiscard]] std::string to_hex(std::uint64_t v);
 

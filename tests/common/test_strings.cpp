@@ -98,6 +98,24 @@ TEST(Strings, HexRoundTrip) {
   EXPECT_FALSE(parse_hex("0xZZ").has_value());
 }
 
+TEST(Strings, AppendDoubleRoundTrips) {
+  std::string out;
+  for (const double v : {0.0, 0.25, 1e-9, 1.0 / 3.0, 3.4167278635703413, 1e300}) {
+    out.clear();
+    append_double(out, v);
+    EXPECT_EQ(parse_double(out).value(), v) << out;
+  }
+  out = "x=";
+  append_double(out, 0.15);
+  EXPECT_EQ(out, "x=0.15");
+  // Six significant digits would print both as 3.41673.
+  std::string a;
+  std::string b;
+  append_double(a, 3.4167278635703413);
+  append_double(b, 3.416727863570341);
+  EXPECT_NE(a, b);
+}
+
 TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("size=42", "size="));
   EXPECT_FALSE(starts_with("siz", "size="));

@@ -17,14 +17,17 @@
 //                    [--iterations N]
 //   ecohmem-timeline --trace <trace.trc> --out <file.csv> [--bin-ms N]
 //
-// CSV columns: time_s, tier, gbs
+// CSV columns: time_s, tier, gbs. Both numbers are printed as the
+// shortest decimal that reads back as the same double, so the CSV carries
+// every bit of each bin (time_s is the bin start in ns divided by 1e9).
 
 #include <cstdio>
-#include <sstream>
+#include <string>
 
 #include "cli_common.hpp"
 #include "ecohmem/apps/apps.hpp"
 #include "ecohmem/common/file.hpp"
+#include "ecohmem/common/strings.hpp"
 #include "ecohmem/core/ecohmem.hpp"
 #include "ecohmem/memsim/bandwidth_meter.hpp"
 #include "ecohmem/trace/trace_reader.hpp"
@@ -32,6 +35,20 @@
 using namespace ecohmem;
 
 namespace {
+
+/// Appends the CSV rows of one tier's bandwidth series to `out`.
+std::size_t append_rows(std::string& out, const std::vector<memsim::BandwidthPoint>& series,
+                        const std::string& tier) {
+  for (const auto& p : series) {
+    strings::append_double(out, static_cast<double>(p.time) / 1e9);
+    out += ',';
+    out += tier;
+    out += ',';
+    strings::append_double(out, p.gbs);
+    out += '\n';
+  }
+  return series.size();
+}
 
 /// The --trace path: reconstruct the system bandwidth timeline exactly
 /// as the analyzer's prescan does (uncore readings authoritative, PEBS
@@ -77,14 +94,9 @@ int run_trace_mode(const cli::Args& args) {
     return cli::fail_load(args.get("trace"), s.error());
   }
 
-  std::ostringstream out;
-  out << "time_s,tier,gbs\n";
-  std::size_t rows = 0;
-  for (const auto& p : meter.series(0)) {
-    out << static_cast<double>(p.time) * 1e-9 << ",system," << p.gbs << '\n';
-    ++rows;
-  }
-  if (const auto s = common::write_file(args.get("out"), out.str()); !s) {
+  std::string out = "time_s,tier,gbs\n";
+  const std::size_t rows = append_rows(out, meter.series(0), "system");
+  if (const auto s = common::write_file(args.get("out"), out); !s) {
     return cli::fail(s.error());
   }
   std::printf("%s: %llu events streamed (v%u, %s source), %zu bins -> %s\n",
@@ -148,17 +160,12 @@ int main(int argc, char** argv) {
     return cli::fail("unknown mode '" + mode + "' (memory|base|bw-aware)");
   }
 
-  std::ostringstream out;
-  out << "time_s,tier,gbs\n";
+  std::string out = "time_s,tier,gbs\n";
   std::size_t rows = 0;
   for (std::size_t t = 0; t < metrics.bandwidth.tier_count(); ++t) {
-    const std::string& tier = system->tier(t).name();
-    for (const auto& p : metrics.bandwidth.series(t)) {
-      out << static_cast<double>(p.time) * 1e-9 << ',' << tier << ',' << p.gbs << '\n';
-      ++rows;
-    }
+    rows += append_rows(out, metrics.bandwidth.series(t), system->tier(t).name());
   }
-  if (const auto s = common::write_file(args.get("out"), out.str()); !s) {
+  if (const auto s = common::write_file(args.get("out"), out); !s) {
     return cli::fail(s.error());
   }
   std::printf("%s %s run: %.2f s simulated, %zu samples -> %s\n", args.get("app").c_str(),
