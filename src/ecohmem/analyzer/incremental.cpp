@@ -1,7 +1,6 @@
 #include "ecohmem/analyzer/incremental.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 #include <variant>
 
@@ -21,13 +20,6 @@ std::size_t last_at_or_below(const std::uint64_t* keys, std::size_t n, std::uint
     n -= half;
   }
   return static_cast<std::size_t>(p - keys);
-}
-
-/// The order of a site's windows in the result: by start, then end. A
-/// total order, so the sorted list does not depend on the order the
-/// windows were pushed in.
-bool window_before(const LiveWindow& a, const LiveWindow& b) {
-  return a.start != b.start ? a.start < b.start : a.end < b.end;
 }
 
 }  // namespace
@@ -101,8 +93,7 @@ IncrementalAggregator::IncrementalAggregator(const trace::StackTable& stacks,
     : stacks_(&stacks),
       functions_(&functions),
       options_(options),
-      uncore_meter_(1, options.bw_bin_ns),
-      sample_meter_(1, options.bw_bin_ns),
+      bandwidth_(options.bw_bin_ns),
       sites_(stacks.size()),
       function_accum_(functions.size()) {}
 
@@ -112,23 +103,12 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
   for (std::size_t k = 0; k < count; ++k) {
     const trace::Event& event = events[k];
     const std::uint64_t i = n_events_;
-    if (const trace::BadValue bad = trace::first_bad_value(event); bad.field != nullptr) {
-      error_ = trace::describe_bad_value(i, bad);
+    if (Status s = bandwidth_.add(i, event); !s.ok()) {
+      error_ = s.error();
       return unexpected(error_);
     }
 
-    if (const auto* u = std::get_if<trace::UncoreBwEvent>(&event)) {
-      if (!has_uncore_) {
-        // Folds so far averaged the sample meter; the uncore meter replaces it.
-        drop_folds();
-        has_uncore_ = true;
-      }
-      max_period_ = std::max(max_period_, u->period_ns);
-      const Ns t0 = u->time > u->period_ns ? u->time - u->period_ns : 0;
-      if (t0 < fold_horizon_) drop_folds();
-      uncore_meter_.add(0, t0, u->time,
-                        (u->read_gbs + u->write_gbs) * static_cast<double>(u->period_ns));
-    } else if (const auto* a = std::get_if<trace::AllocEvent>(&event)) {
+    if (const auto* a = std::get_if<trace::AllocEvent>(&event)) {
       // sites_ has one slot per stack-table entry (kInvalidStack is past it).
       if (a->stack >= sites_.size()) {
         error_ = "alloc event with invalid stack id";
@@ -183,11 +163,6 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
           static_cast<double>(f->time > obj.alloc_time ? f->time - obj.alloc_time : 0);
       object_address_.erase(addr_it);
     } else if (const auto* s = std::get_if<trace::SampleEvent>(&event)) {
-      if (!has_uncore_) {
-        if (s->time < fold_horizon_) drop_folds();
-        sample_meter_.add(0, s->time, s->time + 1, s->weight * static_cast<double>(kCacheLine));
-      }
-
       // Function attribution happens regardless of object resolution.
       FunctionAccum& fn = s->function_id < function_accum_.size()
                               ? function_accum_[s->function_id]
@@ -219,7 +194,8 @@ Status IncrementalAggregator::ingest(const trace::Event* events, std::size_t cou
         }
       }
     }
-    // Markers only carry a timestamp: samples carry their own function.
+    // Uncore readings only feed the meter; markers only carry a
+    // timestamp: samples carry their own function.
 
     last_time_ = std::max(last_time_, trace::event_time(event));
     n_events_ = i + 1;
@@ -236,6 +212,8 @@ void IncrementalAggregator::drop_folds() {
 
 Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage coverage) {
   if (!error_.empty()) return unexpected(error_);
+  // Folds that read bins the meter changed since the last call are stale.
+  if (bandwidth_.take_earliest_change() < fold_horizon_) drop_folds();
 
   AnalysisResult result;
   result.coverage = coverage;
@@ -246,8 +224,7 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   result.trace_end = last_time_;
   result.unattributed_samples = unattributed_;
 
-  const memsim::BandwidthMeter& bw_meter = has_uncore_ ? uncore_meter_ : sample_meter_;
-  result.system_bw = bw_meter.series(0);
+  const memsim::BandwidthMeter& bw_meter = bandwidth_.meter();
   result.observed_peak_bw_gbs = bw_meter.peak_gbs(0);
   const memsim::WindowAverages system_bw = bw_meter.window_averages(0);
   const Ns alloc_window = options_.alloc_window_ns;
@@ -260,9 +237,10 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   // event time minus the largest period (or drops the folds), and bins
   // past the meter's end have not been written yet.
   const Ns bin = bw_meter.bin_ns();
-  const Ns reach = last_time_ > max_period_ ? (last_time_ - max_period_) / bin * bin : 0;
+  const Ns max_period = bandwidth_.max_period();
+  const Ns reach = last_time_ > max_period ? (last_time_ - max_period) / bin * bin : 0;
   fold_horizon_ =
-      std::max(fold_horizon_, std::min(reach, static_cast<Ns>(result.system_bw.size()) * bin));
+      std::max(fold_horizon_, std::min(reach, static_cast<Ns>(bw_meter.bin_count(0)) * bin));
 
   // Fold what now lies below the horizon, in the order a fresh fold
   // adds it: allocation windows in allocation order, then each site's
@@ -276,18 +254,13 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
     }
     for (SiteAccum& acc : sites_) {
       SiteFolds& folds = acc.folds;
-      const auto from = acc.closed.begin() + static_cast<std::ptrdiff_t>(folds.closed);
-      auto to = from;
-      for (; to != acc.closed.end() && std::max(to->end, to->start + 1) <= fold_horizon_; ++to) {
-        const double dur = static_cast<double>(to->duration());
-        folds.exec_weighted += exec_average(*to) * dur;
+      for (; folds.closed < acc.closed.size(); ++folds.closed) {
+        const LiveWindow& w = acc.closed[folds.closed];
+        if (std::max(w.end, w.start + 1) > fold_horizon_) break;
+        const double dur = static_cast<double>(w.duration());
+        folds.exec_weighted += exec_average(w) * dur;
         folds.exec_duration += dur;
       }
-      if (to == from) continue;
-      folds.closed = static_cast<std::size_t>(to - acc.closed.begin());
-      const auto mid = folds.sorted.insert(folds.sorted.end(), from, to);
-      std::sort(mid, folds.sorted.end(), window_before);
-      std::inplace_merge(folds.sorted.begin(), mid, folds.sorted.end(), window_before);
     }
   }
 
@@ -327,19 +300,28 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
   });
 
   result.sites.reserve(order.size());
-  std::vector<LiveWindow> rest;
   for (const trace::StackId stack : order) {
     const SiteAccum& acc = sites_[stack];
     SiteRecord r = acc.record;
 
-    rest.assign(acc.closed.begin() + static_cast<std::ptrdiff_t>(acc.folds.closed),
-                acc.closed.end());
+    // Execution-time system bandwidth: the duration-weighted average over
+    // the live windows, the carried ones first, then the closed ones past
+    // them in free order, then those of the objects still live.
+    double weighted = acc.folds.exec_weighted;
+    double total_dur = acc.folds.exec_duration;
+    const auto add_window = [&](const LiveWindow& w) {
+      const double dur = static_cast<double>(w.duration());
+      weighted += exec_average(w) * dur;
+      total_dur += dur;
+    };
+    for (std::size_t k = acc.folds.closed; k < acc.closed.size(); ++k) add_window(acc.closed[k]);
     for (std::size_t k = open_begin[stack]; k < open_begin[stack + 1]; ++k) {
       const Ns start = open_start[k];
-      rest.push_back(LiveWindow{start, last_time_});
+      add_window(LiveWindow{start, last_time_});
       r.last_free = std::max(r.last_free, last_time_);
       r.total_lifetime_ns += static_cast<double>(last_time_ > start ? last_time_ - start : 0);
     }
+    r.exec_time_system_bw_gbs = total_dur > 0.0 ? weighted / total_dur : 0.0;
 
     r.mean_lifetime_ns = r.total_lifetime_ns / static_cast<double>(r.alloc_count);
     r.alloc_time_system_bw_gbs = alloc_bw_sum[stack] / static_cast<double>(r.alloc_count);
@@ -350,27 +332,6 @@ Expected<AnalysisResult> IncrementalAggregator::finalize(trace::TraceCoverage co
       r.exec_bw_gbs = (r.load_misses + r.store_misses) * static_cast<double>(kCacheLine) /
                       r.total_lifetime_ns;
     }
-    // Execution-time system bandwidth: average over the live windows.
-    double weighted = acc.folds.exec_weighted;
-    double total_dur = acc.folds.exec_duration;
-    for (const LiveWindow& w : rest) {
-      const double dur = static_cast<double>(w.duration());
-      weighted += exec_average(w) * dur;
-      total_dur += dur;
-    }
-    r.exec_time_system_bw_gbs = total_dur > 0.0 ? weighted / total_dur : 0.0;
-
-    // Most carried windows sort before every other one: copy those, then
-    // merge the overlap.
-    std::sort(rest.begin(), rest.end(), window_before);
-    const std::vector<LiveWindow>& folded = acc.folds.sorted;
-    const auto cut = rest.empty() ? folded.end()
-                                  : std::upper_bound(folded.begin(), folded.end(), rest.front(),
-                                                     window_before);
-    r.windows.reserve(folded.size() + rest.size());
-    r.windows.assign(folded.begin(), cut);
-    std::merge(cut, folded.end(), rest.begin(), rest.end(), std::back_inserter(r.windows),
-               window_before);
     result.sites.push_back(std::move(r));
   }
 

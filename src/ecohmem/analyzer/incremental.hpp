@@ -13,11 +13,9 @@
 ///
 /// Two folds depend on the whole stream, so their order is fixed here:
 ///
-///  * Uncore readings (which see prefetch fills) are the authoritative
-///    bandwidth signal; a trace without them falls back to the PEBS
-///    sample weights. Both meters run side by side, the sample meter
-///    only until the first uncore reading (after which it is never
-///    used), and `finalize()` picks one.
+///  * The system bandwidth timeline (`SystemBandwidthFold`): uncore
+///    readings are the authoritative signal, and a trace without them
+///    falls back to the PEBS sample weights.
 ///  * Per-allocation bandwidth (`alloc_bw_sum`) averages the meter over
 ///    a window that may include *future* traffic, so ingestion records
 ///    (site, window-start) pairs in stream order and `finalize()`
@@ -47,13 +45,14 @@
 /// down to a bin) cannot change any more: `finalize()` folds each
 /// site's closed live windows (in free order) and allocation windows
 /// (in allocation order) up to the first one that reaches the horizon,
-/// keeps the running sums and a sorted copy of those windows, and on
-/// the next call continues from there. Every average and every `+=`
+/// keeps the running sums, and on the next call continues from there.
+/// The windows past them and those of live objects are averaged for
+/// that result only, in the same order. Every average and every `+=`
 /// runs once, on the same bins, in the same order as a fresh fold, so
-/// the result is bit-identical by construction. A meter add below the
-/// horizon (a reading whose period reaches back further than any
+/// the result is bit-identical by construction. A meter change below
+/// the horizon (a reading whose period reaches back further than any
 /// before, a timestamp going backwards, the switch from the sample
-/// meter to the uncore meter) drops what was carried, and the next
+/// meter to the uncore meter) drops what was carried, and that
 /// `finalize()` starts from zero.
 ///
 /// Not thread-safe: the serving layer serializes access through the
@@ -70,7 +69,6 @@
 
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/common/expected.hpp"
-#include "ecohmem/memsim/bandwidth_meter.hpp"
 #include "ecohmem/trace/events.hpp"
 #include "ecohmem/trace/trace_file.hpp"
 
@@ -171,12 +169,11 @@ class IncrementalAggregator {
     std::size_t closed = 0;       ///< SiteAccum::closed[0, closed) are folded
     double exec_weighted = 0.0;   ///< their system bw times duration, summed
     double exec_duration = 0.0;   ///< their durations, summed
-    std::vector<LiveWindow> sorted;  ///< SiteAccum::closed[0, closed), by (start, end)
   };
 
   /// Accumulator per allocation site; unused slots keep alloc_count 0.
   struct SiteAccum {
-    SiteRecord record;            ///< the fields that survive into the result; no windows
+    SiteRecord record;            ///< the fields that survive into the result
     Bytes live_bytes = 0;         ///< currently live footprint of this site
     double latency_weight = 0.0;  ///< weights of latency-carrying samples
     double latency_sum = 0.0;     ///< weight * latency
@@ -192,18 +189,15 @@ class IncrementalAggregator {
     bool touched = false;
   };
 
-  /// Forgets every fold finalize() carries; the next call starts from
-  /// zero. Called when a meter add lands below the fold horizon.
+  /// Forgets every fold finalize() carries. Called when the meter
+  /// changed below the fold horizon.
   void drop_folds();
 
   const trace::StackTable* stacks_;
   const trace::FunctionTable* functions_;
   AnalyzerOptions options_;
 
-  memsim::BandwidthMeter uncore_meter_;  ///< fold of uncore readings only
-  memsim::BandwidthMeter sample_meter_;  ///< sample fallback, until the first uncore reading
-  bool has_uncore_ = false;
-  Ns max_period_ = 0;  ///< largest uncore reading period seen
+  SystemBandwidthFold bandwidth_;
 
   /// Bin-aligned time below which the carried folds read the meter;
   /// 0 while nothing is carried.

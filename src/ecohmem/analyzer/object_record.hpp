@@ -10,7 +10,6 @@
 /// stack it captures at interposition time (§IV, §VI).
 
 #include <string>
-#include <vector>
 
 #include "ecohmem/bom/frame.hpp"
 #include "ecohmem/common/units.hpp"
@@ -18,8 +17,9 @@
 
 namespace ecohmem::analyzer {
 
-/// One [alloc, free) window of a site (used by Algorithm 1's lifetime
-/// containment check).
+/// One [alloc, free) window: an object's lifetime in the analyzer's
+/// folds, or a site's [first_alloc, last_free) span in Algorithm 1's
+/// lifetime containment check.
 struct LiveWindow {
   Ns start = 0;
   Ns end = 0;
@@ -45,7 +45,7 @@ struct SiteRecord {
 
   Ns first_alloc = 0;
   Ns last_free = 0;
-  double total_lifetime_ns = 0.0;  ///< sum over all windows
+  double total_lifetime_ns = 0.0;  ///< sum of every object's [alloc, free) lifetime
   double mean_lifetime_ns = 0.0;
 
   /// Bandwidth the site itself demands over its lifetime:
@@ -62,8 +62,6 @@ struct SiteRecord {
   double exec_time_system_bw_gbs = 0.0;
 
   bool has_writes = false;
-
-  std::vector<LiveWindow> windows;
 
   /// Miss density used by the base knapsack algorithm:
   /// (C_load * loads + C_store * stores) / max_size.

@@ -49,6 +49,11 @@ class BandwidthMeter {
   [[nodiscard]] Ns bin_ns() const { return bin_ns_; }
   [[nodiscard]] std::size_t tier_count() const { return bins_.size(); }
 
+  /// Bins of `tier` up to its last touched one: the length of `series(tier)`.
+  [[nodiscard]] std::size_t bin_count(std::size_t tier) const {
+    return tier < bins_.size() ? bins_[tier].size() : 0;
+  }
+
  private:
   Ns bin_ns_;
   std::vector<std::vector<double>> bins_;  // [tier][bin] -> bytes

@@ -22,7 +22,6 @@ analyzer::SiteRecord make_site(trace::StackId id, Bytes size, std::uint64_t allo
   s.has_writes = writes;
   s.first_alloc = first;
   s.last_free = last;
-  s.windows.push_back(analyzer::LiveWindow{first, last});
   s.load_misses = 1.0;
   return s;
 }

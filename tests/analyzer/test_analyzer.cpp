@@ -65,13 +65,16 @@ TEST(Analyzer, LifetimeWindows) {
   const auto result = analyze(simple_trace());
   ASSERT_TRUE(result.has_value());
   const SiteRecord& a = result->sites[0];
-  ASSERT_EQ(a.windows.size(), 1u);
-  EXPECT_EQ(a.windows[0].start, 100u);
-  EXPECT_EQ(a.windows[0].end, 1'000'000'000u);
-  // Object 2 never freed: window closed at trace end.
+  EXPECT_EQ(a.alloc_count, 1u);
+  EXPECT_EQ(a.first_alloc, 100u);
+  EXPECT_EQ(a.last_free, 1'000'000'000u);
+  EXPECT_EQ(a.total_lifetime_ns, 1'000'000'000.0 - 100.0);
+  // Object 2 never freed: its lifetime closes at trace end.
   const SiteRecord& b = result->sites[1];
-  ASSERT_EQ(b.windows.size(), 1u);
-  EXPECT_EQ(b.windows[0].end, result->trace_end);
+  EXPECT_EQ(b.alloc_count, 1u);
+  EXPECT_EQ(b.first_alloc, 200u);
+  EXPECT_EQ(b.last_free, result->trace_end);
+  EXPECT_EQ(b.total_lifetime_ns, static_cast<double>(result->trace_end - 200));
 }
 
 TEST(Analyzer, UnattributedSamplesCounted) {
@@ -228,14 +231,16 @@ TEST(Analyzer, AddressReusedWhileLiveKeepsBothObjects) {
   const SiteRecord& b = result->sites[1];
   ASSERT_EQ(a.stack, sa);
   ASSERT_EQ(b.stack, sb);
-  ASSERT_EQ(a.windows.size(), 1u);
-  EXPECT_EQ(a.windows[0].start, 1u);
-  EXPECT_EQ(a.windows[0].end, 4u);
+  // A lives [1, 4), B [2, 6).
+  EXPECT_EQ(a.alloc_count, 1u);
+  EXPECT_EQ(a.first_alloc, 1u);
   EXPECT_EQ(a.last_free, 4u);
+  EXPECT_EQ(a.total_lifetime_ns, 3.0);
   EXPECT_EQ(a.load_misses, 0.0);
-  ASSERT_EQ(b.windows.size(), 1u);
-  EXPECT_EQ(b.windows[0].start, 2u);
-  EXPECT_EQ(b.windows[0].end, 6u);
+  EXPECT_EQ(b.alloc_count, 1u);
+  EXPECT_EQ(b.first_alloc, 2u);
+  EXPECT_EQ(b.last_free, 6u);
+  EXPECT_EQ(b.total_lifetime_ns, 4.0);
   EXPECT_EQ(b.load_misses, 6.0);
   EXPECT_EQ(result->unattributed_samples, 1.0);
 }
@@ -257,15 +262,11 @@ TEST(Analyzer, DisplacedObjectsStillLiveCloseAtTheEndInIdOrder) {
   const SiteRecord& site = result->sites[0];
   EXPECT_EQ(site.alloc_count, 4u);
   EXPECT_EQ(site.peak_live_bytes, 160u);
+  EXPECT_EQ(site.first_alloc, 1u);
   EXPECT_EQ(site.last_free, 10u);
   // [3, 5) freed, then object 6 (live), 7 and 9 (displaced) at t = 10.
   EXPECT_EQ(site.total_lifetime_ns, 2.0 + 6.0 + 8.0 + 9.0);
-  ASSERT_EQ(site.windows.size(), 4u);
-  EXPECT_EQ(site.windows[0].start, 1u);
-  EXPECT_EQ(site.windows[3].start, 4u);
-  for (const auto& w : site.windows) {
-    EXPECT_EQ(w.end, w.start == 3 ? 5u : 10u);
-  }
+  EXPECT_EQ(site.mean_lifetime_ns, (2.0 + 6.0 + 8.0 + 9.0) / 4.0);
   // Freeing a displaced id twice is a free of an unknown id.
   t.events.emplace_back(FreeEvent{11, 7});
   t.events.emplace_back(FreeEvent{12, 7});

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -646,9 +647,8 @@ std::uint64_t digest(const analyzer::AnalysisResult& r) {
 }
 
 /// Profiles `app` through the execution engine (the ecohmem-profile
-/// path) and digests its analysis.
-void expect_analysis_pinned(const std::string& app, std::size_t sites, std::uint64_t want,
-                            const profiler::ProfilerOptions& popt = {}) {
+/// path) with every object in PMem.
+trace::Trace profiled_trace(const std::string& app, const profiler::ProfilerOptions& popt = {}) {
   const runtime::Workload workload = apps::make_app(app);
   const auto system = paper();
   profiler::Profiler prof(popt);
@@ -657,8 +657,14 @@ void expect_analysis_pinned(const std::string& app, std::size_t sites, std::uint
   runtime::ExecutionEngine engine(&system, eopt);
   runtime::FixedTierMode mode(&system, 1);
   const auto metrics = engine.run(workload, mode);
-  ASSERT_TRUE(metrics.has_value()) << metrics.error();
-  const trace::Trace t = prof.take_trace();
+  EXPECT_TRUE(metrics.has_value()) << app << ": " << metrics.error();
+  return prof.take_trace();
+}
+
+/// Profiles `app` (see profiled_trace) and digests its analysis.
+void expect_analysis_pinned(const std::string& app, std::size_t sites, std::uint64_t want,
+                            const profiler::ProfilerOptions& popt = {}) {
+  const trace::Trace t = profiled_trace(app, popt);
   ASSERT_FALSE(t.events.empty());
 
   const auto analysis = analyzer::analyze(t);
@@ -837,7 +843,6 @@ TEST(PinnedAnalysis, WindowsOnBinEdges) {
   const auto a = analyzer::analyze(with_uncore, options);
   ASSERT_TRUE(a.has_value()) << a.error();
   EXPECT_EQ(a->sites.size(), 6u);
-  EXPECT_EQ(a->system_bw.size(), 9u);
   EXPECT_EQ(digest(*a), 0x49c6a1c436717ab7ull) << "with uncore: got 0x" << std::hex << digest(*a);
 
   // Without uncore readings the meter ends at the last sample's bin.
@@ -848,6 +853,85 @@ TEST(PinnedAnalysis, WindowsOnBinEdges) {
   const auto b = analyzer::analyze(samples_only, options);
   ASSERT_TRUE(b.has_value()) << b.error();
   EXPECT_EQ(digest(*b), 0x47896d6456749504ull) << "samples only: got 0x" << std::hex << digest(*b);
+}
+
+// ------------------------------------------------------ system bandwidth
+
+/// The system bandwidth timeline the way ecohmem-timeline --trace built
+/// it before the analyzer's fold was shared: a first pass learns whether
+/// the trace carries uncore readings, a second bins the readings, or the
+/// samples when there are none.
+memsim::BandwidthMeter two_pass_timeline(const trace::Trace& t, Ns bin_ns) {
+  bool has_uncore = false;
+  for (const trace::Event& e : t.events) {
+    has_uncore = has_uncore || std::holds_alternative<trace::UncoreBwEvent>(e);
+  }
+  memsim::BandwidthMeter meter(1, bin_ns);
+  for (const trace::Event& e : t.events) {
+    if (const auto* u = std::get_if<trace::UncoreBwEvent>(&e)) {
+      const Ns t0 = u->time > u->period_ns ? u->time - u->period_ns : 0;
+      meter.add(0, t0, u->time, (u->read_gbs + u->write_gbs) * static_cast<double>(u->period_ns));
+    } else if (const auto* smp = std::get_if<trace::SampleEvent>(&e)) {
+      if (!has_uncore) {
+        meter.add(0, smp->time, smp->time + 1, smp->weight * static_cast<double>(kCacheLine));
+      }
+    }
+  }
+  return meter;
+}
+
+/// Folds `t` through SystemBandwidthFold in one pass and expects the
+/// two-pass timeline bit for bit, and the analyzer's observed peak.
+/// Returns the fold's bin count.
+std::size_t expect_fold_matches_two_pass(const trace::Trace& t, Ns bin_ns,
+                                         const std::string& what) {
+  analyzer::SystemBandwidthFold fold(bin_ns);
+  for (std::size_t i = 0; i < t.events.size(); ++i) {
+    const Status s = fold.add(i, t.events[i]);
+    EXPECT_TRUE(s.ok()) << what << ": " << s.error();
+  }
+  const auto got = fold.meter().series(0);
+  const auto want = two_pass_timeline(t, bin_ns).series(0);
+  EXPECT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < std::min(got.size(), want.size()); ++k) {
+    EXPECT_EQ(got[k].time, want[k].time) << what << " bin " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].gbs), std::bit_cast<std::uint64_t>(want[k].gbs))
+        << what << " bin " << k << ": " << got[k].gbs << " vs " << want[k].gbs;
+  }
+
+  analyzer::AnalyzerOptions options;
+  options.bw_bin_ns = bin_ns;
+  const auto analysis = analyzer::analyze(t, options);
+  EXPECT_TRUE(analysis.has_value()) << what << ": " << analysis.error();
+  if (analysis) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fold.meter().peak_gbs(0)),
+              std::bit_cast<std::uint64_t>(analysis->observed_peak_bw_gbs))
+        << what;
+  }
+  return got.size();
+}
+
+TEST(SharedBandwidthFold, MatchesTheTwoPassTimelineOnFig6Traces) {
+  profiler::ProfilerOptions no_uncore;
+  no_uncore.sample_uncore = false;
+  for (const char* app : {"minife", "minimd", "lulesh", "hpcg", "cloverleaf3d"}) {
+    const trace::Trace with = profiled_trace(app);
+    const trace::Trace without = profiled_trace(app, no_uncore);
+    EXPECT_GT(expect_fold_matches_two_pass(with, 10'000'000, std::string(app) + " uncore"), 0u);
+    EXPECT_GT(expect_fold_matches_two_pass(without, 10'000'000, std::string(app) + " samples"), 0u);
+  }
+}
+
+TEST(SharedBandwidthFold, MatchesTheTwoPassTimelineOnHandBuiltStreams) {
+  // Samples before the first uncore reading count only until it arrives.
+  expect_fold_matches_two_pass(edge_case_trace(), 250, "edge cases");
+  // The last uncore reading ends at 9000: bins [0, 9000) of 1000 ns.
+  EXPECT_EQ(expect_fold_matches_two_pass(bin_edge_trace(), 1000, "bin edges"), 9u);
+  trace::Trace samples_only = bin_edge_trace();
+  std::erase_if(samples_only.events, [](const trace::Event& ev) {
+    return std::holds_alternative<trace::UncoreBwEvent>(ev);
+  });
+  expect_fold_matches_two_pass(samples_only, 1000, "bin edges, samples only");
 }
 
 /// A seeded stream that keeps thousands of objects live at once, the

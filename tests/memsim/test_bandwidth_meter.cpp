@@ -24,6 +24,8 @@ TEST(BandwidthMeter, SmearsAcrossBins) {
   m.add(0, 500, 2500, 2000.0);  // uniform over 2 us spanning 3 bins
   const auto series = m.series(0);
   ASSERT_EQ(series.size(), 3u);
+  EXPECT_EQ(m.bin_count(0), 3u);
+  EXPECT_EQ(m.bin_count(1), 0u);  // past the meter's tiers
   EXPECT_DOUBLE_EQ(series[0].gbs, 0.5);   // 500 B in bin 0
   EXPECT_DOUBLE_EQ(series[1].gbs, 1.0);   // 1000 B in bin 1
   EXPECT_DOUBLE_EQ(series[2].gbs, 0.5);   // 500 B in bin 2

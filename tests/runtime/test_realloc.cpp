@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/flexmalloc/flexmalloc.hpp"
 #include "ecohmem/profiler/profiler.hpp"
@@ -92,9 +96,20 @@ TEST(Realloc, ProfilerEmitsFreshAllocPerInstance) {
 
   int allocs = 0;
   int frees = 0;
+  std::map<std::uint64_t, Ns> alloc_time;  // object id -> allocation time
+  Ns first_alloc = std::numeric_limits<Ns>::max();
+  Ns last_free = 0;
+  double lifetimes = 0.0;
   for (const auto& e : t.events) {
-    allocs += std::holds_alternative<trace::AllocEvent>(e) ? 1 : 0;
-    frees += std::holds_alternative<trace::FreeEvent>(e) ? 1 : 0;
+    if (const auto* a = std::get_if<trace::AllocEvent>(&e)) {
+      ++allocs;
+      alloc_time[a->object_id] = a->time;
+      first_alloc = std::min(first_alloc, a->time);
+    } else if (const auto* f = std::get_if<trace::FreeEvent>(&e)) {
+      ++frees;
+      lifetimes += static_cast<double>(f->time - alloc_time.at(f->object_id));
+      last_free = std::max(last_free, f->time);
+    }
   }
   EXPECT_EQ(allocs, 3);
   EXPECT_EQ(frees, 3);
@@ -105,7 +120,11 @@ TEST(Realloc, ProfilerEmitsFreshAllocPerInstance) {
   ASSERT_EQ(analysis->sites.size(), 1u);
   EXPECT_EQ(analysis->sites[0].alloc_count, 3u);
   EXPECT_EQ(analysis->sites[0].max_size, Bytes{16u << 20});
-  EXPECT_EQ(analysis->sites[0].windows.size(), 3u);
+  // Each instance lives from its own allocation to its own free.
+  EXPECT_EQ(analysis->sites[0].first_alloc, first_alloc);
+  EXPECT_EQ(analysis->sites[0].last_free, last_free);
+  EXPECT_EQ(analysis->sites[0].total_lifetime_ns, lifetimes);
+  EXPECT_GT(lifetimes, 0.0);
 }
 
 }  // namespace

@@ -4,12 +4,9 @@
 // Two sources:
 //   --app <name>     run an application model and export its per-tier
 //                    bandwidth series;
-//   --trace <file>   stream an existing trace file and export the
-//                    reconstructed system bandwidth series. The trace is
-//                    never materialized in memory: TraceReader::for_each
-//                    decodes it in bounded chunks and releases the mapped
-//                    pages it has consumed, so peak RSS stays flat however
-//                    large the trace is.
+//   --trace <file>   stream a trace file once and export the system
+//                    bandwidth series the analyzer rebuilds from it, in
+//                    bounded memory (TraceReader::for_each).
 //
 // Usage:
 //   ecohmem-timeline --app <name> --out <file.csv>
@@ -25,6 +22,7 @@
 #include <string>
 
 #include "cli_common.hpp"
+#include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/apps/apps.hpp"
 #include "ecohmem/common/file.hpp"
 #include "ecohmem/common/strings.hpp"
@@ -50,9 +48,9 @@ std::size_t append_rows(std::string& out, const std::vector<memsim::BandwidthPoi
   return series.size();
 }
 
-/// The --trace path: reconstruct the system bandwidth timeline exactly
-/// as the analyzer's prescan does (uncore readings authoritative, PEBS
-/// fallback otherwise), streaming the file twice instead of loading it.
+/// The --trace path: rebuild the system bandwidth timeline with the
+/// analyzer's fold (uncore readings authoritative, PEBS samples the
+/// fallback), streaming the file once instead of loading it.
 int run_trace_mode(const cli::Args& args) {
   const auto bin_ms = args.get_int_in_range("bin-ms", 10, 1, 60'000);
   if (!bin_ms) return cli::fail_usage(bin_ms.error());
@@ -65,44 +63,26 @@ int run_trace_mode(const cli::Args& args) {
     std::printf("%s\n", reader->manifest().summary().c_str());
   }
 
-  // Pass 1: does the trace carry uncore readings? (Early-exits on the
-  // first one in spirit; the streaming API visits all events, which is
-  // still O(chunk) memory.)
-  bool has_uncore = false;
+  analyzer::SystemBandwidthFold bandwidth(static_cast<Ns>(*bin_ms) * 1'000'000);
+  std::uint64_t index = 0;
+  Status folded;
   if (const auto s = reader->for_each([&](const trace::Event& e) {
-        has_uncore = has_uncore || std::holds_alternative<trace::UncoreBwEvent>(e);
+        if (folded.ok()) folded = bandwidth.add(index++, e);
       });
       !s.ok()) {
     return cli::fail_load(args.get("trace"), s.error());
   }
-
-  // Pass 2: fold the traffic into fixed-width bins.
-  memsim::BandwidthMeter meter(1, static_cast<Ns>(*bin_ms) * 1'000'000);
-  if (const auto s = reader->for_each([&](const trace::Event& e) {
-        if (const auto* u = std::get_if<trace::UncoreBwEvent>(&e)) {
-          const Ns t0 = u->time > u->period_ns ? u->time - u->period_ns : 0;
-          meter.add(0, t0, u->time,
-                    (u->read_gbs + u->write_gbs) * static_cast<double>(u->period_ns));
-        } else if (const auto* smp = std::get_if<trace::SampleEvent>(&e)) {
-          if (!has_uncore) {
-            meter.add(0, smp->time, smp->time + 1,
-                      smp->weight * static_cast<double>(kCacheLine));
-          }
-        }
-      });
-      !s.ok()) {
-    return cli::fail_load(args.get("trace"), s.error());
-  }
+  if (!folded.ok()) return cli::fail(folded.error());
 
   std::string out = "time_s,tier,gbs\n";
-  const std::size_t rows = append_rows(out, meter.series(0), "system");
+  const std::size_t rows = append_rows(out, bandwidth.meter().series(0), "system");
   if (const auto s = common::write_file(args.get("out"), out); !s) {
     return cli::fail(s.error());
   }
   std::printf("%s: %llu events streamed (v%u, %s source), %zu bins -> %s\n",
               args.get("trace").c_str(),
               static_cast<unsigned long long>(reader->event_count()), reader->version(),
-              has_uncore ? "uncore" : "pebs", rows, args.get("out").c_str());
+              bandwidth.has_uncore() ? "uncore" : "pebs", rows, args.get("out").c_str());
   return 0;
 }
 
