@@ -207,6 +207,28 @@ build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3.trc \
 build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_v3.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3_serial.txt --csv /tmp/ecohmem_ci_v3_sites.csv
+# Lint and the strict reader share one index check: zero block 0's event
+# count in a copy, and trace-v3-index must report the message the advisor
+# fails with.
+bad_index=/tmp/ecohmem_ci_v3_badindex.trc
+cp /tmp/ecohmem_ci_v3.trc "$bad_index"
+v3_footer=$(od -An -t u8 -j $(( $(stat -c %s "$bad_index") - 16 )) -N 8 "$bad_index" | tr -d ' ')
+dd if=/dev/zero of="$bad_index" bs=1 seek=$((v3_footer + 8)) count=8 conv=notrunc 2>/dev/null
+set +e
+build/tools/ecohmem-lint --trace "$bad_index" >/tmp/ecohmem_ci_lint_msg.txt 2>&1
+lint_rc=$?
+build/tools/ecohmem-advisor --trace "$bad_index" --out /tmp/ecohmem_ci_bad.txt \
+  >/dev/null 2>/tmp/ecohmem_ci_load_msg.txt
+load_rc=$?
+set -e
+if [ "$lint_rc" -ne 1 ] || [ "$load_rc" -ne 1 ]; then
+  echo "damaged v3 index: lint exited $lint_rc, advisor exited $load_rc, want 1 and 1" >&2; exit 1
+fi
+load_msg=$(sed -n "s|^error: $bad_index: ||p" /tmp/ecohmem_ci_load_msg.txt)
+if [ -z "$load_msg" ] ||
+   ! grep -qF "[trace-v3-index] $bad_index: $load_msg" /tmp/ecohmem_ci_lint_msg.txt; then
+  echo "damaged v3 index: lint does not report the advisor's message '$load_msg'" >&2; exit 1
+fi
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3.csv --bin-ms 50
 

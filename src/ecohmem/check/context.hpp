@@ -26,7 +26,7 @@ namespace ecohmem::check {
 
 /// Raw view of a v3 trace's footer index, loaded *leniently* (trailer
 /// magic and entry-span arithmetic only) so the trace-v3-index rule can
-/// re-check every raw value and report all violations — the strict
+/// report every fault of `trace::codec::index_issues` — the strict
 /// reader (TraceReader / load_trace) stops at the first.
 struct TraceIndexView {
   struct Entry {

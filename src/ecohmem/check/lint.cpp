@@ -25,7 +25,7 @@ Expected<std::string> read_file(const std::string& path) {
 }
 
 /// Leniently loads the footer index of a v3 trace so trace-v3-index can
-/// re-check the raw values. Returns nullopt for v1/v2 traces, unreadable
+/// report every fault of its raw values. Returns nullopt for v1/v2 traces, unreadable
 /// files, or undecodable headers (all of which trace-load reports); only
 /// a structurally unreadable *index* sets `index_error` — the caller
 /// turns that into a diagnostic once it knows whether a salvage read

@@ -9,10 +9,12 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ecohmem/check/rule.hpp"
 #include "ecohmem/common/strings.hpp"
+#include "ecohmem/trace/codec.hpp"
 
 namespace ecohmem::check::rules {
 
@@ -273,9 +275,9 @@ class FrameBoundsRule final : public TraceRule {
 
 /// Unlike the other trace rules this one reads the raw v3 footer index
 /// (CheckContext::trace_index), not the decoded bundle: a corrupt index
-/// usually prevents the bundle from loading at all, and this rule exists
-/// to enumerate everything wrong with it, not just the strict reader's
-/// first complaint.
+/// usually prevents the bundle from loading at all. It reports every
+/// fault `codec::index_issues` finds, each in the words the strict
+/// reader fails with on the first.
 class TraceV3IndexRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override { return "trace-v3-index"; }
@@ -288,57 +290,18 @@ class TraceV3IndexRule final : public Rule {
   }
 
   [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
-    std::vector<Diagnostic> out;
     const TraceIndexView& idx = *ctx.trace_index;
-    const auto fail = [&](std::string message) {
-      out.push_back(error("trace-v3-index", ctx.trace_name, std::move(message)));
-    };
-
-    if (idx.entries.empty()) {
-      if (idx.footer_offset != idx.events_offset) {
-        fail("index lists no blocks but the event section spans offsets " +
-             std::to_string(idx.events_offset) + ".." + std::to_string(idx.footer_offset));
-      }
-      if (idx.header_event_count != 0) {
-        fail("index lists no blocks but the header claims " +
-             std::to_string(idx.header_event_count) + " events");
-      }
-      return out;
+    trace::codec::IndexInfo info;
+    info.footer_offset = idx.footer_offset;
+    info.file_size = idx.file_size;
+    info.entries.reserve(idx.entries.size());
+    for (const TraceIndexView::Entry& e : idx.entries) {
+      info.entries.push_back({e.offset, e.count, e.first_time});
     }
-
-    if (idx.entries.front().offset != idx.events_offset) {
-      fail("block 0 starts at offset " + std::to_string(idx.entries.front().offset) +
-           ", expected the start of the event section at offset " +
-           std::to_string(idx.events_offset));
-    }
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < idx.entries.size(); ++i) {
-      const TraceIndexView::Entry& e = idx.entries[i];
-      total += e.count;
-      if (e.count == 0) {
-        fail("block " + std::to_string(i) + " at offset " + std::to_string(e.offset) +
-             " is empty (count 0)");
-      }
-      if (e.offset >= idx.footer_offset) {
-        fail("block " + std::to_string(i) + " offset " + std::to_string(e.offset) +
-             " lies at or past the footer at offset " + std::to_string(idx.footer_offset));
-      }
-      if (i > 0) {
-        if (e.offset <= idx.entries[i - 1].offset) {
-          fail("block " + std::to_string(i) + " offset " + std::to_string(e.offset) +
-               " does not increase over block " + std::to_string(i - 1) + " at offset " +
-               std::to_string(idx.entries[i - 1].offset));
-        }
-        if (e.first_time < idx.entries[i - 1].first_time) {
-          fail("block " + std::to_string(i) + " first timestamp t=" +
-               std::to_string(e.first_time) + "ns precedes block " + std::to_string(i - 1) +
-               " at t=" + std::to_string(idx.entries[i - 1].first_time) + "ns");
-        }
-      }
-    }
-    if (total != idx.header_event_count) {
-      fail("index blocks sum to " + std::to_string(total) + " events but the header claims " +
-           std::to_string(idx.header_event_count));
+    std::vector<Diagnostic> out;
+    for (std::string& issue :
+         trace::codec::index_issues(info, idx.events_offset, idx.header_event_count)) {
+      out.push_back(error("trace-v3-index", ctx.trace_name, std::move(issue)));
     }
     return out;
   }

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ecohmem/bom/module_table.hpp"
@@ -1273,7 +1274,7 @@ struct IndexInfo {
 /// entry count, footer offset, then the entries. Deliberately lenient
 /// about the *values* (monotonicity, bounds, count sums) — the strict
 /// readers call `validate_index` on top, while the `trace-v3-index` lint
-/// rule re-checks the raw values so it can report every violation.
+/// rule reports every one of `index_issues`.
 inline Expected<IndexInfo> decode_index(const unsigned char* data, std::size_t size) {
   if (size < kTrailerBytes) {
     return truncated_at("v3 trace too small for index trailer", size);
@@ -1312,60 +1313,63 @@ inline Expected<IndexInfo> decode_index(const unsigned char* data, std::size_t s
   return info;
 }
 
-/// Strict index validation used by the readers before trusting any block
-/// offset: offsets monotonically increasing and in-bounds, per-block
-/// counts non-zero and summing to the header total, timestamps
-/// non-decreasing across blocks.
-inline Status validate_index(const IndexInfo& info, std::uint64_t events_offset,
-                             std::uint64_t header_event_count) {
+/// Every fault of a v3 footer index, in the order the strict readers
+/// meet them. Per block, in index order: an offset that does not chain
+/// from the previous block's end (block 0's from the event section
+/// start), an offset at or past the footer, an empty count, a first
+/// timestamp before the previous block's, a non-positive byte size.
+/// Then an event section that no block covers, and counts that do not
+/// sum to the header total. The `trace-v3-index` lint rule reports all.
+inline std::vector<std::string> index_issues(const IndexInfo& info, std::uint64_t events_offset,
+                                             std::uint64_t header_event_count) {
+  using std::to_string;
+  std::vector<std::string> issues;
   std::uint64_t total = 0;
   std::uint64_t prev_end = events_offset;
   std::uint64_t prev_time = 0;
   for (std::size_t i = 0; i < info.entries.size(); ++i) {
     const IndexEntry& e = info.entries[i];
+    const auto fail = [&](const std::string& what) {
+      issues.push_back("v3 index block " + to_string(i) + what);
+    };
     if (e.offset != prev_end) {
-      return unexpected("v3 index block " + std::to_string(i) + " starts at offset " +
-                        std::to_string(e.offset) + ", expected " + std::to_string(prev_end));
+      fail(" starts at offset " + to_string(e.offset) + ", expected " + to_string(prev_end));
     }
     if (e.offset >= info.footer_offset) {
-      return unexpected("v3 index block " + std::to_string(i) + " offset " +
-                        std::to_string(e.offset) + " points past the event section end " +
-                        std::to_string(info.footer_offset));
+      fail(" offset " + to_string(e.offset) + " points past the event section end " +
+           to_string(info.footer_offset));
     }
-    if ((e.count & kBlockCountMask) == 0) {
-      return unexpected("v3 index block " + std::to_string(i) + " is empty at offset " +
-                        std::to_string(e.offset));
-    }
+    if ((e.count & kBlockCountMask) == 0) fail(" is empty at offset " + to_string(e.offset));
     if (i > 0 && e.first_time < prev_time) {
-      return unexpected("v3 index block " + std::to_string(i) + " first timestamp " +
-                        std::to_string(e.first_time) + "ns precedes block " +
-                        std::to_string(i - 1) + " at " + std::to_string(prev_time) + "ns");
+      fail(" first timestamp " + to_string(e.first_time) + "ns precedes block " +
+           to_string(i - 1) + " at " + to_string(prev_time) + "ns");
     }
     prev_time = e.first_time;
-    // Block end is the next block's offset (or the footer); enforced by
-    // the chaining check above on the next iteration.
+    // Block end is the next block's offset (or the footer); the next
+    // iteration checks that it chains.
     prev_end = i + 1 < info.entries.size() ? info.entries[i + 1].offset : info.footer_offset;
-    if (prev_end <= e.offset) {
-      return unexpected("v3 index block " + std::to_string(i) + " has non-positive byte size at "
-                        "offset " + std::to_string(e.offset));
-    }
+    if (prev_end <= e.offset) fail(" has non-positive byte size at offset " + to_string(e.offset));
     total += e.count & kBlockCountMask;  // bit 63 flags compression, not count
   }
-  if (!info.entries.empty() && info.entries.front().offset != events_offset) {
-    return unexpected("v3 index first block offset " +
-                      std::to_string(info.entries.front().offset) +
-                      " does not match the event section start " + std::to_string(events_offset));
-  }
   if (info.entries.empty() && info.footer_offset != events_offset) {
-    return unexpected("v3 trace has no index blocks but a non-empty event section at offset " +
-                      std::to_string(events_offset));
+    issues.push_back("v3 trace has no index blocks but a non-empty event section at offset " +
+                     to_string(events_offset));
   }
   if (total != header_event_count) {
-    return unexpected("v3 index event counts sum to " + std::to_string(total) +
-                      " but the header declares " + std::to_string(header_event_count) +
-                      " (index at offset " + std::to_string(info.footer_offset) + ")");
+    issues.push_back("v3 index event counts sum to " + to_string(total) +
+                     " but the header declares " + to_string(header_event_count) +
+                     " (index at offset " + to_string(info.footer_offset) + ")");
   }
-  return {};
+  return issues;
+}
+
+/// Strict index validation used by the readers before trusting any block
+/// offset: the first of `index_issues`.
+inline Status validate_index(const IndexInfo& info, std::uint64_t events_offset,
+                             std::uint64_t header_event_count) {
+  std::vector<std::string> issues = index_issues(info, events_offset, header_event_count);
+  if (issues.empty()) return {};
+  return unexpected(std::move(issues.front()));
 }
 
 }  // namespace ecohmem::trace::codec

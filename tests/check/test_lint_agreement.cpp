@@ -1,20 +1,27 @@
 // Lint and loader agreement: every config the loaders reject must lint
 // with an error carrying the loader's own message, every committed config
 // must both load and lint clean, and every online-* rule id must fire on
-// its fixture. The loaders own the checks (AdvisorConfig::validate,
-// online::check_policy); these tests pin that lint reaches them.
+// its fixture. The same holds for a v3 trace whose footer index the strict
+// reader rejects. The loaders own the checks (AdvisorConfig::validate,
+// online::check_policy, trace::codec::index_issues); these tests pin that
+// lint reaches them.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ecohmem/advisor/advisor_config.hpp"
 #include "ecohmem/check/lint.hpp"
 #include "ecohmem/online/policy_config.hpp"
+#include "ecohmem/trace/trace_file.hpp"
 
 namespace ecohmem::check {
 namespace {
@@ -213,6 +220,95 @@ TEST(LintAgreement, CommittedConfigsLoadAndLintClean) {
         << result->diagnostics.front().rule << ": " << result->diagnostics.front().message;
   }
   EXPECT_GE(advisor_configs, 1u);
+}
+
+/// The bytes of a valid v3 trace: 128 events in eight blocks of 16, the
+/// first events of the blocks at t = 0, 80, ..., 560 ns.
+std::string v3_trace_bytes() {
+  trace::Trace t;
+  bom::ModuleTable modules;
+  modules.add_module("app.x", 1 << 20);
+  const auto site = t.stacks.intern(bom::CallStack{{{0, 0x100}}});
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    t.events.emplace_back(
+        trace::AllocEvent{10 * i, i + 1, 0x1000 + (i << 12), 64, site, trace::AllocKind::kMalloc});
+    t.events.emplace_back(trace::FreeEvent{10 * i + 5, i + 1});
+  }
+  trace::TraceWriteOptions opt;
+  opt.indexed = true;
+  opt.block_events = 16;
+  std::ostringstream os;
+  EXPECT_TRUE(trace::write_trace(os, t, modules, opt).ok());
+  return std::move(os).str();
+}
+
+/// One footer index of v3_trace_bytes, editable in place: its trailer
+/// word `entry_count` and `footer_offset`, and entry `i`'s `offset`,
+/// `count` and `first_time` words.
+class IndexBytes {
+ public:
+  explicit IndexBytes(std::string& bytes) : bytes_(bytes) {}
+  std::uint64_t get(std::size_t at) const {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes_.data() + at, 8);
+    return v;
+  }
+  void set(std::size_t at, std::uint64_t v) { std::memcpy(bytes_.data() + at, &v, 8); }
+  std::size_t entry_count() const { return bytes_.size() - 24; }
+  std::size_t footer_offset() const { return bytes_.size() - 16; }
+  std::size_t offset(std::size_t i) const { return get(footer_offset()) + 24 * i; }
+  std::size_t count(std::size_t i) const { return offset(i) + 8; }
+  std::size_t first_time(std::size_t i) const { return offset(i) + 16; }
+
+ private:
+  std::string& bytes_;
+};
+
+TEST(LintAgreement, EveryIndexFaultLintsWithTheReadersMessage) {
+  struct IndexCase {
+    const char* fault;
+    std::function<void(IndexBytes&)> damage;
+    std::size_t issues;  ///< trace-v3-index errors, the reader's message first
+  };
+  const IndexCase cases[] = {
+      {"block 0 off the event section start",
+       [](IndexBytes& x) { x.set(x.offset(0), x.get(x.offset(0)) + 1); }, 1},
+      {"block at the footer",
+       [](IndexBytes& x) { x.set(x.offset(7), x.get(x.footer_offset())); }, 2},
+      {"empty block", [](IndexBytes& x) { x.set(x.count(3), 0); }, 2},
+      {"timestamp going backwards", [](IndexBytes& x) { x.set(x.first_time(4), 0); }, 1},
+      {"zero-byte block",
+       [](IndexBytes& x) { x.set(x.offset(5), x.get(x.offset(4))); }, 1},
+      {"no blocks over a non-empty event section",
+       [](IndexBytes& x) {
+         x.set(x.footer_offset(), x.entry_count());
+         x.set(x.entry_count(), 0);
+       },
+       2},
+      {"counts off the header total",
+       [](IndexBytes& x) { x.set(x.count(0), x.get(x.count(0)) + 1); }, 1},
+  };
+  const std::string clean = v3_trace_bytes();
+  for (const IndexCase& c : cases) {
+    SCOPED_TRACE(c.fault);
+    std::string bytes = clean;
+    IndexBytes index(bytes);
+    c.damage(index);
+    const std::string path = write_tmp("agreement_index.trc", bytes);
+    const auto loaded = trace::load_trace(path);
+    ASSERT_FALSE(loaded.has_value());
+
+    LintInputs inputs;
+    inputs.trace_path = path;
+    const auto result = lint_files(inputs);
+    ASSERT_TRUE(result.has_value()) << result.error();
+    std::vector<Diagnostic> index_errors;
+    for (const auto& d : errors_of(*result)) {
+      if (d.rule == "trace-v3-index") index_errors.push_back(d);
+    }
+    ASSERT_EQ(index_errors.size(), c.issues);
+    EXPECT_EQ(index_errors[0].message, loaded.error());
+  }
 }
 
 TEST(LintAgreement, MigrationLogWithAnUnloadablePolicyIsNotClean) {
