@@ -24,6 +24,33 @@ std::size_t last_at_or_below(const std::uint64_t* keys, std::size_t n, std::uint
 
 }  // namespace
 
+// SystemBandwidthFold is defined here, next to its hot caller, so that
+// ingest() can inline add().
+
+SystemBandwidthFold::SystemBandwidthFold(Ns bin_ns) : uncore_(1, bin_ns), samples_(1, bin_ns) {}
+
+Status SystemBandwidthFold::add(std::uint64_t index, const trace::Event& event) {
+  if (const trace::BadValue bad = trace::first_bad_value(event); bad.field != nullptr) {
+    return unexpected(trace::describe_bad_value(index, bad));
+  }
+  if (const auto* u = std::get_if<trace::UncoreBwEvent>(&event)) {
+    const Ns t0 = u->time > u->period_ns ? u->time - u->period_ns : 0;
+    // The first reading replaces the sample meter, from its first bin on.
+    earliest_change_ = std::min(earliest_change_, has_uncore_ ? t0 : 0);
+    has_uncore_ = true;
+    max_period_ = std::max(max_period_, u->period_ns);
+    uncore_.add(0, t0, u->time, (u->read_gbs + u->write_gbs) * static_cast<double>(u->period_ns));
+  } else if (const auto* s = std::get_if<trace::SampleEvent>(&event); s != nullptr && !has_uncore_) {
+    earliest_change_ = std::min(earliest_change_, s->time);
+    samples_.add(0, s->time, s->time + 1, s->weight * static_cast<double>(kCacheLine));
+  }
+  return {};
+}
+
+Ns SystemBandwidthFold::take_earliest_change() {
+  return std::exchange(earliest_change_, kUnchanged);
+}
+
 bool IncrementalAggregator::LiveIndex::upsert(std::uint64_t start, const LiveObject& obj,
                                               LiveObject& displaced) {
   if (chunks_.empty()) {
