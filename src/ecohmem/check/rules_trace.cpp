@@ -396,11 +396,8 @@ class TraceSalvageCoverageRule final : public TraceRule {
     } else if (coverage < 1.0) {
       out.push_back(warn(ctx, "salvaged trace is incomplete: " + detail));
     }
-    if (m.sequential_scan && m.version == trace::codec::kVersionIndexed) {
-      out.push_back(warn(ctx,
-                         "v3 footer index was unusable; events were recovered by sequential "
-                         "scan — timestamps after the first block boundary may be skewed "
-                         "(docs/trace_format.md)"));
+    if (std::string skew = m.skew_warning(); !skew.empty()) {
+      out.push_back(warn(ctx, std::move(skew)));
     }
     return out;
   }

@@ -230,6 +230,12 @@ std::string SalvageManifest::summary() const {
   return s;
 }
 
+std::string SalvageManifest::skew_warning() const {
+  if (!sequential_scan || version != codec::kVersionIndexed) return {};
+  return "v3 footer index was unusable; events were recovered by sequential scan — timestamps "
+         "after the first block boundary may be skewed (docs/trace_format.md)";
+}
+
 SalvagePlan build_salvage_plan(const unsigned char* data, std::size_t size,
                                const codec::HeaderInfo& header) {
   const TraceBytes source{data, size, static_cast<std::uint32_t>(header.stacks.size())};

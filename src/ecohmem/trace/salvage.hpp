@@ -107,6 +107,12 @@ struct SalvageManifest {
 
   /// One-line human summary for CLI output.
   [[nodiscard]] std::string summary() const;
+
+  /// The caveat of a v3 trace recovered by sequential scan: its block
+  /// timestamps may be skewed. Empty for any other read. Lint's
+  /// trace-salvage-coverage rule and `ecohmem-timeline --salvage` both
+  /// print it.
+  [[nodiscard]] std::string skew_warning() const;
 };
 
 /// The salvage classification: manifest plus the kept-block table the

@@ -61,6 +61,9 @@ int run_trace_mode(const cli::Args& args) {
   if (!reader) return cli::fail_load(args.get("trace"), reader.error());
   if (reader->manifest().salvaged) {
     std::printf("%s\n", reader->manifest().summary().c_str());
+    if (const std::string skew = reader->manifest().skew_warning(); !skew.empty()) {
+      std::fprintf(stderr, "warning: %s\n", skew.c_str());
+    }
   }
 
   analyzer::SystemBandwidthFold bandwidth(static_cast<Ns>(*bin_ms) * 1'000'000);
