@@ -496,6 +496,16 @@ TEST(ReportRules, DramToPmemMoveIsAllowed) {
 
 // ------------------------------------------------------------ trace-v3-index
 
+/// An index entry with the fields a block's footer row declares.
+TraceIndexView::Entry index_entry(std::uint64_t offset, std::uint64_t count,
+                                  std::uint64_t first_time) {
+  TraceIndexView::Entry entry;
+  entry.offset = offset;
+  entry.count = count;
+  entry.first_time = first_time;
+  return entry;
+}
+
 /// Three chained 10-event blocks: 100..200..300..400, footer at 400.
 TraceIndexView clean_index() {
   TraceIndexView idx;
@@ -503,7 +513,7 @@ TraceIndexView clean_index() {
   idx.footer_offset = 400;
   idx.file_size = 496;
   idx.header_event_count = 30;
-  idx.entries = {{100, 10, 5}, {200, 10, 50}, {300, 10, 500}};
+  idx.entries = {index_entry(100, 10, 5), index_entry(200, 10, 50), index_entry(300, 10, 500)};
   return idx;
 }
 
