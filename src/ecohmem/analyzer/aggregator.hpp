@@ -83,6 +83,11 @@ class SystemBandwidthFold {
   /// `trace::describe_bad_value`'s message.
   [[nodiscard]] Status add(std::uint64_t index, const trace::Event& event);
 
+  /// `add` of one sample or one uncore reading, for callers that have
+  /// already dispatched on the event's kind.
+  [[nodiscard]] Status add(std::uint64_t index, const trace::SampleEvent& sample);
+  [[nodiscard]] Status add(std::uint64_t index, const trace::UncoreBwEvent& reading);
+
   /// The timeline so far (tier 0): the uncore meter once a reading
   /// arrived, the sample meter before.
   [[nodiscard]] const memsim::BandwidthMeter& meter() const {

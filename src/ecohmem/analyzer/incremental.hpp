@@ -25,12 +25,20 @@
 /// the live objects, the per-site and per-function weight folds —
 /// happens in stream order as events arrive.
 ///
-/// Live objects sit in `LiveIndex`, ordered by start address: sorted
-/// chunks of at most 128 starts under a sorted vector of chunk minima.
-/// A sample resolves with two branch-free binary searches (minima, then
-/// one chunk), so its cost does not depend on how predictable the
-/// addresses are; an allocation or free shifts the entries of one
-/// chunk, and the chunk list only when a chunk splits or empties.
+/// Live objects sit in `LiveIndex` (live_index.hpp), ordered by start
+/// address: sorted chunks of at most 32 starts under a sorted vector of
+/// chunk minima. Samples resolve in batches: the next samples up to the
+/// next allocation or free (at most 16; uncore readings and markers in
+/// between do not end a batch), whose binary searches over the minima
+/// and then within one chunk run step by step side by side, so the
+/// loads of different samples overlap. Resolution only reads the index
+/// and no batch spans an allocation or free, so each sample resolves
+/// against the objects live at its own event. An index of at most two
+/// chunks resolves each sample as it comes: its searches are too short
+/// to repay the batching. An allocation or free shifts the entries of
+/// one chunk, and the chunk list only when a chunk splits or empties.
+/// Frees find their object's start address in `ObjectIdTable`, a flat
+/// open-addressing table.
 ///
 /// An allocation at the start of a live object (address reuse while
 /// live, which the profiler never emits) takes that address in the
@@ -47,13 +55,18 @@
 /// (in allocation order) up to the first one that reaches the horizon,
 /// keeps the running sums, and on the next call continues from there.
 /// The windows past them and those of live objects are averaged for
-/// that result only, in the same order. Every average and every `+=`
-/// runs once, on the same bins, in the same order as a fresh fold, so
-/// the result is bit-identical by construction. A meter change below
-/// the horizon (a reading whose period reaches back further than any
+/// that result only, in the same order. The window of each live or
+/// displaced object carries the byte sum of its bins below the horizon
+/// (`memsim::WindowAverages::Prefix`) from one call to the next. An
+/// average adds its first bin's share, its whole bins in ascending
+/// order and its last bin's share, so continuing from a carried sum
+/// performs the same additions in the same order. Every average and every `+=` runs
+/// once, on the same bins, in the same order as a fresh fold, so the
+/// result is bit-identical by construction. A meter change below the
+/// horizon (a reading whose period reaches back further than any
 /// before, a timestamp going backwards, the switch from the sample
-/// meter to the uncore meter) drops what was carried, and that
-/// `finalize()` starts from zero.
+/// meter to the uncore meter) drops what was carried, the window sums
+/// included, and that `finalize()` starts from zero.
 ///
 /// Not thread-safe: the serving layer serializes access through the
 /// session store lock (docs/threading.md). `finalize()` only extends
@@ -63,11 +76,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ecohmem/analyzer/aggregator.hpp"
+#include "ecohmem/analyzer/live_index.hpp"
 #include "ecohmem/common/expected.hpp"
 #include "ecohmem/trace/events.hpp"
 #include "ecohmem/trace/trace_file.hpp"
@@ -114,55 +127,6 @@ class IncrementalAggregator {
   [[nodiscard]] Expected<AnalysisResult> finalize(trace::TraceCoverage coverage = {});
 
  private:
-  /// One live allocation, keyed by start address in `live_`.
-  struct LiveObject {
-    Bytes size = 0;
-    trace::StackId stack = trace::kInvalidStack;
-    Ns alloc_time = 0;
-    std::uint64_t id = 0;
-  };
-
-  /// Live objects ordered by start address. Chunks hold sorted starts
-  /// and their objects in parallel vectors; `mins_` holds each chunk's
-  /// first start, ascending. A chunk that grows past `kChunkCapacity`
-  /// splits in two, one that empties is dropped, so no chunk is empty.
-  class LiveIndex {
-   public:
-    /// Inserts the object starting at `start`. If one already starts
-    /// there (address reuse while live), it is replaced, copied into
-    /// `displaced` first, and the call returns true.
-    bool upsert(std::uint64_t start, const LiveObject& obj, LiveObject& displaced);
-
-    /// Copies the object starting at `start` into `out` and removes it;
-    /// false if no object with id `id` starts there.
-    bool take(std::uint64_t start, std::uint64_t id, LiveObject& out);
-
-    /// The object with the greatest start at or below `addr`, its start
-    /// stored in `start`; nullptr if every start is above `addr`.
-    const LiveObject* floor(std::uint64_t addr, std::uint64_t& start) const;
-
-    /// Calls `fn(object)` for every live object in ascending start order.
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      for (const Chunk& chunk : chunks_) {
-        for (const LiveObject& obj : chunk.objects) fn(obj);
-      }
-    }
-
-   private:
-    /// On the 2M-event analyze-churn trace, capacities 64 to 256 time
-    /// within run-to-run noise of each other and 1024 is slower.
-    static constexpr std::size_t kChunkCapacity = 128;
-
-    struct Chunk {
-      std::vector<std::uint64_t> starts;  ///< ascending
-      std::vector<LiveObject> objects;    ///< objects[k] starts at starts[k]
-    };
-
-    std::vector<std::uint64_t> mins_;  ///< chunks_[c].starts.front(), ascending
-    std::vector<Chunk> chunks_;
-  };
-
   /// What finalize() has folded of one site below the fold horizon.
   struct SiteFolds {
     double alloc_bw_sum = 0.0;    ///< system bw of the folded allocation windows, summed
@@ -208,12 +172,22 @@ class IncrementalAggregator {
   double unattributed_ = 0.0;
   std::string error_;  ///< sticky first failure
 
-  LiveIndex live_;  ///< start address -> object
-  std::unordered_map<std::uint64_t, std::uint64_t> object_address_;  ///< id -> addr
+  LiveIndex live_;              ///< start address -> object
+  ObjectIdTable object_address_;  ///< id -> start address
   /// Live objects displaced from `live_` by address reuse, by id (an id
   /// allocated twice while live may appear twice; the older goes first).
   std::multimap<std::uint64_t, LiveObject> displaced_;
+  /// Carried window sums of the live and displaced objects, indexed by
+  /// `LiveObject::window`; a freed object's slot goes to
+  /// `free_windows_` for the next allocation.
+  std::vector<memsim::WindowAverages::Prefix> windows_;
+  std::vector<std::uint32_t> free_windows_;
   std::vector<SiteAccum> sites_;               ///< indexed by stack id
+  /// Sites with an allocation in result order (by first allocation,
+  /// then stack id) as of the last finalize(), and the sites first
+  /// allocated since, which the next one merges in.
+  std::vector<trace::StackId> order_;
+  std::vector<trace::StackId> new_sites_;
   std::vector<FunctionAccum> function_accum_;  ///< indexed by function id
   /// Function ids past the table (the decoder does not reject them),
   /// ordered so that their "?" names tie-break by id.

@@ -55,7 +55,7 @@ WindowAverages::WindowAverages(const std::vector<double>& lane, Ns bin_ns)
   for (std::size_t b = 0; b < lane.size(); ++b) whole_[b] = lane[b] * bin / bin;
 }
 
-double WindowAverages::average_gbs(Ns t0, Ns t1) const {
+double WindowAverages::average_gbs(Ns t0, Ns t1, Prefix& prefix, std::size_t stable_end) const {
   if (t1 <= t0) return 0.0;
   const std::vector<double>& lane = *lane_;
   const std::size_t first = static_cast<std::size_t>(t0 / bin_ns_);
@@ -68,9 +68,21 @@ double WindowAverages::average_gbs(Ns t0, Ns t1) const {
   // Bins past the lane saw no traffic.
   double bytes = 0.0;
   if (first < lane.size()) {
-    bytes += share(first);
+    std::size_t b = first + 1;
+    if (prefix.end > first) {
+      bytes = prefix.bytes;
+      b = prefix.end;
+    } else {
+      bytes += share(first);
+    }
     const std::size_t interior_end = std::min(last, lane.size());
-    for (std::size_t b = first + 1; b < interior_end; ++b) bytes += whole_[b];
+    if (last > first && first < stable_end) {
+      for (const std::size_t stop = std::min(interior_end, stable_end); b < stop; ++b) {
+        bytes += whole_[b];
+      }
+      prefix = {b, bytes};
+    }
+    for (; b < interior_end; ++b) bytes += whole_[b];
     if (last > first && last < lane.size()) bytes += share(last);
   }
   return bytes / static_cast<double>(t1 - t0);

@@ -69,8 +69,28 @@ class BandwidthMeter {
 /// meanwhile.
 class WindowAverages {
  public:
+  /// The running byte sum of a window up to one of its bins: its first
+  /// bin's share and the whole bins after it, up to `end`.
+  struct Prefix {
+    std::size_t end = 0;  ///< first bin not summed; 0 when nothing is carried
+    double bytes = 0.0;
+  };
+
   /// Average bandwidth over [t0, t1); 0 for an empty window.
-  [[nodiscard]] double average_gbs(Ns t0, Ns t1) const;
+  [[nodiscard]] double average_gbs(Ns t0, Ns t1) const {
+    Prefix none;
+    return average_gbs(t0, t1, none, 0);
+  }
+
+  /// `average_gbs(t0, t1)` of a window that grows: continues from
+  /// `prefix` when it holds a sum of this window, and leaves in it the
+  /// sum up to the window's first bin at or past `stable_end` once the
+  /// window reaches past its first bin (that share no longer depends
+  /// on `t1`). Between calls on one prefix, `t0` stays, `t1` does not
+  /// decrease, and no bin below `stable_end` takes traffic. The result
+  /// is bit-identical to the two-argument call's: the same terms are
+  /// added in the same order, some of them in an earlier call.
+  [[nodiscard]] double average_gbs(Ns t0, Ns t1, Prefix& prefix, std::size_t stable_end) const;
 
  private:
   friend class BandwidthMeter;

@@ -94,21 +94,30 @@ struct BadValue {
   double value = 0.0;
 };
 
+/// False for NaN, infinities and negative numbers.
+[[nodiscard]] inline bool finite_non_negative(double v) {
+  return v >= 0.0 && v <= std::numeric_limits<double>::max();
+}
+
 /// The one value check of trace events: a sample's `weight` and
 /// `latency_ns` and an uncore reading's `read_gbs` and `write_gbs` must
 /// be finite and non-negative, or they fold into NaN or negative site
-/// weights and bandwidths. Returns the first bad value of `e`. Inline
-/// and allocation-free: the analyzer runs it on every event it folds.
+/// weights and bandwidths. Returns the first bad value of the event.
+/// Inline and allocation-free: the analyzer runs it on every event it
+/// folds. Allocations, frees and markers carry no such value.
+[[nodiscard]] inline BadValue first_bad_value(const SampleEvent& s) {
+  if (!finite_non_negative(s.weight)) return {"sample weight", s.weight};
+  if (!finite_non_negative(s.latency_ns)) return {"sample latency_ns", s.latency_ns};
+  return {};
+}
+[[nodiscard]] inline BadValue first_bad_value(const UncoreBwEvent& u) {
+  if (!finite_non_negative(u.read_gbs)) return {"uncore read_gbs", u.read_gbs};
+  if (!finite_non_negative(u.write_gbs)) return {"uncore write_gbs", u.write_gbs};
+  return {};
+}
 [[nodiscard]] inline BadValue first_bad_value(const Event& e) {
-  // False for NaN, infinities and negative numbers.
-  const auto ok = [](double v) { return v >= 0.0 && v <= std::numeric_limits<double>::max(); };
-  if (const auto* s = std::get_if<SampleEvent>(&e)) {
-    if (!ok(s->weight)) return {"sample weight", s->weight};
-    if (!ok(s->latency_ns)) return {"sample latency_ns", s->latency_ns};
-  } else if (const auto* u = std::get_if<UncoreBwEvent>(&e)) {
-    if (!ok(u->read_gbs)) return {"uncore read_gbs", u->read_gbs};
-    if (!ok(u->write_gbs)) return {"uncore write_gbs", u->write_gbs};
-  }
+  if (const auto* s = std::get_if<SampleEvent>(&e)) return first_bad_value(*s);
+  if (const auto* u = std::get_if<UncoreBwEvent>(&e)) return first_bad_value(*u);
   return {};
 }
 

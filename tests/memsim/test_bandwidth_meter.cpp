@@ -137,6 +137,64 @@ TEST(BandwidthMeter, WindowAveragesKeepTheBinByBinSum) {
   }
 }
 
+TEST(BandwidthMeter, GrowingWindowsContinueFromTheirPrefixes) {
+  // Open windows [t0, now) grow as time advances; each carries its
+  // prefix across calls while new traffic lands only at or past the
+  // stable end of the previous call. Every step must give the bits of
+  // the fresh average, and a prefix reset to empty starts over.
+  constexpr Ns kBin = 1000;
+  BandwidthMeter m(1, kBin);
+  std::uint64_t state = 11;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  const auto traffic = [&](Ns from) {
+    for (int k = 0; k < 20; ++k) {
+      const Ns t0 = from + next() % 3000;
+      m.add(0, t0, t0 + 1 + next() % 2500, static_cast<double>(next() % 100'000) / 7.0);
+    }
+  };
+  traffic(0);
+  struct Open {
+    Ns t0 = 0;
+    WindowAverages::Prefix prefix;
+  };
+  std::vector<Open> open;
+  for (int k = 0; k < 64; ++k) open.push_back(Open{static_cast<Ns>(next() % 20'000), {}});
+  Ns now = 20'000;
+  std::size_t stable = 0;
+  for (int step = 0; step < 80; ++step) {
+    traffic(static_cast<Ns>(stable) * kBin);
+    now += next() % 1500;
+    // Windows opened just now stay inside their first bin for a while.
+    if (step % 10 == 0) open.push_back(Open{now - next() % 3, {}});
+    if (step == 40) open.front().prefix = {};
+    const std::size_t reach = now > 2000 ? static_cast<std::size_t>((now - 2000) / kBin) : 0;
+    stable = std::max(stable, std::min(reach, m.bin_count(0)));
+    const WindowAverages averages = m.window_averages(0);
+    for (Open& w : open) {
+      const Ns t1 = std::max(now, w.t0 + 1);
+      EXPECT_EQ(bits(averages.average_gbs(w.t0, t1, w.prefix, stable)),
+                bits(averages.average_gbs(w.t0, t1)))
+          << "step " << step << " window " << w.t0 << ".." << t1;
+    }
+  }
+  // The prefixes did carry: most windows reached past their first bin.
+  EXPECT_GT(std::count_if(open.begin(), open.end(),
+                          [](const Open& w) { return w.prefix.end > 0; }),
+            32);
+
+  // A window still inside its first bin carries nothing, even below the
+  // stable end: its first share depends on where it ends.
+  const WindowAverages averages = m.window_averages(0);
+  WindowAverages::Prefix short_first;
+  EXPECT_EQ(bits(averages.average_gbs(1500, 1700, short_first, stable)),
+            bits(averages.average_gbs(1500, 1700)));
+  EXPECT_EQ(bits(averages.average_gbs(1500, 5300, short_first, stable)),
+            bits(averages.average_gbs(1500, 5300)));
+}
+
 /// `add` as one loop over the bins, each bin getting `bytes` times its
 /// overlap over the span: the per-bin shares every timeline digest
 /// (PinnedOutputs.BandwidthTimelines) was recorded with.
