@@ -28,21 +28,14 @@ cmake --preset default
 cmake --build --preset default
 ctest --preset default -j"$(nproc)"
 
-# Concurrency-suite filter, shared by the lockdep re-run below and the
-# TSan pass: every suite that exercises locks or threads — the serve
-# daemon (ServeConcurrency*), the worker pool (WorkerPoolConcurrency),
-# salvage-mode parallel block decode, autotune's std::async candidate
-# fan-out, and the lockdep validator's own tests. FlexMalloc and the
-# online engine are single-threaded and need no entry. New concurrent
-# suites must match this regex (name them *Concurrency* or extend the
-# list).
-concurrency_suites='Concurrency|Salvage|Lockdep|Autotune'
-
-# Runtime leaf-rule validation (docs/threading.md): re-run the
-# concurrency suites with the lockdep validator armed. Taking any lock
-# while holding one aborts the offending test.
-echo "== concurrency suites with ECOHMEM_LOCKDEP=1 =="
-ECOHMEM_LOCKDEP=1 ctest --preset default -j"$(nproc)" -R "$concurrency_suites"
+# Concurrency-suite filter for the TSan pass: every suite that
+# exercises locks or threads — the serve daemon (ServeConcurrency*), the
+# worker pool (WorkerPoolConcurrency), salvage-mode parallel block
+# decode, and autotune's std::async candidate fan-out. FlexMalloc and
+# the online engine are single-threaded and need no entry. New
+# concurrent suites must match this regex (name them *Concurrency* or
+# extend the list).
+concurrency_suites='Concurrency|Salvage|Autotune'
 
 # The repository benchmark's own output checks: every workload runs
 # tiny, traced and untraced, and fails on a report hash that changes
@@ -58,10 +51,9 @@ if [ "$static" -eq 1 ]; then
   echo "== ecohmem-srclint =="
   build/tools/ecohmem-srclint --root .
 
-  # Clang thread-safety analysis over the annotations. Requires clang++
-  # (>= 16: std::source_location needs __builtin_source_location against
-  # libstdc++); the GCC-only toolchain image skips this loudly instead of
-  # failing, and the annotations still gate wherever clang exists.
+  # Clang thread-safety analysis over the annotations. Requires clang++;
+  # a GCC-only toolchain skips this loudly instead of failing, and the
+  # annotations still gate wherever clang exists.
   if command -v clang++ >/dev/null 2>&1; then
     echo "== clang -Wthread-safety (as errors) =="
     cmake --preset clang-tsa

@@ -15,8 +15,8 @@ namespace fs = std::filesystem;
 
 /// One source rule: a regex over comment-stripped lines, scoped to path
 /// prefixes where the contract applies, with sanctioned prefixes where
-/// the banned construct is the implementation itself (e.g. the leaf
-/// wrappers own a raw std::mutex; this file owns the pattern strings).
+/// the banned construct is the implementation itself (e.g. the annotated
+/// common::Mutex owns a raw std::mutex; this file owns the pattern strings).
 struct SourceRule {
   std::string_view id;
   std::string_view description;
@@ -55,12 +55,12 @@ const std::vector<SourceRule>& source_rules() {
         std::regex(R"(for\s*\(.*:\s*([^)]+)\))")});
     r.push_back(SourceRule{
         "conc-raw-mutex",
-        "no raw std::mutex/std::shared_mutex in library code (use the leaf "
-        "lockdep wrappers, docs/threading.md)",
-        "raw standard mutex/CV; use common::LeafMutex / LeafSharedMutex / "
-        "condition_variable_any so the lockdep leaf rule applies",
+        "no raw std::mutex/std::shared_mutex in library code (use the annotated "
+        "common::Mutex, docs/threading.md)",
+        "raw standard mutex/CV; use common::Mutex / common::ScopedLock / "
+        "condition_variable_any so the thread-safety analysis sees the lock",
         {"src/"},
-        {"src/ecohmem/common/lockdep", "src/ecohmem/check/srclint"},
+        {"src/ecohmem/common/thread_annotations", "src/ecohmem/check/srclint"},
         std::regex(R"(std\s*::\s*(mutex|shared_mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|shared_timed_mutex|condition_variable)\b)")});
     return r;
   }();

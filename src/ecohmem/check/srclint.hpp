@@ -8,7 +8,7 @@
 /// reports) is easy to break with one careless line of code — a stray
 /// `rand()`, a wall-clock read feeding a simulated timestamp, a hash-map
 /// iteration ordering serialized output, or a raw `std::mutex` that
-/// bypasses the leaf lockdep wrappers. `ecohmem-lint` checks the
+/// bypasses the annotated `common::Mutex`. `ecohmem-lint` checks the
 /// *artifacts* after the fact; this lint checks the *source* before the
 /// artifact is ever produced.
 ///

@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file thread_annotations.hpp
-/// Clang thread-safety-analysis macros (docs/threading.md).
+/// The one lock type of the tree and its Clang thread-safety-analysis
+/// macros (docs/threading.md).
 ///
 /// The locking contracts of the concurrent layers — the serve daemon's
 /// session and registry locks, the worker pool's phase hand-off — are
@@ -13,18 +14,18 @@
 ///
 /// Usage mirrors the upstream Clang/Abseil idiom:
 ///
-///   class ECOHMEM_CAPABILITY("mutex") LeafMutex { ... };
-///
-///   common::LeafMutex mu_{"my_lock"};
+///   common::Mutex mu_;
 ///   std::map<K, V> live_ ECOHMEM_GUARDED_BY(mu_);
 ///
-///   void drain() ECOHMEM_REQUIRES(mu_);   // caller must hold mu_
+///   common::ScopedLock lock(mu_);   // the analysis sees mu_ held
 ///
-/// The capability-bearing types live in lockdep.hpp (`LeafMutex`,
-/// `LeafSharedMutex`) together with the scoped guards the analysis
-/// understands (`ScopedLock`, `SharedScopedLock`). New mutex-protected
-/// state must carry `ECOHMEM_GUARDED_BY`; see the annotation how-to in
-/// docs/threading.md.
+/// Every lock obeys the leaf rule: no thread takes a lock while holding
+/// one. Code review and the analysis check it at compile time;
+/// ThreadSanitizer's lock-order-inversion report and the ctest timeout
+/// catch a violation at run time (docs/threading.md). New
+/// mutex-protected state must carry `ECOHMEM_GUARDED_BY`.
+
+#include <mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
 #define ECOHMEM_THREAD_ANNOTATION(x) __attribute__((x))
@@ -41,51 +42,51 @@
 /// Data member is protected by the given capability.
 #define ECOHMEM_GUARDED_BY(x) ECOHMEM_THREAD_ANNOTATION(guarded_by(x))
 
-/// Pointed-to data is protected by the given capability.
-#define ECOHMEM_PT_GUARDED_BY(x) ECOHMEM_THREAD_ANNOTATION(pt_guarded_by(x))
-
-/// Function requires the capability held (exclusively / shared).
-#define ECOHMEM_REQUIRES(...) \
-  ECOHMEM_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define ECOHMEM_REQUIRES_SHARED(...) \
-  ECOHMEM_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-
 /// Function acquires / releases the capability.
 #define ECOHMEM_ACQUIRE(...) \
   ECOHMEM_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define ECOHMEM_ACQUIRE_SHARED(...) \
-  ECOHMEM_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define ECOHMEM_RELEASE(...) \
   ECOHMEM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define ECOHMEM_RELEASE_SHARED(...) \
-  ECOHMEM_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define ECOHMEM_RELEASE_GENERIC(...) \
-  ECOHMEM_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
 
-/// try_lock-style function: acquires the capability when it returns
-/// the given value.
-#define ECOHMEM_TRY_ACQUIRE(...) \
-  ECOHMEM_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define ECOHMEM_TRY_ACQUIRE_SHARED(...) \
-  ECOHMEM_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
-
-/// Function must NOT be called while holding the capability.
-#define ECOHMEM_EXCLUDES(...) ECOHMEM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Runtime assertion that the calling thread holds the capability; the
-/// analysis treats the capability as held afterwards. Used to inform
-/// the analysis inside condition-variable wait predicates, where the
-/// lock is held by contract but the analysis cannot prove it.
+/// The analysis treats the capability as held after the call. Used
+/// inside condition-variable wait predicates, where the lock is held by
+/// contract but the analysis cannot prove it.
 #define ECOHMEM_ASSERT_CAPABILITY(x) \
   ECOHMEM_THREAD_ANNOTATION(assert_capability(x))
-#define ECOHMEM_ASSERT_SHARED_CAPABILITY(x) \
-  ECOHMEM_THREAD_ANNOTATION(assert_shared_capability(x))
 
-/// Function returns a reference to the given capability.
-#define ECOHMEM_RETURN_CAPABILITY(x) ECOHMEM_THREAD_ANNOTATION(lock_returned(x))
+namespace ecohmem::common {
 
-/// Escape hatch for functions the analysis cannot follow (e.g. the
-/// worker pool's condition-variable phase hand-off). Use sparingly and
-/// say why at the use site.
-#define ECOHMEM_NO_THREAD_SAFETY_ANALYSIS \
-  ECOHMEM_THREAD_ANNOTATION(no_thread_safety_analysis)
+/// `std::mutex` as a capability the analysis understands. BasicLockable,
+/// so `std::condition_variable_any` waits on it directly.
+class ECOHMEM_CAPABILITY("mutex") Mutex {
+ public:
+  Mutex() = default;
+  Mutex(const Mutex&) = delete;
+  Mutex& operator=(const Mutex&) = delete;
+
+  void lock() ECOHMEM_ACQUIRE() { mu_.lock(); }
+  void unlock() ECOHMEM_RELEASE() { mu_.unlock(); }
+
+  /// Tells the analysis that the calling thread holds this mutex; no
+  /// run-time check. Call it inside condition-variable wait predicates.
+  void assert_held() const ECOHMEM_ASSERT_CAPABILITY(this) {}
+
+ private:
+  std::mutex mu_;
+};
+
+/// RAII exclusive guard over a `Mutex`, understood by the analysis.
+class ECOHMEM_SCOPED_CAPABILITY ScopedLock {
+ public:
+  explicit ScopedLock(Mutex& mu) ECOHMEM_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+
+  ScopedLock(const ScopedLock&) = delete;
+  ScopedLock& operator=(const ScopedLock&) = delete;
+
+  ~ScopedLock() ECOHMEM_RELEASE() { mu_.unlock(); }
+
+ private:
+  Mutex& mu_;
+};
+
+}  // namespace ecohmem::common

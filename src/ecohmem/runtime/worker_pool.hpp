@@ -9,7 +9,7 @@
 /// finished. Workers are long-lived — one spawn per pool, not per `run`.
 ///
 /// Thread safety: `run` must be called from one coordinating thread at a
-/// time. The pool uses a leaf mutex + condition variables only for
+/// time. The pool uses one mutex + condition variables only for
 /// phase hand-off (lock table: docs/threading.md); work
 /// partitioning inside `fn` is the caller's job (the reader strides
 /// blocks by worker index).
@@ -27,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "ecohmem/common/lockdep.hpp"
 #include "ecohmem/common/thread_annotations.hpp"
 
 namespace ecohmem::runtime {
@@ -77,10 +76,9 @@ class WorkerPool {
     std::exception_ptr error;
     {
       common::ScopedLock lock(mu_);
-      // condition_variable_any drives mu_ directly (LeafMutex is
-      // BasicLockable), so lockdep sees every release/reacquire of the
-      // wait loop. The predicate asserts the capability for the static
-      // analysis — the wait contract guarantees the lock is held.
+      // condition_variable_any drives mu_ directly (common::Mutex is
+      // BasicLockable). The predicate asserts the capability for the
+      // static analysis — the wait contract guarantees the lock is held.
       done_cv_.wait(mu_, [this] {
         mu_.assert_held();
         return pending_ == 0;
@@ -124,9 +122,9 @@ class WorkerPool {
   }
 
   std::vector<std::thread> workers_;
-  /// Phase hand-off leaf lock (lock table: docs/threading.md). Never
-  /// held while a task runs, so tasks may take any leaf lock.
-  common::LeafMutex mu_{"worker_pool"};
+  /// Phase hand-off lock (lock table: docs/threading.md). Never held
+  /// while a task runs, so a task may take any lock.
+  common::Mutex mu_;
   std::condition_variable_any work_cv_;
   std::condition_variable_any done_cv_;
   const std::function<void(std::size_t)>* task_ ECOHMEM_GUARDED_BY(mu_) = nullptr;

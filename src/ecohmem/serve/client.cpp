@@ -92,12 +92,12 @@ Expected<Client::Ingest> Client::ingest_block_once(const std::vector<trace::Even
   IngestBlock msg;
   msg.block_seq = next_block_seq_;
   msg.event_count = events.size();
-  Ns last_time = 0;  // per-block delta base, like a v3 file block
-  for (const auto& event : events) {
-    trace::codec::encode_event_compact(msg.block, event, last_time);
-  }
   std::string payload;
-  encode_ingest_block(payload, msg);
+  encode_ingest_block(payload, msg);  // the block body follows in place
+  Ns last_time = 0;                   // per-block delta base, like a v3 file block
+  for (const auto& event : events) {
+    trace::codec::encode_event_compact(payload, event, last_time);
+  }
   auto status = send_frame(FrameType::kIngestBlock, payload);
   if (!status.ok()) return unexpected(status.error());
   auto reply = read_reply();

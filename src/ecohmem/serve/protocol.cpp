@@ -68,9 +68,9 @@ namespace {
   return false;
 }
 
-/// Reader over a payload string; all payload decoders funnel through
+/// Reader over a payload; all payload decoders funnel through
 /// this so short payloads and trailing bytes fail uniformly.
-[[nodiscard]] codec::ByteReader payload_reader(const std::string& payload) {
+[[nodiscard]] codec::ByteReader payload_reader(std::string_view payload) {
   return codec::ByteReader(reinterpret_cast<const unsigned char*>(payload.data()),
                            payload.size(), 0);
 }
@@ -123,7 +123,7 @@ void encode_hello(std::string& out, const HelloRequest& msg) {
   out.append(msg.header);
 }
 
-Expected<HelloRequest> decode_hello(const std::string& payload) {
+Expected<HelloRequest> decode_hello(std::string_view payload) {
   auto r = payload_reader(payload);
   HelloRequest msg;
   if (!r.get(msg.proto_version) || !r.get(msg.session_id) || !r.get(msg.flags)) {
@@ -147,7 +147,7 @@ void encode_hello_ok(std::string& out, const HelloOk& msg) {
   codec::put(out, msg.queue_blocks);
 }
 
-Expected<HelloOk> decode_hello_ok(const std::string& payload) {
+Expected<HelloOk> decode_hello_ok(std::string_view payload) {
   auto r = payload_reader(payload);
   HelloOk msg;
   if (!r.get(msg.proto_version) || !r.get(msg.session_id) || !r.get(msg.epoch) ||
@@ -167,13 +167,13 @@ void encode_ingest_block(std::string& out, const IngestBlock& msg) {
   out.append(msg.block);
 }
 
-Expected<IngestBlock> decode_ingest_block(const std::string& payload) {
+Expected<IngestBlock> decode_ingest_block(std::string_view payload) {
   auto r = payload_reader(payload);
   IngestBlock msg;
   if (!r.get(msg.block_seq) || !r.get(msg.event_count)) {
     return short_payload("INGEST_BLOCK");
   }
-  msg.block.assign(payload, payload.size() - r.remaining(), r.remaining());
+  msg.block = payload.substr(payload.size() - r.remaining());
   return msg;
 }
 
@@ -185,7 +185,7 @@ void encode_block_ok(std::string& out, const BlockOk& msg) {
   codec::put(out, msg.accepted_events);
 }
 
-Expected<BlockOk> decode_block_ok(const std::string& payload) {
+Expected<BlockOk> decode_block_ok(std::string_view payload) {
   auto r = payload_reader(payload);
   BlockOk msg;
   if (!r.get(msg.block_seq) || !r.get(msg.accepted_events)) return short_payload("BLOCK_OK");
@@ -199,7 +199,7 @@ void encode_busy(std::string& out, const Busy& msg) {
   codec::put(out, msg.retry_hint_ms);
 }
 
-Expected<Busy> decode_busy(const std::string& payload) {
+Expected<Busy> decode_busy(std::string_view payload) {
   auto r = payload_reader(payload);
   Busy msg;
   if (!r.get(msg.block_seq) || !r.get(msg.queue_depth) || !r.get(msg.retry_hint_ms)) {
@@ -225,7 +225,7 @@ void encode_query_placement(std::string& out, const QueryPlacement& msg) {
   }
 }
 
-Expected<QueryPlacement> decode_query_placement(const std::string& payload) {
+Expected<QueryPlacement> decode_query_placement(std::string_view payload) {
   auto r = payload_reader(payload);
   QueryPlacement msg;
   std::uint8_t tier_count = 0;
@@ -287,7 +287,7 @@ void encode_report(std::string& out, const Report& msg) {
   out.append(msg.text);
 }
 
-Expected<Report> decode_report(const std::string& payload) {
+Expected<Report> decode_report(std::string_view payload) {
   auto r = payload_reader(payload);
   Report msg;
   if (!r.get(msg.epoch) || !r.get(msg.events_analyzed)) return short_payload("REPORT");
@@ -301,7 +301,7 @@ void encode_snapshot_data(std::string& out, const SnapshotData& msg) {
   out.append(msg.csv);
 }
 
-Expected<SnapshotData> decode_snapshot_data(const std::string& payload) {
+Expected<SnapshotData> decode_snapshot_data(std::string_view payload) {
   auto r = payload_reader(payload);
   SnapshotData msg;
   if (!r.get(msg.epoch) || !r.get(msg.events_analyzed)) return short_payload("SNAPSHOT_DATA");
@@ -325,7 +325,7 @@ void encode_stats_data(std::string& out, const StatsData& msg) {
   codec::put_string(out, msg.error);
 }
 
-Expected<StatsData> decode_stats_data(const std::string& payload) {
+Expected<StatsData> decode_stats_data(std::string_view payload) {
   auto r = payload_reader(payload);
   StatsData msg;
   if (!r.get(msg.session_id) || !r.get(msg.epoch) || !r.get(msg.blocks_accepted) ||
@@ -343,7 +343,7 @@ Expected<StatsData> decode_stats_data(const std::string& payload) {
 
 void encode_bye(std::string& out, const Bye& msg) { codec::put(out, msg.flags); }
 
-Expected<Bye> decode_bye(const std::string& payload) {
+Expected<Bye> decode_bye(std::string_view payload) {
   auto r = payload_reader(payload);
   Bye msg;
   if (!r.get(msg.flags)) return short_payload("BYE");
@@ -356,7 +356,7 @@ void encode_error(std::string& out, const ErrorReply& msg) {
   codec::put_string(out, msg.detail);
 }
 
-Expected<ErrorReply> decode_error(const std::string& payload) {
+Expected<ErrorReply> decode_error(std::string_view payload) {
   auto r = payload_reader(payload);
   std::uint16_t code = 0;
   ErrorReply msg;

@@ -106,6 +106,8 @@ void append_frame(std::string& out, FrameType type, std::string_view payload);
 
 // ---------------------------------------------------------------------
 // Payload structs + codecs. Every decode_* rejects trailing bytes.
+// Decoders read a view of the payload, so the server decodes straight
+// from the received frame body.
 
 /// HELLO payload. `session_id` 0 opens a new session, in which case
 /// `header` must hold a v3 trace header (`codec::encode_header` bytes,
@@ -127,11 +129,15 @@ struct HelloOk {
   std::uint32_t queue_blocks = 0;  ///< ingest queue bound (backpressure point)
 };
 
-/// INGEST_BLOCK payload: one independently decodable event block.
+/// INGEST_BLOCK payload: one independently decodable event block. The
+/// block body is the payload's tail, so a sender may encode the header
+/// with an empty `block` and append the compact events after it.
 struct IngestBlock {
   std::uint64_t block_seq = 0;    ///< per-connection, starts at 0, +1 each block
   std::uint64_t event_count = 0;  ///< events encoded in `block`
-  std::string block;              ///< v3 block body (compact events, delta base 0)
+  /// v3 block body (compact events, delta base 0). Decoding leaves a
+  /// view into the decoded payload; it lives no longer than that.
+  std::string_view block;
 };
 
 /// BLOCK_OK payload: the block was accepted into the ingest queue.
@@ -221,36 +227,36 @@ struct ErrorReply {
 };
 
 void encode_hello(std::string& out, const HelloRequest& msg);
-[[nodiscard]] Expected<HelloRequest> decode_hello(const std::string& payload);
+[[nodiscard]] Expected<HelloRequest> decode_hello(std::string_view payload);
 
 void encode_hello_ok(std::string& out, const HelloOk& msg);
-[[nodiscard]] Expected<HelloOk> decode_hello_ok(const std::string& payload);
+[[nodiscard]] Expected<HelloOk> decode_hello_ok(std::string_view payload);
 
 void encode_ingest_block(std::string& out, const IngestBlock& msg);
-[[nodiscard]] Expected<IngestBlock> decode_ingest_block(const std::string& payload);
+[[nodiscard]] Expected<IngestBlock> decode_ingest_block(std::string_view payload);
 
 void encode_block_ok(std::string& out, const BlockOk& msg);
-[[nodiscard]] Expected<BlockOk> decode_block_ok(const std::string& payload);
+[[nodiscard]] Expected<BlockOk> decode_block_ok(std::string_view payload);
 
 void encode_busy(std::string& out, const Busy& msg);
-[[nodiscard]] Expected<Busy> decode_busy(const std::string& payload);
+[[nodiscard]] Expected<Busy> decode_busy(std::string_view payload);
 
 void encode_query_placement(std::string& out, const QueryPlacement& msg);
-[[nodiscard]] Expected<QueryPlacement> decode_query_placement(const std::string& payload);
+[[nodiscard]] Expected<QueryPlacement> decode_query_placement(std::string_view payload);
 
 void encode_report(std::string& out, const Report& msg);
-[[nodiscard]] Expected<Report> decode_report(const std::string& payload);
+[[nodiscard]] Expected<Report> decode_report(std::string_view payload);
 
 void encode_snapshot_data(std::string& out, const SnapshotData& msg);
-[[nodiscard]] Expected<SnapshotData> decode_snapshot_data(const std::string& payload);
+[[nodiscard]] Expected<SnapshotData> decode_snapshot_data(std::string_view payload);
 
 void encode_stats_data(std::string& out, const StatsData& msg);
-[[nodiscard]] Expected<StatsData> decode_stats_data(const std::string& payload);
+[[nodiscard]] Expected<StatsData> decode_stats_data(std::string_view payload);
 
 void encode_bye(std::string& out, const Bye& msg);
-[[nodiscard]] Expected<Bye> decode_bye(const std::string& payload);
+[[nodiscard]] Expected<Bye> decode_bye(std::string_view payload);
 
 void encode_error(std::string& out, const ErrorReply& msg);
-[[nodiscard]] Expected<ErrorReply> decode_error(const std::string& payload);
+[[nodiscard]] Expected<ErrorReply> decode_error(std::string_view payload);
 
 }  // namespace ecohmem::serve

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "ecohmem/advisor/bandwidth_aware.hpp"
@@ -188,7 +189,7 @@ void Server::handle_connection(common::posix::UniqueFd fd) {
     if (!common::posix::read_full(fd.get(), body.data(), body.size()).ok()) break;
 
     const auto raw_type = static_cast<std::uint8_t>(body[0]);
-    const std::string payload = body.substr(1);
+    const std::string_view payload = std::string_view(body).substr(1);
     const auto type = static_cast<FrameType>(raw_type);
     switch (type) {
       case FrameType::kHello:

@@ -1,6 +1,5 @@
 #include "ecohmem/serve/session.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace ecohmem::serve {
@@ -127,53 +126,43 @@ SessionManager::SessionManager(SessionOptions defaults, std::size_t max_sessions
     : defaults_(std::move(defaults)), max_sessions_(max_sessions) {}
 
 Expected<std::shared_ptr<Session>> SessionManager::create(trace::codec::HeaderInfo header) {
-  if (count_.load(std::memory_order_relaxed) >= max_sessions_) {
+  common::ScopedLock lock(mu_);
+  if (sessions_.size() >= max_sessions_) {
     return unexpected("session limit reached (" + std::to_string(max_sessions_) + ")");
   }
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t id = next_id_++;
   auto session = std::make_shared<Session>(id, std::move(header), defaults_);
-  Shard& shard = shard_of(id);
-  {
-    common::ScopedWriteLock lock(shard.mu);
-    shard.sessions.emplace(id, session);
-  }
-  count_.fetch_add(1, std::memory_order_relaxed);
+  sessions_.emplace(id, session);
   return session;
 }
 
 std::shared_ptr<Session> SessionManager::find(std::uint64_t id) {
-  Shard& shard = shard_of(id);
-  common::SharedScopedLock lock(shard.mu);
-  const auto it = shard.sessions.find(id);
-  return it == shard.sessions.end() ? nullptr : it->second;
+  common::ScopedLock lock(mu_);
+  const auto it = sessions_.find(id);
+  return it == sessions_.end() ? nullptr : it->second;
 }
 
 bool SessionManager::erase(std::uint64_t id) {
   std::shared_ptr<Session> victim;  // destroyed after the lock drops
-  Shard& shard = shard_of(id);
-  {
-    common::ScopedWriteLock lock(shard.mu);
-    const auto it = shard.sessions.find(id);
-    if (it == shard.sessions.end()) return false;
-    victim = std::move(it->second);
-    shard.sessions.erase(it);
-  }
-  count_.fetch_sub(1, std::memory_order_relaxed);
+  common::ScopedLock lock(mu_);
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return false;
+  victim = std::move(it->second);
+  sessions_.erase(it);
   return true;
 }
 
 std::vector<std::shared_ptr<Session>> SessionManager::all() {
+  common::ScopedLock lock(mu_);
   std::vector<std::shared_ptr<Session>> out;
-  for (auto& shard : shards_) {
-    common::SharedScopedLock lock(shard.mu);
-    // srclint-ok: det-unordered-iter (sorted by id below)
-    for (const auto& [id, session] : shard.sessions) {
-      (void)id;
-      out.push_back(session);
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) { return a->id() < b->id(); });
+  out.reserve(sessions_.size());
+  for (const auto& entry : sessions_) out.push_back(entry.second);
   return out;
+}
+
+std::size_t SessionManager::size() {
+  common::ScopedLock lock(mu_);
+  return sessions_.size();
 }
 
 }  // namespace ecohmem::serve

@@ -14,26 +14,26 @@
 /// the first E blocks by construction (docs/serving.md
 /// §snapshot-consistency).
 ///
-/// Locking (all leaves; lock table in docs/threading.md):
-///  - `serve_session_queue` guards the ingest queue + block counters
-///    and carries both condition variables (applier wakeup, flush).
-///  - `serve_session_store` guards the aggregator, the drop/coverage
-///    counters and the snapshot cache.
+/// Locking (lock table in docs/threading.md): no thread holds two locks.
+///  - `queue_mu_` guards the ingest queue + block counters and carries
+///    both condition variables (applier wakeup, flush).
+///  - `store_mu_` guards the aggregator, the drop/coverage counters and
+///    the snapshot cache.
 /// The applier moves one block at a time: pop under the queue lock,
 /// apply under the store lock, acknowledge under the queue lock — at
 /// most one lock held at any point.
 ///
-/// `SessionManager` is the daemon's registry: id-sharded, each shard
-/// behind a `serve_registry_shard` shared mutex. Lookups copy the
-/// `shared_ptr` out and release the shard lock before touching the
-/// session, so registry and session locks never nest.
+/// `SessionManager` is the daemon's registry: one map behind one lock,
+/// taken only at HELLO, BYE and drain. Lookups copy the `shared_ptr`
+/// out and release the registry lock before touching the session, so
+/// registry and session locks never nest.
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,7 +41,6 @@
 
 #include "ecohmem/analyzer/incremental.hpp"
 #include "ecohmem/common/expected.hpp"
-#include "ecohmem/common/lockdep.hpp"
 #include "ecohmem/common/thread_annotations.hpp"
 #include "ecohmem/trace/codec.hpp"
 #include "ecohmem/trace/events.hpp"
@@ -142,7 +141,7 @@ class Session {
   const trace::codec::HeaderInfo header_;
   const SessionOptions options_;
 
-  common::LeafMutex queue_mu_{"serve_session_queue"};
+  common::Mutex queue_mu_;
   std::condition_variable_any work_cv_;     ///< queue_mu_: applier wakeup
   std::condition_variable_any applied_cv_;  ///< queue_mu_: flush waiters
   std::deque<std::vector<trace::Event>> queue_ ECOHMEM_GUARDED_BY(queue_mu_);
@@ -150,7 +149,7 @@ class Session {
   std::uint64_t applied_blocks_ ECOHMEM_GUARDED_BY(queue_mu_) = 0;
   bool stopping_ ECOHMEM_GUARDED_BY(queue_mu_) = false;
 
-  common::LeafMutex store_mu_{"serve_session_store"};
+  common::Mutex store_mu_;
   analyzer::IncrementalAggregator store_ ECOHMEM_GUARDED_BY(store_mu_);
   std::uint64_t epoch_ ECOHMEM_GUARDED_BY(store_mu_) = 0;
   std::uint64_t dropped_blocks_ ECOHMEM_GUARDED_BY(store_mu_) = 0;
@@ -163,15 +162,16 @@ class Session {
   std::thread applier_;  ///< started last, joined in the destructor
 };
 
-/// The daemon's session registry: sharded by id so concurrent HELLOs
-/// and lookups from many connection threads do not serialize.
+/// The daemon's session registry: one id-keyed map behind one lock.
 class SessionManager {
  public:
   /// `defaults` seeds every new session's options; `max_sessions`
   /// bounds the registry (create fails beyond it).
   explicit SessionManager(SessionOptions defaults = {}, std::size_t max_sessions = 256);
 
-  /// Opens a new session around `header`, assigning a fresh id.
+  /// Opens a new session around `header`, assigning a fresh id. The
+  /// limit check and the insert are one step under the registry lock,
+  /// so concurrent creates never exceed `max_sessions`.
   [[nodiscard]] Expected<std::shared_ptr<Session>> create(trace::codec::HeaderInfo header);
 
   /// The session with `id`, or nullptr. The returned pointer keeps the
@@ -185,24 +185,15 @@ class SessionManager {
   [[nodiscard]] std::vector<std::shared_ptr<Session>> all();
 
   /// Registered session count.
-  [[nodiscard]] std::size_t size() const { return count_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::size_t size();
 
  private:
-  static constexpr std::size_t kShards = 8;
-
-  struct Shard {
-    common::LeafSharedMutex mu{"serve_registry_shard"};
-    std::unordered_map<std::uint64_t, std::shared_ptr<Session>> sessions
-        ECOHMEM_GUARDED_BY(mu);
-  };
-
-  Shard& shard_of(std::uint64_t id) { return shards_[id % kShards]; }
-
   const SessionOptions defaults_;
   const std::size_t max_sessions_;
-  std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::size_t> count_{0};
-  std::array<Shard, kShards> shards_;
+
+  common::Mutex mu_;
+  std::uint64_t next_id_ ECOHMEM_GUARDED_BY(mu_) = 1;
+  std::map<std::uint64_t, std::shared_ptr<Session>> sessions_ ECOHMEM_GUARDED_BY(mu_);
 };
 
 }  // namespace ecohmem::serve

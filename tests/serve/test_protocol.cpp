@@ -118,10 +118,11 @@ TEST(ServeProtocol, HelloOkRoundTrip) {
 }
 
 TEST(ServeProtocol, IngestBlockRoundTrip) {
+  const std::string body("\x01\x00\xfe raw v3 block", 15);
   IngestBlock msg;
   msg.block_seq = 3;
   msg.event_count = 12;
-  msg.block = std::string("\x01\x00\xfe raw v3 block", 15);
+  msg.block = body;
   std::string payload;
   encode_ingest_block(payload, msg);
   const auto back = decode_ingest_block(payload);

@@ -5,9 +5,8 @@
 // gracefully; and malformed frames follow the docs/serving.md
 // close-vs-continue table.
 //
-// These suites are part of the ci.sh concurrency filter (TSan +
-// lockdep): every test runs the real accept loop, handler threads and
-// session locks.
+// These suites are part of the ci.sh concurrency filter (TSan): every
+// test runs the real accept loop, handler threads and session locks.
 
 #include <gtest/gtest.h>
 
@@ -478,13 +477,15 @@ TEST(ServeConcurrencyServer, BadBlockIsSalvagedNotFatal) {
 
   // The session is still usable — but the client-side seq tracker must
   // skip the consumed seq 0, so drive the next block manually.
+  std::string body;
+  Ns last_time = 0;
+  trace::codec::encode_event_compact(
+      body, trace::Event{trace::AllocEvent{1, 1, 0x1000, 64, s, trace::AllocKind::kMalloc}},
+      last_time);
   IngestBlock good;
   good.block_seq = 1;
   good.event_count = 1;
-  Ns last_time = 0;
-  trace::codec::encode_event_compact(
-      good.block, trace::Event{trace::AllocEvent{1, 1, 0x1000, 64, s, trace::AllocKind::kMalloc}},
-      last_time);
+  good.block = body;
   payload.clear();
   encode_ingest_block(payload, good);
   raw.clear();

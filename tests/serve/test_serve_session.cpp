@@ -8,8 +8,8 @@
 //  - the bounded queue reports backpressure and never drops accepted
 //    blocks.
 //
-// The ServeConcurrency suites here also run under the TSan/lockdep
-// filter in ci.sh (concurrent ingest + snapshot on the live locks).
+// The ServeConcurrency suites here also run under the TSan filter in
+// ci.sh (concurrent ingest + snapshot on the live locks).
 
 #include <gtest/gtest.h>
 
@@ -359,7 +359,7 @@ TEST(ServeIncremental, SemanticErrorIsSticky) {
 
 // ---------------------------------------------------------------------
 // Session: queue + applier + snapshot cache. These suites are part of
-// the ci.sh concurrency filter (TSan + lockdep).
+// the ci.sh concurrency filter (TSan).
 
 TEST(ServeConcurrencySession, SnapshotMatchesOfflineAcrossBlockSizes) {
   const trace::Trace t = profile_app("hpcg");
@@ -583,6 +583,37 @@ TEST(ServeConcurrencySession, ConcurrentManagerCreateFindErase) {
   for (auto& w : workers) w.join();
   EXPECT_EQ(created.load(), 128);
   EXPECT_EQ(manager.size(), 64u);
+}
+
+TEST(ServeConcurrencySession, ConcurrentCreateNeverExceedsTheLimit) {
+  // The limit check and the insert are one step: racing HELLOs cannot
+  // open more than max_sessions sessions. Each session starts an
+  // applier thread, so the counts stay small.
+  SessionManager manager(SessionOptions{}, /*max_sessions=*/16);
+  trace::codec::HeaderInfo h;
+  std::atomic<int> created{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> wrong_error{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 8; ++w) {
+    workers.emplace_back([&] {
+      for (int i = 0; i < 4; ++i) {
+        const auto session = manager.create(h);
+        if (session.has_value()) {
+          created.fetch_add(1);
+        } else if (session.error() == "session limit reached (16)") {
+          refused.fetch_add(1);
+        } else {
+          wrong_error.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(created.load(), 16);
+  EXPECT_EQ(refused.load(), 16);
+  EXPECT_EQ(wrong_error.load(), 0);
+  EXPECT_EQ(manager.size(), 16u);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // ecohmem-lint checks the pipeline's *artifacts*; this tool checks the
 // *source tree* that produces them: banned nondeterministic random
 // sources, wall-clock reads in pipeline code, unordered-container
-// iteration in serialization paths, and raw std::mutex where the leaf
-// lockdep wrappers are required.
+// iteration in serialization paths, and raw std::mutex where the
+// annotated common::Mutex is required.
 //
 // Usage:
 //   ecohmem-srclint [--root <dir>] [--json] [--quiet]
