@@ -9,6 +9,9 @@
 
 #include "ecohmem/apps/apps.hpp"
 #include "ecohmem/core/ecohmem.hpp"
+#include "ecohmem/flexmalloc/report_parser.hpp"
+#include "ecohmem/online/policy_config.hpp"
+#include "ecohmem/runtime/guidance.hpp"
 
 namespace ecohmem::bench {
 
@@ -46,6 +49,24 @@ inline NamedRun run_config(const runtime::Workload& w, const memsim::MemorySyste
   run.speedup = result->speedup();
   run.ok = true;
   return run;
+}
+
+/// Replays the workflow's placement under the online policy seeded from
+/// the workflow's own advisor report, exactly as
+/// `ecohmem-run --online P --from-report R` sets it up (docs/online.md).
+inline Expected<runtime::RunMetrics> run_seeded_online(
+    const runtime::Workload& w, const memsim::MemorySystem& sys,
+    const core::WorkflowResult& workflow, Bytes dram_limit,
+    const online::OnlinePolicyConfig& policy) {
+  const auto report = flexmalloc::parse_report(workflow.report_text, *w.modules);
+  if (!report) return unexpected(report.error());
+  const auto guidance = runtime::GuidanceSeed::build(w, *report);
+  if (!guidance) return unexpected(guidance.error());
+  runtime::EngineOptions options;
+  options.online_policy = &policy;
+  options.guidance = &*guidance;
+  return core::run_with_placement(w, sys, workflow.placement, dram_limit,
+                                  advisor::ReportFormat::kBom, options);
 }
 
 inline void print_header(const char* title, const char* paper_ref) {

@@ -1,20 +1,18 @@
 // Extension study: the paper's stated future work (§III) — combining the
-// proactive Advisor placement with reactive kernel page migration.
+// proactive Advisor placement with reactive page migration.
 //
 // For each application: memory mode (baseline 1.0), pure reactive
 // (kernel tiering), pure proactive (ecoHMEM bandwidth-aware), and the
-// hybrid (ecoHMEM initial placement + a reactive migration window).
-// Expected shape: hybrid >= proactive on workloads whose runtime hotness
-// drifts from the profile, and never pays the tiering baseline's
-// metadata-tax collapse because the Advisor placement already uses the
-// devdax path.
+// hybrid: the proactive placement replayed under the online migration
+// policy seeded from the same report, as
+// `ecohmem-run --online P --from-report R` runs it (docs/online.md).
+// The hybrid pays every migration's bandwidth cost, so it can fall below
+// the proactive run where the policy moves more than it gains.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "ecohmem/baselines/hybrid_mode.hpp"
 #include "ecohmem/baselines/kernel_tiering.hpp"
-#include "ecohmem/flexmalloc/flexmalloc.hpp"
 
 using namespace ecohmem;
 
@@ -44,25 +42,14 @@ void run_app(const std::string& name) {
   const auto proactive = core::run_workflow(w, sys, opt);
   if (!proactive) return;
 
-  // Hybrid: same report, plus a 15% reactive window.
+  // Hybrid: the same placement and report, plus the seeded online policy.
+  const online::OnlinePolicyConfig policy;  // defaults == configs/online_policy.ini
   double hybrid = 0.0;
   double migrated_gb = 0.0;
-  {
-    const auto parsed = flexmalloc::parse_report(proactive->report_text, *w.modules);
-    if (parsed) {
-      auto fm = flexmalloc::FlexMalloc::create(
-          {{"dram", dram}, {"pmem", sys.tier(sys.fallback_index()).capacity()}}, *parsed,
-          w.symbols.get());
-      if (fm) {
-        baselines::HybridMode mode(&sys, &*fm, 0, sys.fallback_index());
-        runtime::ExecutionEngine engine(&sys, {});
-        const auto run = engine.run(w, mode);
-        if (run) {
-          hybrid = run->speedup_over(*baseline);
-          migrated_gb = mode.migrated_bytes() / 1e9;
-        }
-      }
-    }
+  const auto seeded = bench::run_seeded_online(w, sys, *proactive, dram, policy);
+  if (seeded) {
+    hybrid = seeded->speedup_over(*baseline);
+    migrated_gb = static_cast<double>(seeded->migrated_bytes) / 1e9;
   }
 
   std::printf("%-14s %9.2f %10.2f %8.2f   (%.1f GB migrated)\n", name.c_str(), reactive,
@@ -77,7 +64,7 @@ int main() {
   std::printf("%-14s %9s %10s %8s\n", "app", "reactive", "proactive", "hybrid");
   for (const auto& name : apps::app_names()) run_app(name);
   std::printf("\n(speedups over memory mode; 'reactive' is the tiering kernel with its\n"
-              " metadata tax, 'proactive' is bandwidth-aware ecoHMEM, 'hybrid' layers a\n"
-              " 15%% reactive DRAM window on the proactive placement)\n");
+              " metadata tax, 'proactive' is bandwidth-aware ecoHMEM, 'hybrid' runs the\n"
+              " default online policy seeded from the proactive report)\n");
   return 0;
 }

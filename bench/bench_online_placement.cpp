@@ -24,8 +24,6 @@
 #include "bench_common.hpp"
 #include "ecohmem/apps/synthetic.hpp"
 #include "ecohmem/baselines/kernel_tiering.hpp"
-#include "ecohmem/online/policy_config.hpp"
-#include "ecohmem/runtime/guidance.hpp"
 
 using namespace ecohmem;
 
@@ -62,16 +60,7 @@ Expected<Row> run_app(const std::string& name, const runtime::Workload& w,
                                                advisor::ReportFormat::kBom, engine_options);
   if (!online) return unexpected(online.error());
 
-  // The same run seeded from the advisor report, exactly as
-  // `ecohmem-run --online P --from-report R` would set it up.
-  const auto report = flexmalloc::parse_report(workflow->report_text, *w.modules);
-  if (!report) return unexpected(report.error());
-  const auto guidance = runtime::GuidanceSeed::build(w, *report);
-  if (!guidance) return unexpected(guidance.error());
-  runtime::EngineOptions seeded_options = engine_options;
-  seeded_options.guidance = &*guidance;
-  const auto seeded = core::run_with_placement(w, sys, workflow->placement, opt.dram_limit,
-                                               advisor::ReportFormat::kBom, seeded_options);
+  const auto seeded = bench::run_seeded_online(w, sys, *workflow, opt.dram_limit, policy);
   if (!seeded) return unexpected(seeded.error());
 
   baselines::KernelTieringMode tiering(&sys, 0, sys.fallback_index());

@@ -428,6 +428,19 @@ for bad in "build/tools/ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc
   fi
 done
 
+# calibrate takes application names as arguments: an unknown one is a
+# usage error (exit 2) that lists the valid names, never an uncaught
+# throw; --help prints the usage and exits 0.
+set +e
+build/tools/calibrate nosuchapp 2>/tmp/ecohmem_ci_calibrate.txt
+calibrate_rc=$?
+set -e
+if [ "$calibrate_rc" -ne 2 ]; then
+  echo "calibrate nosuchapp exited $calibrate_rc, want 2" >&2; exit 1
+fi
+grep -q "valid apps: minife" /tmp/ecohmem_ci_calibrate.txt
+build/tools/calibrate --help | grep -q "usage: calibrate"
+
 # Malformed size and number flags must be usage errors (exit 2), never a
 # silent fall back to the default (a 12 GiB DRAM limit, a zero store
 # coefficient). The advisor config the flags build must pass the same

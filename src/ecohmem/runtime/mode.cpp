@@ -245,6 +245,11 @@ Expected<ObjectMigration> AppDirectMode::migrate_object_range(std::size_t object
   m.offset = offset;
   m.partial = true;
   if (!m.moved) return m;
+  // FlexMalloc may have widened the range over the block's tail padding
+  // (a remainder promotion ends at the unpadded object size); a remnant
+  // recorded from the requested length would name a block that no
+  // longer exists and fail the object's free.
+  length = outcome->bytes;
 
   // Rewrite the fragment list: the moved range becomes its own part,
   // remnants (if any) keep their home addresses.

@@ -1,16 +1,14 @@
 // Property tests over randomized workloads: whatever the (seeded) shape,
 // the whole pipeline must hold its invariants — build validity, workflow
 // success, budget compliance, allocation conservation, and the safety of
-// every execution mode including the hybrid extension.
+// every execution mode.
 
 #include "ecohmem/apps/synthetic.hpp"
 
 #include <gtest/gtest.h>
 
-#include "ecohmem/baselines/hybrid_mode.hpp"
 #include "ecohmem/baselines/kernel_tiering.hpp"
 #include "ecohmem/core/ecohmem.hpp"
-#include "ecohmem/flexmalloc/flexmalloc.hpp"
 
 namespace ecohmem::apps {
 namespace {
@@ -85,73 +83,6 @@ TEST_P(SyntheticSweep, SpeedupWithinPhysicalBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SyntheticSweep,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
-
-// ----------------------------------------------------- hybrid extension
-
-TEST(HybridMode, ProactivePlusReactiveOnSkewedWorkload) {
-  // A workload whose profile-time hot object differs from the runtime
-  // one: the hybrid mode should recover part of the gap reactively.
-  const auto sys = *memsim::paper_system(6);
-  const runtime::Workload w = make_synthetic({.seed = 99, .phases = 6});
-
-  core::WorkflowOptions opt;
-  opt.dram_limit = 8ull << 30;
-  const auto base = core::run_workflow(w, sys, opt);
-  ASSERT_TRUE(base.has_value());
-
-  // Rebuild FlexMalloc from the report and run hybrid.
-  const auto parsed = flexmalloc::parse_report(base->report_text, *w.modules);
-  ASSERT_TRUE(parsed.has_value());
-  auto fm = flexmalloc::FlexMalloc::create(
-      {{"dram", 8ull << 30}, {"pmem", sys.tier(1).capacity()}}, *parsed, w.symbols.get());
-  ASSERT_TRUE(fm.has_value());
-
-  baselines::HybridMode hybrid(&sys, &*fm, 0, 1);
-  runtime::ExecutionEngine engine(&sys, {});
-  const auto metrics = engine.run(w, hybrid);
-  ASSERT_TRUE(metrics.has_value()) << metrics.error();
-  // Sanity: the hybrid run finishes within a small factor of the pure
-  // proactive run (migration never catastrophically regresses it).
-  EXPECT_LT(static_cast<double>(metrics->total_ns),
-            static_cast<double>(base->production_metrics.total_ns) * 1.25);
-}
-
-TEST(HybridMode, MigratesOnlyWithinManagedWindow) {
-  const auto sys = *memsim::paper_system(6);
-  const runtime::Workload w = make_synthetic({.seed = 7, .phases = 6});
-
-  core::WorkflowOptions opt;
-  opt.dram_limit = 4ull << 30;
-  const auto base = core::run_workflow(w, sys, opt);
-  ASSERT_TRUE(base.has_value());
-  const auto parsed = flexmalloc::parse_report(base->report_text, *w.modules);
-  ASSERT_TRUE(parsed.has_value());
-  auto fm = flexmalloc::FlexMalloc::create(
-      {{"dram", 4ull << 30}, {"pmem", sys.tier(1).capacity()}}, *parsed, w.symbols.get());
-  ASSERT_TRUE(fm.has_value());
-
-  baselines::HybridOptions hopt;
-  hopt.managed_fraction = 0.1;
-  baselines::HybridMode hybrid(&sys, &*fm, 0, 1, hopt);
-  runtime::ExecutionEngine engine(&sys, {});
-  ASSERT_TRUE(engine.run(w, hybrid).has_value());
-  // Total promoted bytes cannot exceed the managed window per... the
-  // window is recycled across phases, so just check it moved something
-  // bounded (not the whole footprint at once).
-  EXPECT_LE(hybrid.migrated_bytes(),
-            static_cast<double>(w.heap_high_water));
-}
-
-TEST(HybridMode, FreeOfUnknownObjectRejected) {
-  const auto sys = *memsim::paper_system(6);
-  flexmalloc::ParsedReport empty;
-  empty.fallback_tier = "pmem";
-  auto fm = flexmalloc::FlexMalloc::create(
-      {{"dram", 1ull << 30}, {"pmem", 1ull << 40}}, empty, nullptr);
-  ASSERT_TRUE(fm.has_value());
-  baselines::HybridMode hybrid(&sys, &*fm, 0, 1);
-  EXPECT_FALSE(hybrid.on_free(3, 0x1234).ok());
-}
 
 }  // namespace
 }  // namespace ecohmem::apps

@@ -3,6 +3,7 @@
 // Table VIII). Used while tuning the workload models; kept in the repo so
 // model changes can be re-validated quickly.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -173,15 +174,29 @@ void dump_baselines(const std::string& name) {
   }
 }
 
+void print_usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: calibrate [-v | -k | -b] [app...]\n"
+               "  (no flag)  speedup summary per DRAM limit and configuration\n"
+               "  -v         per-site dump of the bandwidth-aware workflow\n"
+               "  -k         per-kernel times: memory mode, base, bandwidth-aware\n"
+               "  -b         kernel tiering and ProfDP baselines\n"
+               "  app        one of the application models (default: all)\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> known = apps::app_names();
   std::vector<std::string> names;
   bool verbose = false;
   double store_coef = 0.125;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "-v") {
+    if (arg == "-h" || arg == "--help") {
+      print_usage(stdout);
+      return 0;
+    } else if (arg == "-v") {
       verbose = true;
     } else if (arg == "-k") {
       verbose = false;
@@ -189,11 +204,20 @@ int main(int argc, char** argv) {
     } else if (arg == "-b") {
       verbose = false;
       store_coef = -2.0;  // sentinel: baselines dump
-    } else {
+    } else if (std::find(known.begin(), known.end(), arg) != known.end()) {
       names.emplace_back(arg);
+    } else if (arg.starts_with('-')) {
+      std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
+      print_usage(stderr);
+      return 2;
+    } else {
+      std::fprintf(stderr, "error: unknown application model: %s\nvalid apps:", arg.c_str());
+      for (const auto& name : known) std::fprintf(stderr, " %s", name.c_str());
+      std::fprintf(stderr, "\n");
+      return 2;
     }
   }
-  if (names.empty()) names = apps::app_names();
+  if (names.empty()) names = known;
   for (const auto& name : names) {
     if (verbose) {
       dump_sites(name, store_coef, /*bw_aware=*/true);
