@@ -106,6 +106,9 @@ fi
 for b in build/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] && "$b"
 done
+# The loop above rewrote both BENCH records in place; they must equal
+# the committed ones (ctest's bench_output.* tests gate the stdout).
+git diff --exit-code BENCH_*.json
 
 build/examples/quickstart
 build/examples/custom_tiers

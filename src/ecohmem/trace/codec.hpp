@@ -13,8 +13,11 @@
 /// slurped stream, or a serve frame). Every error a decoder produces
 /// carries the absolute file offset it was detected at, so a truncated
 /// or corrupt trace is diagnosable without a hex editor.
+///
+/// Uncompressed v2/v3 events have one decoder, `decode_event_compact`
+/// (`decode_compact_events` is its loop); compressed v3 blocks decode
+/// through bit-packed column cursors (`decode_compressed_block_into`).
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -57,16 +60,8 @@ inline constexpr std::uint8_t kCompressedBlockMagic = 0xEC;
 inline constexpr std::uint8_t kCompressedLayoutVersion = 1;
 
 /// Upper bound on one compact-encoded event: tag (1) + up to five 10-byte
-/// varints + a flag byte. The fast decoder's window bounds check relies
-/// on this.
+/// varints + a flag byte. Sizes the encoder's stack buffer.
 inline constexpr std::size_t kMaxCompactEventBytes = 52;
-/// Events per chunk in the two-stage scan/materialize fast decode path.
-inline constexpr std::size_t kScanChunk = 512;
-/// Stage-1 scan window: the scanner classifies 64 bytes with two AVX2
-/// compares and only scans events that start with a whole window of
-/// readable bytes (every compact event fits, see kMaxCompactEventBytes).
-inline constexpr std::size_t kScanWindowBytes = 64;
-static_assert(kMaxCompactEventBytes <= kScanWindowBytes);
 
 // Event tags (shared by all format versions).
 enum : std::uint8_t {
@@ -251,9 +246,9 @@ class ByteReader {
     return true;
   }
 
-  /// Raw cursor for the batch fast path. The caller owns the bounds
-  /// proof: it may only dereference bytes it has checked via remaining(),
-  /// and `skip` must not pass the end.
+  /// Raw cursor for the compressed block's packed columns. The caller
+  /// owns the bounds proof: it may only dereference bytes it has checked
+  /// via remaining(), and `skip` must not pass the end.
   [[nodiscard]] const unsigned char* raw() const { return data_ + pos_; }
   void skip(std::size_t n) { pos_ += n; }
 
@@ -516,313 +511,10 @@ inline Status decode_event_compact(ByteReader& src, std::uint32_t stack_count, N
   }
 }
 
-// --------------------------------------------------------------------------
-// Two-stage batch decode fast path (compact codec).
-//
-// The scalar decoder above pays two taxes the format forces on it: one
-// unpredictable branch per event (the tag dispatch — kinds interleave
-// randomly in real traces, so it mispredicts constantly) and a serial
-// byte-at-a-time varint loop. The fast path splits decoding so neither
-// lands in a hot loop:
-//
-//  Stage 1 — scan (scan_compact_chunk). Two AVX2 compares turn a
-//  64-byte window into a terminator bitmap (bit b set = byte b has its
-//  varint continuation bit clear). Each event's byte length is then
-//  computed arithmetically from the first few terminator positions,
-//  with the five kinds' candidate lengths combined by mask selects, so
-//  the random tag sequence costs no mispredicts. The timestamp delta —
-//  the one varint every kind shares — is extracted with pext during
-//  the scan. The scan records per-event offsets, delta lengths,
-//  resolved timestamps and a per-kind index list.
-//
-//  Stage 2 — materialize (materialize_chunk). Each kind's events are
-//  walked as a uniform run off the index lists (no tag dispatch),
-//  payload varints load branch-free as single 8-byte extracts, and the
-//  Event variants are written at their stream positions.
-//
-// Any anomaly — a varint longer than 8 bytes (legal at 9 or 10), an
-// unknown tag, an out-of-table stack reference, an event too close to
-// the readable end for a whole window — hands the affected region back
-// to decode_event_compact, so the fast path stays bitwise-identical to
-// a scalar decode including error text and offsets
-// (tests/trace/test_codec_batch.cpp flips every byte of a stream to
-// prove it). The wide path needs AVX2+BMI2 and is selected by a
-// runtime CPU check; other hosts decode scalar.
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define ECOHMEM_CODEC_WIDE_SCAN 1
-#endif
-
-#if ECOHMEM_CODEC_WIDE_SCAN
-#include <immintrin.h>
-#endif
-
-namespace detail {
-
-/// Stage-1 output for one chunk of up to kScanChunk events. `off` and
-/// `dlen` locate each event and its delta varint relative to the chunk
-/// base, `time` is the resolved absolute timestamp, and `kind_idx[tag]`
-/// lists the stream indices of that kind's events in order.
-struct ScanChunk {
-  std::uint32_t off[kScanChunk];
-  std::uint8_t dlen[kScanChunk];
-  std::uint64_t time[kScanChunk];
-  std::uint16_t kind_idx[kTagUncore + 1][kScanChunk];
-  std::uint32_t kind_count[kTagUncore + 1];
-};
-
-#if ECOHMEM_CODEC_WIDE_SCAN
-
-inline bool wide_scan_available() {
-  static const bool ok = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi") &&
-                         __builtin_cpu_supports("bmi2");
-  return ok;
-}
-
-__attribute__((target("avx2,bmi,bmi2"), always_inline)) inline std::uint64_t scan_load64(
-    const unsigned char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-/// Computes the byte length of the event at `ev` from the terminator
-/// bitmap `stops` (bit b set = ev[b] ends a varint), extracting the
-/// timestamp delta on the way. Returns 0 when the event cannot be
-/// proven well-formed from the window alone — a delta varint longer
-/// than 8 bytes, an unknown tag, or a length past kMaxCompactEventBytes
-/// — which sends the caller to the scalar decoder. Boundary positions
-/// are terminator-derived, so the returned length is exact even when a
-/// *payload* varint is over-long; stage 2 rejects those separately.
-__attribute__((target("avx2,bmi,bmi2"), always_inline)) inline unsigned scan_compact_event(
-    const unsigned char* ev, std::uint64_t stops, unsigned tag, unsigned& dlen,
-    std::uint64_t& delta) {
-  const std::uint64_t s = stops >> 1;  // terminator positions relative to ev + 1
-  const unsigned sel1 = static_cast<unsigned>(_tzcnt_u64(s));
-  if (sel1 >= 8) return 0;  // delta varint longer than 8 bytes (or absent)
-  const unsigned sel2 = static_cast<unsigned>(_tzcnt_u64(s & (s - 1)));
-  const unsigned sel5 = static_cast<unsigned>(_tzcnt_u64(_pdep_u64(16, s)));
-  const std::uint64_t dv = scan_load64(ev + 1) & (~0ull >> (56 - 8 * sel1));
-  delta = _pext_u64(dv, 0x7f7f7f7f7f7f7f7full);
-  dlen = sel1 + 1;
-  // Candidate end offsets for all five kinds, selected branch-free. The
-  // first terminators are always varint ends: every fixed-width payload
-  // byte (doubles, flag bytes) sits *after* the varints it could shadow.
-  const unsigned fnpos = 1 + sel2 + 18;  // sample: address, doubles, store byte
-  const unsigned lf = static_cast<unsigned>(_tzcnt_u64(stops >> (fnpos & 63)));
-  const unsigned e_alloc = 1 + sel5 + 2;
-  const unsigned e_free = 1 + sel2 + 1;
-  const unsigned e_sample = fnpos + lf + 1;
-  const unsigned e_marker = 1 + sel2 + 2;
-  const unsigned e_uncore = 1 + sel2 + 17;
-  const unsigned end = (e_alloc & -static_cast<unsigned>(tag == kTagAlloc)) |
-                       (e_free & -static_cast<unsigned>(tag == kTagFree)) |
-                       (e_sample & -static_cast<unsigned>(tag == kTagSample)) |
-                       (e_marker & -static_cast<unsigned>(tag == kTagMarker)) |
-                       (e_uncore & -static_cast<unsigned>(tag == kTagUncore));
-  // One unsigned compare rejects both end == 0 (bad tag) and lengths a
-  // valid event can never have (a missing terminator saturates tzcnt at
-  // 64, so a window-spanning event always lands here).
-  if (end - 1 > kMaxCompactEventBytes - 1) return 0;
-  return end;
-}
-
-/// Stage 1: scans up to `want` (<= kScanChunk) events at `base`,
-/// filling `c` and reporting the bytes they span in `used`. Every
-/// scanned event starts with a whole 64-byte window readable, which is
-/// what lets stage 2 use unconditional 8-byte loads. The running
-/// timestamp enters as `t0`; `c.time[got - 1]` is the caller's next
-/// base. Stops early (without error) at the first event it cannot
-/// prove well-formed — the caller decodes that one scalar and retries.
-__attribute__((target("avx2,bmi,bmi2"))) inline std::size_t scan_compact_chunk(
-    const unsigned char* base, std::size_t avail, std::size_t want, std::uint64_t t0,
-    ScanChunk& c, std::size_t& used) {
-  for (unsigned k = 0; k <= kTagUncore; ++k) c.kind_count[k] = 0;
-  std::size_t i = 0;
-  std::size_t pos = 0;
-  std::uint64_t t = t0;
-  while (i < want && pos + kScanWindowBytes <= avail) {
-    const unsigned char* ev = base + pos;
-    const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ev));
-    const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ev + 32));
-    const std::uint64_t cont =
-        static_cast<std::uint32_t>(_mm256_movemask_epi8(lo)) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(_mm256_movemask_epi8(hi))) << 32);
-    const std::uint64_t stops = ~cont;
-    unsigned dlen = 0;
-    std::uint64_t delta = 0;
-    const unsigned end1 = scan_compact_event(ev, stops, ev[0], dlen, delta);
-    if (end1 == 0) break;
-    const unsigned tag = ev[0];
-    c.off[i] = static_cast<std::uint32_t>(pos);
-    c.dlen[i] = static_cast<std::uint8_t>(dlen);
-    t += delta;
-    c.time[i] = t;
-    c.kind_idx[tag][c.kind_count[tag]++] = static_cast<std::uint16_t>(i);
-    ++i;
-    if (i >= want) {
-      pos += end1;
-      break;
-    }
-    // A second event from the same window costs only a bitmap shift.
-    // Accept it only when both events fit the 64 bytes (the shifted
-    // bitmap is exact in that case) and the second event still has a
-    // whole window for stage 2's loads.
-    const unsigned tag2 = ev[end1];
-    unsigned dlen2 = 0;
-    std::uint64_t delta2 = 0;
-    const unsigned end2 = scan_compact_event(ev + end1, stops >> end1, tag2, dlen2, delta2);
-    if (end2 != 0 && end1 + end2 <= kScanWindowBytes &&
-        pos + end1 + kScanWindowBytes <= avail) {
-      c.off[i] = static_cast<std::uint32_t>(pos + end1);
-      c.dlen[i] = static_cast<std::uint8_t>(dlen2);
-      t += delta2;
-      c.time[i] = t;
-      c.kind_idx[tag2][c.kind_count[tag2]++] = static_cast<std::uint16_t>(i);
-      ++i;
-      pos += end1 + static_cast<std::size_t>(end2);
-    } else {
-      pos += end1;
-    }
-  }
-  used = pos;
-  return i;
-}
-
-/// Branch-free varint extract: one 8-byte load, terminator found with
-/// tzcnt, payload bits compacted with pext. Advances `p` past the
-/// varint. Varints longer than 8 bytes (legal encodings the single
-/// load cannot cover) set `bad`; the value is then garbage and the
-/// caller falls back to the scalar decoder for the whole region.
-__attribute__((target("avx2,bmi,bmi2"), always_inline)) inline std::uint64_t extract_varint(
-    const unsigned char*& p, bool& bad) {
-  const std::uint64_t raw = scan_load64(p);
-  const std::uint64_t stop = ~raw & 0x8080808080808080ull;
-  bad |= stop == 0;
-  const unsigned len = ((static_cast<unsigned>(_tzcnt_u64(stop)) & 63) >> 3) + 1;
-  p += len;
-  return _pext_u64(raw & (~0ull >> (64 - 8 * len)), 0x7f7f7f7f7f7f7f7full);
-}
-
-/// Stage 2: materializes the `c.kind_count` events scanned into `c`
-/// from their payload bytes, writing each Event at its stream position
-/// in `out`. Returns false when any payload needs the scalar decoder
-/// (an over-long varint, an out-of-table stack); `out` may then hold
-/// partial garbage and the caller re-decodes the region scalar.
-__attribute__((target("avx2,bmi,bmi2"))) inline bool materialize_chunk(
-    const unsigned char* base, std::uint32_t stack_count, const ScanChunk& c, Event* out) {
-  // Slots are assigned whole Event temporaries: assigning the bare
-  // alternative would go through the variant's converting assignment,
-  // which branches on the slot's previous (effectively random) index.
-  bool bad = false;
-  for (std::uint32_t j = 0; j < c.kind_count[kTagAlloc]; ++j) {
-    const std::size_t i = c.kind_idx[kTagAlloc][j];
-    const unsigned char* q = base + c.off[i] + 1 + c.dlen[i];
-    AllocEvent a;
-    a.time = c.time[i];
-    a.object_id = extract_varint(q, bad);
-    a.address = extract_varint(q, bad);
-    a.size = extract_varint(q, bad);
-    const std::uint64_t stack = extract_varint(q, bad);
-    bad |= stack >= stack_count;
-    a.stack = static_cast<StackId>(stack);
-    a.kind = static_cast<AllocKind>(*q);
-    out[i] = Event{a};
-  }
-  for (std::uint32_t j = 0; j < c.kind_count[kTagFree]; ++j) {
-    const std::size_t i = c.kind_idx[kTagFree][j];
-    const unsigned char* q = base + c.off[i] + 1 + c.dlen[i];
-    FreeEvent f;
-    f.time = c.time[i];
-    f.object_id = extract_varint(q, bad);
-    out[i] = Event{f};
-  }
-  for (std::uint32_t j = 0; j < c.kind_count[kTagSample]; ++j) {
-    const std::size_t i = c.kind_idx[kTagSample][j];
-    const unsigned char* q = base + c.off[i] + 1 + c.dlen[i];
-    SampleEvent smp;
-    smp.time = c.time[i];
-    smp.address = extract_varint(q, bad);
-    std::memcpy(&smp.weight, q, sizeof(double));
-    std::memcpy(&smp.latency_ns, q + 8, sizeof(double));
-    smp.is_store = q[16] != 0;
-    q += 17;
-    smp.function_id = static_cast<std::uint32_t>(extract_varint(q, bad));
-    out[i] = Event{smp};
-  }
-  for (std::uint32_t j = 0; j < c.kind_count[kTagMarker]; ++j) {
-    const std::size_t i = c.kind_idx[kTagMarker][j];
-    const unsigned char* q = base + c.off[i] + 1 + c.dlen[i];
-    MarkerEvent m;
-    m.time = c.time[i];
-    m.function_id = static_cast<std::uint32_t>(extract_varint(q, bad));
-    m.is_enter = *q != 0;
-    out[i] = Event{m};
-  }
-  for (std::uint32_t j = 0; j < c.kind_count[kTagUncore]; ++j) {
-    const std::size_t i = c.kind_idx[kTagUncore][j];
-    const unsigned char* q = base + c.off[i] + 1 + c.dlen[i];
-    UncoreBwEvent u;
-    u.time = c.time[i];
-    u.period_ns = extract_varint(q, bad);
-    std::memcpy(&u.read_gbs, q, sizeof(double));
-    std::memcpy(&u.write_gbs, q + 8, sizeof(double));
-    out[i] = Event{u};
-  }
-  return !bad;
-}
-
-#endif  // ECOHMEM_CODEC_WIDE_SCAN
-
-}  // namespace detail
-
-/// Decodes exactly `n` compact events from `src`, bitwise-identical to
-/// `n` sequential decode_event_compact calls — same events, same
-/// `last_time` evolution, and on corrupt input the same error text and
-/// offset (the scalar decoder owns every diagnosis). The fast path
-/// engages while a whole scan window remains; the block tail and any
-/// region the scanner or materializer cannot prove clean decode scalar.
+/// Decodes exactly `n` compact events from `src`: `n` sequential
+/// decode_event_compact calls, stopping at the first error.
 inline Status decode_compact_events(ByteReader& src, std::uint32_t stack_count, Ns& last_time,
                                     Event* out, std::uint64_t n) {
-#if ECOHMEM_CODEC_WIDE_SCAN
-  if (detail::wide_scan_available()) {
-    detail::ScanChunk chunk;
-    std::uint64_t i = 0;
-    while (i < n) {
-      const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(n - i, kScanChunk));
-      std::size_t used = 0;
-      std::size_t got = 0;
-      if (src.remaining() >= kScanWindowBytes) {
-        got = detail::scan_compact_chunk(src.raw(), src.remaining(), want, last_time, chunk, used);
-      }
-      if (got > 0) {
-        if (detail::materialize_chunk(src.raw(), stack_count, chunk, out + i)) {
-          last_time = chunk.time[got - 1];
-          src.skip(used);
-          i += got;
-          continue;
-        }
-        // A payload only the scalar decoder handles (a legal 9/10-byte
-        // varint, an out-of-table stack): re-decode the whole chunk
-        // region scalar so any error is exactly the scalar decoder's.
-        for (std::size_t k = 0; k < want; ++k, ++i) {
-          if (Status st = decode_event_compact(src, stack_count, last_time, out[i]); !st.ok()) {
-            return st;
-          }
-        }
-        continue;
-      }
-      // Block tail, or an event the scanner cannot prove well-formed at
-      // the chunk start: one scalar event guarantees progress, then the
-      // fast path retries.
-      if (Status st = decode_event_compact(src, stack_count, last_time, out[i]); !st.ok()) {
-        return st;
-      }
-      ++i;
-    }
-    return {};
-  }
-#endif
   for (std::uint64_t i = 0; i < n; ++i) {
     if (Status st = decode_event_compact(src, stack_count, last_time, out[i]); !st.ok()) {
       return st;

@@ -5,10 +5,8 @@
 #include "ecohmem/trace/salvage.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <utility>
 
 namespace ecohmem::trace {
@@ -56,56 +54,9 @@ struct TraceBytes {
     p.end_offset = src.offset();
     Ns last_time = 0;
     Event ev;
-#if ECOHMEM_CODEC_WIDE_SCAN
-    // Scratch for the scan fast path below, heap-allocated once per
-    // probe so the probe's stack stays small.
-    struct ScanScratch {
-      codec::detail::ScanChunk chunk;
-      std::array<Event, codec::kScanChunk> events;
-    };
-    std::unique_ptr<ScanScratch> scratch;
-    if (!plain && codec::detail::wide_scan_available()) {
-      scratch = std::make_unique<ScanScratch>();
-    }
-#endif
-    for (std::uint64_t j = 0; j < max_events;) {
-#if ECOHMEM_CODEC_WIDE_SCAN
-      // Scan fast path (compact codec): stage-1 scan a chunk of events,
-      // materialize them to run the full validation the scalar decoder
-      // applies (stack references included), and commit wholesale the
-      // prefix that stays inside [.., end). Any anomaly falls through to
-      // the scalar decode below, which owns the diagnosis — so the
-      // probe's result is bitwise what a scalar-only probe reports.
-      if (scratch && src.offset() < end && src.remaining() >= codec::kScanWindowBytes) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(max_events - j, codec::kScanChunk));
-        std::size_t used = 0;
-        const std::size_t got = codec::detail::scan_compact_chunk(
-            src.raw(), src.remaining(), want, last_time, scratch->chunk, used);
-        if (got > 0 && codec::detail::materialize_chunk(src.raw(), stack_count, scratch->chunk,
-                                                        scratch->events.data())) {
-          // Keep only the events that end inside the span (event k's end
-          // is event k+1's start; the overrunning tail re-decodes scalar
-          // so the overrun diagnosis below stays the scalar one).
-          std::size_t m = got;
-          while (m > 0 && src.offset() + (m < got ? scratch->chunk.off[m] : used) > end) {
-            --m;
-          }
-          if (m > 0) {
-            if (p.events == 0) p.first_time = scratch->chunk.time[0];
-            last_time = scratch->chunk.time[m - 1];
-            src.skip(m < got ? scratch->chunk.off[m] : used);
-            p.events += m;
-            p.end_offset = src.offset();
-            j += m;
-            continue;
-          }
-        }
-      }
-#endif
+    for (std::uint64_t j = 0; j < max_events; ++j) {
       const std::uint64_t pos = src.offset();
       if (pos >= end) break;
-      ++j;
       const Status s = plain ? codec::decode_event_plain(src, stack_count, ev)
                              : codec::decode_event_compact(src, stack_count, last_time, ev);
       if (!s.ok()) {

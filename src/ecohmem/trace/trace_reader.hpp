@@ -1,18 +1,18 @@
 #pragma once
 
 /// \file trace_reader.hpp
-/// The one trace decoder: every read of an on-disk trace goes through
+/// The one trace reader: every read of an on-disk trace goes through
 /// `TraceReader` (`load_trace`/`read_trace` are `open`/`from_stream`
-/// plus `read_all`).
+/// plus `read_all`). Events decode one at a time through
+/// `codec::decode_event_compact` (v1: `decode_event_plain`); compressed
+/// v3 blocks decode through the packed-column decoder.
 ///
 /// `TraceReader` mmaps a trace file (falling back to a private in-memory
-/// copy for unseekable inputs) and exposes the v3 block index: each
-/// block is independently decodable, so blocks can be decoded on demand,
-/// out of order, or in parallel (`read_all(threads)` fans block decoding
-/// out across a fork-join worker pool and writes into disjoint slices of
-/// the destination vector — bit-identical to serial decode by
-/// construction). v1/v2 traces are presented as a single virtual block,
-/// so every caller works on every version.
+/// copy for unseekable inputs) and exposes the v3 block index: blocks
+/// decode independently, on demand, out of order, or in parallel
+/// (`read_all(threads)`: a worker pool fills disjoint slices of the
+/// destination vector, bit-identical to serial decode by construction).
+/// v1/v2 traces are one virtual block, so every caller works on all.
 ///
 /// `for_each` is the bounded-memory path for consumers that never need
 /// the whole trace at once (ecohmem-timeline): it decodes in chunks of

@@ -1,13 +1,14 @@
-// Bitwise contract of the batch compact decoder and the compressed block
-// codec (docs/trace_format.md). The batch fast path must be
-// indistinguishable from N scalar decode_event_compact calls — same
-// events, same last_time evolution, same cursor, and the same error text
-// on corrupt input — for every event kind mix and every tail size 0..7.
+// Contract of the compact event decoder and the compressed block codec
+// (docs/trace_format.md). `decode_compact_events` must return the encoded
+// events bitwise for every event kind mix and size, and on corrupt or
+// truncated input either decode cleanly or fail with an error whose
+// offset lies inside the stream, never reading past it.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,7 @@ namespace ecohmem::trace::codec {
 namespace {
 
 // Deterministic splitmix64 so the value distribution (and therefore the
-// varint widths the batch parser sees) is reproducible.
+// varint widths the decoder sees) is reproducible.
 std::uint64_t mix(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -34,7 +35,7 @@ std::vector<Event> synth_events(std::size_t n, std::uint64_t seed,
   events.reserve(n);
   Ns t = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    // Delta width varies from 0 to ~2^40 so batches mix short and long
+    // Delta width varies from 0 to ~2^40 so streams mix short and long
     // varints; occasional zero keeps the repeated-timestamp path hot.
     t += mix(seed) >> (8 + (i % 5) * 8);
     switch (i % 5) {
@@ -119,45 +120,55 @@ std::string encode_stream(const std::vector<Event>& events) {
 
 constexpr std::uint32_t kStacks = 32;
 
-TEST(BatchDecode, BitwiseIdenticalToScalarForEveryTailSize) {
-  // Sizes straddle the batch boundary: pure-scalar (<8), exact multiples,
-  // and every tail remainder 0..7 at a size where batches engage.
+struct Decoded {
+  Status status;
+  std::vector<Event> events;
+  Ns last_time = 0;
+  std::size_t remaining = 0;  ///< bytes left after the decode
+};
+
+// Decodes `n` events from an exact-size heap copy of `bytes`, so that
+// AddressSanitizer reports any read past the stream's end.
+Decoded decode_copy(const std::string& bytes, std::size_t n) {
+  const auto copy = std::make_unique<unsigned char[]>(bytes.size());
+  std::memcpy(copy.get(), bytes.data(), bytes.size());
+  ByteReader src(copy.get(), bytes.size(), 0);
+  Decoded d;
+  d.events.resize(n);
+  d.status = decode_compact_events(src, kStacks, d.last_time, d.events.data(), n);
+  d.remaining = src.remaining();
+  return d;
+}
+
+// A failed decode must name an offset at most the stream's end
+// ("... at offset K").
+::testing::AssertionResult error_offset_inside(const Status& st, std::size_t size) {
+  const std::string& msg = st.error();
+  const auto at = msg.rfind(" at offset ");
+  if (at == std::string::npos) return ::testing::AssertionFailure() << "no offset: " << msg;
+  const std::uint64_t offset = std::stoull(msg.substr(at + 11));
+  if (offset > size) {
+    return ::testing::AssertionFailure() << msg << " lies past the " << size << "-byte stream";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CompactDecode, RoundTripsBitwiseAtEverySize) {
   for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 24u, 64u, 64u + 1u, 64u + 2u,
                               64u + 3u, 64u + 4u, 64u + 5u, 64u + 6u, 64u + 7u, 257u}) {
     const std::vector<Event> events = synth_events(n, 0xA11CEull + n, kStacks);
     const std::string bytes = encode_stream(events);
-
-    const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
-    ByteReader batch_src(data, bytes.size(), 0);
-    Ns batch_last = 0;
-    std::vector<Event> batch_out(n);
-    const Status st =
-        decode_compact_events(batch_src, kStacks, batch_last, batch_out.data(), n);
-    ASSERT_TRUE(st.ok()) << "n=" << n << ": " << st.error();
-
-    ByteReader scalar_src(data, bytes.size(), 0);
-    Ns scalar_last = 0;
-    std::vector<Event> scalar_out(n);
+    const Decoded d = decode_copy(bytes, n);
+    ASSERT_TRUE(d.status.ok()) << "n=" << n << ": " << d.status.error();
+    EXPECT_EQ(d.remaining, 0u) << "n=" << n;
+    EXPECT_EQ(d.last_time, n == 0 ? Ns{0} : event_time(events.back())) << "n=" << n;
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(
-          decode_event_compact(scalar_src, kStacks, scalar_last, scalar_out[i]).ok());
-    }
-
-    EXPECT_EQ(batch_last, scalar_last) << "n=" << n;
-    EXPECT_EQ(batch_src.offset(), scalar_src.offset()) << "n=" << n;
-    EXPECT_EQ(batch_src.remaining(), 0u) << "n=" << n;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(events_bitwise_equal(batch_out[i], scalar_out[i]))
-          << "n=" << n << " event " << i;
-      EXPECT_TRUE(events_bitwise_equal(batch_out[i], events[i]))
-          << "n=" << n << " event " << i;
+      EXPECT_TRUE(events_bitwise_equal(d.events[i], events[i])) << "n=" << n << " event " << i;
     }
   }
 }
 
-TEST(BatchDecode, SingleKindStreamsOfEveryKind) {
-  // A homogeneous stream drives a single materialize_chunk kind loop for
-  // the whole run — each of the five kinds must survive that alone.
+TEST(CompactDecode, SingleKindStreamsRoundTrip) {
   for (std::size_t kind = 0; kind < 5; ++kind) {
     std::vector<Event> events;
     const std::vector<Event> pool = synth_events(5 * 40, 0xBEEF + kind, kStacks);
@@ -165,65 +176,36 @@ TEST(BatchDecode, SingleKindStreamsOfEveryKind) {
       if (e.index() == kind) events.push_back(e);
     }
     ASSERT_EQ(events.size(), 40u);
-    const std::string bytes = encode_stream(events);
-    const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
-    ByteReader src(data, bytes.size(), 0);
-    Ns last = 0;
-    std::vector<Event> out(events.size());
-    ASSERT_TRUE(decode_compact_events(src, kStacks, last, out.data(), events.size()).ok());
-    EXPECT_EQ(src.remaining(), 0u);
-    // The encoder clamps time regressions to delta 0, so re-encoded
-    // events carry the clamped (monotonic) time — compare against a
-    // scalar decode instead of the raw input.
-    ByteReader scalar_src(data, bytes.size(), 0);
-    Ns scalar_last = 0;
+    const Decoded d = decode_copy(encode_stream(events), events.size());
+    ASSERT_TRUE(d.status.ok()) << "kind " << kind << ": " << d.status.error();
+    EXPECT_EQ(d.remaining, 0u);
     for (std::size_t i = 0; i < events.size(); ++i) {
-      Event ref;
-      ASSERT_TRUE(decode_event_compact(scalar_src, kStacks, scalar_last, ref).ok());
-      EXPECT_TRUE(events_bitwise_equal(out[i], ref)) << "kind " << kind << " event " << i;
+      EXPECT_TRUE(events_bitwise_equal(d.events[i], events[i]))
+          << "kind " << kind << " event " << i;
     }
   }
 }
 
-TEST(BatchDecode, CorruptionAnywhereMatchesScalarErrorExactly) {
-  // Flip every byte of the stream in turn: whatever the batch decoder
-  // reports (success or failure, text and offset) must match a pure
-  // scalar decode of the same corrupted bytes.
+TEST(CompactDecode, CorruptOrTruncatedStreamsFailInsideTheStream) {
+  // Flip every byte of the stream in turn, then cut it at every length:
+  // each decode either yields n events or fails at an offset inside the
+  // stream. The copies are exact-size, so a read past the end is an
+  // AddressSanitizer report under the asan-ubsan preset.
   const std::size_t n = 48;
   const std::vector<Event> events = synth_events(n, 0xC0DE, kStacks);
   const std::string clean = encode_stream(events);
   for (std::size_t pos = 0; pos < clean.size(); ++pos) {
     std::string bytes = clean;
     bytes[pos] = static_cast<char>(bytes[pos] ^ 0x80);
-    const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
-
-    ByteReader batch_src(data, bytes.size(), 0);
-    Ns batch_last = 0;
-    std::vector<Event> batch_out(n);
-    const Status batch_st =
-        decode_compact_events(batch_src, kStacks, batch_last, batch_out.data(), n);
-
-    ByteReader scalar_src(data, bytes.size(), 0);
-    Ns scalar_last = 0;
-    Status scalar_st;
-    std::vector<Event> scalar_out(n);
-    std::size_t scalar_ok = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      scalar_st = decode_event_compact(scalar_src, kStacks, scalar_last, scalar_out[i]);
-      if (!scalar_st.ok()) break;
-      ++scalar_ok;
+    const Decoded d = decode_copy(bytes, n);
+    if (!d.status.ok()) {
+      EXPECT_TRUE(error_offset_inside(d.status, bytes.size())) << "flip at " << pos;
     }
-
-    ASSERT_EQ(batch_st.ok(), scalar_st.ok()) << "flip at " << pos;
-    if (!batch_st.ok()) {
-      EXPECT_EQ(batch_st.error(), scalar_st.error()) << "flip at " << pos;
-    } else {
-      EXPECT_EQ(batch_last, scalar_last) << "flip at " << pos;
-      for (std::size_t i = 0; i < scalar_ok; ++i) {
-        EXPECT_TRUE(events_bitwise_equal(batch_out[i], scalar_out[i]))
-            << "flip at " << pos << " event " << i;
-      }
-    }
+  }
+  for (std::size_t len = 0; len < clean.size(); ++len) {
+    const Decoded d = decode_copy(clean.substr(0, len), n);
+    ASSERT_FALSE(d.status.ok()) << "prefix " << len << " decoded " << n << " events";
+    EXPECT_TRUE(error_offset_inside(d.status, len)) << "prefix " << len;
   }
 }
 

@@ -586,9 +586,10 @@ TEST(TraceV3Compressed, RejectsTruncationAtEveryPrefix) {
 
 // ---------------------------------------------------------------------------
 // Default block size. The tests above use blocks of at most 4096 events;
-// at codec::kDefaultBlockEvents the batch decoder scans full 64K-event
-// blocks. 150k events give two full blocks plus a tail, and v2, v3 and
-// compressed v3 must all decode to the same v1 bytes at every thread count.
+// codec::kDefaultBlockEvents gives full 64K-event blocks, which the
+// reader decodes whole. 150k events give two full blocks plus a tail,
+// and v2, v3 and compressed v3 must all decode to the same v1 bytes at
+// every thread count.
 
 TEST(TraceV3, FormatsAgreeAtDefaultBlockSize) {
   const Trace original = synth_trace(150'000, 5);
@@ -681,6 +682,8 @@ ResidentRise walk_resident_rise(const std::string& path, std::size_t events) {
   return rise;
 }
 
+// The `tsan` test preset excludes this test: ThreadSanitizer's shadow
+// memory raises RSS past any bound here, and the walk runs for minutes.
 TEST(TraceV3, StreamingKeepsPeakRssFlat) {
   if (proc_status_kb("VmHWM:") == 0) GTEST_SKIP() << "no /proc/self/status VmHWM on this platform";
   constexpr std::size_t kBoundKb = 16u * 1024;
