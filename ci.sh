@@ -29,12 +29,12 @@ cmake --build --preset default
 ctest --preset default -j"$(nproc)"
 
 # Concurrency-suite filter for the TSan pass: every suite that
-# exercises locks or threads — the serve daemon (ServeConcurrency*), the
-# worker pool (WorkerPoolConcurrency), salvage-mode parallel block
-# decode, and autotune's std::async candidate fan-out. FlexMalloc and
-# the online engine are single-threaded and need no entry. New
-# concurrent suites must match this regex (name them *Concurrency* or
-# extend the list).
+# exercises locks or threads — the serve daemon (ServeConcurrency*) and
+# autotune's std::async candidate fan-out — plus the salvage suites,
+# which drive the trace reader serve's ingest shares. Trace decode,
+# FlexMalloc and the online engine are single-threaded and need no
+# entry. New concurrent suites must match this regex (name them
+# *Concurrency* or extend the list).
 concurrency_suites='Concurrency|Salvage|Autotune'
 
 # The repository benchmark's own output checks: every workload runs
@@ -116,7 +116,7 @@ build/examples/trace_inspector minife /tmp/ecohmem_ci.trc
 build/examples/placement_explorer lulesh 12
 build/examples/host_interposition
 
-build/tools/ecohmem-profile --app hpcg --out /tmp/ecohmem_ci2.trc --compact
+build/tools/ecohmem-profile --app hpcg --out /tmp/ecohmem_ci2.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci2.trc --out /tmp/ecohmem_ci_report.txt \
   --config configs/advisor_dram_pmem.ini \
   --bandwidth-aware --dump-sites --csv /tmp/ecohmem_ci_sites.csv
@@ -130,22 +130,27 @@ build/tools/ecohmem-lint \
   --config configs/advisor_dram_pmem.ini
 
 build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt
-# Replay is single-threaded; a leftover --threads (or any other
-# undeclared flag) must be a usage error, not silently ignored.
-set +e
-build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --threads 4 \
-  2>/tmp/ecohmem_ci_unknown_flag.txt
-unknown_rc=$?
-set -e
-if [ "$unknown_rc" -ne 2 ]; then
-  echo "ecohmem-run --threads 4 exited $unknown_rc, want 2" >&2; exit 1
-fi
-grep -q "unknown flag --threads" /tmp/ecohmem_ci_unknown_flag.txt
+# Removed flags must be usage errors, not silently ignored: replay and
+# trace decode are single-threaded, and the profiler writes only v3, so
+# it has no format flags. Each entry names the flag it rejects.
+for removed in "ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --threads 4|--threads" \
+               "ecohmem-advisor --trace /tmp/ecohmem_ci2.trc --out /tmp/ecohmem_ci_bad.txt --threads 4|--threads" \
+               "ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --format v3|--format" \
+               "ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --compact|--compact"; do
+  set +e
+  build/tools/${removed%%|*} 2>/tmp/ecohmem_ci_unknown_flag.txt
+  unknown_rc=$?
+  set -e
+  if [ "$unknown_rc" -ne 2 ]; then
+    echo "${removed%%|*} exited $unknown_rc, want 2" >&2; exit 1
+  fi
+  grep -q "unknown flag ${removed#*|}" /tmp/ecohmem_ci_unknown_flag.txt
+done
 
 # Online placement smoke: the shipped policy config must lint clean and
 # must actually migrate on the phase-shifting workload.
 build/tools/ecohmem-lint --online-policy configs/online_policy.ini
-build/tools/ecohmem-profile --app phase-shift --out /tmp/ecohmem_ci3.trc --compact
+build/tools/ecohmem-profile --app phase-shift --out /tmp/ecohmem_ci3.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci3.trc --out /tmp/ecohmem_ci_report3.txt
 online_out=$(build/tools/ecohmem-run --app phase-shift --report /tmp/ecohmem_ci_report3.txt \
   --online configs/online_policy.ini --migration-log /tmp/ecohmem_ci_mig1.csv)
@@ -195,10 +200,9 @@ for key in '"bench": "online_placement"' '"hysteresis"' '"all_pass": true' \
   fi
 done
 
-# v3 indexed trace path: profile in v3, lint the footer index
+# v3 trace path at a small block size: lint the footer index
 # (trace-v3-index), advise from it, and stream a timeline from the file.
-build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3.trc \
-  --format v3 --block-events 4096
+build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3.trc --block-events 4096
 build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_v3.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3_serial.txt --csv /tmp/ecohmem_ci_v3_sites.csv
@@ -244,12 +248,11 @@ done
 # (docs/model.md §5). Every registry app, and lulesh at other sampling
 # rates and without store samples, must pass trace-monotonic-time.
 for app in cloverleaf3d hpcg lammps large-hot lulesh minife minimd openfoam phase-shift; do
-  build/tools/ecohmem-profile --app "$app" --out /tmp/ecohmem_ci_order.trc --format v3 >/dev/null
+  build/tools/ecohmem-profile --app "$app" --out /tmp/ecohmem_ci_order.trc >/dev/null
   build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_order.trc
 done
 for variant in "--rate 10" "--rate 1000" "--no-stores"; do
-  build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_order.trc --format v3 \
-    $variant >/dev/null
+  build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_order.trc $variant >/dev/null
   build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_order.trc
 done
 
@@ -258,7 +261,7 @@ done
 # produce an advisor report byte-identical to the uncompressed v3 one —
 # compression must be invisible to every consumer.
 build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3c.trc \
-  --format v3 --block-events 4096 --compress
+  --block-events 4096 --compress
 build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_v3c.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3c.trc \
   --out /tmp/ecohmem_ci_v3c.txt
@@ -266,30 +269,10 @@ cmp /tmp/ecohmem_ci_v3c.txt /tmp/ecohmem_ci_v3_serial.txt
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3c.trc \
   --out /tmp/ecohmem_ci_v3c.csv --bin-ms 50
 cmp /tmp/ecohmem_ci_v3c.csv /tmp/ecohmem_ci_v3.csv
-# One reader serves every encoding: the same workload profiled as v1 (the
-# default) and as v2 (--compact) must stream to the same timeline.
-build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v1.trc
-build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v2.trc --compact
-for v in v1 v2; do
-  build/tools/ecohmem-timeline --trace "/tmp/ecohmem_ci_$v.trc" \
-    --out "/tmp/ecohmem_ci_$v.csv" --bin-ms 50
-  cmp "/tmp/ecohmem_ci_$v.csv" /tmp/ecohmem_ci_v3.csv
-done
-# --compress without the v3 index must exit 2 (cli_common usage error).
-for bad_compress in "--compress" "--format v2 --compress" "--compact --compress"; do
-  set +e
-  build/tools/ecohmem-profile --app lulesh --iterations 2 \
-    --out /tmp/ecohmem_ci_bad.trc $bad_compress >/dev/null 2>&1
-  compress_rc=$?
-  set -e
-  if [ "$compress_rc" -ne 2 ]; then
-    echo "ecohmem-profile $bad_compress exited $compress_rc, want 2" >&2; exit 1
-  fi
-done
 
 # Corruption-fuzz smoke: damage the v3 trace and prove the fail-soft
 # contract on the CLI surface (the seeded sweep itself — zero crashes,
-# manifest byte conservation, parallel == serial salvage — runs as
+# manifest byte conservation, for_each == read_all — runs as
 # test_salvage in the suite above).
 v3_size=$(stat -c %s /tmp/ecohmem_ci_v3.trc)
 head -c $((v3_size * 3 / 5)) /tmp/ecohmem_ci_v3.trc > /tmp/ecohmem_ci_v3_damaged.trc
@@ -421,8 +404,7 @@ done
 # Every tool parsing integer flags through cli_common must reject
 # out-of-range values instead of silently truncating them.
 for bad in "build/tools/ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --pmem-dimms 0" \
-           "build/tools/ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --format v3 --block-events 0" \
-           "build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.txt --threads 0" \
+           "build/tools/ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --block-events 0" \
            "build/tools/ecohmem-timeline --app hpcg --out /tmp/ecohmem_ci_bad.csv --iterations -1" \
            "build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.csv --bin-ms 0" \
            "build/tools/ecohmem-autotune --app hpcg --parallelism 9999"; do
@@ -450,7 +432,6 @@ build/tools/calibrate --help | grep -q "usage: calibrate"
 # validation a config file does.
 advise_bad="ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.txt"
 for bad_value in "$advise_bad --dram-limit 4Gb" "$advise_bad --store-coef abc" \
-                 "$advise_bad --threads x" \
                  "$advise_bad --store-coef nan" "$advise_bad --store-coef -1" \
                  "$advise_bad --dram-limit 0" \
                  "ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.csv --bin-ms abc"; do

@@ -25,8 +25,8 @@ Expected<std::string> read_file(const std::string& path) {
 }
 
 /// Leniently loads the footer index of a v3 trace so trace-v3-index can
-/// report every fault of its raw values. Returns nullopt for v1/v2 traces, unreadable
-/// files, or undecodable headers (all of which trace-load reports); only
+/// report every fault of its raw values. Returns nullopt for unreadable
+/// files or undecodable headers (both of which trace-load reports); only
 /// a structurally unreadable *index* sets `index_error` — the caller
 /// turns that into a diagnostic once it knows whether a salvage read
 /// recovered the trace (which decides the severity).
@@ -37,7 +37,7 @@ std::optional<TraceIndexView> load_trace_index(const std::string& path,
   const auto* data = reinterpret_cast<const unsigned char*>(bytes->data());
   trace::codec::ByteReader src(data, bytes->size(), 0);
   const auto header = trace::codec::decode_header(src);
-  if (!header || header->version != trace::codec::kVersionIndexed) return std::nullopt;
+  if (!header) return std::nullopt;
   const auto index = trace::codec::decode_index(data, bytes->size());
   if (!index) {
     index_error = index.error();

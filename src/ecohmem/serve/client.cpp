@@ -78,7 +78,7 @@ Status Client::hello_create(const trace::StackTable& stacks,
                             const bom::ModuleTable& modules, double sample_rate_hz) {
   HelloRequest request;
   trace::codec::encode_header(request.header, stacks, functions, sample_rate_hz, modules,
-                              trace::codec::kVersionIndexed, /*event_count=*/0);
+                              /*event_count=*/0);
   return finish_hello(request);
 }
 

@@ -14,7 +14,7 @@
 /// carries the absolute file offset it was detected at, so a truncated
 /// or corrupt trace is diagnosable without a hex editor.
 ///
-/// Uncompressed v2/v3 events have one decoder, `decode_event_compact`
+/// Uncompressed v3 block bodies have one decoder, `decode_event_compact`
 /// (`decode_compact_events` is its loop); compressed v3 blocks decode
 /// through bit-packed column cursors (`decode_compressed_block_into`).
 
@@ -34,8 +34,8 @@ namespace ecohmem::trace::codec {
 
 inline constexpr char kMagic[8] = {'E', 'C', 'O', 'H', 'M', 'T', 'R', 'C'};
 inline constexpr char kIndexMagic[8] = {'E', 'C', 'O', 'H', 'M', 'I', 'D', 'X'};
-inline constexpr std::uint32_t kVersionPlain = 1;
-inline constexpr std::uint32_t kVersionCompact = 2;
+/// The one readable and written format version. v1 (fixed-width) and v2
+/// (one continuous varint stream) files are rejected by decode_header.
 inline constexpr std::uint32_t kVersionIndexed = 3;
 
 /// Footer index entry size: {file_offset u64, event_count u64, first_timestamp u64}.
@@ -55,7 +55,7 @@ inline constexpr std::uint64_t kBlockCompressedFlag = 1ull << 63;
 inline constexpr std::uint64_t kBlockCountMask = kBlockCompressedFlag - 1;
 /// First byte of a compressed block body. 0xEC is not a valid event tag,
 /// so a sequential scan (salvage without an index) can tell a compressed
-/// block from a v2 event stream by its first byte.
+/// block from an uncompressed event stream by its first byte.
 inline constexpr std::uint8_t kCompressedBlockMagic = 0xEC;
 inline constexpr std::uint8_t kCompressedLayoutVersion = 1;
 
@@ -63,7 +63,7 @@ inline constexpr std::uint8_t kCompressedLayoutVersion = 1;
 /// varints + a flag byte. Sizes the encoder's stack buffer.
 inline constexpr std::size_t kMaxCompactEventBytes = 52;
 
-// Event tags (shared by all format versions).
+// Event tags (shared by the uncompressed and compressed block bodies).
 enum : std::uint8_t {
   kTagAlloc = 1,
   kTagFree = 2,
@@ -95,42 +95,6 @@ inline void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-/// Fixed-width (v1) event record.
-inline void encode_event_plain(std::string& out, const Event& e) {
-  if (const auto* a = std::get_if<AllocEvent>(&e)) {
-    put(out, static_cast<std::uint8_t>(kTagAlloc));
-    put(out, a->time);
-    put(out, a->object_id);
-    put(out, a->address);
-    put(out, a->size);
-    put(out, a->stack);
-    put(out, static_cast<std::uint8_t>(a->kind));
-  } else if (const auto* f = std::get_if<FreeEvent>(&e)) {
-    put(out, static_cast<std::uint8_t>(kTagFree));
-    put(out, f->time);
-    put(out, f->object_id);
-  } else if (const auto* s = std::get_if<SampleEvent>(&e)) {
-    put(out, static_cast<std::uint8_t>(kTagSample));
-    put(out, s->time);
-    put(out, s->address);
-    put(out, s->weight);
-    put(out, s->latency_ns);
-    put(out, static_cast<std::uint8_t>(s->is_store ? 1 : 0));
-    put(out, s->function_id);
-  } else if (const auto* m = std::get_if<MarkerEvent>(&e)) {
-    put(out, static_cast<std::uint8_t>(kTagMarker));
-    put(out, m->time);
-    put(out, m->function_id);
-    put(out, static_cast<std::uint8_t>(m->is_enter ? 1 : 0));
-  } else if (const auto* u = std::get_if<UncoreBwEvent>(&e)) {
-    put(out, static_cast<std::uint8_t>(kTagUncore));
-    put(out, u->time);
-    put(out, u->period_ns);
-    put(out, u->read_gbs);
-    put(out, u->write_gbs);
-  }
-}
-
 namespace detail {
 
 /// LEB128 emit into a raw buffer; returns one past the last byte written.
@@ -153,12 +117,12 @@ inline char* emit(char* p, const T& v) {
 
 }  // namespace detail
 
-/// Compact (v2 codec) event record: delta-encoded timestamp + varint
-/// integer fields. `last_time` carries the delta base between calls; the
-/// v3 block writer resets it to 0 at each block boundary so blocks decode
-/// independently. Encodes through a fixed stack buffer and appends once —
-/// the bytes are identical to the historical per-byte appends, only the
-/// `std::string` bookkeeping per field is gone.
+/// Compact event record (the uncompressed block body): delta-encoded
+/// timestamp + varint integer fields. `last_time` carries the delta base
+/// between calls; the block writer resets it to 0 at each block boundary
+/// so blocks decode independently. Encodes through a fixed stack buffer
+/// and appends once — the bytes are identical to the historical per-byte
+/// appends, only the `std::string` bookkeeping per field is gone.
 inline void encode_event_compact(std::string& out, const Event& e, Ns& last_time) {
   const Ns now = event_time(e);
   const std::uint64_t delta = now >= last_time ? now - last_time : 0;
@@ -264,7 +228,7 @@ inline Unexpected truncated_at(const char* what, std::uint64_t offset) {
 }
 
 // --------------------------------------------------------------------------
-// Header codec (shared by all versions).
+// Header codec.
 
 /// Decoded trace header: everything before the event stream.
 struct HeaderInfo {
@@ -282,10 +246,9 @@ struct HeaderInfo {
 /// streaming block writer patch it in place once the final count is known.
 inline void encode_header(std::string& out, const StackTable& stacks,
                           const FunctionTable& functions, double sample_rate_hz,
-                          const bom::ModuleTable& modules, std::uint32_t version,
-                          std::uint64_t event_count) {
+                          const bom::ModuleTable& modules, std::uint64_t event_count) {
   out.append(kMagic, sizeof(kMagic));
-  put(out, version);
+  put(out, kVersionIndexed);
   put(out, sample_rate_hz);
 
   put(out, static_cast<std::uint32_t>(modules.size()));
@@ -319,10 +282,13 @@ inline Expected<HeaderInfo> decode_header(ByteReader& src) {
     return unexpected("not an ecoHMEM trace (bad magic)");
   }
   HeaderInfo h;
-  if (!src.get(h.version) ||
-      (h.version != kVersionPlain && h.version != kVersionCompact &&
-       h.version != kVersionIndexed)) {
-    return unexpected("unsupported trace version");
+  const std::uint64_t version_offset = src.offset();
+  if (!src.get(h.version)) return truncated_at("truncated trace header", version_offset);
+  if (h.version != kVersionIndexed) {
+    return unexpected("unsupported trace version " + std::to_string(h.version) + " at offset " +
+                      std::to_string(version_offset) +
+                      ": only v3 traces are readable; re-profile the application with "
+                      "ecohmem-profile");
   }
   if (!src.get(h.sample_rate_hz)) return truncated_at("truncated trace header", src.offset());
 
@@ -375,67 +341,6 @@ inline Expected<HeaderInfo> decode_header(ByteReader& src) {
 
 // --------------------------------------------------------------------------
 // Event decoders. `stack_count` bounds alloc stack references.
-
-inline Status decode_event_plain(ByteReader& src, std::uint32_t stack_count, Event& out) {
-  std::uint8_t tag = 0;
-  if (!src.get(tag)) return truncated_at("truncated event stream", src.offset());
-  switch (tag) {
-    case kTagAlloc: {
-      AllocEvent a;
-      std::uint8_t kind = 0;
-      if (!src.get(a.time) || !src.get(a.object_id) || !src.get(a.address) ||
-          !src.get(a.size) || !src.get(a.stack) || !src.get(kind)) {
-        return truncated_at("truncated alloc event", src.offset());
-      }
-      if (a.stack >= stack_count) {
-        return truncated_at("alloc event references unknown stack", src.offset());
-      }
-      a.kind = static_cast<AllocKind>(kind);
-      out = a;
-      return {};
-    }
-    case kTagFree: {
-      FreeEvent f;
-      if (!src.get(f.time) || !src.get(f.object_id)) {
-        return truncated_at("truncated free event", src.offset());
-      }
-      out = f;
-      return {};
-    }
-    case kTagSample: {
-      SampleEvent s;
-      std::uint8_t is_store = 0;
-      if (!src.get(s.time) || !src.get(s.address) || !src.get(s.weight) ||
-          !src.get(s.latency_ns) || !src.get(is_store) || !src.get(s.function_id)) {
-        return truncated_at("truncated sample event", src.offset());
-      }
-      s.is_store = is_store != 0;
-      out = s;
-      return {};
-    }
-    case kTagMarker: {
-      MarkerEvent m;
-      std::uint8_t is_enter = 0;
-      if (!src.get(m.time) || !src.get(m.function_id) || !src.get(is_enter)) {
-        return truncated_at("truncated marker event", src.offset());
-      }
-      m.is_enter = is_enter != 0;
-      out = m;
-      return {};
-    }
-    case kTagUncore: {
-      UncoreBwEvent u;
-      if (!src.get(u.time) || !src.get(u.period_ns) || !src.get(u.read_gbs) ||
-          !src.get(u.write_gbs)) {
-        return truncated_at("truncated uncore event", src.offset());
-      }
-      out = u;
-      return {};
-    }
-    default:
-      return truncated_at(("unknown event tag " + std::to_string(tag)).c_str(), src.offset());
-  }
-}
 
 inline Status decode_event_compact(ByteReader& src, std::uint32_t stack_count, Ns& last_time,
                                    Event& out) {
@@ -526,7 +431,7 @@ inline Status decode_compact_events(ByteReader& src, std::uint32_t stack_count, 
 // --------------------------------------------------------------------------
 // Compressed block codec (v3, opt-in per block via kBlockCompressedFlag).
 //
-// A compressed block body replaces the v2 event stream with column
+// A compressed block body replaces the compact event stream with column
 // streams: the tag sequence, then every field as a bit-packed u64 column
 // grouped by event kind (values appear in stream order within their
 // kind). Doubles are bit-reversed before packing — profiling weights and
@@ -664,7 +569,7 @@ inline bool open_packed_column(ByteReader& src, std::uint64_t n, PackedCursor& c
 }  // namespace detail
 
 /// Encodes `n` events as one compressed block body (see layout above).
-/// Lossless: decoding yields events bit-identical to the v2 compact
+/// Lossless: decoding yields events bit-identical to the compact
 /// codec's decode of the same stream, including the delta clamp for
 /// non-monotonic timestamps.
 inline void encode_compressed_block(std::string& out, const Event* events, std::size_t n) {
@@ -808,7 +713,7 @@ Status decode_compressed_block_impl(ByteReader& src, std::uint32_t stack_count,
   }
 
   // Resolve the deltas to absolute timestamps (same wrapping
-  // accumulation as the v2 codec), then counting-sort the tag sequence:
+  // accumulation as the compact codec), then counting-sort the tag sequence:
   // order[base[k] + j] is the stream position of kind k's j-th event.
   std::vector<Ns> deltas(static_cast<std::size_t>(n));
   Ns last_time = 0;

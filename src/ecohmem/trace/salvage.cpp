@@ -42,13 +42,12 @@ struct TraceBytes {
     return {data + begin, size - static_cast<std::size_t>(begin), begin};
   }
 
-  /// Decodes up to `max_events` events starting at absolute offset
-  /// `begin`, never accepting an event that ends past `end`. `plain`
-  /// selects the v1 fixed-width codec (v2/v3 use the compact codec with
-  /// a fresh delta base). Stops cleanly when [begin, end) is exhausted,
+  /// Decodes up to `max_events` compact events starting at absolute
+  /// offset `begin` with a fresh delta base, never accepting an event
+  /// that ends past `end`. Stops cleanly when [begin, end) is exhausted,
   /// and with `ok = false` at the first decode error or overrun.
-  [[nodiscard]] Probe probe(std::uint64_t begin, std::uint64_t end, std::uint64_t max_events,
-                            bool plain) const {
+  [[nodiscard]] Probe probe(std::uint64_t begin, std::uint64_t end,
+                            std::uint64_t max_events) const {
     codec::ByteReader src = at(begin);
     Probe p;
     p.end_offset = src.offset();
@@ -57,8 +56,7 @@ struct TraceBytes {
     for (std::uint64_t j = 0; j < max_events; ++j) {
       const std::uint64_t pos = src.offset();
       if (pos >= end) break;
-      const Status s = plain ? codec::decode_event_plain(src, stack_count, ev)
-                             : codec::decode_event_compact(src, stack_count, last_time, ev);
+      const Status s = codec::decode_event_compact(src, stack_count, last_time, ev);
       if (!s.ok()) {
         // The loss names the event that failed, not the byte inside it
         // where the codec gave up.
@@ -116,28 +114,23 @@ struct TraceBytes {
   }
 };
 
-/// Sequential-scan recovery: decode the event section front to back as
-/// one virtual block. Used for v1/v2 and for v3 files whose footer
-/// index is unreadable (`index_error` carries the lenient decode error
-/// in that case).
+/// Sequential-scan recovery for a file whose footer index is unreadable
+/// (`index_error` carries the lenient decode error): decode the event
+/// section front to back as one virtual block.
 void plan_sequential(const TraceBytes& source, const codec::HeaderInfo& header,
                      std::uint64_t file_size, const std::string& index_error,
                      SalvagePlan& plan) {
   SalvageManifest& m = plan.manifest;
-  const bool v3 = header.version == codec::kVersionIndexed;
-  const bool plain = header.version == codec::kVersionPlain;
   m.sequential_scan = true;
   m.index_bytes = 0;
 
-  // For v1/v2 the header count is authoritative (written in one shot);
-  // decoding past it would mint events out of trailing garbage. A v3
-  // header may still carry the streaming writer's 0 placeholder (the
-  // crash-before-finish case), so 0 there means "unknown": scan to the
-  // first undecodable byte.
+  // The header may still carry the streaming writer's 0 placeholder (the
+  // crash-before-finish case), so 0 means "unknown": scan to the first
+  // undecodable byte.
   std::uint64_t cap = header.event_count;
-  if (v3 && cap == 0) cap = std::numeric_limits<std::uint64_t>::max();
+  if (cap == 0) cap = std::numeric_limits<std::uint64_t>::max();
 
-  const Probe p = source.probe(header.events_offset, file_size, cap, plain);
+  const Probe p = source.probe(header.events_offset, file_size, cap);
   m.events_recovered = p.events;
   m.events_declared = std::max(header.event_count, p.events);
   m.events_dropped = m.events_declared - m.events_recovered;
@@ -157,12 +150,8 @@ void plan_sequential(const TraceBytes& source, const codec::HeaderInfo& header,
     loss.byte_size = m.dropped_bytes;
     loss.events_declared = m.events_dropped;
     loss.first_error_offset = p.ok ? p.end_offset : p.error_offset;
-    if (v3) {
-      loss.reason = "footer index unreadable (" + index_error + ")";
-      if (!p.ok) loss.reason += "; " + p.error;
-    } else {
-      loss.reason = p.ok ? "header declares more events than the file holds" : p.error;
-    }
+    loss.reason = "footer index unreadable (" + index_error + ")";
+    if (!p.ok) loss.reason += "; " + p.error;
     m.losses.push_back(std::move(loss));
   }
   m.blocks_declared = m.blocks_kept + m.blocks_dropped;
@@ -182,7 +171,7 @@ std::string SalvageManifest::summary() const {
 }
 
 std::string SalvageManifest::skew_warning() const {
-  if (!sequential_scan || version != codec::kVersionIndexed) return {};
+  if (!sequential_scan) return {};
   return "v3 footer index was unusable; events were recovered by sequential scan — timestamps "
          "after the first block boundary may be skewed (docs/trace_format.md)";
 }
@@ -194,14 +183,8 @@ SalvagePlan build_salvage_plan(const unsigned char* data, std::size_t size,
   SalvagePlan plan;
   SalvageManifest& m = plan.manifest;
   m.salvaged = true;
-  m.version = header.version;
   m.file_bytes = file_size;
   m.header_bytes = header.events_offset;
-
-  if (header.version != codec::kVersionIndexed) {
-    plan_sequential(source, header, file_size, /*index_error=*/"", plan);
-    return plan;
-  }
   // A structurally-readable footer whose offset points into (or before)
   // the header cannot describe real blocks — its "entries" are header
   // bytes. Treat it the same as an unreadable index.
@@ -269,7 +252,7 @@ SalvagePlan build_salvage_plan(const unsigned char* data, std::size_t size,
     const std::uint64_t declared = c.entry.count & codec::kBlockCountMask;
     Probe p =
         compressed ? source.probe_compressed(c.entry.offset, span_end, declared)
-                   : source.probe(c.entry.offset, span_end, declared, /*plain=*/false);
+                   : source.probe(c.entry.offset, span_end, declared);
     std::string reason;
     if (!p.ok) {
       reason = p.error;

@@ -9,7 +9,7 @@
 /// *lenient* v3 index decode (codec::decode_index — previously the
 /// linter's private tool) and a trial decode of every candidate block:
 ///
-///   - v3, readable trailer+footer: every index entry whose offset is
+///   - readable trailer+footer: every index entry whose offset is
 ///     in-range and increasing gets its span trial-decoded; a block is
 ///     kept only when it decodes cleanly, yields exactly the event count
 ///     the index declares, and ends exactly at the next block's offset.
@@ -19,15 +19,13 @@
 ///     Compressed blocks (kBlockCompressedFlag on the index count) are
 ///     trial-decoded all-or-nothing with the column codec under the
 ///     same three conditions.
-///   - v3, unreadable trailer/footer (short write, crashed profiler):
+///   - unreadable trailer/footer (short write, crashed profiler):
 ///     sequential scan — the event section is decoded front to back as
 ///     one virtual block up to the first undecodable event. A compressed
 ///     block's 0xEC lead byte is never a valid event tag, so the scan
 ///     stops there: compressed events are only recoverable through the
 ///     index. See docs/trace_format.md for the timestamp caveat past
 ///     the first block boundary.
-///   - v1/v2: sequential scan with the version's codec, capped at the
-///     header's declared event count.
 ///
 /// The resulting `SalvageManifest` accounts for every byte of the file
 /// (`bytes_conserved()`) and every declared event (recovered + dropped ==
@@ -45,15 +43,15 @@
 
 namespace ecohmem::trace {
 
-/// One independently-decodable event block (v3), or the whole event
-/// section as a single virtual block (v1/v2 and sequential salvage).
+/// One independently-decodable event block, or the whole event section
+/// as a single virtual block (sequential salvage).
 struct TraceBlockInfo {
   std::uint64_t file_offset = 0;       ///< absolute offset of the block's first byte
   std::uint64_t byte_size = 0;         ///< encoded size in bytes
   std::uint64_t event_count = 0;       ///< events in the block (compression flag masked off)
   std::uint64_t first_event_index = 0; ///< index of the block's first event in the trace
-  Ns first_time = 0;                   ///< timestamp of the block's first event (v3)
-  bool compressed = false;             ///< body is a compressed column block (v3)
+  Ns first_time = 0;                   ///< timestamp of the block's first event
+  bool compressed = false;             ///< body is a compressed column block
 };
 
 /// One region salvage could not recover, with the reason and where the
@@ -72,9 +70,8 @@ struct SalvageBlockLoss {
 /// manifest is then not meaningful).
 struct SalvageManifest {
   bool salvaged = false;         ///< the reader ran in salvage mode
-  bool index_usable = false;     ///< the v3 footer index was structurally readable
+  bool index_usable = false;     ///< the footer index was structurally readable
   bool sequential_scan = false;  ///< recovered by front-to-back scan (no usable index)
-  std::uint32_t version = 0;
 
   std::uint64_t file_bytes = 0;
   std::uint64_t header_bytes = 0;  ///< magic through the header tables
@@ -86,7 +83,7 @@ struct SalvageManifest {
   std::uint64_t blocks_kept = 0;
   std::uint64_t blocks_dropped = 0;
 
-  std::uint64_t events_declared = 0;  ///< index sum (v3) or header count (v1/v2)
+  std::uint64_t events_declared = 0;  ///< index sum, or header count for a sequential scan
   std::uint64_t events_recovered = 0;
   std::uint64_t events_dropped = 0;   ///< declared - recovered
 
@@ -108,7 +105,7 @@ struct SalvageManifest {
   /// One-line human summary for CLI output.
   [[nodiscard]] std::string summary() const;
 
-  /// The caveat of a v3 trace recovered by sequential scan: its block
+  /// The caveat of a trace recovered by sequential scan: its block
   /// timestamps may be skewed. Empty for any other read. Lint's
   /// trace-salvage-coverage rule and `ecohmem-timeline --salvage` both
   /// print it.
@@ -125,7 +122,7 @@ struct SalvagePlan {
 };
 
 /// Classifies the trace held in `[data, data + size)` for salvage,
-/// trial-decoding every candidate block in place. A v3 footer index is
+/// trial-decoding every candidate block in place. The footer index is
 /// decoded leniently (codec::decode_index); when it is unreadable the
 /// planner falls back to the sequential scan. The header must already
 /// have decoded — without its tables nothing is recoverable.

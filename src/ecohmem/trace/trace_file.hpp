@@ -3,31 +3,26 @@
 /// \file trace_file.hpp
 /// Binary serialization of traces (the .prv-equivalent on-disk format).
 ///
-/// Common layout (little-endian, no alignment padding):
-///   magic "ECOHMTRC" | version u32 | sample_rate f64
+/// One format, v3 (little-endian, no alignment padding):
+///   magic "ECOHMTRC" | version u32 (= 3) | sample_rate f64
 ///   module table: count u32, then {name, text_size u64, debug_size u64}
 ///   stack table:  count u32, then {depth u32, {module u32, offset u64}*}
 ///   function table: count u32, then {name}*
 ///   event count u64
-/// Strings are u32 length + bytes.
+///   blocks: delta-encoded timestamps + LEB128 varints (or bit-packed
+///           columns when compressed), the delta base reset to 0 per
+///           block so each block decodes independently
+///   footer index: {file_offset u64, event_count u64, first_timestamp u64}
+///           per block, then a trailer {entry_count u64, footer_offset u64,
+///           magic "ECOHMIDX"}
+/// Strings are u32 length + bytes. The index lets `TraceReader`
+/// (trace_reader.hpp) mmap the file and decode blocks on demand. Readers
+/// reject every other version (v1/v2 files must be re-profiled). See
+/// docs/trace_format.md.
 ///
-/// After the header, the event section depends on the version:
-///   v1 (plain)   — fixed-width tagged records.
-///   v2 (compact) — delta-encoded timestamps + LEB128 varints, one
-///                  continuous stream.
-///   v3 (indexed) — the v2 codec split into independently-decodable
-///                  blocks (the timestamp delta base resets to 0 at each
-///                  block boundary), followed by a footer index of
-///                  {file_offset u64, event_count u64, first_timestamp u64}
-///                  per block and a trailer {entry_count u64,
-///                  footer_offset u64, magic "ECOHMIDX"}. The index lets
-///                  `TraceReader` (trace_reader.hpp) mmap the file and
-///                  decode blocks on demand or in parallel. See
-///                  docs/trace_format.md.
-///
-/// Readers auto-detect the version. The module table travels with the
-/// trace so that BOM call stacks remain resolvable in a different
-/// process (with different ASLR bases) — the property §VI relies on.
+/// The module table travels with the trace so that BOM call stacks remain
+/// resolvable in a different process (with different ASLR bases) — the
+/// property §VI relies on.
 
 #include <iosfwd>
 #include <memory>
@@ -67,32 +62,26 @@ struct TraceBundle {
 };
 
 struct TraceWriteOptions {
-  /// Version-2 compact encoding: event timestamps are delta-encoded and
-  /// all integer fields use LEB128 varints (lossless; ~25-50% smaller on
-  /// sample-heavy traces, more on allocation-heavy ones).
-  bool compact = false;
-  /// Version-3 indexed encoding: the compact codec written in
-  /// independently-decodable blocks with a footer index (takes
-  /// precedence over `compact`). Enables mmap random access, streaming,
-  /// and parallel decode via `TraceReader`.
+  /// Unread; perfbench sets it until ROADMAP item 14's perfbench change deletes it.
   bool indexed = false;
-  /// Events per v3 block. Smaller blocks mean finer-grained random
-  /// access and parallelism at a slightly larger index.
+  /// Events per block. Smaller blocks mean finer-grained random access
+  /// at a slightly larger index.
   std::uint64_t block_events = 64 * 1024;
-  /// Compress v3 block bodies (column streams, flagged per block in the
-  /// footer index; see docs/trace_format.md). Requires `indexed`; blocks
-  /// stay independently decodable and decode bit-identically. Files
-  /// written without this remain byte-identical to the flagless format.
+  /// Compress block bodies (column streams, flagged per block in the
+  /// footer index; see docs/trace_format.md). Blocks stay independently
+  /// decodable and decode bit-identically. Files written without this
+  /// remain byte-identical to the flagless format.
   bool compress = false;
 };
 
-/// Serializes `trace` captured against `modules` to a stream.
+/// Serializes `trace` captured against `modules` to a stream as v3.
+/// Alloc stack references are not checked here; readers reject them.
 [[nodiscard]] Status write_trace(std::ostream& out, const Trace& trace,
                                  const bom::ModuleTable& modules,
                                  const TraceWriteOptions& options = {});
 
-/// Deserializes a trace (any version; auto-detected); validates
-/// magic/version, stack/module indices, and — for v3 — the footer index.
+/// Deserializes a v3 trace; validates magic/version, stack/module
+/// indices and the footer index.
 /// Shorthand for `TraceReader::from_stream(in)` then `read_all()`
 /// (trace_reader.hpp).
 [[nodiscard]] Expected<TraceBundle> read_trace(std::istream& in);
@@ -106,8 +95,10 @@ struct TraceWriteOptions {
 
 /// Incremental v3 writer: appends events one at a time, flushing each
 /// completed block to disk, so writing a trace never materializes more
-/// than one block (~64K events) in memory. The header tables must be
-/// known up front; the header's event count is patched in `finish()`.
+/// than one block (~64K events) in memory. Its bytes equal
+/// `write_trace`'s for the same events and options (one shared
+/// emitter). The header tables must be known up front; the header's
+/// event count is patched in `finish()`.
 ///
 /// Usage:
 ///   auto w = TraceBlockWriter::create(path, stacks, functions, modules, rate);

@@ -11,7 +11,6 @@
 #include <limits>
 #include <utility>
 
-#include "ecohmem/runtime/worker_pool.hpp"
 #include "ecohmem/trace/codec.hpp"
 
 namespace ecohmem::trace {
@@ -19,8 +18,8 @@ namespace ecohmem::trace {
 namespace {
 
 /// Events `for_each` decodes per chunk of an uncompressed block: bounds
-/// its scratch buffer however large a block (or a v1/v2 event section)
-/// is. A compressed block decodes whole, being all-or-nothing.
+/// its scratch buffer however large a block is. A compressed block
+/// decodes whole, being all-or-nothing.
 constexpr std::uint64_t kForEachChunkEvents = 16 * 1024;
 
 /// Reads the rest of a stream into memory. A seekable stream is sized
@@ -93,9 +92,9 @@ struct TraceReader::Impl {
     }
   }
 
-  /// Decodes + validates the header and (for v3) the footer index;
-  /// builds the block table. Called once from open/from_stream. In
-  /// salvage mode the block table holds only the recoverable blocks and
+  /// Decodes + validates the header and the footer index; builds the
+  /// block table. Called once from open/from_stream. In salvage mode
+  /// the block table holds only the recoverable blocks and
   /// the header count is rewritten to the recovered total, so every
   /// downstream accessor works unchanged on a damaged file.
   Status init(bool salvage) {
@@ -120,50 +119,36 @@ struct TraceReader::Impl {
                         " but the file only holds " + std::to_string(size) + " bytes");
     }
 
-    if (header.version == codec::kVersionIndexed) {
-      auto index = codec::decode_index(data, size);
-      if (!index.has_value()) return unexpected(index.error());
-      if (Status s = codec::validate_index(*index, header.events_offset, header.event_count);
-          !s.ok()) {
-        return s;
-      }
-      blocks.reserve(index->entries.size());
-      std::uint64_t first_index = 0;
-      for (std::size_t i = 0; i < index->entries.size(); ++i) {
-        const codec::IndexEntry& e = index->entries[i];
-        const std::uint64_t end =
-            i + 1 < index->entries.size() ? index->entries[i + 1].offset : index->footer_offset;
-        TraceBlockInfo b;
-        b.file_offset = e.offset;
-        b.byte_size = end - e.offset;
-        b.event_count = e.count & codec::kBlockCountMask;
-        b.compressed = (e.count & codec::kBlockCompressedFlag) != 0;
-        b.first_event_index = first_index;
-        b.first_time = e.first_time;
-        // Every event costs at least one body byte in either encoding
-        // (tag byte / tag-column byte), so a count the span cannot hold
-        // is index damage — reject before decode_block allocates for it.
-        if (b.event_count > b.byte_size) {
-          return unexpected("v3 index block " + std::to_string(i) + " declares " +
-                            std::to_string(b.event_count) + " events in " +
-                            std::to_string(b.byte_size) + " bytes at offset " +
-                            std::to_string(e.offset));
-        }
-        blocks.push_back(b);
-        first_index += b.event_count;
-      }
-      return {};
+    auto index = codec::decode_index(data, size);
+    if (!index.has_value()) return unexpected(index.error());
+    if (Status s = codec::validate_index(*index, header.events_offset, header.event_count);
+        !s.ok()) {
+      return s;
     }
-
-    // v1/v2: one virtual block spanning the whole event section (the
-    // events are one continuous stream, decodable only front to back).
-    if (header.event_count > 0) {
+    blocks.reserve(index->entries.size());
+    std::uint64_t first_index = 0;
+    for (std::size_t i = 0; i < index->entries.size(); ++i) {
+      const codec::IndexEntry& e = index->entries[i];
+      const std::uint64_t end =
+          i + 1 < index->entries.size() ? index->entries[i + 1].offset : index->footer_offset;
       TraceBlockInfo b;
-      b.file_offset = header.events_offset;
-      b.byte_size = size - std::min<std::uint64_t>(header.events_offset, size);
-      b.event_count = header.event_count;
-      b.first_event_index = 0;
+      b.file_offset = e.offset;
+      b.byte_size = end - e.offset;
+      b.event_count = e.count & codec::kBlockCountMask;
+      b.compressed = (e.count & codec::kBlockCompressedFlag) != 0;
+      b.first_event_index = first_index;
+      b.first_time = e.first_time;
+      // Every event costs at least one body byte in either encoding
+      // (tag byte / tag-column byte), so a count the span cannot hold
+      // is index damage — reject before decode_block allocates for it.
+      if (b.event_count > b.byte_size) {
+        return unexpected("v3 index block " + std::to_string(i) + " declares " +
+                          std::to_string(b.event_count) + " events in " +
+                          std::to_string(b.byte_size) + " bytes at offset " +
+                          std::to_string(e.offset));
+      }
       blocks.push_back(b);
+      first_index += b.event_count;
     }
     return {};
   }
@@ -181,9 +166,8 @@ struct TraceReader::Impl {
     codec::ByteReader br(data + b.file_offset, static_cast<std::size_t>(b.byte_size),
                          b.file_offset);
     const auto stack_count = static_cast<std::uint32_t>(header.stacks.size());
-    const bool v3 = header.version == codec::kVersionIndexed;
     const auto check_first_time = [&](const Event& first) -> Status {
-      if (!v3 || event_time(first) == b.first_time) return {};
+      if (event_time(first) == b.first_time) return {};
       return unexpected("v3 index block " + std::to_string(i) +
                         " first timestamp disagrees with its events at offset " +
                         std::to_string(b.file_offset));
@@ -213,12 +197,8 @@ struct TraceReader::Impl {
       for (std::uint64_t j = 0; j < b.event_count;) {
         const std::uint64_t n = std::min(b.event_count - j, chunk);
         Event* out = slots(n);
-        if (header.version == codec::kVersionPlain) {
-          for (std::uint64_t k = 0; k < n; ++k) {
-            if (Status s = codec::decode_event_plain(br, stack_count, out[k]); !s.ok()) return s;
-          }
-        } else if (Status s = codec::decode_compact_events(br, stack_count, last_time, out, n);
-                   !s.ok()) {
+        if (Status s = codec::decode_compact_events(br, stack_count, last_time, out, n);
+            !s.ok()) {
           return s;
         }
         if (j == 0) {
@@ -228,9 +208,8 @@ struct TraceReader::Impl {
         j += n;
       }
     }
-    // v3 blocks are exactly sized; v1/v2's virtual block may carry
-    // trailing bytes (historically tolerated).
-    if (v3 && br.remaining() != 0) {
+    // Blocks are exactly sized.
+    if (br.remaining() != 0) {
       return unexpected("v3 index block " + std::to_string(i) + " has " +
                         std::to_string(br.remaining()) + " undecoded bytes at offset " +
                         std::to_string(br.offset()));
@@ -308,7 +287,6 @@ Expected<TraceReader> TraceReader::from_stream(std::istream& in, TraceOpenOption
 }
 
 std::uint32_t TraceReader::version() const { return impl_->header.version; }
-bool TraceReader::indexed() const { return impl_->header.version == codec::kVersionIndexed; }
 bool TraceReader::mapped() const { return impl_->is_mmap; }
 double TraceReader::sample_rate_hz() const { return impl_->header.sample_rate_hz; }
 const bom::ModuleTable& TraceReader::modules() const { return impl_->header.modules; }
@@ -332,7 +310,7 @@ Status TraceReader::decode_block(std::size_t i, std::vector<Event>& out) const {
   return decode_block_into(i, out.data());
 }
 
-Expected<TraceBundle> TraceReader::read_all(int threads) const {
+Expected<TraceBundle> TraceReader::read_all(int /*unused*/) const {
   const Impl& impl = *impl_;
   TraceBundle bundle;
   bundle.trace.stacks = impl.header.stacks;
@@ -344,49 +322,13 @@ Expected<TraceBundle> TraceReader::read_all(int threads) const {
       impl.manifest.salvaged ? impl.manifest.events_declared : impl.header.event_count;
   bundle.coverage.salvaged = impl.manifest.salvaged;
   bundle.trace.events.resize(static_cast<std::size_t>(impl.header.event_count));
-
-  const std::size_t want = threads < 1 ? 1 : static_cast<std::size_t>(threads);
-  const std::size_t workers = std::min(want, impl.blocks.size());
-
-  if (workers <= 1) {
-    for (std::size_t b = 0; b < impl.blocks.size(); ++b) {
-      if (Status s =
-              decode_block_into(b, bundle.trace.events.data() + impl.blocks[b].first_event_index);
-          !s.ok()) {
-        return unexpected(s.error());
-      }
-    }
-    return bundle;
-  }
-
-  // Parallel block decode: workers fill disjoint event slices, so the
-  // materialized vector is byte-for-byte what serial decode produces.
-  // Blocks are strided across workers for balance.
-  std::vector<Status> worker_status(workers);
-  std::vector<std::size_t> failed_block(workers, impl.blocks.size());
-  runtime::WorkerPool pool(workers);
-  Event* events = bundle.trace.events.data();
-  pool.run([&](std::size_t w) {
-    for (std::size_t b = w; b < impl.blocks.size(); b += workers) {
-      Status s = decode_block_into(b, events + impl.blocks[b].first_event_index);
-      if (!s.ok()) {
-        worker_status[w] = std::move(s);
-        failed_block[w] = b;
-        return;
-      }
-    }
-  });
-  // Report the earliest failing block so the error is thread-count
-  // independent.
-  std::size_t first_fail = impl.blocks.size();
-  std::size_t fail_worker = workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (!worker_status[w].ok() && failed_block[w] < first_fail) {
-      first_fail = failed_block[w];
-      fail_worker = w;
+  for (std::size_t b = 0; b < impl.blocks.size(); ++b) {
+    if (Status s =
+            decode_block_into(b, bundle.trace.events.data() + impl.blocks[b].first_event_index);
+        !s.ok()) {
+      return unexpected(s.error());
     }
   }
-  if (fail_worker != workers) return unexpected(worker_status[fail_worker].error());
   return bundle;
 }
 

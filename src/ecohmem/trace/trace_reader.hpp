@@ -3,28 +3,26 @@
 /// \file trace_reader.hpp
 /// The one trace reader: every read of an on-disk trace goes through
 /// `TraceReader` (`load_trace`/`read_trace` are `open`/`from_stream`
-/// plus `read_all`). Events decode one at a time through
-/// `codec::decode_event_compact` (v1: `decode_event_plain`); compressed
-/// v3 blocks decode through the packed-column decoder.
+/// plus `read_all`). It reads v3 only; `codec::decode_header` rejects
+/// v1/v2 files with an offset-bearing error that says to re-profile.
+/// Uncompressed events decode one at a time through
+/// `codec::decode_event_compact`; compressed blocks decode through the
+/// packed-column decoder.
 ///
 /// `TraceReader` mmaps a trace file (falling back to a private in-memory
-/// copy for unseekable inputs) and exposes the v3 block index: blocks
-/// decode independently, on demand, out of order, or in parallel
-/// (`read_all(threads)`: a worker pool fills disjoint slices of the
-/// destination vector, bit-identical to serial decode by construction).
-/// v1/v2 traces are one virtual block, so every caller works on all.
+/// copy for unseekable inputs) and exposes the block index: blocks
+/// decode independently, on demand and out of order. `read_all` decodes
+/// them front to back on the calling thread.
 ///
 /// `for_each` is the bounded-memory path for consumers that never need
 /// the whole trace at once (ecohmem-timeline): it decodes in chunks of
-/// at most one compressed block or 16K events — v1/v2 included — and
-/// hands consumed pages of the mapping back as it goes, so peak memory
-/// stays flat however large the trace is.
+/// at most one compressed block or 16K events and hands consumed pages
+/// of the mapping back as it goes, so peak memory stays flat however
+/// large the trace is.
 ///
-/// Thread safety: after construction, `TraceReader`'s accessors,
-/// `decode_block*` and `for_each` are const and safe to call from any
-/// number of threads concurrently (the mapping is immutable; a page
-/// `for_each` released faults back in unchanged). `read_all` must be
-/// called from one thread at a time (it owns the worker pool hand-off).
+/// Thread safety: after construction every member is const and safe to
+/// call from any number of threads concurrently (the mapping is
+/// immutable; a page `for_each` released faults back in unchanged).
 
 #include <cstdint>
 #include <functional>
@@ -53,7 +51,7 @@ struct TraceOpenOptions {
 
 class TraceReader {
  public:
-  /// Opens and validates a trace file: header decoded eagerly, v3 footer
+  /// Opens and validates a trace file: header decoded eagerly, footer
   /// index decoded and strictly validated (chained offsets, counts
   /// summing to the header total, non-decreasing timestamps). The file
   /// is mmapped read-only when possible. With `options.salvage`,
@@ -74,8 +72,6 @@ class TraceReader {
   ~TraceReader();
 
   [[nodiscard]] std::uint32_t version() const;
-  /// True for the v3 indexed format (random-access blocks).
-  [[nodiscard]] bool indexed() const;
   /// True when the file is mmapped (zero-copy); false when it was read
   /// into a private buffer.
   [[nodiscard]] bool mapped() const;
@@ -97,12 +93,11 @@ class TraceReader {
   /// Convenience: resizes `out` and decodes into it.
   [[nodiscard]] Status decode_block(std::size_t i, std::vector<Event>& out) const;
 
-  /// Materializes the whole trace (tables copied). With `threads > 1`
-  /// and a v3 trace, blocks decode in parallel into disjoint slices of
-  /// the event vector; the result is bit-identical to serial decode —
-  /// in salvage mode too (recovered blocks are fixed at open time).
-  /// The bundle's `coverage` reflects the salvage manifest.
-  [[nodiscard]] Expected<TraceBundle> read_all(int threads = 1) const;
+  /// Materializes the whole trace (tables copied), decoding the blocks
+  /// in order. The bundle's `coverage` reflects the salvage manifest.
+  /// The argument is unread; perfbench passes 1 until ROADMAP item 14's
+  /// perfbench change deletes it.
+  [[nodiscard]] Expected<TraceBundle> read_all(int /*unused*/ = 1) const;
 
   /// Streams every event, in order, through `fn` without materializing
   /// the trace: uncompressed events decode in chunks of at most 16K, a

@@ -528,7 +528,7 @@ TEST(TraceV3IndexRule, CleanIndexIsSilent) {
 }
 
 TEST(TraceV3IndexRule, SkippedWithoutAnIndex) {
-  CheckContext ctx;  // v1/v2 trace: no index view
+  CheckContext ctx;  // no index view (e.g. its footer did not decode)
   const RunResult result = run(ctx);
   EXPECT_NE(std::find(result.rules_skipped.begin(), result.rules_skipped.end(), "trace-v3-index"),
             result.rules_skipped.end());

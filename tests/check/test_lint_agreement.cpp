@@ -235,7 +235,6 @@ std::string v3_trace_bytes() {
     t.events.emplace_back(trace::FreeEvent{10 * i + 5, i + 1});
   }
   trace::TraceWriteOptions opt;
-  opt.indexed = true;
   opt.block_events = 16;
   std::ostringstream os;
   EXPECT_TRUE(trace::write_trace(os, t, modules, opt).ok());

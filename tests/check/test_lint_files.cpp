@@ -237,7 +237,6 @@ std::string small_v3_bytes(const std::string& path) {
     t.events.emplace_back(trace::FreeEvent{10 * i + 5, i + 1});
   }
   trace::TraceWriteOptions opt;
-  opt.indexed = true;
   opt.block_events = 16;
   EXPECT_TRUE(trace::save_trace(path, t, modules, opt).ok());
   std::ifstream in(path, std::ios::binary);
@@ -301,7 +300,6 @@ std::string small_v3c_bytes(const std::string& path) {
     t.events.emplace_back(trace::FreeEvent{10 * i + 5, i + 1});
   }
   trace::TraceWriteOptions opt;
-  opt.indexed = true;
   opt.block_events = 16;
   opt.compress = true;
   EXPECT_TRUE(trace::save_trace(path, t, modules, opt).ok());

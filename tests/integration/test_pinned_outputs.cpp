@@ -526,9 +526,7 @@ std::uint64_t trace_digest(const std::string& app, const profiler::ProfilerOptio
   EXPECT_TRUE(metrics.has_value()) << app << ": " << metrics.error();
 
   std::ostringstream os;
-  trace::TraceWriteOptions wopt;
-  wopt.indexed = true;
-  const auto written = trace::write_trace(os, prof.take_trace(), *workload.modules, wopt);
+  const auto written = trace::write_trace(os, prof.take_trace(), *workload.modules);
   EXPECT_TRUE(written.ok()) << app << ": " << written.error();
   Digest d;
   d.add(std::move(os).str());

@@ -6,13 +6,11 @@
 //   - the manifest accounts for every byte (bytes_conserved) and — when
 //     the index was usable — every declared event (recovered + dropped
 //     == declared),
-//   - parallel read_all is bit-identical to serial,
 //   - for_each streams exactly the events read_all materializes,
 //   - strict reads of the same corrupt input still fail loudly.
 //
-// The targeted tests cover truncation mid-chunk (v1/v2) and mid-block
-// (v3), and failing-istream (badbit mid-read, not EOF) through the
-// slurp path.
+// The targeted tests cover truncation mid-block and failing-istream
+// (badbit mid-read, not EOF) through the slurp path.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +27,7 @@
 #include "ecohmem/trace/events.hpp"
 #include "ecohmem/trace/trace_file.hpp"
 #include "ecohmem/trace/trace_reader.hpp"
+#include "trace_digest.hpp"
 
 namespace ecohmem::trace {
 namespace {
@@ -99,14 +98,6 @@ Trace synth_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-/// Canonical byte form for exact event-stream equality (the v1 plain
-/// encoding is injective over header tables + events).
-std::string v1_bytes(const Trace& t, const bom::ModuleTable& modules) {
-  std::stringstream ss;
-  EXPECT_TRUE(write_trace(ss, t, modules).ok());
-  return ss.str();
-}
-
 std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good());
@@ -125,7 +116,6 @@ std::string v3_file_bytes(const std::string& path, const Trace& t,
                           const bom::ModuleTable& modules, std::uint64_t block_events,
                           bool compress = false) {
   TraceWriteOptions opt;
-  opt.indexed = true;
   opt.block_events = block_events;
   opt.compress = compress;
   EXPECT_TRUE(save_trace(path, t, modules, opt).ok());
@@ -154,9 +144,9 @@ TraceOpenOptions salvage_opts() {
   return o;
 }
 
-/// Streams every event out of `reader` with for_each and re-encodes the
-/// result in the canonical v1 form for equality checks.
-Expected<std::string> for_each_v1_bytes(const TraceReader& reader) {
+/// Streams every event out of `reader` with for_each and digests the
+/// result for equality checks.
+Expected<std::uint64_t> for_each_digest(const TraceReader& reader) {
   Trace t;
   t.sample_rate_hz = reader.sample_rate_hz();
   t.stacks = reader.stacks();
@@ -165,16 +155,16 @@ Expected<std::string> for_each_v1_bytes(const TraceReader& reader) {
       !st.ok()) {
     return unexpected(st.error());
   }
-  return v1_bytes(t, reader.modules());
+  return trace_digest(t, reader.modules());
 }
 
 /// for_each over a salvage-mode reader yields exactly what read_all does.
 void expect_for_each_matches_read_all(const TraceReader& reader) {
   const auto bundle = reader.read_all();
   ASSERT_TRUE(bundle.has_value()) << bundle.error();
-  const auto streamed = for_each_v1_bytes(reader);
+  const auto streamed = for_each_digest(reader);
   ASSERT_TRUE(streamed.has_value()) << streamed.error();
-  EXPECT_EQ(*streamed, v1_bytes(bundle->trace, bundle->modules));
+  EXPECT_EQ(*streamed, trace_digest(bundle->trace, bundle->modules));
 }
 
 // --------------------------------------------------------------------------
@@ -205,7 +195,7 @@ TEST(SalvageReader, CleanTraceSalvageMatchesStrictRead) {
 
   const auto bundle = reader->read_all();
   ASSERT_TRUE(bundle.has_value()) << bundle.error();
-  EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), v1_bytes(original, modules));
+  EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(original, modules));
   EXPECT_TRUE(bundle->coverage.salvaged);
   EXPECT_EQ(bundle->coverage.events_seen, original.events.size());
   EXPECT_EQ(bundle->coverage.events_declared, original.events.size());
@@ -265,7 +255,7 @@ TEST(SalvageReader, CorruptedBlockDropsExactlyThatBlock) {
   }
   const auto bundle = reader->read_all();
   ASSERT_TRUE(bundle.has_value()) << bundle.error();
-  EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), v1_bytes(expected, modules));
+  EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(expected, modules));
   EXPECT_EQ(bundle->coverage.events_seen, kEvents - kBlock);
   EXPECT_EQ(bundle->coverage.events_declared, kEvents);
 }
@@ -295,7 +285,7 @@ TEST(SalvageReader, TruncatedTrailerFallsBackToSequentialScan) {
 
   const auto bundle = reader->read_all();
   ASSERT_TRUE(bundle.has_value()) << bundle.error();
-  EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), v1_bytes(original, modules));
+  EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(original, modules));
 }
 
 TEST(SalvageReader, TruncatedMidBlockRecoversPrefix) {
@@ -342,32 +332,6 @@ TEST(SalvageReader, CorruptHeaderStillFails) {
   EXPECT_FALSE(reader.error().empty());
 }
 
-TEST(SalvageReader, ParallelSalvageReadMatchesSerial) {
-  const Trace original = synth_trace(8'000, 59);
-  const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("salv_parallel.trc");
-  const std::string bytes = v3_file_bytes(path, original, modules, 512);
-
-  const auto lm = faultinject::landmarks_v3(to_vec(bytes), events_offset_of(bytes));
-  faultinject::Fault f;
-  f.kind = faultinject::FaultKind::kBitFlip;
-  f.offset = lm.block_offsets[2] + 3;
-  f.bit = 5;
-  write_bytes(path, to_str(faultinject::apply(to_vec(bytes), f)));
-
-  auto reader = TraceReader::open(path, salvage_opts());
-  ASSERT_TRUE(reader.has_value()) << reader.error();
-  const auto serial = reader->read_all(1);
-  ASSERT_TRUE(serial.has_value()) << serial.error();
-  for (const int threads : {2, 4, 8}) {
-    const auto parallel = reader->read_all(threads);
-    ASSERT_TRUE(parallel.has_value()) << parallel.error();
-    EXPECT_EQ(v1_bytes(parallel->trace, parallel->modules),
-              v1_bytes(serial->trace, serial->modules))
-        << "threads=" << threads;
-  }
-}
-
 // --------------------------------------------------------------------------
 // for_each over salvaged and truncated traces.
 
@@ -391,51 +355,14 @@ TEST(SalvageReader, ForEachMatchesReadAllOnDamagedTrace) {
   expect_for_each_matches_read_all(*reader);
 }
 
-TEST(SalvageReader, TruncatedMidChunkV1AndV2) {
-  const Trace original = synth_trace(3'000, 71);
-  const bom::ModuleTable modules = test_modules();
-  for (const bool compact : {false, true}) {
-    TraceWriteOptions opt;
-    opt.compact = compact;
-    std::stringstream ss;
-    ASSERT_TRUE(write_trace(ss, original, modules, opt).ok());
-    const std::string bytes = ss.str();
-    const std::string path =
-        tmp_path(compact ? "salv_trunc_v2.trc" : "salv_trunc_v1.trc");
-    // Cut deep inside the event section, far past the header.
-    write_bytes(path, bytes.substr(0, bytes.size() - bytes.size() / 3));
-
-    // Strict reader: open sees a valid header; the walk must fail with
-    // an offset-bearing error, not stop silently at the cut.
-    auto strict = TraceReader::open(path);
-    ASSERT_TRUE(strict.has_value()) << strict.error();
-    const Status walked = strict->for_each([](const Event&) {});
-    ASSERT_FALSE(walked.ok());
-    EXPECT_NE(walked.error().find("offset"), std::string::npos) << walked.error();
-
-    // Salvage reader: the decodable prefix comes back and the manifest
-    // charges the rest.
-    auto reader = TraceReader::open(path, salvage_opts());
-    ASSERT_TRUE(reader.has_value()) << reader.error();
-    const SalvageManifest& m = reader->manifest();
-    EXPECT_TRUE(m.sequential_scan);
-    EXPECT_GT(m.events_recovered, 0u);
-    EXPECT_LT(m.events_recovered, original.events.size());
-    EXPECT_TRUE(m.bytes_conserved());
-    expect_for_each_matches_read_all(*reader);
-  }
-}
-
 // --------------------------------------------------------------------------
 // Failing-istream satellites: badbit mid-read is an error, never EOF.
 
 TEST(SalvageStreamFaults, FromStreamReportsDeviceErrorNotEof) {
   const Trace original = synth_trace(2'000, 13);
   const bom::ModuleTable modules = test_modules();
-  TraceWriteOptions opt;
-  opt.compact = true;
   std::stringstream ss;
-  ASSERT_TRUE(write_trace(ss, original, modules, opt).ok());
+  ASSERT_TRUE(write_trace(ss, original, modules).ok());
   const std::string bytes = ss.str();
 
   faultinject::FailingStream failing(bytes, bytes.size() / 2);
@@ -581,17 +508,13 @@ void run_fault_sweep(const std::string& bytes, const std::string& path) {
         EXPECT_FALSE(loss.reason.empty());
       }
 
-      const auto serial = reader->read_all(1);
-      ASSERT_TRUE(serial.has_value()) << serial.error();
-      EXPECT_EQ(serial->trace.events.size(), m.events_recovered);
-      const auto parallel = reader->read_all(4);
-      ASSERT_TRUE(parallel.has_value()) << parallel.error();
-      EXPECT_EQ(v1_bytes(parallel->trace, parallel->modules),
-                v1_bytes(serial->trace, serial->modules));
+      const auto bundle = reader->read_all();
+      ASSERT_TRUE(bundle.has_value()) << bundle.error();
+      EXPECT_EQ(bundle->trace.events.size(), m.events_recovered);
 
-      const auto streamed = for_each_v1_bytes(*reader);
+      const auto streamed = for_each_digest(*reader);
       ASSERT_TRUE(streamed.has_value()) << streamed.error();
-      EXPECT_EQ(*streamed, v1_bytes(serial->trace, serial->modules));
+      EXPECT_EQ(*streamed, trace_digest(bundle->trace, bundle->modules));
     }
   }
 }
@@ -659,7 +582,7 @@ TEST(SalvageReader, CompressedCorruptedBlockDropsExactlyThatBlock) {
   }
   const auto bundle = reader->read_all();
   ASSERT_TRUE(bundle.has_value()) << bundle.error();
-  EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), v1_bytes(expected, modules));
+  EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(expected, modules));
   expect_for_each_matches_read_all(*reader);
 }
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <sstream>
+#include <string>
 
+#include "ecohmem/check/lint.hpp"
 #include "ecohmem/trace/events.hpp"
 #include "ecohmem/trace/trace_file.hpp"
+#include "ecohmem/trace/trace_reader.hpp"
 
 namespace ecohmem::trace {
 namespace {
@@ -143,82 +148,54 @@ TEST(TraceFile, EmptyTraceRoundTrips) {
   EXPECT_EQ(loaded->trace.events.size(), 0u);
 }
 
-}  // namespace
-}  // namespace ecohmem::trace
+TEST(TraceFile, RejectsEveryVersionButV3) {
+  // Hand-built headers with empty tables and no events: a v1 or v2 file
+  // (formats this build no longer reads) and a future v4 must fail
+  // soft, with the same message from a strict open, a salvage open and
+  // ecohmem-lint's trace-load diagnostic: the version, the offset of the
+  // version field, and what to do about it.
+  for (const std::uint32_t version : {1u, 2u, 4u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string bytes = "ECOHMTRC";
+    const auto put = [&bytes](const auto& v) {
+      bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(version);
+    put(100.0);                 // sample rate
+    put(std::uint32_t{0});      // modules
+    put(std::uint32_t{0});      // stacks
+    put(std::uint32_t{0});      // functions
+    put(std::uint64_t{0});      // events
+    const std::string path = testing::TempDir() + "/ecohmem_version.trc";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bytes;
+    }
 
-namespace ecohmem::trace {
-namespace {
+    const auto strict = TraceReader::open(path);
+    ASSERT_FALSE(strict.has_value());
+    const std::string& message = strict.error();
+    EXPECT_NE(message.find("version " + std::to_string(version) + " at offset 8"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("re-profile"), std::string::npos) << message;
 
-TEST(TraceFileCompact, RoundTripIsLossless) {
-  const Trace original = make_trace();
-  const bom::ModuleTable modules = test_modules();
+    TraceOpenOptions salvage;
+    salvage.salvage = true;
+    const auto salvaged = TraceReader::open(path, salvage);
+    ASSERT_FALSE(salvaged.has_value());
+    EXPECT_EQ(salvaged.error(), message);
 
-  std::stringstream buffer;
-  TraceWriteOptions opt;
-  opt.compact = true;
-  ASSERT_TRUE(write_trace(buffer, original, modules, opt).ok());
-
-  const auto loaded = read_trace(buffer);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  ASSERT_EQ(loaded->trace.events.size(), original.events.size());
-  for (std::size_t i = 0; i < original.events.size(); ++i) {
-    EXPECT_EQ(event_time(loaded->trace.events[i]), event_time(original.events[i])) << i;
-    EXPECT_EQ(loaded->trace.events[i].index(), original.events[i].index()) << i;
+    check::LintInputs inputs;
+    inputs.trace_path = path;
+    const auto linted = check::lint_files(inputs);
+    ASSERT_TRUE(linted.has_value()) << linted.error();
+    const auto load = std::find_if(linted->diagnostics.begin(), linted->diagnostics.end(),
+                                   [](const check::Diagnostic& d) { return d.rule == "trace-load"; });
+    ASSERT_NE(load, linted->diagnostics.end());
+    EXPECT_EQ(load->severity, check::Severity::kError);
+    EXPECT_EQ(load->message, message);
   }
-  const auto& sample = std::get<SampleEvent>(loaded->trace.events[3]);
-  EXPECT_DOUBLE_EQ(sample.weight, 3.5);
-  EXPECT_DOUBLE_EQ(sample.latency_ns, 180.0);
-  const auto& alloc = std::get<AllocEvent>(loaded->trace.events[1]);
-  EXPECT_EQ(alloc.address, 0x1000u);
-  EXPECT_EQ(alloc.kind, AllocKind::kMalloc);
-}
-
-TEST(TraceFileCompact, SmallerThanPlainOnRealisticTrace) {
-  // A sample-heavy trace with near-monotonic times: the typical profile.
-  Trace t;
-  const StackId site = t.stacks.intern(bom::CallStack{{{0, 0x10}}});
-  const std::uint32_t fn = t.functions.intern("kernel");
-  t.events.emplace_back(AllocEvent{100, 1, 1ull << 40, 1 << 20, site, AllocKind::kMalloc});
-  for (Ns time = 200; time < 200 + 5000 * 150; time += 150) {
-    t.events.emplace_back(SampleEvent{time, (1ull << 40) + time % (1 << 20), 12.0, 190.0,
-                                      false, fn});
-  }
-  t.events.emplace_back(FreeEvent{1'000'000'000, 1});
-
-  std::stringstream plain;
-  std::stringstream compact;
-  ASSERT_TRUE(write_trace(plain, t, test_modules()).ok());
-  TraceWriteOptions opt;
-  opt.compact = true;
-  ASSERT_TRUE(write_trace(compact, t, test_modules(), opt).ok());
-  EXPECT_LT(compact.str().size(), plain.str().size() * 3 / 4);
-
-  const auto reloaded = read_trace(compact);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->trace.events.size(), t.events.size());
-}
-
-TEST(TraceFileCompact, RejectsTruncation) {
-  std::stringstream buffer;
-  TraceWriteOptions opt;
-  opt.compact = true;
-  ASSERT_TRUE(write_trace(buffer, make_trace(), test_modules(), opt).ok());
-  const std::string full = buffer.str();
-  for (const double frac : {0.3, 0.6, 0.95}) {
-    const auto cut_len = static_cast<std::size_t>(static_cast<double>(full.size()) * frac);
-    std::stringstream cut(full.substr(0, cut_len));
-    EXPECT_FALSE(read_trace(cut).has_value()) << frac;
-  }
-}
-
-TEST(TraceFileCompact, RejectsDanglingStackReference) {
-  Trace t;
-  t.events.emplace_back(AllocEvent{1, 1, 0x10, 64, /*stack=*/7, AllocKind::kMalloc});
-  std::stringstream buffer;
-  TraceWriteOptions opt;
-  opt.compact = true;
-  ASSERT_TRUE(write_trace(buffer, t, test_modules(), opt).ok());
-  EXPECT_FALSE(read_trace(buffer).has_value());
 }
 
 }  // namespace

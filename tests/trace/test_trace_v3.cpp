@@ -1,8 +1,7 @@
-// Tests for the v3 indexed trace format: round trips (bulk writer and
-// streaming block writer), the mmap TraceReader's block API and parallel
-// read_all, the bounded-memory for_each walk, and malformed-index
-// rejection — every corruption must fail with an offset-bearing Status,
-// never crash.
+// Tests for the v3 trace format: round trips (bulk writer and streaming
+// block writer), the mmap TraceReader's block API and read_all, the
+// bounded-memory for_each walk, and malformed-index rejection — every
+// corruption must fail with an offset-bearing Status, never crash.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +19,7 @@
 #include "ecohmem/trace/events.hpp"
 #include "ecohmem/trace/trace_file.hpp"
 #include "ecohmem/trace/trace_reader.hpp"
+#include "trace_digest.hpp"
 
 namespace ecohmem::trace {
 namespace {
@@ -93,15 +93,6 @@ Trace synth_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-/// Canonical byte form used for exact equality checks: the v1 plain
-/// encoding is injective over (header tables, events), so two traces are
-/// identical iff their v1 bytes are.
-std::string v1_bytes(const Trace& t, const bom::ModuleTable& modules) {
-  std::stringstream ss;
-  EXPECT_TRUE(write_trace(ss, t, modules).ok());
-  return ss.str();
-}
-
 std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good());
@@ -130,7 +121,6 @@ void put_u64(std::string& bytes, std::size_t off, std::uint64_t v) {
 std::string v3_file_bytes(const std::string& path, const Trace& t,
                           const bom::ModuleTable& modules, std::uint64_t block_events) {
   TraceWriteOptions opt;
-  opt.indexed = true;
   opt.block_events = block_events;
   EXPECT_TRUE(save_trace(path, t, modules, opt).ok());
   return read_bytes(path);
@@ -145,7 +135,7 @@ TEST(TraceV3, SaveLoadRoundTripMultiBlock) {
   const auto loaded = load_trace(path);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
   EXPECT_EQ(loaded->modules.size(), modules.size());
-  EXPECT_EQ(v1_bytes(loaded->trace, loaded->modules), v1_bytes(original, modules));
+  EXPECT_EQ(trace_digest(loaded->trace, loaded->modules), trace_digest(original, modules));
 }
 
 /// A stream over `bytes` that cannot seek (like a pipe): `tellg` fails,
@@ -181,7 +171,7 @@ TEST(TraceV3, FromStreamSeekableAndPipeAgree) {
   const Trace original = synth_trace(10'000, 11);
   const bom::ModuleTable modules = test_modules();
   const std::string bytes = v3_file_bytes(tmp_path("v3_stream.trc"), original, modules, 256);
-  const std::string expected = v1_bytes(original, modules);
+  const std::uint64_t expected = trace_digest(original, modules);
 
   PipeStream pipe(bytes);
   ASSERT_EQ(pipe.tellg(), std::istream::pos_type(-1)) << "the pipe must not be seekable";
@@ -199,7 +189,7 @@ TEST(TraceV3, FromStreamSeekableAndPipeAgree) {
   ASSERT_TRUE(from_offset.has_value()) << from_offset.error();
 
   for (const TraceBundle* bundle : {&*from_pipe, &*from_string, &*from_offset}) {
-    EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), expected);
+    EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), expected);
     EXPECT_EQ(bundle->trace.sample_rate_hz, original.sample_rate_hz);
     EXPECT_EQ(bundle->coverage.events_seen, from_pipe->coverage.events_seen);
     EXPECT_EQ(bundle->coverage.events_declared, from_pipe->coverage.events_declared);
@@ -215,7 +205,6 @@ TEST(TraceV3, ReaderExposesBlockMetadata) {
   const auto reader = TraceReader::open(path);
   ASSERT_TRUE(reader.has_value()) << reader.error();
   EXPECT_EQ(reader->version(), 3u);
-  EXPECT_TRUE(reader->indexed());
   EXPECT_EQ(reader->event_count(), 10'000u);
   ASSERT_EQ(reader->block_count(), static_cast<std::size_t>((10'000 + 255) / 256));
 
@@ -235,22 +224,6 @@ TEST(TraceV3, ReaderExposesBlockMetadata) {
   ASSERT_TRUE(reader->decode_block(0, block0).ok());
   ASSERT_EQ(block0.size(), 256u);
   EXPECT_EQ(event_time(block0.front()), event_time(original.events.front()));
-}
-
-TEST(TraceV3, ReadAllIsBitIdenticalForEveryThreadCount) {
-  const Trace original = synth_trace(20'000, 99);
-  const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("v3_threads.trc");
-  v3_file_bytes(path, original, modules, 512);
-
-  const auto reader = TraceReader::open(path);
-  ASSERT_TRUE(reader.has_value()) << reader.error();
-  const std::string expected = v1_bytes(original, modules);
-  for (const int threads : {1, 2, 4, 7}) {
-    const auto bundle = reader->read_all(threads);
-    ASSERT_TRUE(bundle.has_value()) << "threads=" << threads << ": " << bundle.error();
-    EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), expected) << "threads=" << threads;
-  }
 }
 
 TEST(TraceV3, BlockWriterIsByteIdenticalToBulkWriter) {
@@ -278,63 +251,36 @@ TEST(TraceV3, BlockWriterRejectsOutOfTableStack) {
   EXPECT_FALSE(writer->add(AllocEvent{1, 1, 0x1000, 64, /*stack=*/999, AllocKind::kMalloc}).ok());
 }
 
-TEST(TraceV3, V1ToV3PropertyRoundTrip) {
-  // Property: for any trace, v1 -> decode -> v3 -> decode preserves the
-  // canonical bytes exactly.
-  const bom::ModuleTable modules = test_modules();
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-    const Trace original = synth_trace(777 + 111 * seed, seed);
-    std::stringstream v1;
-    ASSERT_TRUE(write_trace(v1, original, modules).ok());
-    const auto from_v1 = read_trace(v1);
-    ASSERT_TRUE(from_v1.has_value()) << from_v1.error();
-
-    const std::string path = tmp_path("v3_prop_" + std::to_string(seed) + ".trc");
-    v3_file_bytes(path, from_v1->trace, from_v1->modules, 128);
-    const auto from_v3 = load_trace(path);
-    ASSERT_TRUE(from_v3.has_value()) << from_v3.error();
-    EXPECT_EQ(v1_bytes(from_v3->trace, from_v3->modules), v1_bytes(original, modules))
-        << "seed " << seed;
-  }
-}
-
-/// Walks `reader` with for_each and re-encodes the events in the
-/// canonical v1 form.
-std::string for_each_v1_bytes(const TraceReader& reader) {
+/// Walks `reader` with for_each and digests what it visited.
+std::uint64_t for_each_digest(const TraceReader& reader) {
   Trace walked;
   walked.sample_rate_hz = reader.sample_rate_hz();
   walked.stacks = reader.stacks();
   walked.functions = reader.functions();
   const Status st = reader.for_each([&walked](const Event& e) { walked.events.push_back(e); });
   EXPECT_TRUE(st.ok()) << st.error();
-  return v1_bytes(walked, reader.modules());
+  return trace_digest(walked, reader.modules());
 }
 
 TEST(TraceV3, ForEachVisitsEveryEventInOrder) {
-  // 40K events cross for_each's 16K-event chunk boundary inside the v1/v2
-  // virtual block and inside the single-block v3 file.
+  // 40K events cross for_each's 16K-event chunk boundary inside the
+  // single-block file; the 128-event blocks are each one chunk.
   const Trace original = synth_trace(40'000, 11);
   const bom::ModuleTable modules = test_modules();
-  const std::string expected = v1_bytes(original, modules);
+  const std::uint64_t expected = trace_digest(original, modules);
 
-  TraceWriteOptions v2;
-  v2.compact = true;
-  const std::string v1_path = tmp_path("for_each_v1.trc");
-  const std::string v2_path = tmp_path("for_each_v2.trc");
   const std::string v3_path = tmp_path("for_each_v3.trc");
   const std::string v3_one_path = tmp_path("for_each_v3_one_block.trc");
-  ASSERT_TRUE(save_trace(v1_path, original, modules).ok());
-  ASSERT_TRUE(save_trace(v2_path, original, modules, v2).ok());
   v3_file_bytes(v3_path, original, modules, 128);
   v3_file_bytes(v3_one_path, original, modules, 1u << 20);
 
-  for (const std::string& path : {v1_path, v2_path, v3_path, v3_one_path}) {
+  for (const std::string& path : {v3_path, v3_one_path}) {
     const auto reader = TraceReader::open(path);
     ASSERT_TRUE(reader.has_value()) << path << ": " << reader.error();
     EXPECT_EQ(reader->event_count(), original.events.size()) << path;
-    EXPECT_EQ(for_each_v1_bytes(*reader), expected) << path;
+    EXPECT_EQ(for_each_digest(*reader), expected) << path;
     // Each call is a fresh pass over the same reader.
-    EXPECT_EQ(for_each_v1_bytes(*reader), expected) << path << " (second pass)";
+    EXPECT_EQ(for_each_digest(*reader), expected) << path << " (second pass)";
   }
 }
 
@@ -430,7 +376,6 @@ TEST(TraceV3, RejectsTruncationAtEveryPrefix) {
 std::string v3c_file_bytes(const std::string& path, const Trace& t,
                            const bom::ModuleTable& modules, std::uint64_t block_events) {
   TraceWriteOptions opt;
-  opt.indexed = true;
   opt.block_events = block_events;
   opt.compress = true;
   EXPECT_TRUE(save_trace(path, t, modules, opt).ok());
@@ -458,7 +403,7 @@ TEST(TraceV3Compressed, RoundTripIsBitIdenticalToUncompressed) {
 
   const auto loaded = load_trace(path);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(v1_bytes(loaded->trace, loaded->modules), v1_bytes(original, modules));
+  EXPECT_EQ(trace_digest(loaded->trace, loaded->modules), trace_digest(original, modules));
 }
 
 TEST(TraceV3Compressed, CompressedFileIsSmaller) {
@@ -473,7 +418,6 @@ TEST(TraceV3Compressed, UncompressedWriterBytesAreUnchangedByTheOption) {
   // defaulting off cannot perturb existing files.
   const Trace t = synth_trace(5'000, 3);
   TraceWriteOptions off;
-  off.indexed = true;
   off.block_events = 300;
   off.compress = false;
   const std::string path = tmp_path("v3c_off.trc");
@@ -481,10 +425,10 @@ TEST(TraceV3Compressed, UncompressedWriterBytesAreUnchangedByTheOption) {
   EXPECT_EQ(read_bytes(path), v3_file_bytes(tmp_path("v3c_off_ref.trc"), t, test_modules(), 300));
 }
 
-TEST(TraceV3Compressed, ReaderDecodesBlocksAndAllThreadCounts) {
+TEST(TraceV3Compressed, ReaderDecodesBlocksAndWholeTrace) {
   const Trace original = synth_trace(20'000, 99);
   const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("v3c_threads.trc");
+  const std::string path = tmp_path("v3c_blocks.trc");
   v3c_file_bytes(path, original, modules, 512);
 
   const auto reader = TraceReader::open(path);
@@ -496,12 +440,9 @@ TEST(TraceV3Compressed, ReaderDecodesBlocksAndAllThreadCounts) {
   ASSERT_EQ(block0.size(), 512u);
   EXPECT_EQ(event_time(block0.front()), event_time(original.events.front()));
 
-  const std::string expected = v1_bytes(original, modules);
-  for (const int threads : {1, 2, 4, 7}) {
-    const auto bundle = reader->read_all(threads);
-    ASSERT_TRUE(bundle.has_value()) << "threads=" << threads << ": " << bundle.error();
-    EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), expected) << "threads=" << threads;
-  }
+  const auto bundle = reader->read_all();
+  ASSERT_TRUE(bundle.has_value()) << bundle.error();
+  EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(original, modules));
 }
 
 TEST(TraceV3Compressed, BlockWriterIsByteIdenticalToBulkWriter) {
@@ -526,20 +467,7 @@ TEST(TraceV3Compressed, ForEachVisitsEveryEventInOrder) {
 
   const auto reader = TraceReader::open(path);
   ASSERT_TRUE(reader.has_value()) << reader.error();
-  EXPECT_EQ(for_each_v1_bytes(*reader), v1_bytes(original, modules));
-}
-
-TEST(TraceV3Compressed, RejectsCompressOnNonIndexedFormats) {
-  const Trace t = synth_trace(100, 1);
-  for (const bool compact : {false, true}) {
-    TraceWriteOptions opt;
-    opt.compact = compact;
-    opt.compress = true;
-    std::stringstream ss;
-    const Status st = write_trace(ss, t, test_modules(), opt);
-    ASSERT_FALSE(st.ok()) << (compact ? "v2" : "v1");
-    EXPECT_NE(st.error().find("v3"), std::string::npos) << st.error();
-  }
+  EXPECT_EQ(for_each_digest(*reader), trace_digest(original, modules));
 }
 
 TEST(TraceV3Compressed, RejectsBodyCountDisagreeingWithIndex) {
@@ -588,42 +516,33 @@ TEST(TraceV3Compressed, RejectsTruncationAtEveryPrefix) {
 // Default block size. The tests above use blocks of at most 4096 events;
 // codec::kDefaultBlockEvents gives full 64K-event blocks, which the
 // reader decodes whole. 150k events give two full blocks plus a tail,
-// and v2, v3 and compressed v3 must all decode to the same v1 bytes at
-// every thread count.
+// and the plain and compressed block bodies must decode to the same
+// events.
 
 TEST(TraceV3, FormatsAgreeAtDefaultBlockSize) {
   const Trace original = synth_trace(150'000, 5);
   const bom::ModuleTable modules = test_modules();
-  const std::string expected = v1_bytes(original, modules);
+  const std::uint64_t expected = trace_digest(original, modules);
 
-  TraceWriteOptions v2;
-  v2.compact = true;
-  const std::string v2_path = tmp_path("default_block_v2.trc");
-  ASSERT_TRUE(save_trace(v2_path, original, modules, v2).ok());
   const std::string v3_path = tmp_path("default_block_v3.trc");
   v3_file_bytes(v3_path, original, modules, codec::kDefaultBlockEvents);
   const std::string v3c_path = tmp_path("default_block_v3c.trc");
   v3c_file_bytes(v3c_path, original, modules, codec::kDefaultBlockEvents);
 
-  for (const std::string& path : {v2_path, v3_path, v3c_path}) {
+  for (const std::string& path : {v3_path, v3c_path}) {
     const auto reader = TraceReader::open(path);
     ASSERT_TRUE(reader.has_value()) << path << ": " << reader.error();
-    if (reader->indexed()) {
-      ASSERT_EQ(reader->block_count(), 3u) << path;
-      EXPECT_EQ(reader->block(1).event_count, codec::kDefaultBlockEvents) << path;
-    }
-    for (const int threads : {1, 4}) {
-      const auto bundle = reader->read_all(threads);
-      ASSERT_TRUE(bundle.has_value()) << path << " threads=" << threads << ": " << bundle.error();
-      EXPECT_EQ(v1_bytes(bundle->trace, bundle->modules), expected)
-          << path << " threads=" << threads;
-    }
+    ASSERT_EQ(reader->block_count(), 3u) << path;
+    EXPECT_EQ(reader->block(1).event_count, codec::kDefaultBlockEvents) << path;
+    const auto bundle = reader->read_all();
+    ASSERT_TRUE(bundle.has_value()) << path << ": " << bundle.error();
+    EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), expected) << path;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Streaming memory bound: flat peak RSS however large the trace, in every
-// encoding. Mapped file pages count toward the resident set, so this also
+// Streaming memory bound: flat peak RSS however large the trace, for both
+// block bodies. Mapped file pages count toward the resident set, so this also
 // proves for_each hands consumed pages of the mapping back.
 
 /// A `/proc/self/status` field in KiB (0 when absent).
@@ -725,26 +644,6 @@ TEST(TraceV3, StreamingKeepsPeakRssFlat) {
     if (path == v3c_path && kAddressSanitizer) continue;
     EXPECT_LE(rise.hwm_kb, kBoundKb) << path << ": streaming raised peak RSS by " << rise.hwm_kb
                                      << " KiB";
-    EXPECT_LE(rise.rss_kb, kBoundKb) << path << ": streaming raised RSS by " << rise.rss_kb
-                                     << " KiB";
-  }
-
-  // v1 and v2 can only be written from a materialized trace, which raises
-  // VmHWM before the walk starts and could hide a regression there; the
-  // VmRSS samples taken inside the callback bound these walks instead.
-  const std::string v1_path = tmp_path("flat_rss_v1.trc");
-  const std::string v2_path = tmp_path("flat_rss_v2.trc");
-  {
-    Trace t = header_only;
-    t.events.reserve(kEvents);
-    synth_events(kEvents, 5, s0, s1, fn, [&t](const Event& e) { t.events.push_back(e); });
-    TraceWriteOptions v2;
-    v2.compact = true;
-    ASSERT_TRUE(save_trace(v1_path, t, test_modules()).ok());
-    ASSERT_TRUE(save_trace(v2_path, t, test_modules(), v2).ok());
-  }
-  for (const std::string& path : {v1_path, v2_path}) {
-    const ResidentRise rise = walk_resident_rise(path, kEvents);
     EXPECT_LE(rise.rss_kb, kBoundKb) << path << ": streaming raised RSS by " << rise.rss_kb
                                      << " KiB";
   }

@@ -91,8 +91,8 @@ class Args {
   /// Strictly-validated integer flag: the whole value must parse as a
   /// base-10 integer and land in [lo, hi], otherwise an error naming the
   /// flag is returned (no silent fallback to the default — a mistyped
-  /// `--threads x` or out-of-range `--threads 0` should stop the tool,
-  /// not be ignored). Absent flags return `def` unvalidated.
+  /// `--block-events x` or out-of-range `--block-events 0` should stop
+  /// the tool, not be ignored). Absent flags return `def` unvalidated.
   [[nodiscard]] Expected<long long> get_int_in_range(const std::string& name, long long def,
                                                      long long lo, long long hi) const {
     const auto it = flags_.find(name);

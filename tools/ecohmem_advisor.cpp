@@ -35,7 +35,7 @@ using namespace ecohmem;
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv,
                        {"config", "csv", "dram-limit", "min-coverage", "model", "out",
-                        "peak-pmem-bw", "policy", "store-coef", "threads", "trace"},
+                        "peak-pmem-bw", "policy", "store-coef", "trace"},
                        {"bandwidth-aware", "dump-sites", "salvage", "help"});
   if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help") || !args.has("trace") || !args.has("out")) {
@@ -44,10 +44,8 @@ int main(int argc, char** argv) {
         "                       [--config <advisor.ini>] [--dram-limit 12GB]\n"
         "                       [--store-coef 0.125] [--bandwidth-aware]\n"
         "                       [--peak-pmem-bw GBS] [--dump-sites] [--csv <file>]\n"
-        "                       [--threads N] [--salvage] [--min-coverage F]\n"
+        "                       [--salvage] [--min-coverage F]\n"
         "                       [--policy greedy|learned] [--model <model.ehm>]\n"
-        "  --threads N decodes v3 trace blocks on N workers; the decoded\n"
-        "  trace is bit-identical to --threads 1.\n"
         "  --salvage recovers what it can from a corrupt/truncated trace and\n"
         "  fails only when coverage drops below --min-coverage (default 0.9).\n"
         "  --policy learned ranks sites with a trained model (ecohmem-train)\n"
@@ -76,8 +74,6 @@ int main(int argc, char** argv) {
     model = std::move(*loaded);
   }
 
-  const auto threads = args.get_int_in_range("threads", 1, 1, 256);
-  if (!threads) return cli::fail_usage(threads.error());
   const auto min_coverage = args.get_double("min-coverage", 0.9);
   if (!min_coverage) return cli::fail_usage(min_coverage.error());
   if (*min_coverage < 0.0 || *min_coverage > 1.0) {
@@ -94,15 +90,14 @@ int main(int argc, char** argv) {
   const auto peak_pmem_bw = args.get_double("peak-pmem-bw", 0.0);
   if (!peak_pmem_bw) return cli::fail_usage(peak_pmem_bw.error());
 
-  // The trace is mmapped and decoded block-wise (in parallel for v3
-  // traces when --threads > 1); v1/v2 traces take the same path through
-  // a single virtual block. With --salvage a damaged trace is read
-  // fail-soft and the analysis is stamped with its coverage.
+  // The trace is mmapped and decoded block by block. With --salvage a
+  // damaged trace is read fail-soft and the analysis is stamped with its
+  // coverage.
   trace::TraceOpenOptions topt;
   topt.salvage = args.has("salvage");
   auto reader = trace::TraceReader::open(args.get("trace"), topt);
   if (!reader) return cli::fail_load(args.get("trace"), reader.error());
-  const auto bundle = reader->read_all(static_cast<int>(*threads));
+  const auto bundle = reader->read_all();
   if (!bundle) return cli::fail_load(args.get("trace"), bundle.error());
 
   if (reader->manifest().salvaged) {

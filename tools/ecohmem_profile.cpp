@@ -7,6 +7,9 @@
 //   ecohmem-profile --app <name> --out <trace.trc>
 //                   [--iterations N] [--rate HZ] [--seed S]
 //                   [--pmem-dimms 6] [--no-stores]
+//                   [--block-events N] [--compress]
+//
+// Writes a v3 trace (docs/trace_format.md).
 //
 // Example:
 //   ecohmem-profile --app lulesh --out /tmp/lulesh.trc
@@ -25,21 +28,17 @@ using namespace ecohmem;
 
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv,
-                       {"app", "block-events", "format", "iterations", "out", "pmem-dimms", "rate",
-                        "seed"},
-                       {"no-stores", "compact", "compress", "help"});
+                       {"app", "block-events", "iterations", "out", "pmem-dimms", "rate", "seed"},
+                       {"no-stores", "compress", "help"});
   if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help") || !args.has("app") || !args.has("out")) {
     std::printf(
         "usage: ecohmem-profile --app <name> --out <trace.trc>\n"
         "                       [--iterations N] [--rate HZ] [--seed S]\n"
         "                       [--pmem-dimms 6] [--no-stores]\n"
-        "                       [--format v1|v2|v3] [--compact] [--block-events N]\n"
-        "                       [--compress]\n"
-        "  --format v3 writes the indexed block format (mmap random access,\n"
-        "  parallel decode); --compact is the v2 shorthand kept for\n"
-        "  compatibility. --block-events sets the v3 block granularity.\n"
-        "  --compress bit-packs each v3 block's columns (v3 only).\n"
+        "                       [--block-events N] [--compress]\n"
+        "  writes a v3 trace; --block-events sets its block granularity\n"
+        "  (default 65536), --compress bit-packs each block's columns.\n"
         "apps: ");
     for (const auto& a : apps::app_names()) std::printf("%s ", a.c_str());
     std::printf("\n");
@@ -86,20 +85,8 @@ int main(int argc, char** argv) {
 
   const trace::Trace t = prof.take_trace();
   trace::TraceWriteOptions wopt;
-  const std::string format = args.get("format", args.has("compact") ? "v2" : "v1");
-  if (format == "v3") {
-    wopt.indexed = true;
-    wopt.block_events = static_cast<std::uint64_t>(*block_events);
-    wopt.compress = args.has("compress");
-  } else if (format == "v2") {
-    wopt.compact = true;
-  } else if (format != "v1") {
-    return cli::fail("unknown --format '" + format + "' (v1|v2|v3)");
-  }
-  if (args.has("compress") && format != "v3") {
-    return cli::fail_usage("--compress requires --format v3 (per-block compression lives in "
-                           "the indexed footer; v1/v2 have no block index)");
-  }
+  wopt.block_events = static_cast<std::uint64_t>(*block_events);
+  wopt.compress = args.has("compress");
   if (const auto s = trace::save_trace(args.get("out"), t, *workload.modules, wopt); !s) {
     return cli::fail(s.error());
   }
