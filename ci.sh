@@ -136,7 +136,8 @@ build/tools/ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt
 for removed in "ecohmem-run --app hpcg --report /tmp/ecohmem_ci_report.txt --threads 4|--threads" \
                "ecohmem-advisor --trace /tmp/ecohmem_ci2.trc --out /tmp/ecohmem_ci_bad.txt --threads 4|--threads" \
                "ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --format v3|--format" \
-               "ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --compact|--compact"; do
+               "ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --compact|--compact" \
+               "ecohmem-profile --app hpcg --out /tmp/ecohmem_ci_bad.trc --compress|--compress"; do
   set +e
   build/tools/${removed%%|*} 2>/tmp/ecohmem_ci_unknown_flag.txt
   unknown_rc=$?
@@ -206,28 +207,42 @@ build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3.trc --block-ev
 build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_v3.trc
 build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3_serial.txt --csv /tmp/ecohmem_ci_v3_sites.csv
-# Lint and the strict reader share one index check: zero block 0's event
-# count in a copy, and trace-v3-index must report the message the advisor
-# fails with.
-bad_index=/tmp/ecohmem_ci_v3_badindex.trc
-cp /tmp/ecohmem_ci_v3.trc "$bad_index"
-v3_footer=$(od -An -t u8 -j $(( $(stat -c %s "$bad_index") - 16 )) -N 8 "$bad_index" | tr -d ' ')
-dd if=/dev/zero of="$bad_index" bs=1 seek=$((v3_footer + 8)) count=8 conv=notrunc 2>/dev/null
-set +e
-build/tools/ecohmem-lint --trace "$bad_index" >/tmp/ecohmem_ci_lint_msg.txt 2>&1
-lint_rc=$?
-build/tools/ecohmem-advisor --trace "$bad_index" --out /tmp/ecohmem_ci_bad.txt \
-  >/dev/null 2>/tmp/ecohmem_ci_load_msg.txt
-load_rc=$?
-set -e
-if [ "$lint_rc" -ne 1 ] || [ "$load_rc" -ne 1 ]; then
-  echo "damaged v3 index: lint exited $lint_rc, advisor exited $load_rc, want 1 and 1" >&2; exit 1
-fi
-load_msg=$(sed -n "s|^error: $bad_index: ||p" /tmp/ecohmem_ci_load_msg.txt)
-if [ -z "$load_msg" ] ||
-   ! grep -qF "[trace-v3-index] $bad_index: $load_msg" /tmp/ecohmem_ci_lint_msg.txt; then
-  echo "damaged v3 index: lint does not report the advisor's message '$load_msg'" >&2; exit 1
-fi
+# Lint and the strict reader share one index check. Damage block 0's
+# event count in a copy, two ways: zero it, and set its reserved bit 63
+# (the flag of the retired bit-packed body, which must name the re-profile
+# fix). trace-v3-index must report the message the advisor fails with.
+v3_footer=$(od -An -t u8 -j $(( $(stat -c %s /tmp/ecohmem_ci_v3.trc) - 16 )) -N 8 \
+  /tmp/ecohmem_ci_v3.trc | tr -d ' ')
+v3_count_top=$(od -An -t u1 -j $((v3_footer + 15)) -N 1 /tmp/ecohmem_ci_v3.trc | tr -d ' ')
+for damage in zero-count reserved-bit; do
+  bad_index=/tmp/ecohmem_ci_v3_$damage.trc
+  cp /tmp/ecohmem_ci_v3.trc "$bad_index"
+  if [ "$damage" = zero-count ]; then
+    dd if=/dev/zero of="$bad_index" bs=1 seek=$((v3_footer + 8)) count=8 conv=notrunc 2>/dev/null
+  else
+    printf "\\$(printf '%03o' $((v3_count_top | 128)))" |
+      dd of="$bad_index" bs=1 seek=$((v3_footer + 15)) count=1 conv=notrunc 2>/dev/null
+  fi
+  set +e
+  build/tools/ecohmem-lint --trace "$bad_index" >/tmp/ecohmem_ci_lint_msg.txt 2>&1
+  lint_rc=$?
+  build/tools/ecohmem-advisor --trace "$bad_index" --out /tmp/ecohmem_ci_bad.txt \
+    >/dev/null 2>/tmp/ecohmem_ci_load_msg.txt
+  load_rc=$?
+  set -e
+  if [ "$lint_rc" -ne 1 ] || [ "$load_rc" -ne 1 ]; then
+    echo "v3 index $damage: lint exited $lint_rc, advisor exited $load_rc, want 1 and 1" >&2
+    exit 1
+  fi
+  load_msg=$(sed -n "s|^error: $bad_index: ||p" /tmp/ecohmem_ci_load_msg.txt)
+  if [ -z "$load_msg" ] ||
+     ! grep -qF "[trace-v3-index] $bad_index: $load_msg" /tmp/ecohmem_ci_lint_msg.txt; then
+    echo "v3 index $damage: lint does not report the advisor's message '$load_msg'" >&2; exit 1
+  fi
+  if [ "$damage" = reserved-bit ] && [[ "$load_msg" != *re-profile* ]]; then
+    echo "v3 index $damage: '$load_msg' does not say to re-profile" >&2; exit 1
+  fi
+done
 build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc \
   --out /tmp/ecohmem_ci_v3.csv --bin-ms 50
 
@@ -255,20 +270,6 @@ for variant in "--rate 10" "--rate 1000" "--no-stores"; do
   build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_order.trc $variant >/dev/null
   build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_order.trc
 done
-
-# Compressed v3 blocks (docs/trace_format.md): the same workload profiled
-# with --compress must lint clean (trace-block-compression rule) and
-# produce an advisor report byte-identical to the uncompressed v3 one —
-# compression must be invisible to every consumer.
-build/tools/ecohmem-profile --app lulesh --out /tmp/ecohmem_ci_v3c.trc \
-  --block-events 4096 --compress
-build/tools/ecohmem-lint --trace /tmp/ecohmem_ci_v3c.trc
-build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci_v3c.trc \
-  --out /tmp/ecohmem_ci_v3c.txt
-cmp /tmp/ecohmem_ci_v3c.txt /tmp/ecohmem_ci_v3_serial.txt
-build/tools/ecohmem-timeline --trace /tmp/ecohmem_ci_v3c.trc \
-  --out /tmp/ecohmem_ci_v3c.csv --bin-ms 50
-cmp /tmp/ecohmem_ci_v3c.csv /tmp/ecohmem_ci_v3.csv
 
 # Corruption-fuzz smoke: damage the v3 trace and prove the fail-soft
 # contract on the CLI surface (the seeded sweep itself — zero crashes,
@@ -318,15 +319,13 @@ build/tools/ecohmem-serve --connect "$serve_sock" --ingest /tmp/ecohmem_ci2.trc 
   --bandwidth-aware --csv /tmp/ecohmem_ci_served.csv
 cmp /tmp/ecohmem_ci_served.txt /tmp/ecohmem_ci_report.txt
 cmp /tmp/ecohmem_ci_served.csv /tmp/ecohmem_ci_sites.csv
-# Compressed traces must flow through serve ingest unchanged: the served
-# report and sites CSV for the compressed lulesh trace must be
-# byte-identical to the offline advisor's for the uncompressed copy.
-# Lulesh (31 sites, freed temporaries) is the many-site check of the
-# analyzer's site store.
-build/tools/ecohmem-serve --connect "$serve_sock" --ingest /tmp/ecohmem_ci_v3c.trc \
-  --query /tmp/ecohmem_ci_served_v3c.txt --csv /tmp/ecohmem_ci_served_v3c.csv
-cmp /tmp/ecohmem_ci_served_v3c.txt /tmp/ecohmem_ci_v3_serial.txt
-cmp /tmp/ecohmem_ci_served_v3c.csv /tmp/ecohmem_ci_v3_sites.csv
+# The served report and sites CSV for the lulesh trace must be
+# byte-identical to the offline advisor's. Lulesh (31 sites, freed
+# temporaries) is the many-site check of the analyzer's site store.
+build/tools/ecohmem-serve --connect "$serve_sock" --ingest /tmp/ecohmem_ci_v3.trc \
+  --query /tmp/ecohmem_ci_served_v3.txt --csv /tmp/ecohmem_ci_served_v3.csv
+cmp /tmp/ecohmem_ci_served_v3.txt /tmp/ecohmem_ci_v3_serial.txt
+cmp /tmp/ecohmem_ci_served_v3.csv /tmp/ecohmem_ci_v3_sites.csv
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "ecohmem-serve exited nonzero on SIGTERM" >&2; exit 1; }
 grep -q "drained, socket unlinked" /tmp/ecohmem_ci_serve.log

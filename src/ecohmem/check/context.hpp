@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "ecohmem/advisor/advisor_config.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
@@ -19,36 +18,11 @@
 #include "ecohmem/common/config.hpp"
 #include "ecohmem/flexmalloc/report_parser.hpp"
 #include "ecohmem/learn/ranker.hpp"
+#include "ecohmem/trace/codec.hpp"
 #include "ecohmem/trace/salvage.hpp"
 #include "ecohmem/trace/trace_file.hpp"
 
 namespace ecohmem::check {
-
-/// Raw view of a v3 trace's footer index, loaded *leniently* (trailer
-/// magic and entry-span arithmetic only) so the trace-v3-index rule can
-/// report every fault of `trace::codec::index_issues` — the strict
-/// reader (TraceReader / load_trace) stops at the first.
-struct TraceIndexView {
-  struct Entry {
-    std::uint64_t offset = 0;      ///< absolute file offset of the block
-    std::uint64_t count = 0;       ///< events in the block (compression flag masked off)
-    std::uint64_t first_time = 0;  ///< timestamp of the block's first event
-    bool compressed = false;       ///< kBlockCompressedFlag set on the raw count
-    /// Block body starts with the compressed-block magic byte (peeked
-    /// from the file; meaningful only when the span was readable).
-    bool body_looks_compressed = false;
-    /// Event count the compressed body header declares; valid only when
-    /// `body_count_ok`. `body_error` carries the peek failure otherwise.
-    std::uint64_t body_count = 0;
-    bool body_count_ok = false;
-    std::string body_error;
-  };
-  std::vector<Entry> entries;
-  std::uint64_t events_offset = 0;       ///< first byte after the header
-  std::uint64_t footer_offset = 0;       ///< first byte of the index footer
-  std::uint64_t file_size = 0;           ///< total trace file size
-  std::uint64_t header_event_count = 0;  ///< event count the header claims
-};
 
 struct CheckContext {
   /// Profile trace + the module table it was captured against.
@@ -79,10 +53,15 @@ struct CheckContext {
   /// online policy's conservation identities and sub-range moves.
   const MigrationLog* migration_log = nullptr;
 
-  /// v3 footer index of the trace file, raw (see TraceIndexView). Set
-  /// even when the strict trace load failed on the index, so the
-  /// trace-v3-index rule can still enumerate what is wrong with it.
-  const TraceIndexView* trace_index = nullptr;
+  /// v3 footer index of the trace file, decoded leniently
+  /// (trace::codec::decode_index: trailer magic and entry-span
+  /// arithmetic only), with the two header fields it is checked
+  /// against. Set even when the strict trace load failed on the index,
+  /// so the trace-v3-index rule can report every fault of
+  /// `trace::codec::index_issues`; the strict reader stops at the first.
+  const trace::codec::IndexInfo* trace_index = nullptr;
+  std::uint64_t trace_events_offset = 0;       ///< first byte after the header
+  std::uint64_t trace_header_event_count = 0;  ///< event count the header claims
 
   /// Salvage manifest when `bundle` came from a salvage-mode read (the
   /// strict load failed and the lint driver fell back to salvage).

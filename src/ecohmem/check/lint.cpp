@@ -25,60 +25,29 @@ Expected<std::string> read_file(const std::string& path) {
 }
 
 /// Leniently loads the footer index of a v3 trace so trace-v3-index can
-/// report every fault of its raw values. Returns nullopt for unreadable
-/// files or undecodable headers (both of which trace-load reports); only
-/// a structurally unreadable *index* sets `index_error` — the caller
-/// turns that into a diagnostic once it knows whether a salvage read
-/// recovered the trace (which decides the severity).
-std::optional<TraceIndexView> load_trace_index(const std::string& path,
-                                               std::string& index_error) {
+/// report every fault of its raw values, and stamps the two header
+/// fields the index is checked against into `ctx`. Returns nullopt for
+/// unreadable files or undecodable headers (both of which trace-load
+/// reports); only a structurally unreadable *index* sets `index_error` —
+/// the caller turns that into a diagnostic once it knows whether a
+/// salvage read recovered the trace (which decides the severity).
+std::optional<trace::codec::IndexInfo> load_trace_index(const std::string& path,
+                                                        CheckContext& ctx,
+                                                        std::string& index_error) {
   const auto bytes = read_file(path);
   if (!bytes) return std::nullopt;
   const auto* data = reinterpret_cast<const unsigned char*>(bytes->data());
   trace::codec::ByteReader src(data, bytes->size(), 0);
   const auto header = trace::codec::decode_header(src);
   if (!header) return std::nullopt;
-  const auto index = trace::codec::decode_index(data, bytes->size());
+  auto index = trace::codec::decode_index(data, bytes->size());
   if (!index) {
     index_error = index.error();
     return std::nullopt;
   }
-  TraceIndexView view;
-  view.events_offset = header->events_offset;
-  view.footer_offset = index->footer_offset;
-  view.file_size = index->file_size;
-  view.header_event_count = header->event_count;
-  view.entries.reserve(index->entries.size());
-  for (std::size_t i = 0; i < index->entries.size(); ++i) {
-    const auto& e = index->entries[i];
-    TraceIndexView::Entry v;
-    v.offset = e.offset;
-    v.count = e.count & trace::codec::kBlockCountMask;
-    v.first_time = e.first_time;
-    v.compressed = (e.count & trace::codec::kBlockCompressedFlag) != 0;
-    // Peek the block body (lenient: damaged entries get a reason, not a
-    // throw) so trace-block-compression can cross-check the flag and the
-    // body's own declared count against the index.
-    const std::uint64_t end =
-        i + 1 < index->entries.size() ? index->entries[i + 1].offset : index->footer_offset;
-    if (e.offset < end && end <= bytes->size()) {
-      v.body_looks_compressed = data[e.offset] == trace::codec::kCompressedBlockMagic;
-      if (v.compressed) {
-        const auto n = trace::codec::peek_compressed_block_count(
-            data + e.offset, static_cast<std::size_t>(end - e.offset), e.offset);
-        if (n) {
-          v.body_count = *n;
-          v.body_count_ok = true;
-        } else {
-          v.body_error = n.error();
-        }
-      }
-    } else if (v.compressed) {
-      v.body_error = "block span lies outside the event section";
-    }
-    view.entries.push_back(std::move(v));
-  }
-  return view;
+  ctx.trace_events_offset = header->events_offset;
+  ctx.trace_header_event_count = header->event_count;
+  return std::move(*index);
 }
 
 /// Builds a module table naming every module a BOM report mentions, so a
@@ -151,7 +120,7 @@ Expected<LintResult> lint_files(const RuleRegistry& registry, const LintInputs& 
   std::optional<learn::Model> model;
   std::optional<MigrationLog> migration_log;
   std::optional<bom::ModuleTable> synthetic_modules;
-  std::optional<TraceIndexView> trace_index;
+  std::optional<trace::codec::IndexInfo> trace_index;
 
   if (!inputs.trace_path.empty()) {
     ctx.trace_name = inputs.trace_path;
@@ -159,7 +128,7 @@ Expected<LintResult> lint_files(const RuleRegistry& registry, const LintInputs& 
     // broken index fails load_trace below, and trace-v3-index exists to
     // say exactly how it is broken.
     std::string index_error;
-    trace_index = load_trace_index(inputs.trace_path, index_error);
+    trace_index = load_trace_index(inputs.trace_path, ctx, index_error);
     if (trace_index) ctx.trace_index = &*trace_index;
     auto loaded = trace::load_trace(inputs.trace_path);
     if (!loaded) {

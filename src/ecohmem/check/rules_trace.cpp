@@ -282,71 +282,18 @@ class TraceV3IndexRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override { return "trace-v3-index"; }
   [[nodiscard]] std::string_view description() const override {
-    return "v3 footer index: increasing in-bounds block offsets, non-decreasing block "
-           "timestamps, counts summing to the header total";
+    return "v3 footer index: no reserved count bit, increasing in-bounds block offsets, "
+           "non-decreasing block timestamps, counts summing to the header total";
   }
   [[nodiscard]] bool applicable(const CheckContext& ctx) const override {
     return ctx.trace_index != nullptr;
   }
 
   [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
-    const TraceIndexView& idx = *ctx.trace_index;
-    trace::codec::IndexInfo info;
-    info.footer_offset = idx.footer_offset;
-    info.file_size = idx.file_size;
-    info.entries.reserve(idx.entries.size());
-    for (const TraceIndexView::Entry& e : idx.entries) {
-      info.entries.push_back({e.offset, e.count, e.first_time});
-    }
     std::vector<Diagnostic> out;
-    for (std::string& issue :
-         trace::codec::index_issues(info, idx.events_offset, idx.header_event_count)) {
+    for (std::string& issue : trace::codec::index_issues(*ctx.trace_index, ctx.trace_events_offset,
+                                                         ctx.trace_header_event_count)) {
       out.push_back(error("trace-v3-index", ctx.trace_name, std::move(issue)));
-    }
-    return out;
-  }
-};
-
-/// Cross-checks the v3 per-block compression flag against the block
-/// bodies: a flagged block must carry a readable compressed column
-/// header whose declared event count matches the index entry (the
-/// all-or-nothing decode contract salvage relies on), and an unflagged
-/// block must not open with the compressed-block magic — 0xEC is never
-/// a valid event tag, so that can only be a dropped flag bit.
-class TraceBlockCompressionRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view id() const override { return "trace-block-compression"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "v3 compressed blocks: flag bit, body magic and the body's declared event count "
-           "must agree with the footer index";
-  }
-  [[nodiscard]] bool applicable(const CheckContext& ctx) const override {
-    return ctx.trace_index != nullptr;
-  }
-
-  [[nodiscard]] std::vector<Diagnostic> run(const CheckContext& ctx) const override {
-    std::vector<Diagnostic> out;
-    const TraceIndexView& idx = *ctx.trace_index;
-    const auto fail = [&](std::string message) {
-      out.push_back(error("trace-block-compression", ctx.trace_name, std::move(message)));
-    };
-    for (std::size_t i = 0; i < idx.entries.size(); ++i) {
-      const TraceIndexView::Entry& e = idx.entries[i];
-      if (e.compressed) {
-        if (!e.body_count_ok) {
-          fail("block " + std::to_string(i) + " at offset " + std::to_string(e.offset) +
-               " is flagged compressed but its body header is unreadable (" + e.body_error +
-               ")");
-        } else if (e.body_count != e.count) {
-          fail("block " + std::to_string(i) + " at offset " + std::to_string(e.offset) +
-               ": index entry declares " + std::to_string(e.count) +
-               " events but the compressed body declares " + std::to_string(e.body_count));
-        }
-      } else if (e.body_looks_compressed) {
-        fail("block " + std::to_string(i) + " at offset " + std::to_string(e.offset) +
-             " opens with the compressed-block magic but its index entry is not flagged "
-             "compressed");
-      }
     }
     return out;
   }
@@ -409,7 +356,6 @@ std::vector<std::unique_ptr<Rule>> trace_rules() {
   std::vector<std::unique_ptr<Rule>> rules;
   rules.push_back(std::make_unique<TraceSalvageCoverageRule>());
   rules.push_back(std::make_unique<TraceV3IndexRule>());
-  rules.push_back(std::make_unique<TraceBlockCompressionRule>());
   rules.push_back(std::make_unique<MonotonicTimeRule>());
   rules.push_back(std::make_unique<AllocPairingRule>());
   rules.push_back(std::make_unique<OverlappingLiveRule>());

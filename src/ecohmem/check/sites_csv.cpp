@@ -1,5 +1,6 @@
 #include "ecohmem/check/sites_csv.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -54,12 +55,19 @@ Expected<std::uint64_t> row_u64(const std::string& field, std::string_view name,
   return *v;
 }
 
+/// Every double column is a miss count, latency, bandwidth or lifetime:
+/// finite and non-negative, like the trace values trace-event-values
+/// checks.
 Expected<double> row_double(const std::string& field, std::string_view name,
                             std::size_t line_no) {
   auto v = strings::parse_double(field);
   if (!v) {
     return unexpected("line " + std::to_string(line_no) + ": bad " + std::string(name) + ": " +
                       v.error());
+  }
+  if (!std::isfinite(*v) || *v < 0) {
+    return unexpected("line " + std::to_string(line_no) + ": bad " + std::string(name) + ": '" +
+                      field + "' is not a finite non-negative number");
   }
   return *v;
 }
@@ -92,7 +100,9 @@ Expected<SiteCsv> parse_site_csv(std::string_view text) {
         std::string tok;
         while (kv >> tok) {
           const std::size_t eq = tok.find('=');
-          if (eq == std::string::npos) continue;
+          if (eq == std::string::npos) {
+            return unexpected("line " + std::to_string(line_no) + ": bad coverage field " + tok);
+          }
           const std::string key = tok.substr(0, eq);
           const auto v = strings::parse_u64(tok.substr(eq + 1));
           if (!v) {
@@ -101,6 +111,10 @@ Expected<SiteCsv> parse_site_csv(std::string_view text) {
           if (key == "events_seen") csv.events_seen = *v;
           else if (key == "events_declared") csv.events_declared = *v;
           else if (key == "salvaged") csv.salvaged = *v != 0;
+          else {
+            return unexpected("line " + std::to_string(line_no) + ": unknown coverage field '" +
+                              key + "'");
+          }
         }
       }
       continue;

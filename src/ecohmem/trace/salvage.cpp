@@ -78,40 +78,6 @@ struct TraceBytes {
     }
     return p;
   }
-
-  /// Trial-decodes one compressed column block starting at `begin`
-  /// (index-driven salvage only). A compressed block decodes
-  /// all-or-nothing, so on any error the probe reports zero events with
-  /// the error anchored at the block start.
-  [[nodiscard]] Probe probe_compressed(std::uint64_t begin, std::uint64_t end,
-                                       std::uint64_t max_events) const {
-    codec::ByteReader src = at(begin);
-    Probe p;
-    begin = src.offset();
-    p.end_offset = begin;
-    std::uint64_t declared = 0;
-    const Status s = codec::decode_compressed_block(src, stack_count, max_events, declared,
-                                                    [&p](const Event& ev) {
-                                                      if (p.events == 0) {
-                                                        p.first_time = event_time(ev);
-                                                      }
-                                                      ++p.events;
-                                                    });
-    std::string error;
-    if (!s.ok()) {
-      error = s.error();
-    } else if (src.offset() > end) {
-      error = "compressed block overruns the block end";
-    } else {
-      p.end_offset = src.offset();
-      return p;
-    }
-    p.ok = false;
-    p.error = anchored(std::move(error), begin);
-    p.error_offset = begin;
-    p.events = 0;
-    return p;
-  }
 };
 
 /// Sequential-scan recovery for a file whose footer index is unreadable
@@ -202,7 +168,7 @@ SalvagePlan build_salvage_plan(const unsigned char* data, std::size_t size,
   m.index_bytes = file_size - events_end;
   m.blocks_declared = idx.entries.size();
   for (const codec::IndexEntry& e : idx.entries) {
-    m.events_declared += e.count & codec::kBlockCountMask;  // bit 63 flags compression
+    m.events_declared += e.count & codec::kBlockCountMask;
   }
 
   // Pass 1: keep only entries whose offsets are in-range and strictly
@@ -242,19 +208,22 @@ SalvagePlan build_salvage_plan(const unsigned char* data, std::size_t size,
   // Pass 2: trial-decode each candidate span. A block is kept only when
   // it decodes cleanly, yields exactly the declared count, and ends
   // exactly where the next candidate begins — anything weaker would let
-  // a flipped count byte silently shift events between blocks.
+  // a flipped count byte silently shift events between blocks. A block
+  // whose count sets the reserved bit is dropped undecoded; it still
+  // bounds its neighbours' spans.
   std::uint64_t first_event_index = 0;
   for (std::size_t k = 0; k < candidates.size(); ++k) {
     const Candidate& c = candidates[k];
     const std::uint64_t span_end =
         k + 1 < candidates.size() ? candidates[k + 1].entry.offset : events_end;
-    const bool compressed = (c.entry.count & codec::kBlockCompressedFlag) != 0;
     const std::uint64_t declared = c.entry.count & codec::kBlockCountMask;
-    Probe p =
-        compressed ? source.probe_compressed(c.entry.offset, span_end, declared)
-                   : source.probe(c.entry.offset, span_end, declared);
+    const bool reserved = (c.entry.count & codec::kBlockReservedBit) != 0;
+    Probe p = reserved ? Probe{} : source.probe(c.entry.offset, span_end, declared);
     std::string reason;
-    if (!p.ok) {
+    if (reserved) {
+      reason = codec::reserved_bit_issue(c.ordinal, c.entry.offset);
+      p.error_offset = c.entry.offset;
+    } else if (!p.ok) {
       reason = p.error;
     } else if (p.events != declared) {
       reason = "block decodes only " + std::to_string(p.events) + " of " +
@@ -267,7 +236,7 @@ SalvagePlan build_salvage_plan(const unsigned char* data, std::size_t size,
     }
     if (reason.empty()) {
       plan.blocks.push_back(TraceBlockInfo{c.entry.offset, span_end - c.entry.offset, declared,
-                                           first_event_index, p.first_time, compressed});
+                                           first_event_index, p.first_time});
       first_event_index += declared;
       ++m.blocks_kept;
       m.events_recovered += declared;

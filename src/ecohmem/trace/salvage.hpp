@@ -16,16 +16,14 @@
 ///     Anything else becomes a `SalvageBlockLoss` with the first error
 ///     offset. Blocks after a dropped block remain recoverable because
 ///     v3 blocks decode independently (the delta base resets per block).
-///     Compressed blocks (kBlockCompressedFlag on the index count) are
-///     trial-decoded all-or-nothing with the column codec under the
-///     same three conditions.
+///     A block whose index count sets the reserved bit 63 (the retired
+///     bit-packed body) is dropped undecoded, its loss reason the
+///     strict reader's "re-profile" error (codec::reserved_bit_issue).
 ///   - unreadable trailer/footer (short write, crashed profiler):
 ///     sequential scan — the event section is decoded front to back as
-///     one virtual block up to the first undecodable event. A compressed
-///     block's 0xEC lead byte is never a valid event tag, so the scan
-///     stops there: compressed events are only recoverable through the
-///     index. See docs/trace_format.md for the timestamp caveat past
-///     the first block boundary.
+///     one virtual block up to the first undecodable event. See
+///     docs/trace_format.md for the timestamp caveat past the first
+///     block boundary.
 ///
 /// The resulting `SalvageManifest` accounts for every byte of the file
 /// (`bytes_conserved()`) and every declared event (recovered + dropped ==
@@ -48,10 +46,9 @@ namespace ecohmem::trace {
 struct TraceBlockInfo {
   std::uint64_t file_offset = 0;       ///< absolute offset of the block's first byte
   std::uint64_t byte_size = 0;         ///< encoded size in bytes
-  std::uint64_t event_count = 0;       ///< events in the block (compression flag masked off)
+  std::uint64_t event_count = 0;       ///< events in the block
   std::uint64_t first_event_index = 0; ///< index of the block's first event in the trace
   Ns first_time = 0;                   ///< timestamp of the block's first event
-  bool compressed = false;             ///< body is a compressed column block
 };
 
 /// One region salvage could not recover, with the reason and where the

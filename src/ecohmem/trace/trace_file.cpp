@@ -17,7 +17,8 @@ namespace {
 /// itself and flushes its buffer once per block.
 class BlockEmitter {
  public:
-  explicit BlockEmitter(std::ostream& out) : out_(out) {}
+  BlockEmitter(std::ostream& out, std::uint64_t block_events)
+      : out_(out), block_events_(std::max<std::uint64_t>(1, block_events)) {}
 
   /// Writes the header; the event count is its last 8 bytes (see
   /// codec::encode_header), so `offset() - 8` is where it lives.
@@ -27,27 +28,26 @@ class BlockEmitter {
     return flush();
   }
 
-  /// Encodes `n` (>= 1) time-ordered events as one block and records its
-  /// index entry. Uncompressed events are encoded straight into the
-  /// buffer; the delta base resets per block, so blocks decode
-  /// independently.
-  Status block(const Event* events, std::uint64_t n, bool compress) {
-    codec::IndexEntry entry;
-    entry.offset = offset_;
-    entry.count = compress ? (n | codec::kBlockCompressedFlag) : n;
-    entry.first_time = event_time(events[0]);
-    entries_.push_back(entry);
-    if (compress) {
-      codec::encode_compressed_block(buf_, events, static_cast<std::size_t>(n));
-    } else {
-      Ns last_time = 0;
-      for (std::uint64_t i = 0; i < n; ++i) codec::encode_event_compact(buf_, events[i], last_time);
+  /// Encodes one event straight into the open block's buffer, opening a
+  /// block (and its index entry) at its first event and flushing it once
+  /// it holds `block_events` events. The delta base resets per block, so
+  /// blocks decode independently.
+  Status add(const Event& e) {
+    if (open_events_ == 0) {
+      entries_.push_back({offset_, 0, event_time(e)});
+      last_time_ = 0;
     }
-    return flush();
+    codec::encode_event_compact(buf_, e, last_time_);
+    if (++open_events_ < block_events_) return {};
+    return close_block();
   }
 
-  /// Writes the footer index and the trailer.
+  /// Closes a partial open block, then writes the footer index and the
+  /// trailer.
   Status footer() {
+    if (open_events_ > 0) {
+      if (Status s = close_block(); !s.ok()) return s;
+    }
     const std::uint64_t footer_offset = offset_;
     for (const auto& e : entries_) {
       codec::put(buf_, e.offset);
@@ -64,6 +64,12 @@ class BlockEmitter {
   [[nodiscard]] std::uint64_t offset() const { return offset_; }
 
  private:
+  Status close_block() {
+    entries_.back().count = open_events_;
+    open_events_ = 0;
+    return flush();
+  }
+
   Status flush() {
     out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
     offset_ += buf_.size();
@@ -73,28 +79,26 @@ class BlockEmitter {
   }
 
   std::ostream& out_;
+  const std::uint64_t block_events_;
   std::string buf_;
   std::vector<codec::IndexEntry> entries_;
   std::uint64_t offset_ = 0;
+  std::uint64_t open_events_ = 0;  ///< events in the open block
+  Ns last_time_ = 0;               ///< the open block's delta base
 };
 
 }  // namespace
 
 Status write_trace(std::ostream& out, const Trace& trace, const bom::ModuleTable& modules,
                    const TraceWriteOptions& options) {
-  BlockEmitter emitter(out);
-  const std::uint64_t n = trace.events.size();
-  if (Status s = emitter.header(trace.stacks, trace.functions, trace.sample_rate_hz, modules, n);
+  BlockEmitter emitter(out, options.block_events);
+  if (Status s = emitter.header(trace.stacks, trace.functions, trace.sample_rate_hz, modules,
+                                trace.events.size());
       !s.ok()) {
     return s;
   }
-  const std::uint64_t block_events = std::max<std::uint64_t>(1, options.block_events);
-  for (std::uint64_t i = 0; i < n; i += block_events) {
-    if (Status s = emitter.block(trace.events.data() + i, std::min(block_events, n - i),
-                                 options.compress);
-        !s.ok()) {
-      return s;
-    }
+  for (const Event& e : trace.events) {
+    if (Status s = emitter.add(e); !s.ok()) return s;
   }
   return emitter.footer();
 }
@@ -122,24 +126,17 @@ Expected<TraceBundle> load_trace(const std::string& path) {
 // TraceBlockWriter
 
 struct TraceBlockWriter::Impl {
+  explicit Impl(std::uint64_t block_events) : emitter(out, block_events) {}
+
   std::ofstream out;
-  BlockEmitter emitter{out};
+  BlockEmitter emitter;
   std::uint64_t count_field_offset = 0;  ///< where the header's event count lives
-  std::uint64_t block_events = 0;
   std::uint64_t total = 0;
   std::uint32_t stack_count = 0;
-  bool compress = false;
-  std::vector<Event> pending;  ///< the open block's events
   bool finished = false;
-
-  Status close_block() {
-    Status s = emitter.block(pending.data(), pending.size(), compress);
-    pending.clear();
-    return s;
-  }
 };
 
-TraceBlockWriter::TraceBlockWriter() : impl_(std::make_unique<Impl>()) {}
+TraceBlockWriter::TraceBlockWriter() = default;
 TraceBlockWriter::TraceBlockWriter(TraceBlockWriter&&) noexcept = default;
 TraceBlockWriter& TraceBlockWriter::operator=(TraceBlockWriter&&) noexcept = default;
 TraceBlockWriter::~TraceBlockWriter() = default;
@@ -149,14 +146,13 @@ Expected<TraceBlockWriter> TraceBlockWriter::create(const std::string& path,
                                                     const FunctionTable& functions,
                                                     const bom::ModuleTable& modules,
                                                     double sample_rate_hz,
-                                                    std::uint64_t block_events, bool compress) {
+                                                    std::uint64_t block_events) {
   TraceBlockWriter w;
+  w.impl_ = std::make_unique<Impl>(block_events);
   Impl& impl = *w.impl_;
   impl.out.open(path, std::ios::binary);
   if (!impl.out) return unexpected("cannot open for writing: " + path);
-  impl.block_events = std::max<std::uint64_t>(1, block_events);
   impl.stack_count = static_cast<std::uint32_t>(stacks.size());
-  impl.compress = compress;
   // Event count is unknown until finish(); write 0 and patch it there.
   if (Status s = impl.emitter.header(stacks, functions, sample_rate_hz, modules, 0); !s.ok()) {
     return unexpected(s.error());
@@ -173,18 +169,13 @@ Status TraceBlockWriter::add(const Event& e) {
       return unexpected("alloc event references unknown stack " + std::to_string(a->stack));
     }
   }
-  impl.pending.push_back(e);
   ++impl.total;
-  if (impl.pending.size() == impl.block_events) return impl.close_block();
-  return {};
+  return impl.emitter.add(e);
 }
 
 Status TraceBlockWriter::finish() {
   Impl& impl = *impl_;
   if (impl.finished) return unexpected("TraceBlockWriter::finish called twice");
-  if (!impl.pending.empty()) {
-    if (Status s = impl.close_block(); !s.ok()) return s;
-  }
   if (Status s = impl.emitter.footer(); !s.ok()) return s;
   impl.out.seekp(static_cast<std::streamoff>(impl.count_field_offset));
   impl.out.write(reinterpret_cast<const char*>(&impl.total), sizeof(impl.total));

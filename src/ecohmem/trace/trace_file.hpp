@@ -9,12 +9,11 @@
 ///   stack table:  count u32, then {depth u32, {module u32, offset u64}*}
 ///   function table: count u32, then {name}*
 ///   event count u64
-///   blocks: delta-encoded timestamps + LEB128 varints (or bit-packed
-///           columns when compressed), the delta base reset to 0 per
-///           block so each block decodes independently
+///   blocks: delta-encoded timestamps + LEB128 varints, the delta base
+///           reset to 0 per block so each block decodes independently
 ///   footer index: {file_offset u64, event_count u64, first_timestamp u64}
-///           per block, then a trailer {entry_count u64, footer_offset u64,
-///           magic "ECOHMIDX"}
+///           per block (bit 63 of event_count is reserved), then a trailer
+///           {entry_count u64, footer_offset u64, magic "ECOHMIDX"}
 /// Strings are u32 length + bytes. The index lets `TraceReader`
 /// (trace_reader.hpp) mmap the file and decode blocks on demand. Readers
 /// reject every other version (v1/v2 files must be re-profiled). See
@@ -67,11 +66,6 @@ struct TraceWriteOptions {
   /// Events per block. Smaller blocks mean finer-grained random access
   /// at a slightly larger index.
   std::uint64_t block_events = 64 * 1024;
-  /// Compress block bodies (column streams, flagged per block in the
-  /// footer index; see docs/trace_format.md). Blocks stay independently
-  /// decodable and decode bit-identically. Files written without this
-  /// remain byte-identical to the flagless format.
-  bool compress = false;
 };
 
 /// Serializes `trace` captured against `modules` to a stream as v3.
@@ -93,9 +87,9 @@ struct TraceWriteOptions {
                                 const TraceWriteOptions& options = {});
 [[nodiscard]] Expected<TraceBundle> load_trace(const std::string& path);
 
-/// Incremental v3 writer: appends events one at a time, flushing each
-/// completed block to disk, so writing a trace never materializes more
-/// than one block (~64K events) in memory. Its bytes equal
+/// Incremental v3 writer: encodes events one at a time, flushing each
+/// completed block to disk, so writing a trace never holds more than one
+/// encoded block in memory. Its bytes equal
 /// `write_trace`'s for the same events and options (one shared
 /// emitter). The header tables must be known up front; the header's
 /// event count is patched in `finish()`.
@@ -110,8 +104,7 @@ class TraceBlockWriter {
                                            const FunctionTable& functions,
                                            const bom::ModuleTable& modules,
                                            double sample_rate_hz,
-                                           std::uint64_t block_events = 64 * 1024,
-                                           bool compress = false);
+                                           std::uint64_t block_events = 64 * 1024);
 
   TraceBlockWriter(TraceBlockWriter&&) noexcept;
   TraceBlockWriter& operator=(TraceBlockWriter&&) noexcept;

@@ -17,9 +17,8 @@ namespace ecohmem::trace {
 
 namespace {
 
-/// Events `for_each` decodes per chunk of an uncompressed block: bounds
-/// its scratch buffer however large a block is. A compressed block
-/// decodes whole, being all-or-nothing.
+/// Events `for_each` decodes per chunk of a block: bounds its scratch
+/// buffer however large a block is.
 constexpr std::uint64_t kForEachChunkEvents = 16 * 1024;
 
 /// Reads the rest of a stream into memory. A seekable stream is sized
@@ -134,13 +133,12 @@ struct TraceReader::Impl {
       TraceBlockInfo b;
       b.file_offset = e.offset;
       b.byte_size = end - e.offset;
-      b.event_count = e.count & codec::kBlockCountMask;
-      b.compressed = (e.count & codec::kBlockCompressedFlag) != 0;
+      b.event_count = e.count;
       b.first_event_index = first_index;
       b.first_time = e.first_time;
-      // Every event costs at least one body byte in either encoding
-      // (tag byte / tag-column byte), so a count the span cannot hold
-      // is index damage — reject before decode_block allocates for it.
+      // Every event costs at least one body byte (its tag), so a count
+      // the span cannot hold is index damage — reject before
+      // decode_block allocates for it.
       if (b.event_count > b.byte_size) {
         return unexpected("v3 index block " + std::to_string(i) + " declares " +
                           std::to_string(b.event_count) + " events in " +
@@ -154,59 +152,31 @@ struct TraceReader::Impl {
   }
 
   /// The one block decoder behind decode_block_into and for_each. Events
-  /// decode in chunks of at most `chunk` (a compressed body is always one
-  /// chunk): `slots(n)` returns room for the next n events and
-  /// `done(events, n, end_offset)` receives them once decoded, with the
-  /// file offset the decode has consumed up to. Every per-block check —
-  /// compressed body count, first timestamp, trailing bytes — lives
-  /// here, so both callers accept and reject the same bytes.
+  /// decode in chunks of at most `chunk`: `slots(n)` returns room for the
+  /// next n events and `done(events, n, end_offset)` receives them once
+  /// decoded, with the file offset the decode has consumed up to. Every
+  /// per-block check — first timestamp, trailing bytes — lives here, so
+  /// both callers accept and reject the same bytes.
   template <typename Slots, typename Done>
   Status decode(std::size_t i, std::uint64_t chunk, Slots&& slots, Done&& done) const {
     const TraceBlockInfo& b = blocks.at(i);
     codec::ByteReader br(data + b.file_offset, static_cast<std::size_t>(b.byte_size),
                          b.file_offset);
     const auto stack_count = static_cast<std::uint32_t>(header.stacks.size());
-    const auto check_first_time = [&](const Event& first) -> Status {
-      if (event_time(first) == b.first_time) return {};
-      return unexpected("v3 index block " + std::to_string(i) +
-                        " first timestamp disagrees with its events at offset " +
-                        std::to_string(b.file_offset));
-    };
-
-    if (b.compressed) {
-      Event* out = slots(b.event_count);
-      std::uint64_t body_events = 0;
-      if (Status s = codec::decode_compressed_block_into(br, stack_count, b.event_count,
-                                                         body_events, out);
-          !s.ok()) {
+    Ns last_time = 0;
+    for (std::uint64_t j = 0; j < b.event_count;) {
+      const std::uint64_t n = std::min(b.event_count - j, chunk);
+      Event* out = slots(n);
+      if (Status s = codec::decode_compact_events(br, stack_count, last_time, out, n); !s.ok()) {
         return s;
       }
-      if (body_events != b.event_count) {
-        return unexpected("v3 index block " + std::to_string(i) + " declares " +
-                          std::to_string(b.event_count) +
-                          " events but its compressed body holds " +
-                          std::to_string(body_events) + " at offset " +
+      if (j == 0 && event_time(out[0]) != b.first_time) {
+        return unexpected("v3 index block " + std::to_string(i) +
+                          " first timestamp disagrees with its events at offset " +
                           std::to_string(b.file_offset));
       }
-      if (b.event_count > 0) {
-        if (Status s = check_first_time(out[0]); !s.ok()) return s;
-      }
-      done(out, b.event_count, br.offset());
-    } else {
-      Ns last_time = 0;
-      for (std::uint64_t j = 0; j < b.event_count;) {
-        const std::uint64_t n = std::min(b.event_count - j, chunk);
-        Event* out = slots(n);
-        if (Status s = codec::decode_compact_events(br, stack_count, last_time, out, n);
-            !s.ok()) {
-          return s;
-        }
-        if (j == 0) {
-          if (Status s = check_first_time(out[0]); !s.ok()) return s;
-        }
-        done(out, n, br.offset());
-        j += n;
-      }
+      done(out, n, br.offset());
+      j += n;
     }
     // Blocks are exactly sized.
     if (br.remaining() != 0) {

@@ -4,10 +4,10 @@
 /// The one trace reader: every read of an on-disk trace goes through
 /// `TraceReader` (`load_trace`/`read_trace` are `open`/`from_stream`
 /// plus `read_all`). It reads v3 only; `codec::decode_header` rejects
-/// v1/v2 files with an offset-bearing error that says to re-profile.
-/// Uncompressed events decode one at a time through
-/// `codec::decode_event_compact`; compressed blocks decode through the
-/// packed-column decoder.
+/// v1/v2 files with an offset-bearing error that says to re-profile,
+/// and `codec::index_issues` rejects a block whose index count sets the
+/// reserved bit 63 (the retired bit-packed body) the same way. Events
+/// decode one at a time through `codec::decode_event_compact`.
 ///
 /// `TraceReader` mmaps a trace file (falling back to a private in-memory
 /// copy for unseekable inputs) and exposes the block index: blocks
@@ -16,9 +16,8 @@
 ///
 /// `for_each` is the bounded-memory path for consumers that never need
 /// the whole trace at once (ecohmem-timeline): it decodes in chunks of
-/// at most one compressed block or 16K events and hands consumed pages
-/// of the mapping back as it goes, so peak memory stays flat however
-/// large the trace is.
+/// at most 16K events and hands consumed pages of the mapping back as it
+/// goes, so peak memory stays flat however large the trace is.
 ///
 /// Thread safety: after construction every member is const and safe to
 /// call from any number of threads concurrently (the mapping is
@@ -100,10 +99,10 @@ class TraceReader {
   [[nodiscard]] Expected<TraceBundle> read_all(int /*unused*/ = 1) const;
 
   /// Streams every event, in order, through `fn` without materializing
-  /// the trace: uncompressed events decode in chunks of at most 16K, a
-  /// compressed block whole, and consumed pages of the mapping are
-  /// released as the walk advances. Each call re-reads from the first
-  /// block, so multi-pass consumers call it once per pass. Strict and
+  /// the trace: events decode in chunks of at most 16K, and consumed
+  /// pages of the mapping are released as the walk advances. Each call
+  /// re-reads from the first block, so multi-pass consumers call it once
+  /// per pass. Strict and
   /// salvage opens behave as in `read_all` (salvage streams only the
   /// recovered blocks); on a decode error, the events of earlier chunks
   /// have already been delivered.

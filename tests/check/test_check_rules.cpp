@@ -496,88 +496,73 @@ TEST(ReportRules, DramToPmemMoveIsAllowed) {
 
 // ------------------------------------------------------------ trace-v3-index
 
-/// An index entry with the fields a block's footer row declares.
-TraceIndexView::Entry index_entry(std::uint64_t offset, std::uint64_t count,
-                                  std::uint64_t first_time) {
-  TraceIndexView::Entry entry;
-  entry.offset = offset;
-  entry.count = count;
-  entry.first_time = first_time;
-  return entry;
-}
-
 /// Three chained 10-event blocks: 100..200..300..400, footer at 400.
-TraceIndexView clean_index() {
-  TraceIndexView idx;
-  idx.events_offset = 100;
+trace::codec::IndexInfo clean_index() {
+  trace::codec::IndexInfo idx;
   idx.footer_offset = 400;
   idx.file_size = 496;
-  idx.header_event_count = 30;
-  idx.entries = {index_entry(100, 10, 5), index_entry(200, 10, 50), index_entry(300, 10, 500)};
+  idx.entries = {{100, 10, 5}, {200, 10, 50}, {300, 10, 500}};
   return idx;
 }
 
-TEST(TraceV3IndexRule, CleanIndexIsSilent) {
-  const TraceIndexView idx = clean_index();
+/// Checks `idx` against a header whose event section starts at byte 100
+/// and declares `header_event_count` events.
+CheckContext index_context(const trace::codec::IndexInfo& idx,
+                           std::uint64_t header_event_count = 30) {
   CheckContext ctx;
   ctx.trace_index = &idx;
-  const RunResult result = run(ctx);
+  ctx.trace_events_offset = 100;
+  ctx.trace_header_event_count = header_event_count;
+  return ctx;
+}
+
+TEST(TraceV3IndexRule, CleanIndexIsSilent) {
+  const trace::codec::IndexInfo idx = clean_index();
+  const RunResult result = run(index_context(idx));
   EXPECT_NE(std::find(result.rules_run.begin(), result.rules_run.end(), "trace-v3-index"),
             result.rules_run.end());
   expect_silent(result, "trace-v3-index");
 }
 
 TEST(TraceV3IndexRule, SkippedWithoutAnIndex) {
-  CheckContext ctx;  // no index view (e.g. its footer did not decode)
+  CheckContext ctx;  // no index (e.g. its footer did not decode)
   const RunResult result = run(ctx);
   EXPECT_NE(std::find(result.rules_skipped.begin(), result.rules_skipped.end(), "trace-v3-index"),
             result.rules_skipped.end());
 }
 
 TEST(TraceV3IndexRule, ReportsEveryViolationNotJustTheFirst) {
-  TraceIndexView idx = clean_index();
+  trace::codec::IndexInfo idx = clean_index();
   idx.entries[0].offset = 90;     // does not start at the event section
   idx.entries[1].count = 0;       // empty block (and the sum drops to 20)
   idx.entries[2].offset = 160;    // non-increasing offset
   idx.entries[2].first_time = 1;  // timestamp regression
-  CheckContext ctx;
-  ctx.trace_index = &idx;
-  const auto found = diags_with(run(ctx), "trace-v3-index");
+  const auto found = diags_with(run(index_context(idx)), "trace-v3-index");
   EXPECT_GE(found.size(), 5u) << "expected one diagnostic per violation";
   for (const auto& d : found) EXPECT_EQ(d.severity, Severity::kError) << d.message;
 }
 
 TEST(TraceV3IndexRule, OffsetPastFooterFires) {
-  TraceIndexView idx = clean_index();
+  trace::codec::IndexInfo idx = clean_index();
   idx.entries[2].offset = 400;  // at the footer
   idx.entries[2].first_time = 600;
-  CheckContext ctx;
-  ctx.trace_index = &idx;
-  expect_fires(run(ctx), "trace-v3-index");
+  expect_fires(run(index_context(idx)), "trace-v3-index");
 }
 
 TEST(TraceV3IndexRule, CountSumMismatchFires) {
-  TraceIndexView idx = clean_index();
-  idx.header_event_count = 31;
-  CheckContext ctx;
-  ctx.trace_index = &idx;
-  expect_fires(run(ctx), "trace-v3-index");
+  const trace::codec::IndexInfo idx = clean_index();
+  expect_fires(run(index_context(idx, 31)), "trace-v3-index");
 }
 
 TEST(TraceV3IndexRule, EmptyIndexMustMatchAnEmptyTrace) {
-  TraceIndexView idx;
-  idx.events_offset = 100;
+  trace::codec::IndexInfo idx;
   idx.footer_offset = 120;  // 20 stray event bytes with no block
   idx.file_size = 144;
-  idx.header_event_count = 4;
-  CheckContext ctx;
-  ctx.trace_index = &idx;
-  const auto found = diags_with(run(ctx), "trace-v3-index");
+  const auto found = diags_with(run(index_context(idx, 4)), "trace-v3-index");
   EXPECT_EQ(found.size(), 2u);  // stray bytes + unaccounted events
 
   idx.footer_offset = 100;
-  idx.header_event_count = 0;
-  expect_silent(run(ctx), "trace-v3-index");
+  expect_silent(run(index_context(idx, 0)), "trace-v3-index");
 }
 
 // -------------------------------------------------------- migration log

@@ -63,11 +63,41 @@ TEST(SitesCsv, RejectsWrongHeader) {
 }
 
 TEST(SitesCsv, RejectsBadFieldWithLineNumber) {
-  const std::string text =
-      std::string(kCsvHeader) + "\"app.x!0x100\",not_a_number,0,0,0,0,0,0,0,0,0,0,0,0\n";
-  const auto csv = parse_site_csv(text);
-  ASSERT_FALSE(csv.has_value());
-  EXPECT_NE(csv.error().find("line 2"), std::string::npos) << csv.error();
+  // Unparsable counts, and double columns that are not finite or are
+  // negative: a nan miss count would pass every `>` cross-check.
+  for (const char* row : {
+           "\"app.x!0x100\",not_a_number,0,0,0,0,0,0,0,0,0,0,0,0",
+           "\"app.x!0x100\",1,0,0,nan,0,0,0,0,0,0,0,0,0",
+           "\"app.x!0x100\",1,0,0,0,-inf,0,0,0,0,0,0,0,0",
+           "\"app.x!0x100\",1,0,0,0,0,inf,0,0,0,0,0,0,0",
+           "\"app.x!0x100\",1,0,0,0,0,0,-0.5,0,0,0,0,0,0",
+           "\"app.x!0x100\",1,0,0,0,0,0,0,0,0,0,0,-1,0",
+       }) {
+    SCOPED_TRACE(row);
+    const auto csv = parse_site_csv(std::string(kCsvHeader) + row + "\n");
+    ASSERT_FALSE(csv.has_value());
+    EXPECT_NE(csv.error().find("line 2"), std::string::npos) << csv.error();
+  }
+}
+
+TEST(SitesCsv, ParsesCoverageLineStrictly) {
+  const std::string row = "\"app.x!0x100\",1,0,0,0,0,0,0,0,0,0,0,0,0\n";
+  const auto csv = parse_site_csv(
+      "# coverage: events_seen=5 events_declared=8 salvaged=1\n" + std::string(kCsvHeader) + row);
+  ASSERT_TRUE(csv.has_value()) << csv.error();
+  EXPECT_TRUE(csv->has_coverage);
+  EXPECT_EQ(csv->events_seen, 5u);
+  EXPECT_EQ(csv->events_declared, 8u);
+  EXPECT_TRUE(csv->salvaged);
+
+  // A token without '=' and a misspelt key are errors, not skipped.
+  for (const char* line : {"# coverage: events_seen=5 events_declared 8 salvaged=1",
+                           "# coverage: event_seen=5 events_declared=8 salvaged=1"}) {
+    SCOPED_TRACE(line);
+    const auto bad = parse_site_csv(std::string(line) + "\n" + kCsvHeader + row);
+    ASSERT_FALSE(bad.has_value());
+    EXPECT_NE(bad.error().find("line 1"), std::string::npos) << bad.error();
+  }
 }
 
 TEST(SitesCsv, RejectsShortRow) {

@@ -286,6 +286,8 @@ TEST(LintAgreement, EveryIndexFaultLintsWithTheReadersMessage) {
        2},
       {"counts off the header total",
        [](IndexBytes& x) { x.set(x.count(0), x.get(x.count(0)) + 1); }, 1},
+      {"reserved count bit on a middle block (a retired bit-packed body)",
+       [](IndexBytes& x) { x.set(x.count(4), x.get(x.count(4)) | (1ull << 63)); }, 1},
   };
   const std::string clean = v3_trace_bytes();
   for (const IndexCase& c : cases) {

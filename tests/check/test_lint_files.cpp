@@ -288,89 +288,6 @@ TEST(LintFiles, CorruptV3IndexFiresIndexRuleDespiteLoadFailure) {
   EXPECT_TRUE(has_rule(*result, "trace-salvage-coverage", Severity::kError));
 }
 
-/// Same trace as small_v3_bytes, written with per-block compression.
-std::string small_v3c_bytes(const std::string& path) {
-  trace::Trace t;
-  bom::ModuleTable modules;
-  modules.add_module("app.x", 1 << 20);
-  const auto site = t.stacks.intern(bom::CallStack{{{0, 0x100}}});
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    t.events.emplace_back(
-        trace::AllocEvent{10 * i, i + 1, 0x1000 + (i << 12), 64, site, trace::AllocKind::kMalloc});
-    t.events.emplace_back(trace::FreeEvent{10 * i + 5, i + 1});
-  }
-  trace::TraceWriteOptions opt;
-  opt.block_events = 16;
-  opt.compress = true;
-  EXPECT_TRUE(trace::save_trace(path, t, modules, opt).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-TEST(LintFiles, CompressedV3TraceLintsClean) {
-  const std::string path = tmp_path("lint_v3c_clean.trc");
-  small_v3c_bytes(path);
-  LintInputs inputs;
-  inputs.trace_path = path;
-  const auto result = lint_files(inputs);
-  ASSERT_TRUE(result.has_value()) << result.error();
-  EXPECT_TRUE(result->ok());
-  EXPECT_NE(std::find(result->rules_run.begin(), result->rules_run.end(),
-                      "trace-block-compression"),
-            result->rules_run.end());
-}
-
-TEST(LintFiles, CompressedBodyCountMismatchFiresCompressionRule) {
-  const std::string path = tmp_path("lint_v3c_badbody.trc");
-  std::string bytes = small_v3c_bytes(path);
-  // Bump the first block body's own declared count (the varint right
-  // after the 2-byte magic/layout prelude; 16 is a 1-byte varint).
-  std::uint64_t footer_offset = 0;
-  std::memcpy(&footer_offset, bytes.data() + bytes.size() - 16, 8);
-  std::uint64_t block0 = 0;
-  std::memcpy(&block0, bytes.data() + footer_offset, 8);
-  ASSERT_EQ(static_cast<unsigned char>(bytes[block0 + 2]), 16u);
-  bytes[block0 + 2] = 17;
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  LintInputs inputs;
-  inputs.trace_path = path;
-  const auto result = lint_files(inputs);
-  ASSERT_TRUE(result.has_value()) << result.error();
-  EXPECT_FALSE(result->ok());
-  EXPECT_TRUE(has_rule(*result, "trace-block-compression", Severity::kError));
-}
-
-TEST(LintFiles, DroppedCompressionFlagFiresCompressionRule) {
-  const std::string path = tmp_path("lint_v3c_noflag.trc");
-  std::string bytes = small_v3c_bytes(path);
-  // Clear the flag bit on the first index entry: the body still opens
-  // with the compressed-block magic, which is never a valid event tag.
-  std::uint64_t footer_offset = 0;
-  std::memcpy(&footer_offset, bytes.data() + bytes.size() - 16, 8);
-  std::uint64_t raw_count = 0;
-  std::memcpy(&raw_count, bytes.data() + footer_offset + 8, 8);
-  ASSERT_NE(raw_count & (1ull << 63), 0u);
-  raw_count &= ~(1ull << 63);
-  std::memcpy(bytes.data() + footer_offset + 8, &raw_count, 8);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  LintInputs inputs;
-  inputs.trace_path = path;
-  const auto result = lint_files(inputs);
-  ASSERT_TRUE(result.has_value()) << result.error();
-  EXPECT_FALSE(result->ok());
-  EXPECT_TRUE(has_rule(*result, "trace-block-compression", Severity::kError));
-}
-
 TEST(LintFiles, StructurallyUnreadableV3IndexIsALoadDiagnostic) {
   const std::string path = tmp_path("lint_v3_noindex.trc");
   std::string bytes = small_v3_bytes(path);

@@ -1,5 +1,4 @@
-// Contract of the compact event decoder and the compressed block codec
-// (docs/trace_format.md). `decode_compact_events` must return the encoded
+// Contract of the compact event decoder (docs/trace_format.md). `decode_compact_events` must return the encoded
 // events bitwise for every event kind mix and size, and on corrupt or
 // truncated input either decode cleanly or fail with an error whose
 // offset lies inside the stream, never reading past it.
@@ -206,103 +205,6 @@ TEST(CompactDecode, CorruptOrTruncatedStreamsFailInsideTheStream) {
     const Decoded d = decode_copy(clean.substr(0, len), n);
     ASSERT_FALSE(d.status.ok()) << "prefix " << len << " decoded " << n << " events";
     EXPECT_TRUE(error_offset_inside(d.status, len)) << "prefix " << len;
-  }
-}
-
-TEST(CompressedBlock, RoundTripIsBitwiseLossless) {
-  for (const std::size_t n : {0u, 1u, 7u, 8u, 63u, 200u}) {
-    const std::vector<Event> events = synth_events(n, 0x5EED + n, kStacks);
-    // Compare against the compact codec's view of the same events (delta
-    // clamp applied), which is the documented equivalence.
-    const std::string compact = encode_stream(events);
-    std::vector<Event> reference(n);
-    {
-      const auto* d = reinterpret_cast<const unsigned char*>(compact.data());
-      ByteReader src(d, compact.size(), 0);
-      Ns last = 0;
-      ASSERT_TRUE(decode_compact_events(src, kStacks, last, reference.data(), n).ok());
-    }
-
-    std::string body;
-    encode_compressed_block(body, events.data(), n);
-    const auto* data = reinterpret_cast<const unsigned char*>(body.data());
-
-    const auto peeked = peek_compressed_block_count(data, body.size(), 0);
-    ASSERT_TRUE(peeked.has_value()) << peeked.error();
-    EXPECT_EQ(*peeked, n);
-
-    ByteReader src(data, body.size(), 0);
-    std::uint64_t declared = 0;
-    std::vector<Event> out;
-    const Status st = decode_compressed_block(
-        src, kStacks, n, declared, [&out](const Event& e) { out.push_back(e); });
-    ASSERT_TRUE(st.ok()) << "n=" << n << ": " << st.error();
-    EXPECT_EQ(declared, n);
-    EXPECT_EQ(src.remaining(), 0u);
-    ASSERT_EQ(out.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(events_bitwise_equal(out[i], reference[i])) << "n=" << n << " event " << i;
-    }
-  }
-}
-
-TEST(CompressedBlock, EveryTruncationFailsCleanly) {
-  const std::vector<Event> events = synth_events(96, 0x7A60, kStacks);
-  std::string body;
-  encode_compressed_block(body, events.data(), events.size());
-  for (std::size_t len = 0; len < body.size(); ++len) {
-    const auto* data = reinterpret_cast<const unsigned char*>(body.data());
-    ByteReader src(data, len, 0);
-    std::uint64_t declared = 0;
-    std::size_t emitted = 0;
-    const Status st = decode_compressed_block(src, kStacks, events.size(), declared,
-                                              [&emitted](const Event&) { ++emitted; });
-    EXPECT_FALSE(st.ok()) << "prefix " << len << " decoded";
-    EXPECT_NE(st.error().find("offset"), std::string::npos) << st.error();
-  }
-}
-
-TEST(CompressedBlock, HostileDeclaredCountIsRejectedBeforeAllocation) {
-  std::string body;
-  body.push_back(static_cast<char>(kCompressedBlockMagic));
-  body.push_back(static_cast<char>(kCompressedLayoutVersion));
-  put_varint(body, 1ull << 40);  // 2^40 events in a 12-byte body
-  const auto* data = reinterpret_cast<const unsigned char*>(body.data());
-  ByteReader src(data, body.size(), 0);
-  std::uint64_t declared = 0;
-  const Status st =
-      decode_compressed_block(src, kStacks, 1024, declared, [](const Event&) {});
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.error().find("more than the 1024 admissible"), std::string::npos)
-      << st.error();
-}
-
-TEST(CompressedBlock, BadMagicAndBadTagAreRejected) {
-  const std::vector<Event> events = synth_events(16, 0xDEAD, kStacks);
-  std::string body;
-  encode_compressed_block(body, events.data(), events.size());
-
-  {
-    std::string bad = body;
-    bad[0] = 0x01;  // valid event tag, not the compressed magic
-    const auto* data = reinterpret_cast<const unsigned char*>(bad.data());
-    ByteReader src(data, bad.size(), 0);
-    std::uint64_t declared = 0;
-    const Status st =
-        decode_compressed_block(src, kStacks, 16, declared, [](const Event&) {});
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.error().find("bad magic"), std::string::npos) << st.error();
-  }
-  {
-    std::string bad = body;
-    bad[3] = static_cast<char>(0x77);  // corrupt the first tag to an unknown value
-    const auto* data = reinterpret_cast<const unsigned char*>(bad.data());
-    ByteReader src(data, bad.size(), 0);
-    std::uint64_t declared = 0;
-    const Status st =
-        decode_compressed_block(src, kStacks, 16, declared, [](const Event&) {});
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.error().find("unknown event tag"), std::string::npos) << st.error();
   }
 }
 

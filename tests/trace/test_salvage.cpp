@@ -113,11 +113,9 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 }
 
 std::string v3_file_bytes(const std::string& path, const Trace& t,
-                          const bom::ModuleTable& modules, std::uint64_t block_events,
-                          bool compress = false) {
+                          const bom::ModuleTable& modules, std::uint64_t block_events) {
   TraceWriteOptions opt;
   opt.block_events = block_events;
-  opt.compress = compress;
   EXPECT_TRUE(save_trace(path, t, modules, opt).ok());
   return read_bytes(path);
 }
@@ -258,6 +256,64 @@ TEST(SalvageReader, CorruptedBlockDropsExactlyThatBlock) {
   EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(expected, modules));
   EXPECT_EQ(bundle->coverage.events_seen, kEvents - kBlock);
   EXPECT_EQ(bundle->coverage.events_declared, kEvents);
+}
+
+TEST(SalvageReader, ReservedCountBitDropsExactlyThatBlock) {
+  // Bit 63 of an index count once flagged a bit-packed block body, which
+  // no reader decodes. Salvage drops the flagged block undecoded, with
+  // the strict open's re-profile error as the loss reason; the entry
+  // still bounds its neighbours' spans, so both are kept.
+  const std::size_t kEvents = 4'096;
+  const std::uint64_t kBlock = 256;
+  const std::uint64_t kMiddle = kEvents / kBlock / 2;
+  const Trace original = synth_trace(kEvents, 23);
+  const bom::ModuleTable modules = test_modules();
+  const std::string path = tmp_path("salv_reserved.trc");
+  std::string bytes = v3_file_bytes(path, original, modules, kBlock);
+  const auto lm = faultinject::landmarks_v3(to_vec(bytes), events_offset_of(bytes));
+  ASSERT_EQ(lm.block_offsets.size(), kEvents / kBlock);
+  const std::size_t count_at = lm.footer_offset + kMiddle * codec::kIndexEntryBytes + 8;
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + count_at, 8);
+  ASSERT_EQ(count, kBlock);
+  count |= 1ull << 63;
+  std::memcpy(bytes.data() + count_at, &count, 8);
+  write_bytes(path, bytes);
+
+  const auto strict = TraceReader::open(path);
+  ASSERT_FALSE(strict.has_value());
+
+  auto reader = TraceReader::open(path, salvage_opts());
+  ASSERT_TRUE(reader.has_value()) << reader.error();
+  const SalvageManifest& m = reader->manifest();
+  EXPECT_TRUE(m.index_usable);
+  EXPECT_EQ(m.blocks_kept, kEvents / kBlock - 1);
+  ASSERT_EQ(m.losses.size(), 1u);
+  const SalvageBlockLoss& loss = m.losses[0];
+  EXPECT_EQ(loss.block, kMiddle);
+  EXPECT_EQ(loss.file_offset, lm.block_offsets[kMiddle]);
+  EXPECT_EQ(loss.byte_size, lm.block_offsets[kMiddle + 1] - lm.block_offsets[kMiddle]);
+  EXPECT_EQ(loss.first_error_offset, lm.block_offsets[kMiddle]);
+  EXPECT_EQ(loss.events_declared, kBlock);
+  EXPECT_EQ(loss.reason, strict.error());
+  EXPECT_NE(loss.reason.find("re-profile"), std::string::npos) << loss.reason;
+  EXPECT_EQ(m.events_declared, kEvents);
+  EXPECT_EQ(m.events_recovered, kEvents - kBlock);
+  EXPECT_EQ(m.events_dropped, kBlock);
+  EXPECT_TRUE(m.bytes_conserved());
+
+  Trace expected;
+  expected.sample_rate_hz = original.sample_rate_hz;
+  expected.stacks = original.stacks;
+  expected.functions = original.functions;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    if (i / kBlock != kMiddle) expected.events.push_back(original.events[i]);
+  }
+  const auto bundle = reader->read_all();
+  ASSERT_TRUE(bundle.has_value()) << bundle.error();
+  EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(expected, modules));
+  EXPECT_EQ(bundle->coverage.events_declared, kEvents);
+  expect_for_each_matches_read_all(*reader);
 }
 
 TEST(SalvageReader, TruncatedTrailerFallsBackToSequentialScan) {
@@ -524,88 +580,6 @@ TEST(SalvageSweep, EveryInjectedFaultIsContainedAndAccounted) {
   const std::string bytes =
       v3_file_bytes(tmp_path("salv_sweep_base.trc"), original, test_modules(), 512);
   run_fault_sweep(bytes, tmp_path("salv_sweep.trc"));
-}
-
-TEST(SalvageSweep, CompressedBlocksHonorTheSameContract) {
-  // The same fault schedule over the same trace written with per-block
-  // compression: a damaged compressed block is all-or-nothing (trial
-  // decode either yields the whole block or drops it), but the fail-soft
-  // accounting and for_each/read_all parity must be identical in form.
-  const Trace original = synth_trace(6'000, 101);
-  const std::string bytes = v3_file_bytes(tmp_path("salv_sweepc_base.trc"), original,
-                                          test_modules(), 512, /*compress=*/true);
-  run_fault_sweep(bytes, tmp_path("salv_sweepc.trc"));
-}
-
-// --------------------------------------------------------------------------
-// Targeted compressed-block salvage behavior.
-
-TEST(SalvageReader, CompressedCorruptedBlockDropsExactlyThatBlock) {
-  const std::size_t kEvents = 4'096;
-  const std::uint64_t kBlock = 256;
-  const Trace original = synth_trace(kEvents, 23);
-  const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("salv_c_oneblock.trc");
-  const std::string bytes = v3_file_bytes(path, original, modules, kBlock, /*compress=*/true);
-
-  const auto lm = faultinject::landmarks_v3(to_vec(bytes), events_offset_of(bytes));
-  ASSERT_EQ(lm.block_offsets.size(), kEvents / kBlock);
-
-  // Packed column payloads carry no redundancy, so mid-column garbling
-  // can silently re-quantize values; what MUST fail is damage to the
-  // block's own header — magic, layout, declared count or tag column.
-  faultinject::Fault f;
-  f.kind = faultinject::FaultKind::kGarble;
-  f.offset = lm.block_offsets[5];
-  f.length = 16;
-  f.seed = 99;
-  write_bytes(path, to_str(faultinject::apply(to_vec(bytes), f)));
-
-  auto reader = TraceReader::open(path, salvage_opts());
-  ASSERT_TRUE(reader.has_value()) << reader.error();
-  const SalvageManifest& m = reader->manifest();
-  EXPECT_TRUE(m.index_usable);
-  EXPECT_EQ(m.blocks_dropped, 1u);
-  ASSERT_EQ(m.losses.size(), 1u);
-  EXPECT_EQ(m.losses[0].block, 5u);
-  EXPECT_EQ(m.losses[0].events_declared, kBlock);
-  EXPECT_FALSE(m.losses[0].reason.empty());
-  EXPECT_EQ(m.events_recovered, kEvents - kBlock);
-  EXPECT_TRUE(m.bytes_conserved());
-
-  Trace expected;
-  expected.sample_rate_hz = original.sample_rate_hz;
-  expected.stacks = original.stacks;
-  expected.functions = original.functions;
-  for (std::size_t i = 0; i < kEvents; ++i) {
-    if (i / kBlock != 5) expected.events.push_back(original.events[i]);
-  }
-  const auto bundle = reader->read_all();
-  ASSERT_TRUE(bundle.has_value()) << bundle.error();
-  EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(expected, modules));
-  expect_for_each_matches_read_all(*reader);
-}
-
-TEST(SalvageReader, CompressedTraceWithoutIndexIsUnrecoverableButAccounted) {
-  // With the trailer gone the sequential scan is the only fallback, and
-  // it stops at the first compressed block's 0xEC byte — compressed
-  // events are only reachable through the index (docs/robustness.md).
-  // The manifest must still conserve bytes.
-  const Trace original = synth_trace(3'000, 31);
-  const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("salv_c_trailer.trc");
-  const std::string bytes =
-      v3_file_bytes(path, original, modules, 1u << 20, /*compress=*/true);
-  write_bytes(path, bytes.substr(0, bytes.size() - 10));
-
-  auto reader = TraceReader::open(path, salvage_opts());
-  ASSERT_TRUE(reader.has_value()) << reader.error();
-  const SalvageManifest& m = reader->manifest();
-  EXPECT_FALSE(m.index_usable);
-  EXPECT_TRUE(m.sequential_scan);
-  EXPECT_EQ(m.events_recovered, 0u);
-  EXPECT_TRUE(m.bytes_conserved());
-  expect_for_each_matches_read_all(*reader);
 }
 
 }  // namespace

@@ -356,6 +356,25 @@ TEST(TraceV3, RejectsWrappingIndexEntryCount) {
   EXPECT_TRUE(reader->manifest().sequential_scan);
 }
 
+TEST(TraceV3, RejectsReservedCountBitWithReprofileHint) {
+  // Bit 63 of an index count once flagged a bit-packed block body, which
+  // no reader decodes. A middle block that sets it must fail the strict
+  // open at that block's offset, with the hint to re-profile.
+  CorruptionCase c = valid_v3("v3_reserved_src.trc");
+  const std::uint64_t middle = c.entry_count / 2;
+  const std::size_t entry = c.footer_offset + middle * 24;
+  put_u64(c.bytes, entry + 8, get_u64(c.bytes, entry + 8) | (1ull << 63));
+  const std::string path = tmp_path("v3_reserved.trc");
+  expect_rejected_with_offset(path, c.bytes);
+  const auto reader = TraceReader::open(path);
+  ASSERT_FALSE(reader.has_value());
+  const std::string& error = reader.error();
+  EXPECT_EQ(error.rfind("v3 index block " + std::to_string(middle) + " ", 0), 0u) << error;
+  EXPECT_NE(error.find("at offset " + std::to_string(get_u64(c.bytes, entry))), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("re-profile"), std::string::npos) << error;
+}
+
 TEST(TraceV3, RejectsTruncationAtEveryPrefix) {
   const CorruptionCase c = valid_v3("v3_prefix_src.trc");
   const std::string path = tmp_path("v3_prefix.trc");
@@ -369,181 +388,29 @@ TEST(TraceV3, RejectsTruncationAtEveryPrefix) {
 }
 
 // ---------------------------------------------------------------------------
-// Compressed blocks (v3 + per-block kBlockCompressedFlag). Decoded data
-// must be bit-identical to the uncompressed file through every consumer,
-// and the uncompressed writer's bytes must not change at all.
+// Default block size. The tests above use blocks of at most 4096 events;
+// codec::kDefaultBlockEvents gives full 64K-event blocks, which the
+// reader decodes whole. 150k events give two full blocks plus a tail.
 
-std::string v3c_file_bytes(const std::string& path, const Trace& t,
-                           const bom::ModuleTable& modules, std::uint64_t block_events) {
-  TraceWriteOptions opt;
-  opt.block_events = block_events;
-  opt.compress = true;
-  EXPECT_TRUE(save_trace(path, t, modules, opt).ok());
-  return read_bytes(path);
-}
-
-TEST(TraceV3Compressed, RoundTripIsBitIdenticalToUncompressed) {
-  const Trace original = synth_trace(10'000, 42);
+TEST(TraceV3, FormatsAgreeAtDefaultBlockSize) {
+  const Trace original = synth_trace(150'000, 5);
   const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("v3c_roundtrip.trc");
-  const std::string bytes = v3c_file_bytes(path, original, modules, 256);
-
-  // Every index entry of an all-compressed file carries the flag bit and
-  // a masked count that still sums to the header total.
-  const std::uint64_t entry_count = get_u64(bytes, bytes.size() - 24);
-  const std::uint64_t footer_offset = get_u64(bytes, bytes.size() - 16);
-  ASSERT_GE(entry_count, 2u);
-  std::uint64_t total = 0;
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    const std::uint64_t raw = get_u64(bytes, footer_offset + i * 24 + 8);
-    EXPECT_NE(raw & codec::kBlockCompressedFlag, 0u) << "entry " << i;
-    total += raw & codec::kBlockCountMask;
-  }
-  EXPECT_EQ(total, original.events.size());
-
-  const auto loaded = load_trace(path);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(trace_digest(loaded->trace, loaded->modules), trace_digest(original, modules));
-}
-
-TEST(TraceV3Compressed, CompressedFileIsSmaller) {
-  const Trace t = synth_trace(20'000, 17);
-  const std::string plain = v3_file_bytes(tmp_path("v3c_size_u.trc"), t, test_modules(), 4096);
-  const std::string packed = v3c_file_bytes(tmp_path("v3c_size_c.trc"), t, test_modules(), 4096);
-  EXPECT_LT(packed.size(), plain.size());
-}
-
-TEST(TraceV3Compressed, UncompressedWriterBytesAreUnchangedByTheOption) {
-  // compress=false must be byte-for-byte the PR-4 v3 format: the option
-  // defaulting off cannot perturb existing files.
-  const Trace t = synth_trace(5'000, 3);
-  TraceWriteOptions off;
-  off.block_events = 300;
-  off.compress = false;
-  const std::string path = tmp_path("v3c_off.trc");
-  ASSERT_TRUE(save_trace(path, t, test_modules(), off).ok());
-  EXPECT_EQ(read_bytes(path), v3_file_bytes(tmp_path("v3c_off_ref.trc"), t, test_modules(), 300));
-}
-
-TEST(TraceV3Compressed, ReaderDecodesBlocksAndWholeTrace) {
-  const Trace original = synth_trace(20'000, 99);
-  const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("v3c_blocks.trc");
-  v3c_file_bytes(path, original, modules, 512);
+  const std::string path = tmp_path("default_block_v3.trc");
+  v3_file_bytes(path, original, modules, codec::kDefaultBlockEvents);
 
   const auto reader = TraceReader::open(path);
   ASSERT_TRUE(reader.has_value()) << reader.error();
-  EXPECT_EQ(reader->event_count(), original.events.size());
-
-  std::vector<Event> block0;
-  ASSERT_TRUE(reader->decode_block(0, block0).ok());
-  ASSERT_EQ(block0.size(), 512u);
-  EXPECT_EQ(event_time(block0.front()), event_time(original.events.front()));
-
+  ASSERT_EQ(reader->block_count(), 3u);
+  EXPECT_EQ(reader->block(1).event_count, codec::kDefaultBlockEvents);
   const auto bundle = reader->read_all();
   ASSERT_TRUE(bundle.has_value()) << bundle.error();
   EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), trace_digest(original, modules));
 }
 
-TEST(TraceV3Compressed, BlockWriterIsByteIdenticalToBulkWriter) {
-  const Trace t = synth_trace(5'000, 3);
-  const bom::ModuleTable modules = test_modules();
-  const std::string bulk = v3c_file_bytes(tmp_path("v3c_bulk.trc"), t, modules, 300);
-
-  const std::string stream_path = tmp_path("v3c_stream.trc");
-  auto writer = TraceBlockWriter::create(stream_path, t.stacks, t.functions, modules,
-                                         t.sample_rate_hz, 300, /*compress=*/true);
-  ASSERT_TRUE(writer.has_value()) << writer.error();
-  for (const Event& e : t.events) ASSERT_TRUE(writer->add(e).ok());
-  ASSERT_TRUE(writer->finish().ok());
-  EXPECT_EQ(read_bytes(stream_path), bulk);
-}
-
-TEST(TraceV3Compressed, ForEachVisitsEveryEventInOrder) {
-  const Trace original = synth_trace(4'000, 11);
-  const bom::ModuleTable modules = test_modules();
-  const std::string path = tmp_path("v3c_for_each.trc");
-  v3c_file_bytes(path, original, modules, 128);
-
-  const auto reader = TraceReader::open(path);
-  ASSERT_TRUE(reader.has_value()) << reader.error();
-  EXPECT_EQ(for_each_digest(*reader), trace_digest(original, modules));
-}
-
-TEST(TraceV3Compressed, RejectsBodyCountDisagreeingWithIndex) {
-  const Trace t = synth_trace(2'000, 21);
-  const std::string path = tmp_path("v3c_badbody_src.trc");
-  std::string bytes = v3c_file_bytes(path, t, test_modules(), 128);
-  const std::uint64_t footer_offset = get_u64(bytes, bytes.size() - 16);
-  // Mutate the first block body's own declared count (varint at offset
-  // events_offset+2, value 128 = 2-byte varint whose low byte we bump).
-  const std::uint64_t block0 = get_u64(bytes, footer_offset);
-  ASSERT_EQ(static_cast<unsigned char>(bytes[block0]), codec::kCompressedBlockMagic);
-  bytes[block0 + 2] = static_cast<char>(bytes[block0 + 2] ^ 0x01);
-  const std::string bad_path = tmp_path("v3c_badbody.trc");
-  write_bytes(bad_path, bytes);
-  // The index itself is intact, so open succeeds; the disagreement is
-  // caught when the block body is decoded — by the block API, the bulk
-  // loader and for_each alike, always with an offset and the same text.
-  const auto reader = TraceReader::open(bad_path);
-  ASSERT_TRUE(reader.has_value()) << reader.error();
-  std::vector<Event> block0_events;
-  const Status st = reader->decode_block(0, block0_events);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.error().find("offset"), std::string::npos) << st.error();
-  const auto loaded = load_trace(bad_path);
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_NE(loaded.error().find("offset"), std::string::npos) << loaded.error();
-  const Status walked = reader->for_each([](const Event&) {});
-  ASSERT_FALSE(walked.ok());
-  EXPECT_EQ(walked.error(), st.error());
-}
-
-TEST(TraceV3Compressed, RejectsTruncationAtEveryPrefix) {
-  const Trace t = synth_trace(2'000, 21);
-  std::string bytes = v3c_file_bytes(tmp_path("v3c_prefix_src.trc"), t, test_modules(), 128);
-  const std::uint64_t footer_offset = get_u64(bytes, bytes.size() - 16);
-  const std::string path = tmp_path("v3c_prefix.trc");
-  for (std::size_t cut = 0; cut < bytes.size();
-       cut += (cut + 64 < footer_offset ? 499 : 1)) {
-    write_bytes(path, bytes.substr(0, cut));
-    EXPECT_FALSE(TraceReader::open(path).has_value()) << "prefix " << cut;
-    EXPECT_FALSE(load_trace(path).has_value()) << "prefix " << cut;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Default block size. The tests above use blocks of at most 4096 events;
-// codec::kDefaultBlockEvents gives full 64K-event blocks, which the
-// reader decodes whole. 150k events give two full blocks plus a tail,
-// and the plain and compressed block bodies must decode to the same
-// events.
-
-TEST(TraceV3, FormatsAgreeAtDefaultBlockSize) {
-  const Trace original = synth_trace(150'000, 5);
-  const bom::ModuleTable modules = test_modules();
-  const std::uint64_t expected = trace_digest(original, modules);
-
-  const std::string v3_path = tmp_path("default_block_v3.trc");
-  v3_file_bytes(v3_path, original, modules, codec::kDefaultBlockEvents);
-  const std::string v3c_path = tmp_path("default_block_v3c.trc");
-  v3c_file_bytes(v3c_path, original, modules, codec::kDefaultBlockEvents);
-
-  for (const std::string& path : {v3_path, v3c_path}) {
-    const auto reader = TraceReader::open(path);
-    ASSERT_TRUE(reader.has_value()) << path << ": " << reader.error();
-    ASSERT_EQ(reader->block_count(), 3u) << path;
-    EXPECT_EQ(reader->block(1).event_count, codec::kDefaultBlockEvents) << path;
-    const auto bundle = reader->read_all();
-    ASSERT_TRUE(bundle.has_value()) << path << ": " << bundle.error();
-    EXPECT_EQ(trace_digest(bundle->trace, bundle->modules), expected) << path;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming memory bound: flat peak RSS however large the trace, for both
-// block bodies. Mapped file pages count toward the resident set, so this also
-// proves for_each hands consumed pages of the mapping back.
+// Streaming memory bound: flat peak RSS however large the trace. Mapped
+// file pages count toward the resident set, so this also proves for_each
+// hands consumed pages of the mapping back.
 
 /// A `/proc/self/status` field in KiB (0 when absent).
 std::size_t proc_status_kb(const std::string& field) {
@@ -556,20 +423,6 @@ std::size_t proc_status_kb(const std::string& field) {
   }
   return 0;
 }
-
-// AddressSanitizer keeps freed memory resident in its quarantine, so an
-// instrumented walk's resident set counts every buffer it ever freed.
-#if defined(__SANITIZE_ADDRESS__)
-constexpr bool kAddressSanitizer = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-constexpr bool kAddressSanitizer = true;
-#else
-constexpr bool kAddressSanitizer = false;
-#endif
-#else
-constexpr bool kAddressSanitizer = false;
-#endif
 
 struct ResidentRise {
   std::size_t hwm_kb = 0;  ///< VmHWM rise over the walk
@@ -613,40 +466,25 @@ TEST(TraceV3, StreamingKeepsPeakRssFlat) {
   const StackId s1 = header_only.stacks.intern(bom::CallStack{{{0, 0x20}, {1, 0x8}}});
   const std::uint32_t fn = header_only.functions.intern("synth");
 
-  // 1.5M events (decoded they would be > 70 MB). v3 and compressed v3 are
-  // generated straight into two block writers, so neither side ever
-  // materializes the event vector and the VmHWM rise bounds the walk.
+  // 1.5M events (decoded they would be > 70 MB), generated straight into
+  // a block writer, so the event vector is never materialized and the
+  // VmHWM rise bounds the walk.
   constexpr std::size_t kEvents = 1'500'000;
-  const std::string v3_path = tmp_path("flat_rss_v3.trc");
-  const std::string v3c_path = tmp_path("flat_rss_v3c.trc");
+  const std::string path = tmp_path("flat_rss_v3.trc");
   {
-    auto v3 = TraceBlockWriter::create(v3_path, header_only.stacks, header_only.functions,
-                                       test_modules(), 1000.0);
-    auto v3c = TraceBlockWriter::create(v3c_path, header_only.stacks, header_only.functions,
-                                        test_modules(), 1000.0, codec::kDefaultBlockEvents,
-                                        /*compress=*/true);
-    ASSERT_TRUE(v3.has_value()) << v3.error();
-    ASSERT_TRUE(v3c.has_value()) << v3c.error();
+    auto writer = TraceBlockWriter::create(path, header_only.stacks, header_only.functions,
+                                           test_modules(), 1000.0);
+    ASSERT_TRUE(writer.has_value()) << writer.error();
     Status status;
     synth_events(kEvents, 5, s0, s1, fn, [&](const Event& e) {
-      if (status.ok()) status = v3->add(e);
-      if (status.ok()) status = v3c->add(e);
+      if (status.ok()) status = writer->add(e);
     });
     ASSERT_TRUE(status.ok()) << status.error();
-    ASSERT_TRUE(v3->finish().ok());
-    ASSERT_TRUE(v3c->finish().ok());
+    ASSERT_TRUE(writer->finish().ok());
   }
-  for (const std::string& path : {v3_path, v3c_path}) {
-    const ResidentRise rise = walk_resident_rise(path, kEvents);
-    // The compressed decoder allocates its column scratch per block; the
-    // uninstrumented allocator reuses it, ASan's quarantine holds all 23
-    // blocks' worth, so under ASan only the walk itself is checked here.
-    if (path == v3c_path && kAddressSanitizer) continue;
-    EXPECT_LE(rise.hwm_kb, kBoundKb) << path << ": streaming raised peak RSS by " << rise.hwm_kb
-                                     << " KiB";
-    EXPECT_LE(rise.rss_kb, kBoundKb) << path << ": streaming raised RSS by " << rise.rss_kb
-                                     << " KiB";
-  }
+  const ResidentRise rise = walk_resident_rise(path, kEvents);
+  EXPECT_LE(rise.hwm_kb, kBoundKb) << "streaming raised peak RSS by " << rise.hwm_kb << " KiB";
+  EXPECT_LE(rise.rss_kb, kBoundKb) << "streaming raised RSS by " << rise.rss_kb << " KiB";
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //   ecohmem-profile --app <name> --out <trace.trc>
 //                   [--iterations N] [--rate HZ] [--seed S]
 //                   [--pmem-dimms 6] [--no-stores]
-//                   [--block-events N] [--compress]
+//                   [--block-events N]
 //
 // Writes a v3 trace (docs/trace_format.md).
 //
@@ -29,16 +29,16 @@ using namespace ecohmem;
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv,
                        {"app", "block-events", "iterations", "out", "pmem-dimms", "rate", "seed"},
-                       {"no-stores", "compress", "help"});
+                       {"no-stores", "help"});
   if (!args.unknown().empty()) return cli::fail_unknown_flag(args);
   if (args.has("help") || !args.has("app") || !args.has("out")) {
     std::printf(
         "usage: ecohmem-profile --app <name> --out <trace.trc>\n"
         "                       [--iterations N] [--rate HZ] [--seed S]\n"
         "                       [--pmem-dimms 6] [--no-stores]\n"
-        "                       [--block-events N] [--compress]\n"
+        "                       [--block-events N]\n"
         "  writes a v3 trace; --block-events sets its block granularity\n"
-        "  (default 65536), --compress bit-packs each block's columns.\n"
+        "  (default 65536).\n"
         "apps: ");
     for (const auto& a : apps::app_names()) std::printf("%s ", a.c_str());
     std::printf("\n");
@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   const trace::Trace t = prof.take_trace();
   trace::TraceWriteOptions wopt;
   wopt.block_events = static_cast<std::uint64_t>(*block_events);
-  wopt.compress = args.has("compress");
   if (const auto s = trace::save_trace(args.get("out"), t, *workload.modules, wopt); !s) {
     return cli::fail(s.error());
   }
