@@ -74,8 +74,7 @@ void ablate_footprint_mode() {
     if (!base) continue;
     speedups[1] = base->speedup();
 
-    advisor::AdvisorConfig cfg = advisor::AdvisorConfig::dram_pmem(
-        dram, 0.0, sys.tier(sys.fallback_index()).capacity());
+    advisor::AdvisorConfig cfg = core::advisor_config(sys, dram, 0.0);
     cfg.footprint_mode = advisor::FootprintMode::kMaxSize;
     const auto placement = advisor::place_by_density(base->analysis.sites, cfg);
     if (placement) {
@@ -106,8 +105,7 @@ void ablate_exact_knapsack() {
     const auto base = core::run_workflow(w, sys, opt);
     if (!base) continue;
 
-    advisor::AdvisorConfig cfg = advisor::AdvisorConfig::dram_pmem(
-        dram, 0.0, sys.tier(sys.fallback_index()).capacity());
+    const auto cfg = core::advisor_config(sys, dram, 0.0);
     const auto dp_placement = advisor::place_exact_dp(base->analysis.sites, cfg);
     double dp_speedup = 0.0;
     if (dp_placement) {

@@ -44,23 +44,6 @@ struct Row {
 
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
-/// The same per-tier config run_workflow synthesizes internally.
-advisor::AdvisorConfig make_config(const memsim::MemorySystem& sys, Bytes dram_limit,
-                                   double store_coef) {
-  advisor::AdvisorConfig config;
-  for (std::size_t i = 0; i < sys.tier_count(); ++i) {
-    advisor::TierPolicy policy;
-    policy.name = sys.tier(i).name();
-    policy.limit = i == 0 ? dram_limit : sys.tier(i).capacity();
-    policy.load_coef = 1.0;
-    policy.store_coef = store_coef;
-    policy.order = static_cast<int>(i);
-    policy.fallback = i == sys.fallback_index();
-    config.tiers.push_back(std::move(policy));
-  }
-  return config;
-}
-
 Expected<Row> run_app(const std::string& name, const memsim::MemorySystem& sys,
                       const learn::Model& model, Bytes dram_limit, double store_coef,
                       bool adversarial) {
@@ -72,7 +55,7 @@ Expected<Row> run_app(const std::string& name, const memsim::MemorySystem& sys,
   const auto workflow = core::run_workflow(w, sys, opt);
   if (!workflow) return unexpected(workflow.error());
 
-  const auto config = make_config(sys, dram_limit, store_coef);
+  const auto config = core::advisor_config(sys, dram_limit, store_coef);
   const auto learned = learn::place_by_ranker(workflow->analysis, config, model);
   if (!learned) return unexpected(learned.error());
   const auto learned_run = core::run_with_placement(w, sys, *learned, dram_limit);

@@ -326,6 +326,13 @@ build/tools/ecohmem-serve --connect "$serve_sock" --ingest /tmp/ecohmem_ci_v3.tr
   --query /tmp/ecohmem_ci_served_v3.txt --csv /tmp/ecohmem_ci_served_v3.csv
 cmp /tmp/ecohmem_ci_served_v3.txt /tmp/ecohmem_ci_v3_serial.txt
 cmp /tmp/ecohmem_ci_served_v3.csv /tmp/ecohmem_ci_v3_sites.csv
+# An explicit peak takes the same Advisor stage on both sides.
+build/tools/ecohmem-advisor --trace /tmp/ecohmem_ci2.trc --out /tmp/ecohmem_ci_peak30.txt \
+  --config configs/advisor_dram_pmem.ini --bandwidth-aware --peak-pmem-bw 30
+build/tools/ecohmem-serve --connect "$serve_sock" --ingest /tmp/ecohmem_ci2.trc \
+  --query /tmp/ecohmem_ci_served_peak30.txt --config configs/advisor_dram_pmem.ini \
+  --bandwidth-aware --peak-pmem-bw 30
+cmp /tmp/ecohmem_ci_served_peak30.txt /tmp/ecohmem_ci_peak30.txt
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "ecohmem-serve exited nonzero on SIGTERM" >&2; exit 1; }
 grep -q "drained, socket unlinked" /tmp/ecohmem_ci_serve.log
@@ -427,12 +434,15 @@ build/tools/calibrate --help | grep -q "usage: calibrate"
 
 # Malformed size and number flags must be usage errors (exit 2), never a
 # silent fall back to the default (a 12 GiB DRAM limit, a zero store
-# coefficient). The advisor config the flags build must pass the same
+# coefficient, the observed peak bandwidth). The advisor config the flags build must pass the same
 # validation a config file does.
 advise_bad="ecohmem-advisor --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.txt"
 for bad_value in "$advise_bad --dram-limit 4Gb" "$advise_bad --store-coef abc" \
                  "$advise_bad --store-coef nan" "$advise_bad --store-coef -1" \
                  "$advise_bad --dram-limit 0" \
+                 "$advise_bad --bandwidth-aware --peak-pmem-bw nan" \
+                 "$advise_bad --bandwidth-aware --peak-pmem-bw 0" \
+                 "$advise_bad --bandwidth-aware --peak-pmem-bw -1" \
                  "ecohmem-timeline --trace /tmp/ecohmem_ci_v3.trc --out /tmp/ecohmem_ci_bad.csv --bin-ms abc"; do
   set +e
   build/tools/$bad_value >/dev/null 2>&1

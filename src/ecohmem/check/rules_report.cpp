@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ecohmem/advisor/knapsack.hpp"
+#include "ecohmem/advisor/stage.hpp"
 #include "ecohmem/bom/format.hpp"
 #include "ecohmem/check/rule.hpp"
 #include "ecohmem/common/strings.hpp"
@@ -235,10 +236,9 @@ class ReportBwClassesRule final : public NamedRule {
 
     // The bandwidth-aware post-pass (Algorithm 1) only ever exchanges
     // objects between the fastest tier and the fallback tier.
-    const std::string& dram_class = ctx.config->tiers.front().name;
-    const std::string& pmem_class = ctx.config->fallback_tier().name;
+    const advisor::BandwidthClasses classes = advisor::bandwidth_classes(*ctx.config);
     const auto in_classes = [&](const std::string& tier) {
-      return tier == dram_class || tier == pmem_class;
+      return tier == classes.dram || tier == classes.pmem;
     };
 
     for (const auto& entry : ctx.report->entries) {
@@ -253,7 +253,7 @@ class ReportBwClassesRule final : public NamedRule {
             bom::format_bom_lenient(*cs, ctx.bundle != nullptr ? &ctx.bundle->modules : nullptr);
         out.push_back(error(std::string(id_), ctx.report_name,
                             "site " + site + " moved '" + from + "' -> '" + entry.tier +
-                                "' which leaves the " + dram_class + "/" + pmem_class +
+                                "' which leaves the " + classes.dram + "/" + classes.pmem +
                                 " classes the bandwidth-aware pass is allowed to exchange"));
       }
     }

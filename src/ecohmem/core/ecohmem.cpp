@@ -4,7 +4,7 @@
 #include <memory>
 #include <utility>
 
-#include "ecohmem/flexmalloc/flexmalloc.hpp"
+#include "ecohmem/advisor/stage.hpp"
 #include "ecohmem/memsim/dram_cache.hpp"
 #include "ecohmem/profiler/profiler.hpp"
 
@@ -12,30 +12,28 @@ namespace ecohmem::core {
 
 namespace {
 
-/// Builds the memory-mode execution mode for `system` (DRAM tier 0 caches
-/// the fallback PMem tier).
-Expected<std::unique_ptr<runtime::MemoryModeExec>> make_memory_mode(
-    const memsim::MemorySystem& system) {
-  const std::size_t pmem = system.fallback_index();
-  if (system.tier_count() < 2 || pmem == 0) {
-    return unexpected("memory mode needs a fast tier (0) and a distinct fallback tier");
-  }
-  memsim::DramCacheModel cache_model(system.tier(0).capacity());
-  return std::make_unique<runtime::MemoryModeExec>(&system, 0, pmem, cache_model);
-}
+/// Renders `placement`'s report into `report_text`, parses it back and
+/// replays `workload` app-direct through FlexMalloc: the production run.
+Expected<runtime::RunMetrics> replay_report(const runtime::Workload& workload,
+                                            const memsim::MemorySystem& system,
+                                            const advisor::Placement& placement,
+                                            Bytes dram_capacity, advisor::ReportFormat format,
+                                            const runtime::EngineOptions& engine_options,
+                                            std::string& report_text) {
+  auto rendered =
+      advisor::report_to_string(placement, format, *workload.modules, workload.symbols.get());
+  if (!rendered) return unexpected(rendered.error());
+  report_text = std::move(*rendered);
 
-Expected<flexmalloc::FlexMalloc> make_flexmalloc(const memsim::MemorySystem& system,
-                                                 const flexmalloc::ParsedReport& report,
-                                                 Bytes dram_capacity,
-                                                 const bom::SymbolTable* symbols) {
-  std::vector<flexmalloc::HeapSpec> heaps;
-  for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    flexmalloc::HeapSpec spec;
-    spec.tier = system.tier(i).name();
-    spec.capacity = i == 0 ? dram_capacity : system.tier(i).capacity();
-    heaps.push_back(std::move(spec));
-  }
-  return flexmalloc::FlexMalloc::create(std::move(heaps), report, symbols);
+  auto parsed = flexmalloc::parse_report(report_text, *workload.modules);
+  if (!parsed) return unexpected(parsed.error());
+
+  auto fm = make_flexmalloc(system, *parsed, dram_capacity, workload.symbols.get());
+  if (!fm) return unexpected(fm.error());
+
+  runtime::AppDirectMode mode(&system, &*fm);
+  runtime::ExecutionEngine engine(&system, engine_options);
+  return engine.run(workload, mode);
 }
 
 }  // namespace
@@ -45,10 +43,43 @@ const char* version() { return "1.0.0"; }
 Expected<runtime::RunMetrics> run_memory_mode(const runtime::Workload& workload,
                                               const memsim::MemorySystem& system,
                                               runtime::EngineOptions engine_options) {
-  auto mode = make_memory_mode(system);
-  if (!mode) return unexpected(mode.error());
+  const std::size_t pmem = system.fallback_index();
+  if (system.tier_count() < 2 || pmem == 0) {
+    return unexpected("memory mode needs a fast tier (0) and a distinct fallback tier");
+  }
+  // On the heap, like the profile trace kept in run_workflow: see there.
+  const auto mode = std::make_unique<runtime::MemoryModeExec>(
+      &system, 0, pmem, memsim::DramCacheModel(system.tier(0).capacity()));
   runtime::ExecutionEngine engine(&system, engine_options);
-  return engine.run(workload, **mode);
+  return engine.run(workload, *mode);
+}
+
+advisor::AdvisorConfig advisor_config(const memsim::MemorySystem& system, Bytes dram_limit,
+                                      double store_coef) {
+  advisor::AdvisorConfig config;
+  for (std::size_t i = 0; i < system.tier_count(); ++i) {
+    advisor::TierPolicy policy;
+    policy.name = system.tier(i).name();
+    policy.limit = i == 0 ? dram_limit : system.tier(i).capacity();
+    policy.load_coef = 1.0;
+    policy.store_coef = store_coef;
+    policy.order = static_cast<int>(i);
+    policy.fallback = i == system.fallback_index();
+    config.tiers.push_back(std::move(policy));
+  }
+  return config;
+}
+
+Expected<flexmalloc::FlexMalloc> make_flexmalloc(const memsim::MemorySystem& system,
+                                                 const flexmalloc::ParsedReport& report,
+                                                 Bytes dram_capacity,
+                                                 const bom::SymbolTable* symbols,
+                                                 flexmalloc::MatcherOptions matcher_options) {
+  std::vector<flexmalloc::HeapSpec> heaps;
+  for (std::size_t i = 0; i < system.tier_count(); ++i) {
+    heaps.push_back({system.tier(i).name(), i == 0 ? dram_capacity : system.tier(i).capacity()});
+  }
+  return flexmalloc::FlexMalloc::create(std::move(heaps), report, symbols, matcher_options);
 }
 
 Expected<runtime::RunMetrics> run_with_placement(const runtime::Workload& workload,
@@ -57,19 +88,9 @@ Expected<runtime::RunMetrics> run_with_placement(const runtime::Workload& worklo
                                                  Bytes dram_capacity,
                                                  advisor::ReportFormat format,
                                                  runtime::EngineOptions engine_options) {
-  auto report_text =
-      advisor::report_to_string(placement, format, *workload.modules, workload.symbols.get());
-  if (!report_text) return unexpected(report_text.error());
-
-  auto parsed = flexmalloc::parse_report(*report_text, *workload.modules);
-  if (!parsed) return unexpected(parsed.error());
-
-  auto fm = make_flexmalloc(system, *parsed, dram_capacity, workload.symbols.get());
-  if (!fm) return unexpected(fm.error());
-
-  runtime::AppDirectMode mode(&system, &*fm);
-  runtime::ExecutionEngine engine(&system, engine_options);
-  return engine.run(workload, mode);
+  std::string report_text;
+  return replay_report(workload, system, placement, dram_capacity, format, engine_options,
+                       report_text);
 }
 
 Expected<WorkflowResult> run_workflow(const runtime::Workload& workload,
@@ -89,22 +110,19 @@ Expected<WorkflowResult> run_workflow(const runtime::Workload& workload,
   popt.sample_stores = true;
   profiler::Profiler prof(popt);
 
-  {
-    auto mode = make_memory_mode(system);
-    if (!mode) return unexpected(mode.error());
-    runtime::EngineOptions eopt = engine_options;
-    eopt.observer = &prof;
-    runtime::ExecutionEngine engine(&system, eopt);
-    auto metrics = engine.run(workload, **mode);
-    if (!metrics) return unexpected("profiling run failed: " + metrics.error());
-    result.baseline_metrics = std::move(*metrics);
-  }
+  runtime::EngineOptions profile_options = engine_options;
+  profile_options.observer = &prof;
+  auto baseline = run_memory_mode(workload, system, profile_options);
+  if (!baseline) return unexpected("profiling run failed: " + baseline.error());
+  result.baseline_metrics = std::move(*baseline);
 
-  // --- 2. Trace analysis (Paramedir role).
+  // --- 2. Trace analysis (Paramedir role). The trace outlives the
+  // production run: freed earlier (or with the memory mode off the
+  // heap), glibc trims the heap top under the replays' transient buffers
+  // and faults them back in, ~200K more page faults on perfbench's
+  // fig6-pipeline set-up.
   const trace::Trace profile_trace = prof.take_trace();
-  analyzer::AnalyzerOptions aopt;
-  aopt.peak_pmem_bw_gbs = system.tier(system.fallback_index()).spec().peak_read_gbs;
-  auto analysis = analyzer::analyze(profile_trace, aopt);
+  auto analysis = analyzer::analyze(profile_trace);
   if (!analysis) return unexpected("trace analysis failed: " + analysis.error());
   result.analysis = std::move(*analysis);
 
@@ -118,57 +136,16 @@ Expected<WorkflowResult> run_workflow(const runtime::Workload& workload,
   }
   result.effective_dram_limit = dram_limit;
 
-  // One knapsack per tier, in system performance order; the fastest
-  // tier's budget is the user's limit, the others use their capacity.
-  advisor::AdvisorConfig config;
-  for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    advisor::TierPolicy policy;
-    policy.name = system.tier(i).name();
-    policy.limit = i == 0 ? dram_limit : system.tier(i).capacity();
-    policy.load_coef = 1.0;
-    policy.store_coef = options.store_coef;
-    policy.order = static_cast<int>(i);
-    policy.fallback = i == system.fallback_index();
-    config.tiers.push_back(std::move(policy));
-  }
-
-  auto base = advisor::place_by_density(result.analysis.sites, config);
-  if (!base) return unexpected("density placement failed: " + base.error());
-  result.placement = std::move(*base);
-
-  if (options.bandwidth_aware) {
-    advisor::BandwidthAwareOptions bw = options.bw_options;
-    if (!options.keep_bw_thresholds) {
-      // Region thresholds are relative to the *observed* peak bandwidth of
-      // the profiling run (Fig. 3 peaks at 1.3 GB/s and still classifies
-      // objects as B_high, so "peak PMem bandwidth" is the workload's
-      // peak, not the DIMMs').
-      bw.peak_pmem_bw_gbs = result.analysis.observed_peak_bw_gbs;
-      bw.dram_tier = system.tier(0).name();
-      bw.pmem_tier = system.tier(system.fallback_index()).name();
-    }
-    auto refined = advisor::place_bandwidth_aware(result.analysis.sites,
-                                                  std::move(result.placement), config, bw);
-    if (!refined) return unexpected("bandwidth-aware placement failed: " + refined.error());
-    result.placement = refined->placement;
-    result.bandwidth_aware = std::move(*refined);
-  }
+  auto advice = advisor::run_stage(result.analysis,
+                                   advisor_config(system, dram_limit, options.store_coef),
+                                   options.bandwidth_aware);
+  if (!advice) return unexpected("advisor stage failed: " + advice.error());
+  result.placement = advice->placement;
+  if (options.bandwidth_aware) result.bandwidth_aware = std::move(*advice);
 
   // --- 4. Report out, FlexMalloc in (production run).
-  auto report_text = advisor::report_to_string(result.placement, options.format,
-                                               *workload.modules, workload.symbols.get());
-  if (!report_text) return unexpected(report_text.error());
-  result.report_text = std::move(*report_text);
-
-  auto parsed = flexmalloc::parse_report(result.report_text, *workload.modules);
-  if (!parsed) return unexpected(parsed.error());
-
-  auto fm = make_flexmalloc(system, *parsed, dram_limit, workload.symbols.get());
-  if (!fm) return unexpected(fm.error());
-
-  runtime::AppDirectMode mode(&system, &*fm);
-  runtime::ExecutionEngine engine(&system, engine_options);
-  auto production = engine.run(workload, mode);
+  auto production = replay_report(workload, system, result.placement, dram_limit,
+                                  options.format, engine_options, result.report_text);
   if (!production) return unexpected("production run failed: " + production.error());
   result.production_metrics = std::move(*production);
 

@@ -12,15 +12,26 @@
 /// under the memory-mode baseline (placement-independent LLC misses are
 /// all the Advisor needs), which also yields the baseline metrics every
 /// evaluation compares against.
+///
+/// Each stage has one wiring, shared with the command-line tools:
+///   - profile: `run_memory_mode` with the profiler as observer
+///     (ecohmem-profile);
+///   - Advisor: `advisor::run_stage` over `advisor_config(system, ...)`
+///     (ecohmem-advisor and ecohmem-serve call run_stage too);
+///   - FlexMalloc: `make_flexmalloc` (ecohmem-run), reached here through
+///     the render → parse → FlexMalloc → app-direct replay helper behind
+///     `run_with_placement`.
 
 #include <optional>
 #include <string>
 
+#include "ecohmem/advisor/advisor_config.hpp"
 #include "ecohmem/advisor/bandwidth_aware.hpp"
 #include "ecohmem/advisor/knapsack.hpp"
 #include "ecohmem/advisor/report.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/common/expected.hpp"
+#include "ecohmem/flexmalloc/flexmalloc.hpp"
 #include "ecohmem/memsim/tier.hpp"
 #include "ecohmem/runtime/engine.hpp"
 #include "ecohmem/runtime/workload.hpp"
@@ -46,11 +57,6 @@ struct WorkflowOptions {
   /// PEBS-equivalent sampling rate for the profiling run.
   double sample_rate_hz = 100.0;
   std::uint64_t profile_seed = 0x5eed;
-
-  /// Bandwidth-aware thresholds; peak_pmem_bw_gbs is overwritten from the
-  /// system's PMem tier unless `keep_bw_thresholds` is set.
-  advisor::BandwidthAwareOptions bw_options;
-  bool keep_bw_thresholds = false;
 };
 
 struct WorkflowResult {
@@ -77,15 +83,31 @@ struct WorkflowResult {
     const runtime::Workload& workload, const memsim::MemorySystem& system,
     const WorkflowOptions& options = {}, runtime::EngineOptions engine_options = {});
 
-/// Runs the workload under memory mode only (the baseline).
+/// Runs the workload under memory mode (the baseline): DRAM tier 0
+/// caches the fallback tier. With `engine_options.observer` set to a
+/// profiler this is the profiling run.
 [[nodiscard]] Expected<runtime::RunMetrics> run_memory_mode(
     const runtime::Workload& workload, const memsim::MemorySystem& system,
     runtime::EngineOptions engine_options = {});
 
+/// The Advisor config for `system`: one tier per memory tier in the
+/// system's performance order, the fastest capped at `dram_limit` and
+/// the others at their capacity, each charging loads at 1 and stores at
+/// `store_coef`; the system's fallback tier is the config's.
+[[nodiscard]] advisor::AdvisorConfig advisor_config(const memsim::MemorySystem& system,
+                                                    Bytes dram_limit, double store_coef);
+
+/// FlexMalloc with one heap per tier of `system`, the fastest capped at
+/// `dram_capacity` and the others at their capacity.
+[[nodiscard]] Expected<flexmalloc::FlexMalloc> make_flexmalloc(
+    const memsim::MemorySystem& system, const flexmalloc::ParsedReport& report,
+    Bytes dram_capacity, const bom::SymbolTable* symbols,
+    flexmalloc::MatcherOptions matcher_options = {});
+
 /// Runs the workload app-direct with a given placement (used for ProfDP
 /// variants and manual placements). The placement travels through a real
-/// report + FlexMalloc matching, exercising the same machinery as the
-/// main workflow.
+/// report + FlexMalloc matching: the helper run_workflow's production run
+/// uses.
 [[nodiscard]] Expected<runtime::RunMetrics> run_with_placement(
     const runtime::Workload& workload, const memsim::MemorySystem& system,
     const advisor::Placement& placement, Bytes dram_capacity,

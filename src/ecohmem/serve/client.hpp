@@ -70,7 +70,8 @@ class Client {
 
   /// QUERY_PLACEMENT: runs the Advisor on a fresh snapshot. `config`
   /// supplies the tiers; when `bandwidth_aware`, the §VII refinement
-  /// runs with `peak_pmem_bw_gbs` (0 = the snapshot's observed peak).
+  /// runs with `peak_pmem_bw_gbs` (0 = the snapshot's observed peak; a
+  /// negative or non-finite value is answered with BAD_CONFIG).
   [[nodiscard]] Expected<Report> query(const advisor::AdvisorConfig& config,
                                        bool bandwidth_aware = false,
                                        double peak_pmem_bw_gbs = 0.0);

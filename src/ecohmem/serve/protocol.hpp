@@ -171,7 +171,8 @@ struct QueryPlacement {
   /// bit 1: charge footprints by max_size instead of peak_live.
   std::uint32_t flags = 0;
   /// Peak PMem bandwidth for the region thresholds; 0 = use the
-  /// snapshot's observed peak (the offline tool's default).
+  /// snapshot's observed peak (the offline tool's default). A negative
+  /// or non-finite value is a BAD_CONFIG reply.
   double peak_pmem_bw_gbs = 0.0;
   std::vector<QueryTier> tiers;
 

@@ -10,9 +10,8 @@
 #include <string_view>
 #include <utility>
 
-#include "ecohmem/advisor/bandwidth_aware.hpp"
-#include "ecohmem/advisor/knapsack.hpp"
 #include "ecohmem/advisor/report.hpp"
+#include "ecohmem/advisor/stage.hpp"
 #include "ecohmem/analyzer/site_report.hpp"
 #include "ecohmem/trace/codec.hpp"
 
@@ -334,25 +333,14 @@ void Server::handle_connection(common::posix::UniqueFd fd) {
           if (!send_error(ErrorCode::kSessionPoisoned, snap.error())) goto done;
           break;
         }
-        auto placement = advisor::place_by_density(snap->analysis->sites, *config);
-        if (!placement) {
-          if (!send_error(ErrorCode::kBadConfig, placement.error())) goto done;
+        // The offline tool's Advisor stage: a negative or non-finite
+        // peak is a bad config, 0 means the snapshot's observed peak.
+        auto advice = advisor::run_stage(*snap->analysis, *config,
+                                         (msg->flags & QueryPlacement::kBandwidthAware) != 0,
+                                         msg->peak_pmem_bw_gbs);
+        if (!advice) {
+          if (!send_error(ErrorCode::kBadConfig, advice.error())) goto done;
           break;
-        }
-        if ((msg->flags & QueryPlacement::kBandwidthAware) != 0) {
-          advisor::BandwidthAwareOptions bw;
-          bw.peak_pmem_bw_gbs = msg->peak_pmem_bw_gbs > 0
-                                    ? msg->peak_pmem_bw_gbs
-                                    : snap->analysis->observed_peak_bw_gbs;
-          bw.dram_tier = config->tiers.front().name;
-          bw.pmem_tier = config->fallback_tier().name;
-          auto refined = advisor::place_bandwidth_aware(snap->analysis->sites,
-                                                        std::move(*placement), *config, bw);
-          if (!refined) {
-            if (!send_error(ErrorCode::kBadConfig, refined.error())) goto done;
-            break;
-          }
-          *placement = std::move(refined->placement);
         }
         // Report rendering resolves client-declared stacks against the
         // client-declared module table; a mismatch (stack frame naming a
@@ -360,8 +348,8 @@ void Server::handle_connection(common::posix::UniqueFd fd) {
         // the daemon.
         std::string text;
         try {
-          auto rendered = advisor::report_to_string(*placement, advisor::ReportFormat::kBom,
-                                                    session->header().modules);
+          auto rendered = advisor::report_to_string(
+              advice->placement, advisor::ReportFormat::kBom, session->header().modules);
           if (!rendered) {
             if (!send_error(ErrorCode::kInternal, rendered.error())) goto done;
             break;

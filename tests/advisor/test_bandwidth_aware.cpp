@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ecohmem/advisor/knapsack.hpp"
+#include "ecohmem/advisor/stage.hpp"
 
 namespace ecohmem::advisor {
 namespace {
@@ -227,6 +230,37 @@ TEST(Algorithm1, RejectsInvalidStackId) {
   const auto result = place_bandwidth_aware(sites, place(sites, {"dram"}), cfg, options());
   ASSERT_FALSE(result.has_value());
   EXPECT_NE(result.error().find("invalid stack id"), std::string::npos);
+}
+
+TEST(AdvisorStage, PeakPmemBwRule) {
+  // 0 asks for the observed peak, a positive finite peak is used as
+  // given, anything else is an error.
+  EXPECT_EQ(resolve_peak_pmem_bw(0.0, 7.5).value_or(-1.0), 7.5);
+  EXPECT_EQ(resolve_peak_pmem_bw(30.0, 7.5).value_or(-1.0), 30.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -3.0,
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(resolve_peak_pmem_bw(bad, 7.5).has_value()) << bad;
+  }
+
+  // The stage applies the rule: a Streaming-D site (allocation-time
+  // bandwidth 1 GB/s) moves to PMem against the observed 10 GB/s peak
+  // (T_PMEMLOW = 2 GB/s), stays in DRAM against an explicit 2 GB/s peak
+  // (T_PMEMLOW = 0.4 GB/s), and a NaN peak fails the stage.
+  analyzer::AnalysisResult analysis;
+  analysis.sites = {make_site(0, 100, 10, 1.0, 0.1, false)};
+  analysis.observed_peak_bw_gbs = 10.0;
+  const AdvisorConfig cfg = AdvisorConfig::dram_pmem(1000, 0.0);
+  const auto observed = run_stage(analysis, cfg, /*bandwidth_aware=*/true);
+  ASSERT_TRUE(observed.has_value()) << observed.error();
+  EXPECT_EQ(observed->streaming_moved, 1u);
+  EXPECT_EQ(observed->placement.tier_of(0), "pmem");
+  const auto explicit_peak = run_stage(analysis, cfg, /*bandwidth_aware=*/true, 2.0);
+  ASSERT_TRUE(explicit_peak.has_value()) << explicit_peak.error();
+  EXPECT_EQ(explicit_peak->streaming_moved, 0u);
+  EXPECT_EQ(explicit_peak->placement.tier_of(0), "dram");
+  EXPECT_FALSE(run_stage(analysis, cfg, /*bandwidth_aware=*/true,
+                         std::numeric_limits<double>::quiet_NaN())
+                   .has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -22,9 +23,8 @@
 #include <vector>
 
 #include "ecohmem/advisor/advisor_config.hpp"
-#include "ecohmem/advisor/bandwidth_aware.hpp"
-#include "ecohmem/advisor/knapsack.hpp"
 #include "ecohmem/advisor/report.hpp"
+#include "ecohmem/advisor/stage.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/apps/apps.hpp"
 #include "ecohmem/memsim/tier.hpp"
@@ -114,26 +114,19 @@ Profiled synth_stream(std::size_t n) {
   return p;
 }
 
-/// The offline pipeline the daemon must match byte-for-byte: analyze,
-/// knapsack, optional bandwidth-aware pass, BOM report.
+/// The offline pipeline the daemon must match byte-for-byte: analyze(),
+/// then the Advisor stage and the BOM report that ecohmem-advisor and
+/// the daemon share. Only the fold differs (analyze() here, the
+/// session's incremental fold there).
 std::string offline_report(const trace::Trace& t, const bom::ModuleTable& modules,
                            const advisor::AdvisorConfig& config,
                            bool bandwidth_aware) {
   const auto analysis = analyzer::analyze(t);
   EXPECT_TRUE(analysis.has_value()) << analysis.error();
-  auto placement = advisor::place_by_density(analysis->sites, config);
-  EXPECT_TRUE(placement.has_value()) << placement.error();
-  if (bandwidth_aware) {
-    advisor::BandwidthAwareOptions bw;
-    bw.peak_pmem_bw_gbs = analysis->observed_peak_bw_gbs;
-    bw.dram_tier = config.tiers.front().name;
-    bw.pmem_tier = config.fallback_tier().name;
-    auto refined = advisor::place_bandwidth_aware(analysis->sites, *placement, config, bw);
-    EXPECT_TRUE(refined.has_value()) << refined.error();
-    *placement = std::move(refined->placement);
-  }
+  const auto advice = advisor::run_stage(*analysis, config, bandwidth_aware);
+  EXPECT_TRUE(advice.has_value()) << advice.error();
   const auto text =
-      advisor::report_to_string(*placement, advisor::ReportFormat::kBom, modules);
+      advisor::report_to_string(advice->placement, advisor::ReportFormat::kBom, modules);
   EXPECT_TRUE(text.has_value()) << text.error();
   return text.value_or("");
 }
@@ -275,6 +268,30 @@ TEST(ServeConcurrencyServer, SecondClientQueriesMidIngest) {
   EXPECT_EQ(stats->attached_clients, 2u);
   ASSERT_TRUE(reader->bye().ok());
   ASSERT_TRUE(writer->bye().ok());
+}
+
+TEST(ServeConcurrencyServer, NonFinitePeakIsBadConfig) {
+  // QUERY_PLACEMENT's peak follows the Advisor stage's rule: 0 is the
+  // observed peak, a NaN is a bad config, and the session continues.
+  const Profiled p = synth_stream(2'000);
+  const trace::Trace& t = p.trace;
+  const auto config = advisor::AdvisorConfig::dram_pmem(1ull << 30, 0.0);
+
+  TestDaemon daemon(ServerOptions{});
+  auto client = Client::connect(daemon.path());
+  ASSERT_TRUE(client.has_value()) << client.error();
+  ASSERT_TRUE(client->hello_create(t.stacks, t.functions, p.modules, t.sample_rate_hz).ok());
+  ASSERT_TRUE(client->ingest_events(t.events, 512).ok());
+
+  const auto bad = client->query(config, /*bandwidth_aware=*/true,
+                                 std::numeric_limits<double>::quiet_NaN());
+  ASSERT_FALSE(bad.has_value());
+  EXPECT_NE(bad.error().find("bad-config"), std::string::npos) << bad.error();
+
+  const auto good = client->query(config, /*bandwidth_aware=*/true, 0.0);
+  ASSERT_TRUE(good.has_value()) << good.error();
+  EXPECT_EQ(good->text, offline_report(t, p.modules, config, /*bandwidth_aware=*/true));
+  ASSERT_TRUE(client->bye().ok());
 }
 
 TEST(ServeConcurrencyServer, BackpressureSurfacesAsBusy) {

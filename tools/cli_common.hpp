@@ -8,12 +8,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "ecohmem/advisor/advisor_config.hpp"
+#include "ecohmem/common/config.hpp"
 #include "ecohmem/common/expected.hpp"
 #include "ecohmem/common/posix.hpp"
 #include "ecohmem/common/strings.hpp"
@@ -78,6 +81,19 @@ class Args {
     return *value;
   }
 
+  /// `get_double` for a flag that, when given, must be positive and
+  /// finite (`--peak-pmem-bw 0`, `-3` or `nan` stops the tool; leaving
+  /// the flag out is how to ask for the default). Absent flags return
+  /// `def`.
+  [[nodiscard]] Expected<double> get_positive_double(const std::string& name, double def) const {
+    const auto value = get_double(name, def);
+    if (!value || !has(name)) return value;
+    if (!std::isfinite(*value) || *value <= 0.0) {
+      return unexpected("--" + name + " must be positive and finite, got '" + get(name) + "'");
+    }
+    return value;
+  }
+
   /// Strictly-parsed byte-size flag (`12GB`, `512MiB`, `4096`), with the
   /// same no-fallback rule as `get_double`.
   [[nodiscard]] Expected<Bytes> get_bytes(const std::string& name, Bytes def) const {
@@ -135,6 +151,31 @@ inline int fail_usage(const std::string& message) {
 /// The usage error for an undeclared flag (see `Args::unknown`).
 inline int fail_unknown_flag(const Args& args) {
   return fail_usage("unknown flag " + args.unknown());
+}
+
+/// The two-tier Advisor config `--dram-limit` (default 12 GB) and
+/// `--store-coef` (default 0) describe, checked like a config file. An
+/// error is a usage error.
+[[nodiscard]] inline Expected<advisor::AdvisorConfig> flag_advisor_config(const Args& args) {
+  const auto dram_limit = args.get_bytes("dram-limit", 12ull << 30);
+  if (!dram_limit) return unexpected(dram_limit.error());
+  const auto store_coef = args.get_double("store-coef", 0.0);
+  if (!store_coef) return unexpected(store_coef.error());
+  auto config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
+  if (const auto bad = config.validate(); !bad.empty()) {
+    return unexpected("--dram-limit/--store-coef: " + bad.front());
+  }
+  return config;
+}
+
+/// The tool's Advisor config: the `--config` file when one is given,
+/// else `flag_config`.
+[[nodiscard]] inline Expected<advisor::AdvisorConfig> advisor_config(
+    const Args& args, advisor::AdvisorConfig flag_config) {
+  if (!args.has("config")) return flag_config;
+  const auto file = Config::load(args.get("config"));
+  if (!file) return unexpected(file.error());
+  return advisor::AdvisorConfig::from_config(*file);
 }
 
 /// Validates a unix-domain socket path flag value: present, non-empty

@@ -2,8 +2,10 @@
 // (the Paramedir + Advisor boxes of Fig. 1).
 //
 // Reads a trace file written by ecohmem-profile, aggregates it, runs the
-// density knapsack (optionally followed by the bandwidth-aware pass of
-// §VII) and writes the FlexMalloc placement report.
+// Advisor stage core::run_workflow and ecohmem-serve share
+// (advisor::run_stage: the density knapsack or the learned ranker,
+// optionally followed by the bandwidth-aware pass of §VII) and writes
+// the FlexMalloc placement report.
 //
 // Usage:
 //   ecohmem-advisor --trace <trace.trc> --out <report.txt>
@@ -18,12 +20,12 @@
 // not available from this tool).
 
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "cli_common.hpp"
-#include "ecohmem/advisor/bandwidth_aware.hpp"
-#include "ecohmem/advisor/knapsack.hpp"
 #include "ecohmem/advisor/report.hpp"
+#include "ecohmem/advisor/stage.hpp"
 #include "ecohmem/analyzer/aggregator.hpp"
 #include "ecohmem/analyzer/site_report.hpp"
 #include "ecohmem/learn/model.hpp"
@@ -79,15 +81,10 @@ int main(int argc, char** argv) {
   if (*min_coverage < 0.0 || *min_coverage > 1.0) {
     return cli::fail("--min-coverage must be in [0, 1]");
   }
-  const auto dram_limit = args.get_bytes("dram-limit", 12ull << 30);
-  if (!dram_limit) return cli::fail_usage(dram_limit.error());
-  const auto store_coef = args.get_double("store-coef", 0.0);
-  if (!store_coef) return cli::fail_usage(store_coef.error());
-  const auto flag_config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
-  if (const auto bad = flag_config.validate(); !bad.empty()) {
-    return cli::fail_usage("--dram-limit/--store-coef: " + bad.front());
-  }
-  const auto peak_pmem_bw = args.get_double("peak-pmem-bw", 0.0);
+  auto flag_config = cli::flag_advisor_config(args);
+  if (!flag_config) return cli::fail_usage(flag_config.error());
+  // Without --peak-pmem-bw the §VII thresholds scale the observed peak.
+  const auto peak_pmem_bw = args.get_positive_double("peak-pmem-bw", 0.0);
   if (!peak_pmem_bw) return cli::fail_usage(peak_pmem_bw.error());
 
   // The trace is mmapped and decoded block by block. With --salvage a
@@ -125,40 +122,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  advisor::AdvisorConfig config;
-  if (args.has("config")) {
-    const auto file = Config::load(args.get("config"));
-    if (!file) return cli::fail(file.error());
-    auto parsed = advisor::AdvisorConfig::from_config(*file);
-    if (!parsed) return cli::fail(parsed.error());
-    config = std::move(*parsed);
-  } else {
-    config = flag_config;
+  const auto config = cli::advisor_config(args, std::move(*flag_config));
+  if (!config) return cli::fail(config.error());
+
+  std::optional<advisor::Placement> base;
+  if (policy == "learned") {
+    auto ranked = learn::place_by_ranker(*analysis, *config, model);
+    if (!ranked) return cli::fail(ranked.error());
+    ranked->model_stamp = learn::model_content_hash(model);
+    base = std::move(*ranked);
   }
+  const bool bandwidth_aware = args.has("bandwidth-aware");
+  const auto advice =
+      advisor::run_stage(*analysis, *config, bandwidth_aware, *peak_pmem_bw, std::move(base));
+  if (!advice) return cli::fail(advice.error());
+  const advisor::Placement& placement = advice->placement;
 
-  auto placement = policy == "learned"
-                       ? learn::place_by_ranker(*analysis, config, model)
-                       : advisor::place_by_density(analysis->sites, config);
-  if (!placement) return cli::fail(placement.error());
-  if (policy == "learned") placement->model_stamp = learn::model_content_hash(model);
-
-  std::size_t swaps = 0;
-  std::size_t streaming = 0;
-  if (args.has("bandwidth-aware")) {
-    advisor::BandwidthAwareOptions bw;
-    bw.peak_pmem_bw_gbs =
-        args.has("peak-pmem-bw") ? *peak_pmem_bw : analysis->observed_peak_bw_gbs;
-    bw.dram_tier = config.tiers.front().name;
-    bw.pmem_tier = config.fallback_tier().name;
-    auto refined =
-        advisor::place_bandwidth_aware(analysis->sites, std::move(*placement), config, bw);
-    if (!refined) return cli::fail(refined.error());
-    swaps = refined->swaps;
-    streaming = refined->streaming_moved;
-    *placement = std::move(refined->placement);
-  }
-
-  if (const auto s = advisor::save_report(args.get("out"), *placement,
+  if (const auto s = advisor::save_report(args.get("out"), placement,
                                           advisor::ReportFormat::kBom, bundle->modules);
       !s) {
     return cli::fail(s.error());
@@ -168,17 +148,17 @@ int main(int argc, char** argv) {
               analysis->sites.size(), bundle->trace.events.size(), policy.c_str(),
               args.get("out").c_str());
   if (policy == "learned") {
-    std::printf("  model %s (%zu corpus apps)\n", placement->model_stamp.c_str(),
+    std::printf("  model %s (%zu corpus apps)\n", placement.model_stamp.c_str(),
                 model.corpus.size());
   }
-  for (const auto& tier : config.tiers) {
+  for (const auto& tier : config->tiers) {
     std::printf("  %-8s %10llu MB charged (limit %llu MB)\n", tier.name.c_str(),
-                static_cast<unsigned long long>(placement->footprint_in(tier.name) >> 20),
+                static_cast<unsigned long long>(placement.footprint_in(tier.name) >> 20),
                 static_cast<unsigned long long>(tier.limit >> 20));
   }
-  if (args.has("bandwidth-aware")) {
+  if (bandwidth_aware) {
     std::printf("  bandwidth-aware: %zu swaps, %zu Streaming-D moves (observed peak %.2f GB/s)\n",
-                swaps, streaming, analysis->observed_peak_bw_gbs);
+                advice->swaps, advice->streaming_moved, analysis->observed_peak_bw_gbs);
   }
   return 0;
 }

@@ -20,7 +20,6 @@
 #include "cli_common.hpp"
 #include "ecohmem/apps/apps.hpp"
 #include "ecohmem/core/ecohmem.hpp"
-#include "ecohmem/memsim/dram_cache.hpp"
 #include "ecohmem/profiler/profiler.hpp"
 #include "ecohmem/trace/trace_file.hpp"
 
@@ -74,10 +73,7 @@ int main(int argc, char** argv) {
 
   runtime::EngineOptions eopt;
   eopt.observer = &prof;
-  memsim::DramCacheModel cache(system->tier(0).capacity());
-  runtime::MemoryModeExec mode(&*system, 0, system->fallback_index(), cache);
-  runtime::ExecutionEngine engine(&*system, eopt);
-  const auto metrics = engine.run(workload, mode);
+  const auto metrics = core::run_memory_mode(workload, *system, eopt);
   if (!metrics) return cli::fail("profiling run failed: " + metrics.error());
 
   const auto block_events = args.get_int_in_range("block-events", 64 * 1024, 1, 1 << 30);

@@ -109,15 +109,12 @@ int main(int argc, char** argv) {
   const auto report = flexmalloc::load_report(args.get("report"), *workload.modules);
   if (!report) return cli::fail_load(args.get("report"), report.error());
 
-  auto fm_heaps = std::vector<flexmalloc::HeapSpec>{
-      {"dram", *dram_capacity},
-      {"pmem", system->tier(system->fallback_index()).capacity()}};
   // The match cache memoizes repeated lookups of hot call stacks; it
   // changes overhead accounting but never placement.
   flexmalloc::MatcherOptions matcher_options;
   matcher_options.match_cache = true;
-  auto fm = flexmalloc::FlexMalloc::create(std::move(fm_heaps), *report,
-                                           workload.symbols.get(), matcher_options);
+  auto fm = core::make_flexmalloc(*system, *report, *dram_capacity, workload.symbols.get(),
+                                  matcher_options);
   if (!fm) return cli::fail(fm.error());
 
   runtime::AppDirectMode mode(&*system, &*fm);

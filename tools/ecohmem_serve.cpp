@@ -81,15 +81,11 @@ int run_client(const cli::Args& args) {
   if (!attach_id) return cli::fail_usage(attach_id.error());
   const auto block_events = args.get_int_in_range("block-events", 4096, 1, 1 << 24);
   if (!block_events) return cli::fail_usage(block_events.error());
-  const auto dram_limit = args.get_bytes("dram-limit", 12ull << 30);
-  if (!dram_limit) return cli::fail_usage(dram_limit.error());
-  const auto store_coef = args.get_double("store-coef", 0.0);
-  if (!store_coef) return cli::fail_usage(store_coef.error());
-  const auto flag_config = advisor::AdvisorConfig::dram_pmem(*dram_limit, *store_coef);
-  if (const auto bad = flag_config.validate(); !bad.empty()) {
-    return cli::fail_usage("--dram-limit/--store-coef: " + bad.front());
-  }
-  const auto peak_pmem_bw = args.get_double("peak-pmem-bw", 0.0);
+  auto flag_config = cli::flag_advisor_config(args);
+  if (!flag_config) return cli::fail_usage(flag_config.error());
+  // Without --peak-pmem-bw the server scales the §VII thresholds by the
+  // snapshot's observed peak (0 on the wire).
+  const auto peak_pmem_bw = args.get_positive_double("peak-pmem-bw", 0.0);
   if (!peak_pmem_bw) return cli::fail_usage(peak_pmem_bw.error());
   if (!args.has("attach") && !args.has("ingest")) {
     return cli::fail_usage("client mode needs --ingest <trace> (new session) or --attach ID");
@@ -122,17 +118,9 @@ int run_client(const cli::Args& args) {
   std::printf("session %llu\n", static_cast<unsigned long long>(client->session_id()));
 
   if (args.has("query")) {
-    advisor::AdvisorConfig config;
-    if (args.has("config")) {
-      const auto file = Config::load(args.get("config"));
-      if (!file) return cli::fail(file.error());
-      auto parsed = advisor::AdvisorConfig::from_config(*file);
-      if (!parsed) return cli::fail(parsed.error());
-      config = std::move(*parsed);
-    } else {
-      config = flag_config;
-    }
-    auto report = client->query(config, args.has("bandwidth-aware"), *peak_pmem_bw);
+    const auto config = cli::advisor_config(args, std::move(*flag_config));
+    if (!config) return cli::fail(config.error());
+    auto report = client->query(*config, args.has("bandwidth-aware"), *peak_pmem_bw);
     if (!report) return cli::fail(report.error());
     if (const int rc = write_text(args.get("query"), report->text); rc != 0) return rc;
     std::printf("report at epoch %llu (%llu events) -> %s\n",

@@ -20,7 +20,6 @@
 #include "cli_common.hpp"
 #include "ecohmem/advisor/advisor_config.hpp"
 #include "ecohmem/apps/apps.hpp"
-#include "ecohmem/common/config.hpp"
 #include "ecohmem/learn/corpus.hpp"
 #include "ecohmem/learn/model.hpp"
 
@@ -91,9 +90,7 @@ int main(int argc, char** argv) {
   copt.app_scale = *scale;
 
   if (args.has("config")) {
-    const auto file = Config::load(args.get("config"));
-    if (!file) return cli::fail_load(args.get("config"), file.error());
-    auto parsed = advisor::AdvisorConfig::from_config(*file);
+    const auto parsed = cli::advisor_config(args, {});
     if (!parsed) return cli::fail_load(args.get("config"), parsed.error());
     copt.dram_limit = parsed->tiers.front().limit;
     copt.store_coef = parsed->tiers.front().store_coef;
